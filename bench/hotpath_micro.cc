@@ -371,9 +371,35 @@ void BenchSampleLoop(double min_ms, std::vector<BenchEntry>* out) {
   if (side_effect == -1) std::cerr << "";
 }
 
+/// One simulated year of `spec` per iteration (seeds 1, 2, ...) through
+/// `engine`: RunSoloAvailabilityExperiment pins the solo engine,
+/// RunAvailabilityExperiment lets the run pick its engine.
+template <typename Engine>
+void RunExperimentYears(ExperimentSpec& spec, Engine&& engine,
+                        std::uint64_t iters) {
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    spec.options.seed = 1 + i;
+    auto results = engine(
+        spec, MakePaperProtocols(spec.topology, kFiveCopyPlacement));
+    if (!results.ok()) {
+      std::cerr << results.status() << "\n";
+      std::exit(1);
+    }
+  }
+}
+
 /// End to end: one simulated year of the discrete-event experiment with
-/// all six policies on the five-copy placement, cache on vs. off. This is
-/// the unit the sweeps and --reps multiply by the thousands.
+/// all six policies on the five-copy placement. This is the unit the
+/// sweeps and --reps multiply by the thousands.
+///
+/// experiment_year_5copies pins both sides to the solo engine, cache on
+/// vs. off, so the ratio stays the memoization gain it always measured.
+/// experiment_year_routed (ungated) is what a caller gets from
+/// RunAvailabilityExperiment — an untraced run of the paper policies
+/// goes to the batched engine as a batch of one — against the solo
+/// engine: the N=1 routing gain. The traced rows below stay on the solo
+/// engine, so their ns_per_op over this row's is the cost of tracing
+/// including the fallback.
 void BenchExperimentYear(double min_ms, std::vector<BenchEntry>* out) {
   auto paper = MakePaperNetwork();
   ExperimentSpec spec;
@@ -383,33 +409,32 @@ void BenchExperimentYear(double min_ms, std::vector<BenchEntry>* out) {
   spec.options.num_batches = 1;
   spec.options.batch_length = Years(1);
 
-  auto run = [&](bool cached, std::uint64_t iters) {
-    for (std::uint64_t i = 0; i < iters; ++i) {
-      spec.options.seed = 1 + i;
-      spec.options.quorum_cache = cached;
-      auto protocols =
-          MakePaperProtocols(paper->topology, kFiveCopyPlacement);
-      auto results =
-          RunAvailabilityExperiment(spec, std::move(protocols));
-      if (!results.ok()) {
-        std::cerr << results.status() << "\n";
-        std::exit(1);
-      }
-    }
+  auto solo = [&](bool cached, std::uint64_t iters) {
+    spec.options.quorum_cache = cached;
+    RunExperimentYears(spec, RunSoloAvailabilityExperiment, iters);
   };
-
   out->push_back(MeasurePaired(
       "experiment_year_5copies", "no-cache", min_ms,
-      [&](std::uint64_t iters) { run(true, iters); },
-      [&](std::uint64_t iters) { run(false, iters); }));
+      [&](std::uint64_t iters) { solo(true, iters); },
+      [&](std::uint64_t iters) { solo(false, iters); }));
+
+  out->push_back(MeasurePaired(
+      "experiment_year_routed", "solo-seq", min_ms,
+      [&](std::uint64_t iters) {
+        spec.options.quorum_cache = true;
+        RunExperimentYears(spec, RunAvailabilityExperiment, iters);
+      },
+      [&](std::uint64_t iters) { solo(true, iters); }));
 }
 
 /// The batched multi-object engine's amortization claim: aggregate ns
 /// per object-year running N=64 objects through one calendar-queue event
 /// loop, against the same 64 seeds run sequentially through the solo
-/// engine ("solo-seq"). The bit-identity contract makes the two sides
-/// produce identical statistics, so the ratio is pure engine overhead;
-/// CI gates it at >= 3.0x.
+/// engine ("solo-seq", RunSoloAvailabilityExperiment — not the routed
+/// entry point, which would itself pick the batched engine). The
+/// bit-identity contract makes the two sides produce identical
+/// statistics, so the ratio is pure engine overhead; CI gates it at
+/// >= 3.0x.
 void BenchBatchedEngine(double min_ms, std::vector<BenchEntry>* out) {
   auto paper = MakePaperNetwork();
   ExperimentSpec spec;
@@ -443,7 +468,8 @@ void BenchBatchedEngine(double min_ms, std::vector<BenchEntry>* out) {
         spec.options.seed = 1 + i * kObjects + static_cast<std::uint64_t>(k);
         auto protocols =
             MakePaperProtocols(paper->topology, kFiveCopyPlacement);
-        auto results = RunAvailabilityExperiment(spec, std::move(protocols));
+        auto results =
+            RunSoloAvailabilityExperiment(spec, std::move(protocols));
         if (!results.ok()) {
           std::cerr << results.status() << "\n";
           std::exit(1);
@@ -470,7 +496,8 @@ void BenchBatchedEngine(double min_ms, std::vector<BenchEntry>* out) {
 /// the binary encoder paged through the async writer thread. The traced
 /// entries report their slowdown against the off run via the
 /// "trace-off" baseline; CI gates experiment_year_trace_binary_async at
-/// 1.3x of trace-off.
+/// 1.3x of trace-off. Every side runs the solo engine — the only one that
+/// traces — so trace-off is the like-for-like untraced baseline.
 void BenchTracingOverhead(double min_ms, std::vector<BenchEntry>* out) {
   auto paper = MakePaperNetwork();
   ExperimentSpec spec;
@@ -486,7 +513,8 @@ void BenchTracingOverhead(double min_ms, std::vector<BenchEntry>* out) {
       spec.obs = obs;
       auto protocols =
           MakePaperProtocols(paper->topology, kFiveCopyPlacement);
-      auto results = RunAvailabilityExperiment(spec, std::move(protocols));
+      auto results =
+          RunSoloAvailabilityExperiment(spec, std::move(protocols));
       if (!results.ok()) {
         std::cerr << results.status() << "\n";
         std::exit(1);
@@ -518,7 +546,8 @@ void BenchTracingOverhead(double min_ms, std::vector<BenchEntry>* out) {
       spec.obs = &binary_obs;
       auto protocols =
           MakePaperProtocols(paper->topology, kFiveCopyPlacement);
-      auto results = RunAvailabilityExperiment(spec, std::move(protocols));
+      auto results =
+          RunSoloAvailabilityExperiment(spec, std::move(protocols));
       if (!results.ok()) {
         std::cerr << results.status() << "\n";
         std::exit(1);
@@ -560,7 +589,7 @@ void BenchTracingOverhead(double min_ms, std::vector<BenchEntry>* out) {
                   auto protocols =
                       MakePaperProtocols(paper->topology, kFiveCopyPlacement);
                   auto results =
-                      RunAvailabilityExperiment(spec, std::move(protocols));
+                      RunSoloAvailabilityExperiment(spec, std::move(protocols));
                   if (!results.ok()) {
                     std::cerr << results.status() << "\n";
                     std::exit(1);

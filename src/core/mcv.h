@@ -78,6 +78,11 @@ class MajorityConsensusVoting final : public ConsistencyProtocol {
   /// Quorums in force (after defaulting).
   long long read_quorum() const { return read_quorum_; }
   long long write_quorum() const { return write_quorum_; }
+  /// True iff Make() was given an explicit read or write quorum.
+  bool explicit_quorums() const { return explicit_quorums_; }
+
+  const VoteWeights& weights() const { return weights_; }
+  TieBreak tie_break() const { return tie_break_; }
 
   /// Replica state, exposed for tests and the KV store.
   const ReplicaStore& store() const { return store_; }

@@ -174,6 +174,7 @@ class ConsistencyProtocol {
   /// clear.
   using CommitHook = std::function<void(const CommitInfo&)>;
   void set_commit_hook(CommitHook hook) { commit_hook_ = std::move(hook); }
+  bool has_commit_hook() const { return static_cast<bool>(commit_hook_); }
 
   /// Attaches a decision log (see core/trace.h); the protocol records
   /// every quorum decision it makes. Not owned; pass nullptr to detach.

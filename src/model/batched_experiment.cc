@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "core/dynamic_voting.h"
+#include "core/mcv.h"
 #include "core/quorum.h"
 #include "net/network_state.h"
 #include "repl/message_bus.h"
@@ -517,8 +519,11 @@ void BatchedEngine::OnMaintenanceEnd(std::size_t obj, SiteId s) {
   PublishSite(obj, s);
   if (slot.EffectiveUp()) ScheduleSiteFailure(obj, s);
   const SiteProfile& prof = spec_.profiles[static_cast<std::size_t>(s)];
-  queue_.Schedule(now_ + Days(prof.maintenance_interval_days) -
-                      Hours(prof.maintenance_hours),
+  // Same association as the solo ScheduleIn(interval - duration): the
+  // offset is formed first, then added to now. (now + interval) - duration
+  // rounds differently and drifts the calendar by an ulp now and then.
+  queue_.Schedule(now_ + (Days(prof.maintenance_interval_days) -
+                          Hours(prof.maintenance_hours)),
                   Pack(EventKind::kMaintenanceStart, s, obj, 0));
 }
 
@@ -1144,6 +1149,55 @@ Result<std::vector<std::vector<PolicyResult>>> BatchedEngine::Run() {
   return results;
 }
 
+// ---------------------------------------------------------------------------
+// Engine selection
+// ---------------------------------------------------------------------------
+
+/// True iff every copy in `store` still holds the paper's initial
+/// ensemble (o = v = 1, P = placement), which is where every batched
+/// object starts.
+bool StoreIsInitial(const ReplicaStore& store) {
+  const ReplicaState initial{1, 1, store.placement()};
+  for (SiteId s : store.placement()) {
+    if (!(store.state(s) == initial)) return false;
+  }
+  return true;
+}
+
+/// The registry name of the batched plan that reproduces `p` exactly, or
+/// "" when `p` carries anything the plans do not model. Every option the
+/// plans hard-wire (see PlanFor and the fast paths above) is checked here.
+std::string StockPolicyName(const ConsistencyProtocol& p,
+                            const Topology* topology) {
+  if (const auto* mcv = dynamic_cast<const MajorityConsensusVoting*>(&p)) {
+    // McvGranted assumes unit votes, r = w = majority and the
+    // lexicographic tie rule.
+    const bool stock = mcv->weights().IsUniform() &&
+                       mcv->tie_break() == TieBreak::kLexicographic &&
+                       !mcv->explicit_quorums() &&
+                       StoreIsInitial(mcv->store());
+    return stock && mcv->name() == "MCV" ? "MCV" : "";
+  }
+  const auto* dv = dynamic_cast<const DynamicVoting*>(&p);
+  if (dv == nullptr) return "";
+  const DynamicVotingOptions& o = dv->options();
+  if (!o.weights.IsUniform() || !o.witnesses.Empty() ||
+      &dv->topology() != topology || !StoreIsInitial(dv->store())) {
+    return "";
+  }
+  // The five flag combinations PlanFor knows; DV alone fails ties.
+  std::string name;
+  if (o.tie_break == TieBreak::kNone) {
+    if (o.topological || o.optimistic) return "";
+    name = "DV";
+  } else if (o.topological) {
+    name = o.optimistic ? "OTDV" : "TDV";
+  } else {
+    name = o.optimistic ? "ODV" : "LDV";
+  }
+  return dv->name() == name ? name : "";
+}
+
 }  // namespace
 
 bool BatchedEngineSupports(const std::vector<std::string>& policies) {
@@ -1158,20 +1212,47 @@ bool BatchedEngineSupports(const std::vector<std::string>& policies) {
   return true;
 }
 
+std::optional<BatchedProtocolSpec> BatchedPlanFor(
+    const ExperimentSpec& spec,
+    const std::vector<std::unique_ptr<ConsistencyProtocol>>& protocols) {
+  if (spec.obs != nullptr || spec.options.serving.enabled ||
+      !spec.options.quorum_cache || spec.topology == nullptr ||
+      protocols.empty()) {
+    return std::nullopt;
+  }
+  BatchedProtocolSpec plan;
+  plan.placement = protocols.front()->placement();
+  if (plan.placement.Empty() ||
+      !plan.placement.IsSubsetOf(spec.topology->AllSites())) {
+    return std::nullopt;
+  }
+  for (const auto& p : protocols) {
+    if (p->placement() != plan.placement ||
+        p->decision_log() != nullptr || p->has_commit_hook() ||
+        p->obs() != nullptr || p->counter()->Total() != 0) {
+      return std::nullopt;
+    }
+    std::string name = StockPolicyName(*p, spec.topology.get());
+    if (name.empty()) return std::nullopt;
+    plan.policies.push_back(std::move(name));
+  }
+  if (!BatchedEngineSupports(plan.policies)) return std::nullopt;
+  return plan;
+}
+
 Result<std::vector<std::vector<PolicyResult>>>
 RunBatchedAvailabilityExperiment(const ExperimentSpec& spec,
                                  const BatchedProtocolSpec& protocols,
                                  const std::vector<std::uint64_t>& seeds) {
-  // Mirror the validation of RunAvailabilityExperiment and the process
-  // factories it calls, so the batched and per-replication paths reject
-  // the same inputs.
+  // Mirror the validation of RunSoloAvailabilityExperiment and the
+  // process factories it calls, so both engines reject the same inputs.
   if (spec.topology == nullptr) {
     return Status::InvalidArgument("experiment needs a topology");
   }
   if (spec.obs != nullptr) {
     return Status::InvalidArgument(
         "the batched engine is observability-free; route traced runs "
-        "through the per-replication path");
+        "through RunSoloAvailabilityExperiment");
   }
   if (protocols.policies.empty()) {
     return Status::InvalidArgument("experiment needs at least one protocol");
@@ -1209,14 +1290,12 @@ RunBatchedAvailabilityExperiment(const ExperimentSpec& spec,
       return Status::InvalidArgument("repeater MTTF must be > 0");
     }
   }
-  if (spec.options.access.enabled) {
-    if (spec.options.access.rate_per_day <= 0.0) {
-      return Status::InvalidArgument("access rate must be > 0");
-    }
-    if (spec.options.access.write_fraction < 0.0 ||
-        spec.options.access.write_fraction > 1.0) {
-      return Status::InvalidArgument("write fraction outside [0, 1]");
-    }
+  if (spec.options.access.enabled && spec.options.access.rate_per_day <= 0.0) {
+    return Status::InvalidArgument("access rate must be > 0");
+  }
+  if (spec.options.access.write_fraction < 0.0 ||
+      spec.options.access.write_fraction > 1.0) {
+    return Status::InvalidArgument("write fraction outside [0, 1]");
   }
   if (seeds.empty()) {
     return Status::InvalidArgument("batched run needs at least one seed");

@@ -10,7 +10,7 @@
 //
 // Bit-identity contract (the hard constraint carried from PRs 1-2):
 // PolicyResult rows for object k in a batch of N are bit-identical to a
-// solo RunAvailabilityExperiment with seed seeds[k] — same tracker
+// RunSoloAvailabilityExperiment with seed seeds[k] — same tracker
 // updates, counters, grant decisions and RNG draw sequence. The engine
 // guarantees this by construction:
 //   - each object owns private Rng streams split exactly as the solo
@@ -26,13 +26,16 @@
 //     moment a commit leaves the copies divergent, so every decision
 //     equals the solo protocol object's decision.
 //
-// The engine is deliberately observability-free: traced or metered runs
-// route through the per-replication instrumented path (see
-// model/replicated_experiment.cc), which produces identical statistics.
+// The engine is deliberately observability-free: traced, metered and
+// serving runs stay on the instrumented solo engine
+// (RunSoloAvailabilityExperiment), which produces identical statistics.
+// RunAvailabilityExperiment picks the engine per run with BatchedPlanFor.
 
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,9 +59,28 @@ struct BatchedProtocolSpec {
 /// the per-replication protocol objects.
 bool BatchedEngineSupports(const std::vector<std::string>& policies);
 
+/// The batched plan that reproduces RunSoloAvailabilityExperiment(spec,
+/// protocols) bit for bit, or nullopt when the run must stay on the solo
+/// engine. A plan exists iff
+///   - spec.obs is null, serving is off and spec.options.quorum_cache is
+///     on (--no-quorum-cache keeps meaning "unmemoized reference path");
+///   - every protocol is a stock paper policy: MCV with uniform weights,
+///     lexicographic tie-break, no explicit quorums and the name "MCV",
+///     or a DynamicVoting whose flags are exactly DV/LDV/ODV/TDV/OTDV
+///     with uniform weights, no witnesses, the derived name, built on
+///     spec.topology;
+///   - every protocol is untouched: replica store in its initial state,
+///     zero message counts, no decision log, commit hook or obs context;
+///   - all protocols share one placement inside the topology.
+/// Decided only from what the protocol objects expose, so adding an
+/// option the batched plans do not model must extend this predicate.
+std::optional<BatchedProtocolSpec> BatchedPlanFor(
+    const ExperimentSpec& spec,
+    const std::vector<std::unique_ptr<ConsistencyProtocol>>& protocols);
+
 /// Runs seeds.size() independent objects through one event loop.
 /// Returns one PolicyResult row vector per object, in seed order;
-/// results[k][p] is bit-identical to what RunAvailabilityExperiment
+/// results[k][p] is bit-identical to what RunSoloAvailabilityExperiment
 /// would report for policy p with spec.options.seed = seeds[k].
 /// spec.options.seed itself is ignored; spec.obs must be null.
 Result<std::vector<std::vector<PolicyResult>>>

@@ -1,7 +1,10 @@
 #include "model/experiment.h"
 
+#include <optional>
+
 #include "core/dynamic_voting.h"
 #include "core/registry.h"
+#include "model/batched_experiment.h"
 #include "model/failure_model.h"
 #include "net/network_state.h"
 #include "sim/simulator.h"
@@ -26,6 +29,19 @@ struct Observed {
 }  // namespace
 
 Result<std::vector<PolicyResult>> RunAvailabilityExperiment(
+    const ExperimentSpec& spec,
+    std::vector<std::unique_ptr<ConsistencyProtocol>> protocols) {
+  if (std::optional<BatchedProtocolSpec> plan =
+          BatchedPlanFor(spec, protocols)) {
+    auto rows =
+        RunBatchedAvailabilityExperiment(spec, *plan, {spec.options.seed});
+    if (!rows.ok()) return rows.status();
+    return std::move(rows.MoveValue().front());
+  }
+  return RunSoloAvailabilityExperiment(spec, std::move(protocols));
+}
+
+Result<std::vector<PolicyResult>> RunSoloAvailabilityExperiment(
     const ExperimentSpec& spec,
     std::vector<std::unique_ptr<ConsistencyProtocol>> protocols) {
   if (spec.topology == nullptr) {

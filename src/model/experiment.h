@@ -96,8 +96,24 @@ struct ExperimentSpec {
 };
 
 /// Runs `protocols` through one simulated sample path and reports a
-/// result per protocol (in input order).
+/// result per protocol (in input order). The single place that picks an
+/// engine: when BatchedPlanFor (model/batched_experiment.h) yields a plan
+/// — an untraced, unmetered, non-serving, memoized run of untouched stock
+/// paper policies — the run executes as a batch of one in the batched
+/// engine; every other run goes to RunSoloAvailabilityExperiment. Both
+/// engines produce bit-identical rows, so the choice is invisible except
+/// in wall-clock time.
 Result<std::vector<PolicyResult>> RunAvailabilityExperiment(
+    const ExperimentSpec& spec,
+    std::vector<std::unique_ptr<ConsistencyProtocol>> protocols);
+
+/// The instrumented reference engine: one Simulator/EventQueue driving
+/// the real protocol objects. The only engine that emits traces and
+/// metrics, runs the serving model, honours --no-quorum-cache, and
+/// supports every protocol, option and attached decision log or commit
+/// hook. Tests and benches call it directly as the oracle the batched
+/// engine is compared against.
+Result<std::vector<PolicyResult>> RunSoloAvailabilityExperiment(
     const ExperimentSpec& spec,
     std::vector<std::unique_ptr<ConsistencyProtocol>> protocols);
 

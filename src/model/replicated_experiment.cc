@@ -1,6 +1,7 @@
 #include "model/replicated_experiment.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -95,8 +96,7 @@ std::uint64_t ReplicationSeed(std::uint64_t master_seed, int replication) {
 
 Result<ReplicatedResults> RunReplicatedExperiment(
     const ExperimentSpec& spec, const ProtocolSetFactory& factory,
-    const ReplicationOptions& options,
-    const BatchedProtocolSpec* batched) {
+    const ReplicationOptions& options, const BatchedProtocolSpec* /*ignored*/) {
   if (options.replications < 1) {
     return Status::InvalidArgument("replications must be >= 1");
   }
@@ -120,29 +120,39 @@ Result<ReplicatedResults> RunReplicatedExperiment(
     out.seeds.push_back(ReplicationSeed(spec.options.seed, r));
   }
 
-  // The batched engine handles only plain statistical runs: tracing,
-  // metrics and the serving model need the per-replication instrumented
-  // path, and unsupported policies need real protocol objects. Grouping replications changes
-  // nothing observable — each group's rows are bit-identical to solo
-  // runs with the same seeds — so the gate is purely a dispatch choice.
-  const bool use_batched = batched != nullptr && options.objects > 1 &&
-                           !options.collect_traces &&
-                           !options.collect_metrics && spec.obs == nullptr &&
-                           !spec.options.serving.enabled &&
-                           BatchedEngineSupports(batched->policies);
+  // Grouping: with objects > 1, replications that would each go to the
+  // batched engine anyway (RunAvailabilityExperiment's own BatchedPlanFor
+  // gate, asked with the null spec.obs every uncollected replication
+  // runs with) share one event loop per group instead. Collected traces
+  // or metrics give every replication an obs context, which keeps it on
+  // the solo engine. The plan is read off one factory-built set — the
+  // factory builds the same set every call. Each group's rows are
+  // bit-identical to single runs with the same seeds, so grouping only
+  // changes wall-clock time.
+  ExperimentSpec untraced = spec;
+  untraced.obs = nullptr;
+  std::optional<BatchedProtocolSpec> batched;
+  if (options.objects > 1 && !options.collect_traces &&
+      !options.collect_metrics) {
+    auto probe = factory();
+    if (!probe.ok()) return probe.status();
+    batched = BatchedPlanFor(untraced, *probe);
+  }
 
   std::vector<ReplicationSlot> slots(static_cast<std::size_t>(reps));
-  if (use_batched) {
+  if (batched.has_value()) {
     const int group_size = options.objects;
     const int num_groups = (reps + group_size - 1) / group_size;
     // One task per group; each group writes only its own replications'
     // slots, preserving the fixed-slot determinism contract.
-    auto run_group = [&spec, batched, &out, &slots, reps, group_size](int g) {
+    auto run_group = [&untraced, &batched, &out, &slots, reps,
+                      group_size](int g) {
       const int lo = g * group_size;
       const int hi = std::min(reps, lo + group_size);
       std::vector<std::uint64_t> seeds(out.seeds.begin() + lo,
                                        out.seeds.begin() + hi);
-      auto rows = RunBatchedAvailabilityExperiment(spec, *batched, seeds);
+      auto rows =
+          RunBatchedAvailabilityExperiment(untraced, *batched, seeds);
       if (!rows.ok()) {
         for (int r = lo; r < hi; ++r) slots[r].status = rows.status();
         return;
@@ -279,11 +289,7 @@ Result<ReplicatedResults> RunReplicatedPaperExperiment(
   spec.topology = network->topology;
   spec.profiles = network->profiles;
   spec.options = options;
-  // Offer the batched engine the same protocol set the factory builds;
-  // RunReplicatedExperiment falls back to per-replication protocol
-  // objects whenever the batched gate does not apply.
-  BatchedProtocolSpec batched{policies, placement};
-  return RunReplicatedExperiment(spec, factory, replication, &batched);
+  return RunReplicatedExperiment(spec, factory, replication);
 }
 
 std::vector<PolicyResult> MeanPolicyResults(const ReplicatedResults& results) {

@@ -58,13 +58,14 @@ struct ReplicationOptions {
   /// Collect metrics into per-replication shards, merged in replication
   /// order into ReplicatedResults::metrics at join.
   bool collect_metrics = false;
-  /// Objects per batched-engine event loop. When > 1 and a batched
-  /// protocol spec is supplied (and the run is untraced/unmetered),
-  /// replications are grouped into consecutive runs of this size and each
-  /// group executes through model/batched_experiment.h instead of one
-  /// Simulator per replication. Never affects results — the batched
-  /// engine's bit-identity contract makes every grouping produce the same
-  /// bytes as objects = 1 — only wall-clock time.
+  /// Objects per batched-engine event loop. Which engine a replication
+  /// runs on is decided by BatchedPlanFor alone; this only chooses the
+  /// grouping. When > 1 and the run qualifies for the batched engine
+  /// (untraced, unmetered, stock paper policies), replications are
+  /// grouped into consecutive runs of this size, each group sharing one
+  /// event loop; at 1 each replication is a batch of one. Never affects
+  /// results — the batched engine's bit-identity contract makes every
+  /// grouping produce the same bytes — only wall-clock time.
   int objects = 1;
 };
 
@@ -130,17 +131,17 @@ using ProtocolSetFactory = std::function<
 /// threads and aggregates. `spec.options.seed` is the master seed; each
 /// replication runs with ReplicationSeed(master, r).
 ///
-/// When `batched` is non-null, `options.objects` > 1, the run collects
-/// neither traces nor metrics, spec.obs is null, and every policy has a
-/// batched implementation (BatchedEngineSupports), replications execute
-/// in groups of `options.objects` through the batched multi-object
-/// engine. The engine's bit-identity contract guarantees the output is
-/// byte-identical either way; `batched` must name the same protocol set
-/// (same order) the factory builds.
+/// When `options.objects` > 1, the run collects neither traces nor
+/// metrics, and BatchedPlanFor(spec, factory()) yields a plan,
+/// replications execute in groups of `options.objects` through the
+/// batched multi-object engine. The engine's bit-identity contract
+/// guarantees the output is byte-identical either way. The last
+/// parameter is ignored (the plan is derived from the factory's
+/// protocols); it stays so existing four-argument callers compile.
 Result<ReplicatedResults> RunReplicatedExperiment(
     const ExperimentSpec& spec, const ProtocolSetFactory& factory,
     const ReplicationOptions& options,
-    const BatchedProtocolSpec* batched = nullptr);
+    const BatchedProtocolSpec* ignored = nullptr);
 
 /// Replicated analogue of RunPaperExperiment: paper network, placement
 /// per configuration `config_label`, the named policies.

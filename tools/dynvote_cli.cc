@@ -4,7 +4,6 @@
 //   dynvote analyze  [--network=FILE] --sites=a,b,c
 //   dynvote simulate [--network=FILE] --sites=a,b,c [--policies=...]
 //                    [--years=N] [--rate=R] [--seed=N] [--csv=PATH]
-//                    [--objects=N]
 //                    [--trace-out=FILE.{jsonl,btrace}]
 //                    [--metrics-out=FILE.json]
 //   dynvote repeat   [--network=FILE] --sites=a,b,c [--policies=...]
@@ -69,7 +68,6 @@
 #include "core/registry.h"
 #include "kv/scenario.h"
 #include "model/analytic.h"
-#include "model/batched_experiment.h"
 #include "model/config_parser.h"
 #include "model/experiment.h"
 #include "model/export.h"
@@ -164,9 +162,10 @@ int Usage() {
       "  --reps=N         repeat: independent replications\n"
       "  --jobs=M         repeat: worker threads (0 = all cores; never "
       "changes results)\n"
-      "  --objects=N      simulate/repeat: objects per batched event loop\n"
-      "                   (runs untraced replications through the batched\n"
-      "                   engine in groups of N; never changes results)\n"
+      "  --objects=N      repeat: replications per batched event loop\n"
+      "                   (groups the replications that run on the batched\n"
+      "                   engine N at a time; never changes results; every\n"
+      "                   run picks its engine itself)\n"
       "  --json=PATH      repeat: write per-replication + aggregate JSON\n"
       "  --trace-out=F    simulate/repeat: write " << kTraceSchema
       << " JSONL events\n"
@@ -626,33 +625,19 @@ int Simulate(const Options& opt) {
   if (!opt.metrics_out_path.empty()) obs.metrics = &metrics;
   if (obs.sink != nullptr || obs.metrics != nullptr) spec.obs = &obs;
 
-  std::vector<std::string> policy_names = SplitCsv(opt.policies);
-
-  // --objects routes simulate's single sample path through the batched
-  // multi-object engine (a batch of one): same bytes by the engine's
-  // bit-identity contract, so the flag lets users cross-check the two
-  // engines from the CLI. Traced/metered runs — and the serving model,
-  // which lives only in the instrumented engine — silently keep the
-  // per-replication path.
-  const bool batch_engine = opt.objects > 1 && spec.obs == nullptr &&
-                            !spec.options.serving.enabled &&
-                            BatchedEngineSupports(policy_names);
-  auto run = [&]() -> Result<std::vector<PolicyResult>> {
-    if (batch_engine) {
-      BatchedProtocolSpec batched{policy_names, *placement};
-      auto rows = RunBatchedAvailabilityExperiment(spec, batched, {opt.seed});
-      if (!rows.ok()) return rows.status();
-      return std::move(rows.MoveValue().front());
+  // RunAvailabilityExperiment picks the engine: untraced runs of the
+  // paper policies go to the batched engine, everything else (including
+  // --no-quorum-cache) to the solo reference engine, with identical rows.
+  std::vector<std::unique_ptr<ConsistencyProtocol>> protocols;
+  for (const std::string& policy : SplitCsv(opt.policies)) {
+    auto p = MakeProtocolByName(policy, network->topology, *placement);
+    if (!p.ok()) {
+      std::cerr << p.status() << "\n";
+      return 1;
     }
-    std::vector<std::unique_ptr<ConsistencyProtocol>> protocols;
-    for (const std::string& policy : policy_names) {
-      auto p = MakeProtocolByName(policy, network->topology, *placement);
-      if (!p.ok()) return p.status();
-      protocols.push_back(p.MoveValue());
-    }
-    return RunAvailabilityExperiment(spec, std::move(protocols));
-  };
-  auto results = run();
+    protocols.push_back(p.MoveValue());
+  }
+  auto results = RunAvailabilityExperiment(spec, std::move(protocols));
   if (!results.ok()) {
     std::cerr << results.status() << "\n";
     return 1;
@@ -752,10 +737,7 @@ int Repeat(const Options& opt) {
     return protocols;
   };
 
-  // Same policy set the factory builds; RunReplicatedExperiment only
-  // takes the batched path when --objects > 1 and the run is untraced.
-  BatchedProtocolSpec batched{policies, sites};
-  auto results = RunReplicatedExperiment(spec, factory, replication, &batched);
+  auto results = RunReplicatedExperiment(spec, factory, replication);
   if (!results.ok()) {
     std::cerr << results.status() << "\n";
     return 1;
