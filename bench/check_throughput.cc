@@ -1,5 +1,5 @@
-// Model-checker throughput harness: the parallel replay fan-out against
-// the sequential engine, the transition savings of partial-order
+// Model-checker throughput harness: the parallel exploration fan-out
+// against the sequential engine, the transition savings of partial-order
 // reduction, and the deepest exhaustive bounds this build demonstrates.
 //
 // Results are written to BENCH_check.json (override with --out=PATH) in

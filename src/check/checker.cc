@@ -41,7 +41,9 @@ Result<std::unique_ptr<CheckHarness>> FreshHarness(const Exploration& ex) {
 }
 
 /// Replays `schedule` on a fresh harness; returns the violation it trips,
-/// if any, and hands the harness back for signature extraction.
+/// if any, and hands the harness back. Exhaustive mode replays only
+/// frontier schedules (then clones per child); shrinking replays every
+/// candidate.
 Result<std::optional<Violation>> Replay(
     const Exploration& ex, const std::vector<CheckAction>& schedule,
     std::unique_ptr<CheckHarness>* harness_out) {
@@ -133,29 +135,6 @@ void ParallelFor(ThreadPool* pool, std::size_t n,
   pool->Wait();
 }
 
-/// One (prefix, action) expansion of the current BFS level: the work-list
-/// entry built deterministically up front, the per-worker replay results
-/// filled in phase A, both consumed by the sequential phase-B merge.
-struct Expansion {
-  std::vector<CheckAction> schedule;  // prefix + appended action
-  /// ToggleOrderIndex of the appended action (-1 for data-plane moves);
-  /// carried into the next frontier for the POR skip decision.
-  int last_toggle = -1;
-  /// Deterministic claim token: the global BFS expansion index. The
-  /// visited set keeps the minimum token per signature, so the merge can
-  /// tell "first schedule to reach this state in BFS order" apart from
-  /// "lost the race to an earlier-ordered expansion".
-  std::uint64_t token = 0;
-
-  // Phase-A results.
-  Status status;  // harness construction / replay configuration errors
-  std::optional<Violation> violation;
-  std::string signature;
-  bool canonical = false;
-  std::uint64_t commits = 0;
-  std::uint64_t reads = 0;
-};
-
 /// One frontier entry: a representative schedule for a distinct reached
 /// state, plus the toggle order of its final action.
 struct FrontierEntry {
@@ -163,15 +142,59 @@ struct FrontierEntry {
   int last_toggle = -1;
 };
 
+/// One (frontier entry, action) expansion of the current BFS level: the
+/// work-list entry built deterministically up front, the results its
+/// entry's worker fills in phase A, both consumed by the sequential
+/// phase-B merge. The expansion's claim token is the level's first
+/// token plus its slot index — the global BFS expansion index. The
+/// visited set keeps the minimum token per signature, so the merge can
+/// tell "first schedule to reach this state in BFS order" apart from
+/// "lost the race to an earlier-ordered expansion".
+struct Expansion {
+  std::uint32_t parent = 0;  // frontier index
+  std::uint32_t action = 0;  // alphabet index
+
+  // Phase-A results.
+  Status status;  // harness construction / replay configuration errors
+  std::optional<Violation> violation;
+  bool canonical = false;
+  /// The signature's min-token cell in the visited set; null unless
+  /// memoizing and canonical. Read only after the level barrier.
+  const std::uint64_t* claim = nullptr;
+  std::uint64_t commits = 0;
+  std::uint64_t reads = 0;
+};
+
+/// POR's total order position of alphabet action `ai`: its index for a
+/// toggle, -1 for a data-plane move.
+int ToggleOrder(const Exploration& ex, std::size_t ai) {
+  return ai < ex.num_toggles ? static_cast<int>(ai) : -1;
+}
+
+/// The schedule an expansion represents: its entry's prefix plus the
+/// appended action. Built only for states that enter the next frontier
+/// or become the counterexample.
+std::vector<CheckAction> ScheduleOf(const Exploration& ex,
+                                    const std::vector<FrontierEntry>& frontier,
+                                    const Expansion& e) {
+  const std::vector<CheckAction>& prefix = frontier[e.parent].schedule;
+  std::vector<CheckAction> schedule;
+  schedule.reserve(prefix.size() + 1);
+  schedule.assign(prefix.begin(), prefix.end());
+  schedule.push_back(ex.alphabet[e.action]);
+  return schedule;
+}
+
 Status RunExhaustive(Exploration* ex) {
   ex->report.unpruned_sequences =
       UnprunedSequences(ex->alphabet.size(), ex->options.depth);
 
-  // Level-synchronous BFS. The harness has no snapshot, so each expansion
-  // replays its prefix from the initial state; the frontier holds one
-  // representative schedule per distinct reached state. Claim tokens grow
-  // monotonically across levels, so a state first reached at an earlier
-  // level always outranks (is smaller than) every current-level claim.
+  // Level-synchronous BFS. The frontier holds one representative
+  // schedule per distinct reached state; each entry's state is rebuilt
+  // once per level by replaying that schedule, and every child branches
+  // off it through CheckHarness::Clone. Claim tokens grow monotonically
+  // across levels, so a state first reached at an earlier level always
+  // outranks (is smaller than) every current-level claim.
   ShardedVisitedSet visited;
   bool all_canonical = true;
   std::uint64_t next_token = 1;
@@ -205,44 +228,65 @@ Status RunExhaustive(Exploration* ex) {
     // order(a) < order(b) is skipped, because a's and b's effects
     // commute and the ascending twin ...a,b reaches the same state (the
     // intermediate states are themselves explored as shorter prefixes).
+    // first_slot[p] .. first_slot[p + 1] are entry p's expansions.
     std::vector<Expansion> slots;
+    std::vector<std::size_t> first_slot;
     slots.reserve(frontier.size() * ex->alphabet.size());
-    for (const FrontierEntry& entry : frontier) {
+    first_slot.reserve(frontier.size() + 1);
+    for (std::size_t p = 0; p < frontier.size(); ++p) {
+      first_slot.push_back(slots.size());
       for (std::size_t ai = 0; ai < ex->alphabet.size(); ++ai) {
-        const int toggle =
-            ai < ex->num_toggles ? static_cast<int>(ai) : -1;
-        if (ex->por_active && toggle >= 0 && entry.last_toggle > toggle) {
+        const int toggle = ToggleOrder(*ex, ai);
+        if (ex->por_active && toggle >= 0 &&
+            frontier[p].last_toggle > toggle) {
           continue;
         }
-        Expansion e;
-        e.schedule = entry.schedule;
-        e.schedule.push_back(ex->alphabet[ai]);
-        e.last_toggle = toggle;
-        e.token = next_token++;
-        slots.push_back(std::move(e));
+        Expansion& e = slots.emplace_back();
+        e.parent = static_cast<std::uint32_t>(p);
+        e.action = static_cast<std::uint32_t>(ai);
       }
     }
+    first_slot.push_back(slots.size());
+    const std::uint64_t first_token = next_token;
+    next_token += slots.size();
 
-    // Phase A: replay every expansion. Workers fill disjoint slots and
-    // publish canonical signatures into the sharded visited set under
-    // per-shard locks; min-combine makes the set's final contents
-    // independent of the interleaving.
-    ParallelFor(ex->pool, slots.size(), [ex, &slots,
-                                         &visited](std::size_t i) {
-      Expansion& e = slots[i];
-      std::unique_ptr<CheckHarness> harness;
-      auto replayed = Replay(*ex, e.schedule, &harness);
+    // Phase A: one task per frontier entry. The worker rebuilds the
+    // entry's state once, then clones it for each child, applies that
+    // child's action and publishes the canonical signature into the
+    // sharded visited set under per-shard locks; min-combine makes the
+    // set's final contents independent of the interleaving. Workers fill
+    // disjoint slots.
+    ParallelFor(ex->pool, frontier.size(), [ex, &frontier, &slots,
+                                            &first_slot, &visited,
+                                            first_token](std::size_t p) {
+      const std::size_t begin = first_slot[p];
+      const std::size_t end = first_slot[p + 1];
+      if (begin == end) return;
+      std::unique_ptr<CheckHarness> state;
+      auto replayed = Replay(*ex, frontier[p].schedule, &state);
       if (!replayed.ok()) {
-        e.status = replayed.status();
+        slots[begin].status = replayed.status();
         return;
       }
-      e.violation = *replayed;
-      e.commits = harness->commits();
-      e.reads = harness->reads_checked();
-      if (e.violation.has_value()) return;
-      e.canonical = harness->AppendSignature(&e.signature);
-      if (ex->options.memoize && e.canonical) {
-        visited.InsertMin(e.signature, e.token);
+      if (replayed->has_value()) {
+        slots[begin].status = Status::Internal(
+            "frontier schedule violates on replay: " +
+            ScheduleToString(frontier[p].schedule));
+        return;
+      }
+      std::string signature;
+      for (std::size_t i = begin; i < end; ++i) {
+        Expansion& e = slots[i];
+        std::unique_ptr<CheckHarness> child = state->Clone();
+        e.violation = child->Apply(ex->alphabet[e.action]);
+        e.commits = child->commits();
+        e.reads = child->reads_checked();
+        if (e.violation.has_value() || !ex->options.memoize) continue;
+        signature.clear();
+        e.canonical = child->AppendSignature(&signature);
+        if (e.canonical) {
+          e.claim = visited.InsertMin(signature, first_token + i);
+        }
       }
     });
 
@@ -250,9 +294,11 @@ Status RunExhaustive(Exploration* ex) {
     // the same discipline MetricsRegistry uses: workers fill
     // pre-assigned slots, one thread folds them in a fixed order, so
     // verdicts, counts and the first counterexample are bit-identical
-    // for any job count.
+    // for any job count. The level barrier orders the claim-cell reads
+    // after every phase-A write.
     std::vector<FrontierEntry> next;
-    for (Expansion& e : slots) {
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      const Expansion& e = slots[i];
       DYNVOTE_RETURN_NOT_OK(e.status);
       ++ex->report.transitions;
       ex->report.commits += e.commits;
@@ -260,20 +306,21 @@ Status RunExhaustive(Exploration* ex) {
       if (e.violation.has_value()) {
         DYNVOTE_ASSIGN_OR_RETURN(
             ex->report.counterexample,
-            BuildCounterExample(*ex, std::move(e.schedule), *e.violation));
+            BuildCounterExample(*ex, ScheduleOf(*ex, frontier, e),
+                                *e.violation));
         finish();
         return Status::OK();
       }
       if (!e.canonical) all_canonical = false;
-      if (ex->options.memoize && e.canonical &&
-          visited.MinToken(e.signature) != e.token) {
+      if (e.claim != nullptr && *e.claim != first_token + i) {
         // An expansion earlier in BFS order (previous level, or this
         // level with a smaller token) already claimed this state.
         continue;
       }
       ++ex->report.states_visited;
       if (d + 1 < ex->options.depth) {
-        next.push_back({std::move(e.schedule), e.last_toggle});
+        next.push_back(
+            {ScheduleOf(*ex, frontier, e), ToggleOrder(*ex, e.action)});
       }
     }
     frontier = std::move(next);

@@ -2,13 +2,15 @@
 // CheckHarness either bounded-exhaustively (level-synchronous BFS with
 // canonical-state memoization, so equivalent interleavings are expanded
 // once) or as a seeded swarm of random schedules. Both modes fan their
-// independent replays out over a ThreadPool (`jobs`) and merge results
-// in deterministic expansion order, so every report field — verdicts,
-// state counts, the first counterexample — is bit-identical for any job
-// count. Exhaustive mode additionally applies partial-order reduction
-// over commuting toggles when the harness proves them independent. The
-// first invariant violation is shrunk to a 1-minimal reproducer and
-// returned as a replayable CounterExample.
+// independent work out over a ThreadPool (`jobs`): exhaustive mode one
+// frontier state per task, built once and cloned per child, swarm mode
+// one schedule per task. Results merge in deterministic expansion order,
+// so every report field — verdicts, state counts, the first
+// counterexample — is bit-identical for any job count. Exhaustive mode
+// additionally applies partial-order reduction over commuting toggles
+// when the harness proves them independent. The first invariant
+// violation is shrunk to a 1-minimal reproducer and returned as a
+// replayable CounterExample.
 
 #pragma once
 
@@ -50,7 +52,7 @@ struct CheckOptions {
   InvariantPolicy policy;
   /// Delta-debug a found violation down to a 1-minimal schedule.
   bool shrink = true;
-  /// Worker threads for the replay fan-out (0 = all cores). Never
+  /// Worker threads for the exploration fan-out (0 = all cores). Never
   /// changes any report field, only wall-clock time.
   int jobs = 1;
   /// Partial-order reduction (exhaustive mode): canonicalize runs of

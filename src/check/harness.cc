@@ -92,6 +92,23 @@ Result<std::unique_ptr<CheckHarness>> CheckHarness::Make(
   return harness;
 }
 
+std::unique_ptr<CheckHarness> CheckHarness::Clone() const {
+  auto copy = std::unique_ptr<CheckHarness>(new CheckHarness(policy_));
+  copy->arms_.reserve(arms_.size());
+  for (const HarnessArm& arm : arms_) {
+    HarnessArm& branch = copy->arms_.emplace_back();
+    branch.cluster = arm.cluster->Clone();
+    branch.committed = arm.committed;
+    branch.counter = arm.counter;
+    branch.strict = arm.strict;
+    branch.last_statuses = arm.last_statuses;
+  }
+  copy->steps_ = steps_;
+  copy->commits_ = commits_;
+  copy->reads_checked_ = reads_checked_;
+  return copy;
+}
+
 bool CheckHarness::TogglesCommute() const {
   for (const HarnessArm& arm : arms_) {
     if (arm.cluster->protocol().uses_instantaneous_information()) {

@@ -97,8 +97,9 @@ struct HarnessArm {
   std::vector<int> last_statuses;
 };
 
-/// Drives one schedule against a cluster (and oracle shadows).
-/// Singleuse: make a fresh harness per schedule.
+/// Drives one schedule against a cluster (and oracle shadows). A
+/// harness only moves forward; to explore several continuations of one
+/// reached state, Clone() it once per continuation.
 class CheckHarness {
  public:
   /// `protocol` is a registry name; the oracle dictates the shadow
@@ -106,6 +107,13 @@ class CheckHarness {
   static Result<std::unique_ptr<CheckHarness>> Make(
       std::shared_ptr<const Topology> topology, SiteSet placement,
       const std::string& protocol, InvariantPolicy policy);
+
+  /// An independent copy of the reached state: every arm's cluster
+  /// (KvCluster::Clone), committed history and status codes, plus the
+  /// step and commit/read counters. Applying the rest of a schedule to a
+  /// clone is indistinguishable from replaying the whole schedule on a
+  /// fresh harness, and leaves this harness untouched.
+  std::unique_ptr<CheckHarness> Clone() const;
 
   /// Applies one action to every arm and checks every invariant.
   /// Returns the first violation, if any; the harness must not be used

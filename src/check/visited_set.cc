@@ -12,8 +12,8 @@ std::uint64_t ShardedVisitedSet::HashSignature(const std::string& signature) {
   return hash;
 }
 
-std::uint64_t ShardedVisitedSet::InsertMin(const std::string& signature,
-                                           std::uint64_t token) {
+const std::uint64_t* ShardedVisitedSet::InsertMin(
+    const std::string& signature, std::uint64_t token) {
   const std::uint64_t hash = HashSignature(signature);
   Shard& shard = ShardFor(hash);
   MutexLock lock(shard.mutex);
@@ -23,14 +23,7 @@ std::uint64_t ShardedVisitedSet::InsertMin(const std::string& signature,
   } else if (token < it->second) {
     it->second = token;
   }
-  return it->second;
-}
-
-std::uint64_t ShardedVisitedSet::MinToken(const std::string& signature) const {
-  const Shard& shard = ShardFor(HashSignature(signature));
-  MutexLock lock(shard.mutex);
-  auto it = shard.min_token.find(signature);
-  return it == shard.min_token.end() ? kNotVisited : it->second;
+  return &it->second;
 }
 
 std::size_t ShardedVisitedSet::Size() const {

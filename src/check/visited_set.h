@@ -27,18 +27,19 @@ class ShardedVisitedSet {
   /// of the signature hash, so resizing would reshuffle every entry.
   static constexpr int kShards = 16;
 
-  /// Returned by MinToken() for signatures never inserted.
-  static constexpr std::uint64_t kNotVisited = ~std::uint64_t{0};
-
   /// Records that the expansion holding claim token `token` reached the
-  /// state with canonical signature `signature`. Keeps the minimum token
-  /// per signature and returns that minimum after this insert (== token
-  /// exactly when this call claimed the state first — in token order,
-  /// not wall-clock order). Thread-safe; only the owning shard locks.
-  std::uint64_t InsertMin(const std::string& signature, std::uint64_t token);
-
-  /// The minimum claim token recorded for `signature`, or kNotVisited.
-  std::uint64_t MinToken(const std::string& signature) const;
+  /// state with canonical signature `signature`, keeping the minimum
+  /// token per signature. Returns the signature's min-token cell: every
+  /// insert of the same signature returns the same cell, and its final
+  /// value (== token exactly when this call's expansion claimed the state
+  /// first — in token order, not wall-clock order) is settled once every
+  /// concurrent insert has returned. Thread-safe; only the owning shard
+  /// locks. The cell stays valid for the set's lifetime (map nodes never
+  /// move), but concurrent inserts may still lower it, so read it only
+  /// after a barrier that orders it behind them (the checker's level
+  /// barrier, ThreadPool::Wait).
+  const std::uint64_t* InsertMin(const std::string& signature,
+                                 std::uint64_t token);
 
   /// Distinct signatures across all shards (merged in ascending shard
   /// order; the count is interleaving-independent).
@@ -66,9 +67,6 @@ class ShardedVisitedSet {
 
   Shard& ShardFor(std::uint64_t hash) {
     return shards_[hash >> (64 - 4)];  // top log2(kShards) bits
-  }
-  const Shard& ShardFor(std::uint64_t hash) const {
-    return shards_[hash >> (64 - 4)];
   }
 
   std::array<Shard, kShards> shards_;

@@ -46,6 +46,10 @@ class AvailableCopy final : public ConsistencyProtocol {
   void OnNetworkEvent(const NetworkState& net) override;
   void Reset() override;
 
+  std::unique_ptr<ConsistencyProtocol> Clone() const override {
+    return std::unique_ptr<ConsistencyProtocol>(new AvailableCopy(*this));
+  }
+
   bool AppendStateSignature(std::string* out) const override {
     store_.AppendCanonicalSignature(out);
     out->push_back('c');

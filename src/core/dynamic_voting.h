@@ -98,6 +98,10 @@ class DynamicVoting final : public ConsistencyProtocol {
 
   void Reset() override { store_.Reset(); }
 
+  std::unique_ptr<ConsistencyProtocol> Clone() const override {
+    return std::unique_ptr<ConsistencyProtocol>(new DynamicVoting(*this));
+  }
+
   /// Decisions depend only on the store (options and topology are frozen
   /// at construction), so the store epoch is a complete invalidation key.
   std::uint64_t state_epoch() const override { return store_.epoch(); }

@@ -54,6 +54,11 @@ class JajodiaMutchlerVoting final : public ConsistencyProtocol {
   Status Recover(const NetworkState& net, SiteId site) override;
   void OnNetworkEvent(const NetworkState& net) override;
   void Reset() override;
+
+  std::unique_ptr<ConsistencyProtocol> Clone() const override {
+    return std::unique_ptr<ConsistencyProtocol>(
+        new JajodiaMutchlerVoting(*this));
+  }
   std::uint64_t state_epoch() const override { return epoch_; }
   bool AppendStateSignature(std::string* out) const override;
 

@@ -64,6 +64,11 @@ class MajorityConsensusVoting final : public ConsistencyProtocol {
   Status Recover(const NetworkState& net, SiteId site) override;
   void Reset() override { store_.Reset(); }
 
+  std::unique_ptr<ConsistencyProtocol> Clone() const override {
+    return std::unique_ptr<ConsistencyProtocol>(
+        new MajorityConsensusVoting(*this));
+  }
+
   /// MCV's grant decision is purely static (weights and quorums are
   /// frozen at construction); the store epoch is conservative but cheap.
   std::uint64_t state_epoch() const override { return store_.epoch(); }

@@ -165,6 +165,14 @@ class ConsistencyProtocol {
   /// Returns the protocol to its initial state (all copies current).
   virtual void Reset() = 0;
 
+  /// An independent copy of the protocol as it stands: consistency-control
+  /// state, message counts, the quorum-cache switch and the cache itself
+  /// carry over. The commit hook, decision log and observability context
+  /// do not — a data layer that clones a protocol installs its own hook.
+  /// The model checker branches reached states this way instead of
+  /// replaying their schedules.
+  virtual std::unique_ptr<ConsistencyProtocol> Clone() const = 0;
+
   /// Message accounting (see repl/message_bus.h).
   MessageCounter* counter() { return &counter_; }
   const MessageCounter& counter() const { return counter_; }
@@ -188,6 +196,15 @@ class ConsistencyProtocol {
   ObsContext* obs() const { return obs_; }
 
  protected:
+  ConsistencyProtocol() = default;
+  /// For Clone(): copies everything except the attachments (hook, log,
+  /// obs) and the per-sink label and metric-cell caches bound to them.
+  ConsistencyProtocol(const ConsistencyProtocol& other)
+      : counter_(other.counter_),
+        quorum_cache_enabled_(other.quorum_cache_enabled_),
+        quorum_cache_(other.quorum_cache_) {}
+  ConsistencyProtocol& operator=(const ConsistencyProtocol&) = delete;
+
   /// Fires the commit hook, if any.
   void NotifyCommit(const CommitInfo& info) {
     if (commit_hook_) commit_hook_(info);

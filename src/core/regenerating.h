@@ -74,6 +74,10 @@ class RegeneratingVoting final : public ConsistencyProtocol {
   void OnNetworkEvent(const NetworkState& net) override;
   void Reset() override;
 
+  std::unique_ptr<ConsistencyProtocol> Clone() const override {
+    return std::unique_ptr<ConsistencyProtocol>(new RegeneratingVoting(*this));
+  }
+
   /// Current witness set (observable for tests and benches).
   SiteSet witnesses() const { return witnesses_; }
   /// Number of regenerations performed so far.

@@ -24,12 +24,16 @@ Result<std::unique_ptr<KvCluster>> KvCluster::Make(
   auto store = ReplicatedKvStore::Make(std::move(protocol));
   if (!store.ok()) return store.status();
   return std::unique_ptr<KvCluster>(
-      new KvCluster(std::move(topology), store.MoveValue()));
+      new KvCluster(NetworkState(std::move(topology)), store.MoveValue()));
 }
 
-KvCluster::KvCluster(std::shared_ptr<const Topology> topology,
+KvCluster::KvCluster(NetworkState net,
                      std::unique_ptr<ReplicatedKvStore> store)
-    : net_(std::move(topology)), store_(std::move(store)) {}
+    : net_(std::move(net)), store_(std::move(store)) {}
+
+std::unique_ptr<KvCluster> KvCluster::Clone() const {
+  return std::unique_ptr<KvCluster>(new KvCluster(net_, store_->Clone()));
+}
 
 void KvCluster::KillSite(SiteId site) {
   net_.SetSiteUp(site, false);

@@ -31,6 +31,10 @@ class KvCluster {
   KvCluster(const KvCluster&) = delete;
   KvCluster& operator=(const KvCluster&) = delete;
 
+  /// An independent copy of the cluster as it stands: network state,
+  /// protocol state and replica contents (see ReplicatedKvStore::Clone).
+  std::unique_ptr<KvCluster> Clone() const;
+
   /// --- data plane ------------------------------------------------------
   Status Put(SiteId origin, const std::string& key, std::string value) {
     return store_->Put(net_, origin, key, std::move(value));
@@ -72,8 +76,7 @@ class KvCluster {
   }
 
  private:
-  KvCluster(std::shared_ptr<const Topology> topology,
-            std::unique_ptr<ReplicatedKvStore> store);
+  KvCluster(NetworkState net, std::unique_ptr<ReplicatedKvStore> store);
 
   NetworkState net_;
   std::unique_ptr<ReplicatedKvStore> store_;

@@ -22,6 +22,15 @@ ReplicatedKvStore::ReplicatedKvStore(
       [this](const CommitInfo& info) { OnCommit(info); });
 }
 
+std::unique_ptr<ReplicatedKvStore> ReplicatedKvStore::Clone() const {
+  auto copy = std::unique_ptr<ReplicatedKvStore>(
+      new ReplicatedKvStore(protocol_->Clone()));
+  copy->replicas_ = replicas_;
+  copy->pending_write_ = pending_write_;
+  copy->last_read_source_ = last_read_source_;
+  return copy;
+}
+
 const KvMap& ReplicatedKvStore::ReplicaContents(SiteId site) const {
   auto it = replicas_.find(site);
   DYNVOTE_CHECK_MSG(it != replicas_.end(),

@@ -35,6 +35,11 @@ class ReplicatedKvStore {
   ReplicatedKvStore(const ReplicatedKvStore&) = delete;
   ReplicatedKvStore& operator=(const ReplicatedKvStore&) = delete;
 
+  /// An independent copy: a ConsistencyProtocol::Clone() of the protocol
+  /// and every replica's contents. The copy installs itself as its
+  /// protocol's commit hook.
+  std::unique_ptr<ReplicatedKvStore> Clone() const;
+
   /// Writes `key` -> `value` through the protocol, issued at `origin`.
   /// Returns NoQuorum when origin is outside the majority partition.
   Status Put(const NetworkState& net, SiteId origin, const std::string& key,

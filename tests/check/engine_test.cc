@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "check/checker.h"
+#include "check/counterexample.h"
 #include "check/shrink.h"
 
 namespace dynvote {
@@ -201,6 +202,66 @@ TEST(ShrinkScheduleTest, ResultIsOneMinimal) {
   };
   auto minimal = ShrinkSchedule(schedule, still_fails);
   EXPECT_EQ(minimal.size(), 3u);
+}
+
+// Golden reports, captured before phase A switched from replaying every
+// expansion to cloning frontier states: any drift in exploration order,
+// claim resolution, counting or shrinking changes one of these values,
+// at any job count.
+TEST(CheckGoldenTest, Section3Depth8ReportIsPinned) {
+  CheckOptions options;
+  options.protocol = "ODV";
+  options.topology = "section3";
+  options.depth = 8;
+  for (int jobs : {1, 4}) {
+    options.jobs = jobs;
+    auto report = RunCheck(options);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(report->states_visited, 22112u) << jobs;
+    EXPECT_EQ(report->transitions, 78486u) << jobs;
+    EXPECT_EQ(report->commits, 110703u) << jobs;
+    EXPECT_EQ(report->reads_checked, 210641u) << jobs;
+    EXPECT_EQ(report->visited_digest, 0xbd318a10362d0caeull) << jobs;
+    EXPECT_TRUE(report->memoized);
+    EXPECT_TRUE(report->por_active);
+    EXPECT_FALSE(report->counterexample.has_value());
+  }
+}
+
+TEST(CheckGoldenTest, TdvPairsDepth5CounterexampleIsPinned) {
+  CheckOptions options;
+  options.protocol = "TDV";
+  options.topology = "pairs";
+  options.depth = 5;
+  options.policy.strict = true;
+  const std::string expected =
+      "{\n"
+      "  \"schema\": \"dynvote-counterexample-v1\",\n"
+      "  \"protocol\": \"TDV\",\n"
+      "  \"topology\": \"pairs\",\n"
+      "  \"placement\": [0,1,2,3],\n"
+      "  \"strict\": true,\n"
+      "  \"max_granted_groups\": 1,\n"
+      "  \"oracle\": \"none\",\n"
+      "  \"invariant\": \"mutual_exclusion\",\n"
+      "  \"step\": 3,\n"
+      "  \"detail\": \"2 groups granted (threshold 1), e.g. group {2, 3}\",\n"
+      "  \"schedule\": \"toggle_site:0 toggle_site:1 toggle_repeater:0 "
+      "toggle_site:0\"\n"
+      "}\n";
+  for (int jobs : {1, 4}) {
+    options.jobs = jobs;
+    auto report = RunCheck(options);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(report->states_visited, 184u) << jobs;
+    EXPECT_EQ(report->transitions, 321u) << jobs;
+    EXPECT_EQ(report->commits, 128u) << jobs;
+    EXPECT_EQ(report->reads_checked, 93u) << jobs;
+    EXPECT_EQ(report->visited_digest, 0xe223765fef5b91b4ull) << jobs;
+    ASSERT_TRUE(report->counterexample.has_value()) << jobs;
+    EXPECT_EQ(CounterExampleToJson(*report->counterexample), expected)
+        << jobs;
+  }
 }
 
 }  // namespace

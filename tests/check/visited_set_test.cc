@@ -18,14 +18,32 @@ namespace {
 
 TEST(ShardedVisitedSetTest, InsertMinKeepsTheMinimumToken) {
   ShardedVisitedSet set;
-  EXPECT_EQ(set.MinToken("s"), ShardedVisitedSet::kNotVisited);
   EXPECT_EQ(set.Size(), 0u);
+  EXPECT_EQ(set.Digest(), 0u);  // nothing visited yet
 
-  EXPECT_EQ(set.InsertMin("s", 7), 7u);
-  EXPECT_EQ(set.InsertMin("s", 9), 7u);  // larger token loses
-  EXPECT_EQ(set.InsertMin("s", 3), 3u);  // smaller token wins
-  EXPECT_EQ(set.MinToken("s"), 3u);
+  const std::uint64_t* cell = set.InsertMin("s", 7);
+  EXPECT_EQ(*cell, 7u);
+  EXPECT_EQ(set.InsertMin("s", 9), cell);  // one cell per signature
+  EXPECT_EQ(*cell, 7u);                    // larger token loses
+  EXPECT_EQ(set.InsertMin("s", 3), cell);
+  EXPECT_EQ(*cell, 3u);  // smaller token wins
   EXPECT_EQ(set.Size(), 1u);
+}
+
+TEST(ShardedVisitedSetTest, CellsSurviveLaterInserts) {
+  // The checker reads a claim cell only after the level barrier, by
+  // which time the shard's map may have rehashed many times; the cell
+  // must still be the signature's live min-token slot.
+  ShardedVisitedSet set;
+  const std::uint64_t* first = set.InsertMin("first", 5);
+  for (int i = 0; i < 5000; ++i) {
+    set.InsertMin("filler-" + std::to_string(i),
+                  static_cast<std::uint64_t>(100 + i));
+  }
+  EXPECT_EQ(*first, 5u);
+  set.InsertMin("first", 2);
+  EXPECT_EQ(*first, 2u);
+  EXPECT_EQ(set.InsertMin("first", 9), first);
 }
 
 TEST(ShardedVisitedSetTest, HashIsExplicitFnv1a64) {
@@ -62,18 +80,27 @@ TEST(ShardedVisitedSetTest, ConcurrentCollidingInsertsResolveToGlobalMin) {
   };
 
   ShardedVisitedSet set;
+  // cells[w][j]: the cell worker w's insert of signature j returned.
+  // Cells are read only after the Wait() barrier, as the checker does.
+  std::vector<std::vector<const std::uint64_t*>> cells(
+      kWorkers, std::vector<const std::uint64_t*>(kSignatures));
   ThreadPool pool(4);
   for (int w = 0; w < kWorkers; ++w) {
     pool.Submit([&, w] {
       for (int i = 0; i < kSignatures; ++i) {
         // Stagger the iteration order per worker to vary lock collisions.
         const int j = (i * 7 + w * 31) % kSignatures;
-        const std::uint64_t min = set.InsertMin(signature(j), token(w, j));
-        EXPECT_LE(min, token(w, j));
+        cells[w][j] = set.InsertMin(signature(j), token(w, j));
       }
     });
   }
   pool.Wait();
+  for (int w = 0; w < kWorkers; ++w) {
+    for (int j = 0; j < kSignatures; ++j) {
+      EXPECT_EQ(cells[w][j], cells[0][j]) << w << " " << j;
+      EXPECT_LE(*cells[w][j], token(w, j));
+    }
+  }
 
   ShardedVisitedSet sequential;
   for (int i = 0; i < kSignatures; ++i) {
@@ -82,7 +109,7 @@ TEST(ShardedVisitedSetTest, ConcurrentCollidingInsertsResolveToGlobalMin) {
   EXPECT_EQ(set.Size(), static_cast<std::size_t>(kSignatures));
   EXPECT_EQ(set.Digest(), sequential.Digest());
   for (int i = 0; i < kSignatures; ++i) {
-    EXPECT_EQ(set.MinToken(signature(i)), token(0, i)) << i;
+    EXPECT_EQ(*cells[0][i], token(0, i)) << i;
   }
 }
 

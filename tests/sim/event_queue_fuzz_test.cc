@@ -51,22 +51,26 @@ class ReferenceQueue {
 
 TEST(EventQueueFuzzTest, MatchesReferenceOverRandomOps) {
   Rng rng(0xD1FF);
+  // Written by every fired callback: the step that scheduled it.
+  // Declared before the queue so it outlives every callback still pending
+  // when the queue is destroyed.
+  int fired_step = -1;
   EventQueue queue;
   ReferenceQueue reference;
   std::vector<EventId> live_ids;  // same ids in both (issued in lockstep)
+  std::map<EventId, int> scheduled_at;  // id -> step that scheduled it
   std::optional<EventId> last_fired;
 
   for (int step = 0; step < 50000; ++step) {
     int op = static_cast<int>(rng.NextBounded(10));
     if (op < 5) {  // schedule
       SimTime when = static_cast<SimTime>(rng.NextBounded(1000));
-      EventId fired_probe = 0;
       EventId id = queue.Schedule(
-          when, [&fired_probe, step](SimTime) { fired_probe = step; });
-      (void)fired_probe;
+          when, [&fired_step, step](SimTime) { fired_step = step; });
       EventId ref_id = reference.Schedule(when);
       ASSERT_EQ(id, ref_id) << "id streams diverged at step " << step;
       live_ids.push_back(id);
+      scheduled_at[id] = step;
     } else if (op < 7) {  // cancel something (live, fired, or bogus)
       EventId target;
       if (!live_ids.empty() && rng.NextBernoulli(0.7)) {
@@ -86,6 +90,7 @@ TEST(EventQueueFuzzTest, MatchesReferenceOverRandomOps) {
       ASSERT_EQ(queue.PeekTime(), ref_time) << "step " << step;
       SimTime t = queue.RunNext();
       ASSERT_EQ(t, ref_time) << "step " << step;
+      ASSERT_EQ(fired_step, scheduled_at.at(ref_id)) << "step " << step;
       last_fired = ref_id;
     }
     ASSERT_EQ(queue.Size(), reference.Size()) << "step " << step;
@@ -95,7 +100,7 @@ TEST(EventQueueFuzzTest, MatchesReferenceOverRandomOps) {
   while (!reference.Empty()) {
     auto [ref_time, ref_id] = reference.Pop();
     ASSERT_EQ(queue.RunNext(), ref_time);
-    (void)ref_id;
+    ASSERT_EQ(fired_step, scheduled_at.at(ref_id));
   }
   EXPECT_TRUE(queue.Empty());
 }
