@@ -78,7 +78,8 @@ bool PlanFor(const std::string& name, ProtocolPlan* plan) {
 // Event payload packing
 // ---------------------------------------------------------------------------
 
-/// Payload layout: kind(3) | entity(8) | object(21) | generation(32).
+/// Payload layout: kind in bits 0-2, entity in bits 3-10, generation in
+/// the high 32 bits.
 enum class EventKind : std::uint64_t {
   kSiteFailure = 0,
   kSiteRepair = 1,
@@ -89,11 +90,10 @@ enum class EventKind : std::uint64_t {
   kAccess = 6,
 };
 
-constexpr std::uint64_t Pack(EventKind kind, int entity, std::size_t object,
+constexpr std::uint64_t Pack(EventKind kind, int entity,
                              std::uint32_t generation) {
   return static_cast<std::uint64_t>(kind) |
          (static_cast<std::uint64_t>(entity) << 3) |
-         (static_cast<std::uint64_t>(object) << 11) |
          (static_cast<std::uint64_t>(generation) << 32);
 }
 
@@ -103,20 +103,15 @@ constexpr EventKind KindOf(std::uint64_t payload) {
 constexpr int EntityOf(std::uint64_t payload) {
   return static_cast<int>((payload >> 3) & 0xFF);
 }
-constexpr std::size_t ObjectOf(std::uint64_t payload) {
-  return static_cast<std::size_t>((payload >> 11) & 0x1FFFFF);
-}
 constexpr std::uint32_t GenerationOf(std::uint64_t payload) {
   return static_cast<std::uint32_t>(payload >> 32);
 }
 
-constexpr std::size_t kMaxBatchedObjects = std::size_t{1} << 21;
-
 // ---------------------------------------------------------------------------
-// Struct-of-arrays state
+// Per-object state
 // ---------------------------------------------------------------------------
 
-/// Failure-process state of one (object, site), the SoA analogue of
+/// Failure-process state of one site, the analogue of
 /// NetworkProcessModel::SiteRuntime. The solo model cancels the pending
 /// failure event at maintenance start; here cancellation is a generation
 /// bump — a SiteFailure event whose generation no longer matches is
@@ -130,7 +125,7 @@ struct SiteSlot {
   bool EffectiveUp() const { return !failed && !in_maintenance; }
 };
 
-/// Dynamic-voting state of one (object, protocol).
+/// Dynamic-voting state of one protocol.
 ///
 /// Steady state is "uniform": every copy holds the same (o, v, P)
 /// ensemble, so the whole store collapses to three scalars and the
@@ -190,7 +185,7 @@ void EnsureMaterialized(DvSlot& slot) {
   slot.local_dirty = false;
 }
 
-/// Availability/traffic accounting of one (object, protocol).
+/// Availability/traffic accounting of one protocol.
 struct ObservedSlot {
   explicit ObservedSlot(AvailabilityTracker t) : tracker(std::move(t)) {}
 
@@ -235,7 +230,7 @@ struct EvalResult {
   VersionNumber max_version = 0;  // MaxVersion(R), undefined if R is empty
 };
 
-/// Per-(object, protocol) evaluation memo. A quorum decision is a pure
+/// Per-protocol evaluation memo. A quorum decision is a pure
 /// function of (replica state, reachable-copies mask), and between
 /// commits the same (state, mask) pair is evaluated repeatedly — user
 /// access, the availability sample and the instantaneous refresh all ask
@@ -256,232 +251,250 @@ struct DvEvalMemo {
 // Engine
 // ---------------------------------------------------------------------------
 
-class BatchedEngine {
- public:
-  BatchedEngine(const ExperimentSpec& spec, SiteSet placement,
-                std::vector<ProtocolPlan> plans,
-                const std::vector<std::uint64_t>& seeds)
-      : spec_(spec),
-        placement_(placement),
-        plans_(std::move(plans)),
-        seeds_(seeds),
-        num_objects_(seeds.size()),
-        num_protocols_(static_cast<int>(plans_.size())),
-        start_(spec.options.warmup),
-        horizon_(spec.options.warmup +
-                 spec.options.batch_length * spec.options.num_batches) {}
+/// Run-wide inputs every object reads: the measurement window, the
+/// protocol plans and what the topology implies for them. Built once per
+/// run and read-only while the objects run.
+struct RunConfig {
+  RunConfig(const ExperimentSpec& spec_in, SiteSet placement_in,
+            std::vector<ProtocolPlan> plans_in, ReplicaStore initial_store_in)
+      : spec(spec_in),
+        placement(placement_in),
+        plans(std::move(plans_in)),
+        num_protocols(static_cast<int>(plans.size())),
+        num_sites(spec_in.topology->num_sites()),
+        num_repeaters(spec_in.topology->num_repeaters()),
+        horizon(spec_in.options.warmup +
+                spec_in.options.batch_length * spec_in.options.num_batches),
+        initial_store(std::move(initial_store_in)) {
+    for (const ProtocolPlan& plan : plans) {
+      if (plan.kind == BatchedKind::kDynamic && !plan.optimistic) {
+        any_non_optimistic_dv = true;
+      }
+    }
+    segment_mask.resize(static_cast<std::size_t>(num_sites));
+    for (SiteId s = 0; s < num_sites; ++s) {
+      segment_mask[static_cast<std::size_t>(s)] =
+          spec.topology->SitesOnSegment(spec.topology->SegmentOf(s)).mask();
+    }
+  }
 
-  Result<std::vector<std::vector<PolicyResult>>> Run();
+  const ExperimentSpec& spec;
+  SiteSet placement;
+  std::vector<ProtocolPlan> plans;
+  int num_protocols;
+  int num_sites;
+  int num_repeaters;
+  SimTime horizon;
+  /// Some protocol refreshes membership on every network event.
+  bool any_non_optimistic_dv = false;
+  /// Per-site topological closure: all sites sharing the site's segment.
+  std::vector<std::uint64_t> segment_mask;
+  /// The paper's initial ensemble over the placement; every dynamic slot
+  /// starts as a copy of it.
+  ReplicaStore initial_store;
+};
+
+/// One object run from its seed to the horizon on its own event heap.
+/// Built fresh for every seed, so no state can carry over from the
+/// previous object.
+class ObjectRun {
+ public:
+  ObjectRun(const RunConfig& cfg, std::uint64_t seed);
+
+  /// Dispatches every event up to the horizon; one row per protocol.
+  std::vector<PolicyResult> Run();
 
  private:
-  // --- indexing ----------------------------------------------------------
-  SiteSlot& site_slot(std::size_t obj, SiteId s) {
-    return sites_[obj * static_cast<std::size_t>(num_sites_) +
-                  static_cast<std::size_t>(s)];
+  ObservedSlot& observed(int p) {
+    return observed_[static_cast<std::size_t>(p)];
   }
-  ObservedSlot& observed(std::size_t obj, int p) {
-    return observed_[obj * static_cast<std::size_t>(num_protocols_) +
-                     static_cast<std::size_t>(p)];
+  DvSlot& dv(int p) { return dv_[static_cast<std::size_t>(p)]; }
+  const ProtocolPlan& plan(int p) const {
+    return cfg_.plans[static_cast<std::size_t>(p)];
   }
-  DvSlot& dv(std::size_t obj, int p) {
-    return dv_[obj * static_cast<std::size_t>(num_protocols_) +
-               static_cast<std::size_t>(p)];
-  }
-
-  // --- setup -------------------------------------------------------------
-  void InitObject(std::size_t obj);
 
   // --- failure/access processes (exact ports of model/failure_model.cc
   // and model/access_model.cc handlers) -----------------------------------
   void Dispatch(std::uint64_t payload);
-  void ScheduleSiteFailure(std::size_t obj, SiteId s);
-  void PublishSite(std::size_t obj, SiteId s);
-  void NotifyNetworkEvent(std::size_t obj);
-  void OnSiteFailure(std::size_t obj, SiteId s);
-  void OnSiteRepair(std::size_t obj, SiteId s);
-  void OnMaintenanceStart(std::size_t obj, SiteId s);
-  void OnMaintenanceEnd(std::size_t obj, SiteId s);
-  void ScheduleRepeaterFailure(std::size_t obj, int r);
-  void OnRepeaterFailure(std::size_t obj, int r);
-  void OnRepeaterRepair(std::size_t obj, int r);
-  void OnAccess(std::size_t obj);
+  void ScheduleSiteFailure(SiteId s);
+  void PublishSite(SiteId s);
+  void NotifyNetworkEvent();
+  void OnSiteFailure(SiteId s);
+  void OnSiteRepair(SiteId s);
+  void OnMaintenanceStart(SiteId s);
+  void OnMaintenanceEnd(SiteId s);
+  void ScheduleRepeaterFailure(int r);
+  void OnRepeaterFailure(int r);
+  void OnRepeaterRepair(int r);
+  void OnAccess();
 
   // --- protocol fast paths (exact ports of core/mcv.cc and
-  // core/dynamic_voting.cc over the SoA state) -----------------------------
+  // core/dynamic_voting.cc) ------------------------------------------------
   bool McvGranted(SiteSet copies) const;
-  bool McvUserAccess(std::size_t obj, int p, AccessType type);
-  EvalResult DvEvaluate(std::size_t obj, int p, SiteSet copies);
-  void DvCommit(std::size_t obj, int p, SiteSet participants, OpNumber op,
+  bool McvUserAccess(int p, AccessType type);
+  EvalResult DvEvaluate(int p, SiteSet copies);
+  void DvCommit(int p, SiteSet participants, OpNumber op,
                 VersionNumber version, SiteSet partition);
-  bool DvUserAccess(std::size_t obj, int p, AccessType type);
-  bool DvRecover(std::size_t obj, int p, SiteId site);
-  void DvReintegrateGroup(std::size_t obj, int p, SiteSet group);
-  void DvOnNetworkEvent(std::size_t obj, int p);
+  bool DvUserAccess(int p, AccessType type);
+  bool DvRecover(int p, SiteId site);
+  void DvReintegrateGroup(int p, SiteSet group);
+  void DvOnNetworkEvent(int p);
 
   // --- sampling ----------------------------------------------------------
-  GroupMemoSlot* MemoSlotFor(std::size_t obj, std::uint64_t mask);
-  void InvalidateMemo(std::size_t obj, int p, std::uint64_t touched_mask);
-  void Sample(std::size_t obj);
+  GroupMemoSlot* MemoSlotFor(std::uint64_t mask);
+  void InvalidateMemo(int p, std::uint64_t touched_mask);
+  void Sample();
 
   /// True iff the object is in the all-fast steady state: every dynamic
   /// slot uniform and every copy in one communicating group. In that
   /// state each protocol's response to an access or a network event is a
   /// fixed pattern and the per-protocol evaluate/commit machinery can be
   /// skipped wholesale.
-  bool Steady(std::size_t obj) {
-    return divergent_counts_[obj] == 0 &&
-           nets_[obj].FullyConnected(placement_);
+  bool Steady() const {
+    return divergent_count_ == 0 && net_.FullyConnected(cfg_.placement);
   }
 
-  /// Brings every tracker of the object to "available". A no-op when the
-  /// previous sample already reported all-available — an
-  /// available→available Update only rewrites the tracker's last-update
-  /// time, which no statistic depends on.
-  void MarkAllAvailable(std::size_t obj) {
-    if (all_available_[obj]) return;
-    for (int p = 0; p < num_protocols_; ++p) {
-      ObservedSlot& obs = observed(obj, p);
+  /// Brings every tracker to "available". A no-op when the previous
+  /// sample already reported all-available — an available→available
+  /// Update only rewrites the tracker's last-update time, which no
+  /// statistic depends on.
+  void MarkAllAvailable() {
+    if (all_available_) return;
+    for (ObservedSlot& obs : observed_) {
       if (!obs.last_available) {
         obs.tracker.Update(now_, true);
         obs.last_available = true;
       }
     }
-    all_available_[obj] = 1;
+    all_available_ = true;
   }
 
-  const ExperimentSpec& spec_;
-  const SiteSet placement_;
-  const std::vector<ProtocolPlan> plans_;
-  const std::vector<std::uint64_t>& seeds_;
-  const std::size_t num_objects_;
-  const int num_protocols_;
-  const SimTime start_;
-  const SimTime horizon_;
-
-  int num_sites_ = 0;
-  int num_repeaters_ = 0;
-  bool any_topological_ = false;
-  bool any_non_optimistic_dv_ = false;
-
+  const RunConfig& cfg_;
   CalendarQueue queue_;
   SimTime now_ = 0.0;
 
-  // Per object.
-  std::vector<NetworkState> nets_;
-  std::vector<Rng> access_rngs_;
-  std::vector<GroupMemoSlot> memo_;
-  std::vector<int> memo_cursor_;
-  /// Number of this object's dynamic slots currently out of uniform
-  /// mode; 0 is a precondition of the steady-state fast path.
-  std::vector<int> divergent_counts_;
-  /// True while every tracker of the object last reported "available":
-  /// steady-state events may then skip the tracker updates entirely
-  /// (an available→available Update only rewrites the last-update time,
-  /// which no statistic depends on).
-  std::vector<std::uint8_t> all_available_;
-  /// Steady-state event tallies, materialized into the message counters
-  /// and access totals once at the end of the run — the per-event
-  /// deltas of a steady access/notify are fixed patterns, and counter
-  /// addition commutes with the slow paths' direct increments.
-  std::vector<std::uint64_t> steady_reads_;
-  std::vector<std::uint64_t> steady_writes_;
-  std::vector<std::uint64_t> steady_notifies_;
-
-  // Per (object, site) / (object, repeater) / (object, protocol).
+  NetworkState net_;
   std::vector<SiteSlot> sites_;
   std::vector<Rng> repeater_rngs_;
+  Rng access_rng_;
+
+  // Per protocol.
   std::vector<ObservedSlot> observed_;
   std::vector<DvSlot> dv_;
   std::vector<DvEvalMemo> eval_memo_;  // indexed like dv_
 
-  /// Per-site topological closure: all sites sharing the site's segment.
-  std::vector<std::uint64_t> segment_mask_;
+  GroupMemoSlot memo_[kGroupMemoSlots] = {};
+  int memo_cursor_ = 0;
+  /// Number of dynamic slots currently out of uniform mode; 0 is a
+  /// precondition of the steady-state fast path.
+  int divergent_count_ = 0;
+  /// True while every tracker last reported "available": steady-state
+  /// events may then skip the tracker updates entirely.
+  bool all_available_ = true;
+  /// Steady-state event tallies, materialized into the message counters
+  /// and access totals once at the end of the run — the per-event
+  /// deltas of a steady access/notify are fixed patterns, and counter
+  /// addition commutes with the slow paths' direct increments.
+  std::uint64_t steady_reads_ = 0;
+  std::uint64_t steady_writes_ = 0;
+  std::uint64_t steady_notifies_ = 0;
 };
 
-void BatchedEngine::InitObject(std::size_t obj) {
+ObjectRun::ObjectRun(const RunConfig& cfg, std::uint64_t seed)
+    : cfg_(cfg),
+      net_(cfg.spec.topology),
+      sites_(static_cast<std::size_t>(cfg.num_sites)),
+      // AccessProcess owns an independent stream at seed ^ 0x5DEECE66D.
+      access_rng_(seed ^ 0x5DEECE66DULL) {
   // RNG fan-out in exactly the solo order: NetworkProcessModel::Make
-  // splits one master stream to sites then repeaters; AccessProcess owns
-  // an independent stream at seed ^ 0x5DEECE66D.
-  Rng master(seeds_[obj]);
-  for (SiteId s = 0; s < num_sites_; ++s) site_slot(obj, s).rng = master.Split();
-  for (int r = 0; r < num_repeaters_; ++r) {
-    repeater_rngs_[obj * static_cast<std::size_t>(num_repeaters_) +
-                   static_cast<std::size_t>(r)] = master.Split();
+  // splits one master stream to sites then repeaters.
+  Rng master(seed);
+  for (SiteSlot& site : sites_) site.rng = master.Split();
+  repeater_rngs_.reserve(static_cast<std::size_t>(cfg.num_repeaters));
+  for (int r = 0; r < cfg.num_repeaters; ++r) {
+    repeater_rngs_.push_back(master.Split());
   }
-  access_rngs_[obj] = Rng(seeds_[obj] ^ 0x5DEECE66DULL);
+
+  const ExperimentOptions& o = cfg.spec.options;
+  observed_.reserve(static_cast<std::size_t>(cfg.num_protocols));
+  dv_.reserve(static_cast<std::size_t>(cfg.num_protocols));
+  for (int p = 0; p < cfg.num_protocols; ++p) {
+    observed_.emplace_back(
+        AvailabilityTracker(o.warmup, o.batch_length, o.num_batches));
+    dv_.emplace_back(cfg.initial_store);
+    dv_.back().u_partition = cfg.placement;
+  }
+  eval_memo_.resize(static_cast<std::size_t>(cfg.num_protocols));
 
   // NetworkProcessModel::Start(): per site, the first failure draw and
   // the maintenance phase draw; then per repeater, the first failure.
-  for (SiteId s = 0; s < num_sites_; ++s) {
-    ScheduleSiteFailure(obj, s);
-    const SiteProfile& prof = spec_.profiles[static_cast<std::size_t>(s)];
+  for (SiteId s = 0; s < cfg.num_sites; ++s) {
+    ScheduleSiteFailure(s);
+    const SiteProfile& prof = cfg.spec.profiles[static_cast<std::size_t>(s)];
     if (prof.maintenance_interval_days > 0.0 && prof.maintenance_hours > 0.0) {
-      double phase =
-          site_slot(obj, s).rng.NextDouble() * prof.maintenance_interval_days;
-      queue_.Schedule(Days(phase),
-                      Pack(EventKind::kMaintenanceStart, s, obj, 0));
+      double phase = sites_[static_cast<std::size_t>(s)].rng.NextDouble() *
+                     prof.maintenance_interval_days;
+      queue_.Schedule(Days(phase), Pack(EventKind::kMaintenanceStart, s, 0));
     }
   }
-  for (int r = 0; r < num_repeaters_; ++r) ScheduleRepeaterFailure(obj, r);
+  for (int r = 0; r < cfg.num_repeaters; ++r) ScheduleRepeaterFailure(r);
 
   // AccessProcess::Start().
-  if (spec_.options.access.enabled) {
-    const AccessOptions& a = spec_.options.access;
-    double gap = a.deterministic
-                     ? 1.0 / a.rate_per_day
-                     : access_rngs_[obj].NextExponential(1.0 / a.rate_per_day);
-    queue_.Schedule(now_ + gap, Pack(EventKind::kAccess, 0, obj, 0));
+  if (o.access.enabled) {
+    double gap = o.access.deterministic
+                     ? 1.0 / o.access.rate_per_day
+                     : access_rng_.NextExponential(1.0 / o.access.rate_per_day);
+    queue_.Schedule(now_ + gap, Pack(EventKind::kAccess, 0, 0));
   }
 }
 
 // --- failure/access processes ---------------------------------------------
 
-void BatchedEngine::ScheduleSiteFailure(std::size_t obj, SiteId s) {
-  SiteSlot& slot = site_slot(obj, s);
+void ObjectRun::ScheduleSiteFailure(SiteId s) {
+  SiteSlot& slot = sites_[static_cast<std::size_t>(s)];
   double ttf = slot.rng.NextExponential(
-      spec_.profiles[static_cast<std::size_t>(s)].mttf_days);
+      cfg_.spec.profiles[static_cast<std::size_t>(s)].mttf_days);
   std::uint32_t gen = ++slot.failure_generation;
-  queue_.Schedule(now_ + ttf, Pack(EventKind::kSiteFailure, s, obj, gen));
+  queue_.Schedule(now_ + ttf, Pack(EventKind::kSiteFailure, s, gen));
 }
 
-void BatchedEngine::PublishSite(std::size_t obj, SiteId s) {
+void ObjectRun::PublishSite(SiteId s) {
   // The solo model notifies on every publish, even when the effective
   // up/down state did not flip (e.g. failure during maintenance).
-  nets_[obj].SetSiteUp(s, site_slot(obj, s).EffectiveUp());
-  NotifyNetworkEvent(obj);
+  net_.SetSiteUp(s, sites_[static_cast<std::size_t>(s)].EffectiveUp());
+  NotifyNetworkEvent();
 }
 
-void BatchedEngine::NotifyNetworkEvent(std::size_t obj) {
+void ObjectRun::NotifyNetworkEvent() {
   // experiment.cc on_change: every protocol's OnNetworkEvent (a no-op
   // for MCV and the optimistic variants), then one sample.
-  if (Steady(obj)) {
+  if (Steady()) {
     // All copies in one group, every slot uniform: each instantaneous
     // protocol refreshes its (single) group and concludes membership is
     // current; the sample finds exactly one granted group per protocol.
     // The refresh traffic is a fixed pattern tallied for the end of the
     // run, and when every tracker already reads "available" the sample
     // would not change any of them.
-    ++steady_notifies_[obj];
-    MarkAllAvailable(obj);
+    ++steady_notifies_;
+    MarkAllAvailable();
     return;
   }
-  if (any_non_optimistic_dv_) {
-    for (int p = 0; p < num_protocols_; ++p) {
-      const ProtocolPlan& plan = plans_[static_cast<std::size_t>(p)];
-      if (plan.kind == BatchedKind::kDynamic && !plan.optimistic) {
-        DvOnNetworkEvent(obj, p);
+  if (cfg_.any_non_optimistic_dv) {
+    for (int p = 0; p < cfg_.num_protocols; ++p) {
+      if (plan(p).kind == BatchedKind::kDynamic && !plan(p).optimistic) {
+        DvOnNetworkEvent(p);
       }
     }
   }
-  Sample(obj);
+  Sample();
 }
 
-void BatchedEngine::OnSiteFailure(std::size_t obj, SiteId s) {
-  SiteSlot& slot = site_slot(obj, s);
+void ObjectRun::OnSiteFailure(SiteId s) {
+  SiteSlot& slot = sites_[static_cast<std::size_t>(s)];
   slot.failed = true;
-  PublishSite(obj, s);
+  PublishSite(s);
 
-  const SiteProfile& prof = spec_.profiles[static_cast<std::size_t>(s)];
+  const SiteProfile& prof = cfg_.spec.profiles[static_cast<std::size_t>(s)];
   SimTime repair;
   if (slot.rng.NextBernoulli(prof.hardware_fraction)) {
     repair = Hours(prof.hw_repair_const_hours);
@@ -491,79 +504,75 @@ void BatchedEngine::OnSiteFailure(std::size_t obj, SiteId s) {
   } else {
     repair = Minutes(prof.restart_minutes);
   }
-  queue_.Schedule(now_ + repair, Pack(EventKind::kSiteRepair, s, obj, 0));
+  queue_.Schedule(now_ + repair, Pack(EventKind::kSiteRepair, s, 0));
 }
 
-void BatchedEngine::OnSiteRepair(std::size_t obj, SiteId s) {
-  SiteSlot& slot = site_slot(obj, s);
+void ObjectRun::OnSiteRepair(SiteId s) {
+  SiteSlot& slot = sites_[static_cast<std::size_t>(s)];
   slot.failed = false;
-  PublishSite(obj, s);
-  if (slot.EffectiveUp()) ScheduleSiteFailure(obj, s);
+  PublishSite(s);
+  if (slot.EffectiveUp()) ScheduleSiteFailure(s);
 }
 
-void BatchedEngine::OnMaintenanceStart(std::size_t obj, SiteId s) {
-  SiteSlot& slot = site_slot(obj, s);
+void ObjectRun::OnMaintenanceStart(SiteId s) {
+  SiteSlot& slot = sites_[static_cast<std::size_t>(s)];
   slot.in_maintenance = true;
   // Cancel the pending failure (solo: queue Cancel; here: stale the
   // generation so the event is dropped at dispatch).
   ++slot.failure_generation;
-  PublishSite(obj, s);
-  const SiteProfile& prof = spec_.profiles[static_cast<std::size_t>(s)];
+  PublishSite(s);
+  const SiteProfile& prof = cfg_.spec.profiles[static_cast<std::size_t>(s)];
   queue_.Schedule(now_ + Hours(prof.maintenance_hours),
-                  Pack(EventKind::kMaintenanceEnd, s, obj, 0));
+                  Pack(EventKind::kMaintenanceEnd, s, 0));
 }
 
-void BatchedEngine::OnMaintenanceEnd(std::size_t obj, SiteId s) {
-  SiteSlot& slot = site_slot(obj, s);
+void ObjectRun::OnMaintenanceEnd(SiteId s) {
+  SiteSlot& slot = sites_[static_cast<std::size_t>(s)];
   slot.in_maintenance = false;
-  PublishSite(obj, s);
-  if (slot.EffectiveUp()) ScheduleSiteFailure(obj, s);
-  const SiteProfile& prof = spec_.profiles[static_cast<std::size_t>(s)];
+  PublishSite(s);
+  if (slot.EffectiveUp()) ScheduleSiteFailure(s);
+  const SiteProfile& prof = cfg_.spec.profiles[static_cast<std::size_t>(s)];
   // Same association as the solo ScheduleIn(interval - duration): the
   // offset is formed first, then added to now. (now + interval) - duration
   // rounds differently and drifts the calendar by an ulp now and then.
   queue_.Schedule(now_ + (Days(prof.maintenance_interval_days) -
                           Hours(prof.maintenance_hours)),
-                  Pack(EventKind::kMaintenanceStart, s, obj, 0));
+                  Pack(EventKind::kMaintenanceStart, s, 0));
 }
 
-void BatchedEngine::ScheduleRepeaterFailure(std::size_t obj, int r) {
-  Rng& rng = repeater_rngs_[obj * static_cast<std::size_t>(num_repeaters_) +
-                            static_cast<std::size_t>(r)];
-  double ttf = rng.NextExponential(
-      spec_.repeater_profiles[static_cast<std::size_t>(r)].mttf_days);
-  queue_.Schedule(now_ + ttf, Pack(EventKind::kRepeaterFailure, r, obj, 0));
+void ObjectRun::ScheduleRepeaterFailure(int r) {
+  double ttf = repeater_rngs_[static_cast<std::size_t>(r)].NextExponential(
+      cfg_.spec.repeater_profiles[static_cast<std::size_t>(r)].mttf_days);
+  queue_.Schedule(now_ + ttf, Pack(EventKind::kRepeaterFailure, r, 0));
 }
 
-void BatchedEngine::OnRepeaterFailure(std::size_t obj, int r) {
-  nets_[obj].SetRepeaterUp(r, false);
-  NotifyNetworkEvent(obj);
-  Rng& rng = repeater_rngs_[obj * static_cast<std::size_t>(num_repeaters_) +
-                            static_cast<std::size_t>(r)];
+void ObjectRun::OnRepeaterFailure(int r) {
+  net_.SetRepeaterUp(r, false);
+  NotifyNetworkEvent();
   const RepeaterProfile& prof =
-      spec_.repeater_profiles[static_cast<std::size_t>(r)];
+      cfg_.spec.repeater_profiles[static_cast<std::size_t>(r)];
   SimTime repair = Hours(prof.repair_const_hours);
   if (prof.repair_exp_hours > 0.0) {
-    repair += Hours(rng.NextExponential(prof.repair_exp_hours));
+    repair += Hours(repeater_rngs_[static_cast<std::size_t>(r)].NextExponential(
+        prof.repair_exp_hours));
   }
-  queue_.Schedule(now_ + repair, Pack(EventKind::kRepeaterRepair, r, obj, 0));
+  queue_.Schedule(now_ + repair, Pack(EventKind::kRepeaterRepair, r, 0));
 }
 
-void BatchedEngine::OnRepeaterRepair(std::size_t obj, int r) {
-  nets_[obj].SetRepeaterUp(r, true);
-  NotifyNetworkEvent(obj);
-  ScheduleRepeaterFailure(obj, r);
+void ObjectRun::OnRepeaterRepair(int r) {
+  net_.SetRepeaterUp(r, true);
+  NotifyNetworkEvent();
+  ScheduleRepeaterFailure(r);
 }
 
-void BatchedEngine::OnAccess(std::size_t obj) {
-  Rng& rng = access_rngs_[obj];
-  const AccessOptions& a = spec_.options.access;
+void ObjectRun::OnAccess() {
+  const AccessOptions& a = cfg_.spec.options.access;
   // AccessProcess::Fire draw order: access type, then the callback, then
   // the next arrival gap.
-  AccessType type =
-      rng.NextBernoulli(a.write_fraction) ? AccessType::kWrite
-                                          : AccessType::kRead;
-  if (Steady(obj)) {
+  AccessType type = access_rng_.NextBernoulli(a.write_fraction)
+                        ? AccessType::kWrite
+                        : AccessType::kRead;
+  if (Steady()) {
     // Every protocol grants in its one full group: MCV has its static
     // majority, each dynamic variant finds Q = S = R = P_m. The message
     // pattern and access totals are fixed and tallied for the end of
@@ -571,65 +580,61 @@ void BatchedEngine::OnAccess(std::size_t obj) {
     // read them), and covering commits keep the sample memo valid.
     const bool write = type == AccessType::kWrite;
     if (write) {
-      ++steady_writes_[obj];
+      ++steady_writes_;
     } else {
-      ++steady_reads_[obj];
+      ++steady_reads_;
     }
-    for (int p = 0; p < num_protocols_; ++p) {
-      if (plans_[static_cast<std::size_t>(p)].kind == BatchedKind::kMcv) {
-        continue;
-      }
-      DvSlot& slot = dv(obj, p);
+    for (int p = 0; p < cfg_.num_protocols; ++p) {
+      if (plan(p).kind == BatchedKind::kMcv) continue;
+      DvSlot& slot = dv(p);
       slot.u_op += 1;
       if (write) slot.u_version += 1;
     }
-    MarkAllAvailable(obj);
+    MarkAllAvailable();
   } else {
-    for (int p = 0; p < num_protocols_; ++p) {
-      ObservedSlot& obs = observed(obj, p);
+    for (int p = 0; p < cfg_.num_protocols; ++p) {
+      ObservedSlot& obs = observed(p);
       ++obs.attempted;
-      bool granted =
-          plans_[static_cast<std::size_t>(p)].kind == BatchedKind::kMcv
-              ? McvUserAccess(obj, p, type)
-              : DvUserAccess(obj, p, type);
+      bool granted = plan(p).kind == BatchedKind::kMcv
+                         ? McvUserAccess(p, type)
+                         : DvUserAccess(p, type);
       if (granted) ++obs.granted;
     }
-    Sample(obj);
+    Sample();
   }
   double gap = a.deterministic ? 1.0 / a.rate_per_day
-                               : rng.NextExponential(1.0 / a.rate_per_day);
-  queue_.Schedule(now_ + gap, Pack(EventKind::kAccess, 0, obj, 0));
+                               : access_rng_.NextExponential(1.0 / a.rate_per_day);
+  queue_.Schedule(now_ + gap, Pack(EventKind::kAccess, 0, 0));
 }
 
-void BatchedEngine::Dispatch(std::uint64_t payload) {
-  const std::size_t obj = ObjectOf(payload);
+void ObjectRun::Dispatch(std::uint64_t payload) {
   const int entity = EntityOf(payload);
   switch (KindOf(payload)) {
     case EventKind::kSiteFailure:
       // Stale generation == the solo model's cancelled pending failure.
       if (GenerationOf(payload) !=
-          site_slot(obj, entity).failure_generation) {
+          sites_[static_cast<std::size_t>(entity)].failure_generation) {
         return;
       }
-      OnSiteFailure(obj, entity);
+      OnSiteFailure(entity);
       return;
     case EventKind::kSiteRepair:
-      OnSiteRepair(obj, entity);
+      OnSiteRepair(entity);
       return;
     case EventKind::kMaintenanceStart:
-      OnMaintenanceStart(obj, entity);
+      OnMaintenanceStart(entity);
       return;
     case EventKind::kMaintenanceEnd:
-      OnMaintenanceEnd(obj, entity);
+      OnMaintenanceEnd(entity);
       return;
     case EventKind::kRepeaterFailure:
-      OnRepeaterFailure(obj, entity);
+      OnRepeaterFailure(entity);
       return;
     case EventKind::kRepeaterRepair:
-      OnRepeaterRepair(obj, entity);
+      OnRepeaterRepair(entity);
       return;
     case EventKind::kAccess:
-      OnAccess(obj);
+      OnAccess();
       return;
   }
   DYNVOTE_CHECK_MSG(false, "unknown batched event kind");
@@ -637,26 +642,26 @@ void BatchedEngine::Dispatch(std::uint64_t payload) {
 
 // --- MCV fast path --------------------------------------------------------
 
-bool BatchedEngine::McvGranted(SiteSet copies) const {
+bool ObjectRun::McvGranted(SiteSet copies) const {
   // MCV::WouldGrant with uniform weights and default quorums
   // (r = w = total/2 + 1, lexicographic tie-break): the decision is a
   // pure function of the reachable-copies mask, so it can be memoized
   // forever — MCV never mutates decision-relevant state.
-  const int total = placement_.Size();
+  const int total = cfg_.placement.Size();
   const int votes = copies.Size();
   if (votes >= total / 2 + 1) return true;
-  return 2 * votes == total && copies.Contains(placement_.RankMax());
+  return 2 * votes == total && copies.Contains(cfg_.placement.RankMax());
 }
 
-bool BatchedEngine::McvUserAccess(std::size_t obj, int p, AccessType type) {
-  ObservedSlot& obs = observed(obj, p);
-  for (const SiteSet& group : nets_[obj].Components()) {
-    SiteSet copies = group.Intersect(placement_);
+bool ObjectRun::McvUserAccess(int p, AccessType type) {
+  ObservedSlot& obs = observed(p);
+  for (const SiteSet& group : net_.Components()) {
+    SiteSet copies = group.Intersect(cfg_.placement);
     if (copies.Empty()) continue;
     if (!McvGranted(copies)) continue;
     // MCV::Access: probe the whole replication set, then exchange state
     // with the reachable copies; writes additionally commit.
-    obs.counter.Add(MessageKind::kProbe, placement_.Size());
+    obs.counter.Add(MessageKind::kProbe, cfg_.placement.Size());
     obs.counter.Add(MessageKind::kProbeReply, copies.Size());
     obs.counter.Add(MessageKind::kStateRequest, copies.Size());
     obs.counter.Add(MessageKind::kStateReply, copies.Size());
@@ -670,9 +675,9 @@ bool BatchedEngine::McvUserAccess(std::size_t obj, int p, AccessType type) {
 
 // --- dynamic-voting fast path ---------------------------------------------
 
-EvalResult BatchedEngine::DvEvaluate(std::size_t obj, int p, SiteSet copies) {
-  const ProtocolPlan& plan = plans_[static_cast<std::size_t>(p)];
-  DvSlot& slot = dv(obj, p);
+EvalResult ObjectRun::DvEvaluate(int p, SiteSet copies) {
+  const ProtocolPlan& pl = plan(p);
+  DvSlot& slot = dv(p);
   EvalResult r;
   r.reachable = copies;
   if (copies.Empty()) return r;
@@ -689,13 +694,13 @@ EvalResult BatchedEngine::DvEvaluate(std::size_t obj, int p, SiteSet copies) {
     r.max_op = slot.u_op;
     r.max_version = slot.u_version;
     SiteSet counted = copies;
-    if (plan.topological) {
+    if (pl.topological) {
       // Topological closure: members of P_m on a segment that also
       // carries a reachable member of P_m count as present.
       SiteSet active = slot.u_partition.Intersect(copies);
       std::uint64_t segments = 0;
       for (SiteId s : active) {
-        segments |= segment_mask_[static_cast<std::size_t>(s)];
+        segments |= cfg_.segment_mask[static_cast<std::size_t>(s)];
       }
       counted = SiteSet::FromMask(slot.u_partition.mask() & segments);
     }
@@ -704,7 +709,7 @@ EvalResult BatchedEngine::DvEvaluate(std::size_t obj, int p, SiteSet copies) {
     if (2 * counted_weight > block_weight) {
       r.granted = true;
     } else if (2 * counted_weight == block_weight) {
-      r.granted = plan.tie_break == TieBreak::kLexicographic &&
+      r.granted = pl.tie_break == TieBreak::kLexicographic &&
                   !slot.u_partition.Empty() &&
                   copies.Contains(slot.u_partition.RankMax());
     }
@@ -726,8 +731,7 @@ EvalResult BatchedEngine::DvEvaluate(std::size_t obj, int p, SiteSet copies) {
     return r;
   }
 
-  DvEvalMemo& memo = eval_memo_[obj * static_cast<std::size_t>(num_protocols_) +
-                                static_cast<std::size_t>(p)];
+  DvEvalMemo& memo = eval_memo_[static_cast<std::size_t>(p)];
   for (const DvEvalMemo::Entry& e : memo.entries) {
     if (e.mask == copies.mask() && e.stamp == slot.commit_stamp) {
       return e.result;
@@ -736,8 +740,8 @@ EvalResult BatchedEngine::DvEvaluate(std::size_t obj, int p, SiteSet copies) {
 
   EnsureMaterialized(slot);
   QuorumDecision d = EvaluateDynamicQuorum(
-      slot.store, copies, plan.tie_break,
-      plan.topological ? spec_.topology.get() : nullptr);
+      slot.store, copies, pl.tie_break,
+      pl.topological ? cfg_.spec.topology.get() : nullptr);
   r.granted = d.granted;
   r.quorum = d.quorum_set;
   r.current = d.current_set;
@@ -753,11 +757,11 @@ EvalResult BatchedEngine::DvEvaluate(std::size_t obj, int p, SiteSet copies) {
   return r;
 }
 
-void BatchedEngine::DvCommit(std::size_t obj, int p, SiteSet participants,
-                             OpNumber op, VersionNumber version,
-                             SiteSet partition) {
-  DvSlot& slot = dv(obj, p);
-  const bool covers = placement_.IsSubsetOf(participants);
+void ObjectRun::DvCommit(int p, SiteSet participants, OpNumber op,
+                         VersionNumber version, SiteSet partition) {
+  DvSlot& slot = dv(p);
+  DvEvalMemo& memo = eval_memo_[static_cast<std::size_t>(p)];
+  const bool covers = cfg_.placement.IsSubsetOf(participants);
   if (slot.uniform) {
     if (covers) {
       // Uniform stays uniform. The partition set is the placement before
@@ -772,20 +776,20 @@ void BatchedEngine::DvCommit(std::size_t obj, int p, SiteSet participants,
         // does change decisions — drop the memos if it ever does.
         slot.u_partition = partition;
         ++slot.commit_stamp;
-        InvalidateMemo(obj, p, ~std::uint64_t{0});
+        InvalidateMemo(p, ~std::uint64_t{0});
       }
       return;
     }
     // Leaving uniform mode: materialize the store the scalars stand for,
     // then apply the divergent commit to it.
-    for (SiteId s : placement_) {
+    for (SiteId s : cfg_.placement) {
       ReplicaState* state = slot.store.mutable_state(s);
       state->op_number = slot.u_op;
       state->version = slot.u_version;
       state->partition_set = slot.u_partition;
     }
     slot.uniform = false;
-    ++divergent_counts_[obj];
+    ++divergent_count_;
   } else if (slot.local_valid && participants == slot.local_set &&
              partition == participants) {
     // Repeat commit of the locally uniform group (consecutive accesses
@@ -800,9 +804,6 @@ void BatchedEngine::DvCommit(std::size_t obj, int p, SiteSet participants,
     slot.local_op = op;
     slot.local_version = version;
     slot.local_dirty = true;
-    DvEvalMemo& memo =
-        eval_memo_[obj * static_cast<std::size_t>(num_protocols_) +
-                   static_cast<std::size_t>(p)];
     const std::uint64_t local_mask = slot.local_set.mask();
     for (DvEvalMemo::Entry& e : memo.entries) {
       if (e.mask & local_mask) e.stamp = ~std::uint64_t{0};
@@ -819,7 +820,7 @@ void BatchedEngine::DvCommit(std::size_t obj, int p, SiteSet participants,
     slot.u_partition = partition;
     slot.local_valid = false;
     slot.local_dirty = false;
-    --divergent_counts_[obj];
+    --divergent_count_;
   } else {
     slot.local_set = slot.store.CopiesAmong(participants);
     slot.local_valid =
@@ -834,27 +835,25 @@ void BatchedEngine::DvCommit(std::size_t obj, int p, SiteSet participants,
   // stamp is refreshed so they remain hits under the new stamp.
   const std::uint64_t touched = participants.mask();
   const std::uint64_t old_stamp = slot.commit_stamp++;
-  DvEvalMemo& memo = eval_memo_[obj * static_cast<std::size_t>(num_protocols_) +
-                                static_cast<std::size_t>(p)];
   for (DvEvalMemo::Entry& e : memo.entries) {
     if (e.stamp == old_stamp && (e.mask & touched) == 0) {
       e.stamp = slot.commit_stamp;
     }
   }
-  InvalidateMemo(obj, p, touched);
+  InvalidateMemo(p, touched);
 }
 
-bool BatchedEngine::DvUserAccess(std::size_t obj, int p, AccessType type) {
+bool ObjectRun::DvUserAccess(int p, AccessType type) {
   // DynamicVoting::UserAccess + Access, fused: find the first granted
   // group, charge the Access message pattern, commit, reintegrate.
-  ObservedSlot& obs = observed(obj, p);
-  for (const SiteSet& group : nets_[obj].Components()) {
-    SiteSet copies = group.Intersect(placement_);
+  ObservedSlot& obs = observed(p);
+  for (const SiteSet& group : net_.Components()) {
+    SiteSet copies = group.Intersect(cfg_.placement);
     if (copies.Empty()) continue;
-    EvalResult d = DvEvaluate(obj, p, copies);
+    EvalResult d = DvEvaluate(p, copies);
     if (!d.granted) continue;
 
-    obs.counter.Add(MessageKind::kProbe, placement_.Size());
+    obs.counter.Add(MessageKind::kProbe, cfg_.placement.Size());
     obs.counter.Add(MessageKind::kProbeReply, copies.Size());
     obs.counter.Add(MessageKind::kStateRequest, copies.Size());
     obs.counter.Add(MessageKind::kStateReply, copies.Size());
@@ -862,23 +861,23 @@ bool BatchedEngine::DvUserAccess(std::size_t obj, int p, AccessType type) {
     const OpNumber op = d.max_op + 1;
     const VersionNumber version =
         d.max_version + (type == AccessType::kWrite ? 1 : 0);
-    DvCommit(obj, p, d.current, op, version, d.current);
+    DvCommit(p, d.current, op, version, d.current);
     obs.counter.Add(MessageKind::kCommit, d.current.Size());
-    DvReintegrateGroup(obj, p, copies);
+    DvReintegrateGroup(p, copies);
     return true;
   }
   return false;  // NoQuorum: no messages
 }
 
-bool BatchedEngine::DvRecover(std::size_t obj, int p, SiteId site) {
-  ObservedSlot& obs = observed(obj, p);
-  SiteSet copies = nets_[obj].ComponentOf(site).Intersect(placement_);
-  EvalResult d = DvEvaluate(obj, p, copies);
+bool ObjectRun::DvRecover(int p, SiteId site) {
+  ObservedSlot& obs = observed(p);
+  SiteSet copies = net_.ComponentOf(site).Intersect(cfg_.placement);
+  EvalResult d = DvEvaluate(p, copies);
   if (!d.granted) {
     obs.counter.Add(MessageKind::kAbort, d.reachable.Size());
     return false;
   }
-  DvSlot& slot = dv(obj, p);
+  DvSlot& slot = dv(p);
   const OpNumber op = d.max_op + 1;
   const VersionNumber version = d.max_version;
   // While uniform, the site's row logically carries the uniform scalars.
@@ -889,13 +888,13 @@ bool BatchedEngine::DvRecover(std::size_t obj, int p, SiteId site) {
       slot.uniform ? slot.u_version : slot.store.state(site).version;
   if (site_version < version) obs.counter.Add(MessageKind::kFileCopy, 1);
   SiteSet participants = d.current.Union(SiteSet{site});
-  DvCommit(obj, p, participants, op, version, participants);
+  DvCommit(p, participants, op, version, participants);
   obs.counter.Add(MessageKind::kCommit, participants.Size());
   return true;
 }
 
-void BatchedEngine::DvReintegrateGroup(std::size_t obj, int p, SiteSet group) {
-  DvSlot& slot = dv(obj, p);
+void ObjectRun::DvReintegrateGroup(int p, SiteSet group) {
+  DvSlot& slot = dv(p);
   // In uniform mode every copy already carries the maximal operation
   // number — reintegration is a no-op by definition.
   if (slot.uniform) return;
@@ -911,7 +910,7 @@ void BatchedEngine::DvReintegrateGroup(std::size_t obj, int p, SiteSet group) {
   OpNumber max_op = slot.store.MaxOp(copies);
   for (SiteId s : copies) {
     if (slot.store.state(s).op_number < max_op) {
-      bool ok = DvRecover(obj, p, s);
+      bool ok = DvRecover(p, s);
       DYNVOTE_CHECK_MSG(ok,
                         "reintegration inside a granted group must succeed");
       if (slot.uniform) return;  // a covering recover re-uniformized
@@ -920,79 +919,74 @@ void BatchedEngine::DvReintegrateGroup(std::size_t obj, int p, SiteSet group) {
   }
 }
 
-void BatchedEngine::DvOnNetworkEvent(std::size_t obj, int p) {
+void ObjectRun::DvOnNetworkEvent(int p) {
   // The instantaneous variants refresh state in every group on every
   // network event (the paper's "connection vector" cost).
-  ObservedSlot& obs = observed(obj, p);
-  for (const SiteSet& group : nets_[obj].Components()) {
-    SiteSet copies = group.Intersect(placement_);
+  ObservedSlot& obs = observed(p);
+  for (const SiteSet& group : net_.Components()) {
+    SiteSet copies = group.Intersect(cfg_.placement);
     if (copies.Empty()) continue;
     obs.counter.Add(MessageKind::kInstantRefresh, 2 * copies.Size());
-    DvSlot& slot = dv(obj, p);
+    DvSlot& slot = dv(p);
     if (slot.uniform && copies == slot.u_partition) {
       // Membership is necessarily current: S = R = P_m. Skip the
       // evaluate; the solo path reaches the same no-op conclusion.
       continue;
     }
-    EvalResult d = DvEvaluate(obj, p, copies);
+    EvalResult d = DvEvaluate(p, copies);
     if (!d.granted) continue;
     const bool membership_current = d.current == d.prev && copies == d.current;
     if (membership_current) continue;
-    DvCommit(obj, p, d.current, d.max_op + 1, d.max_version, d.current);
+    DvCommit(p, d.current, d.max_op + 1, d.max_version, d.current);
     obs.counter.Add(MessageKind::kCommit, d.current.Size());
-    DvReintegrateGroup(obj, p, copies);
+    DvReintegrateGroup(p, copies);
   }
 }
 
 // --- sampling -------------------------------------------------------------
 
-GroupMemoSlot* BatchedEngine::MemoSlotFor(std::size_t obj,
-                                          std::uint64_t mask) {
-  GroupMemoSlot* base = &memo_[obj * kGroupMemoSlots];
-  for (int i = 0; i < kGroupMemoSlots; ++i) {
-    if (base[i].mask == mask) return &base[i];
+GroupMemoSlot* ObjectRun::MemoSlotFor(std::uint64_t mask) {
+  for (GroupMemoSlot& slot : memo_) {
+    if (slot.mask == mask) return &slot;
   }
-  int victim = memo_cursor_[obj];
-  memo_cursor_[obj] = (victim + 1) % kGroupMemoSlots;
-  base[victim] = GroupMemoSlot{mask, 0, 0};
-  return &base[victim];
+  GroupMemoSlot& victim = memo_[memo_cursor_];
+  memo_cursor_ = (memo_cursor_ + 1) % kGroupMemoSlots;
+  victim = GroupMemoSlot{mask, 0, 0};
+  return &victim;
 }
 
-void BatchedEngine::InvalidateMemo(std::size_t obj, int p,
-                                   std::uint64_t touched_mask) {
+void ObjectRun::InvalidateMemo(int p, std::uint64_t touched_mask) {
   // A quorum evaluation over group G reads only the states of G's
   // members, so a commit invalidates exactly the slots whose group
   // intersects the committed participants. During a partition the
   // majority side's commits leave the minority side's cached denial
   // untouched.
   const std::uint32_t clear = ~(std::uint32_t{1} << p);
-  GroupMemoSlot* base = &memo_[obj * kGroupMemoSlots];
-  for (int i = 0; i < kGroupMemoSlots; ++i) {
-    if (base[i].mask & touched_mask) base[i].valid &= clear;
+  for (GroupMemoSlot& slot : memo_) {
+    if (slot.mask & touched_mask) slot.valid &= clear;
   }
 }
 
-void BatchedEngine::Sample(std::size_t obj) {
-  const std::vector<SiteSet>& groups = nets_[obj].Components();
+void ObjectRun::Sample() {
   // Per-protocol grant tallies as bitmasks: `once` has protocol p's bit
   // if any group granted, `twice` if a second group did (the
   // dual-majority case). Two words replace a zeroed per-protocol array.
   std::uint32_t once = 0;
   std::uint32_t twice = 0;
-  for (const SiteSet& group : groups) {
-    SiteSet copies = group.Intersect(placement_);
+  for (const SiteSet& group : net_.Components()) {
+    SiteSet copies = group.Intersect(cfg_.placement);
     if (copies.Empty()) continue;
-    GroupMemoSlot* slot = MemoSlotFor(obj, copies.mask());
+    GroupMemoSlot* slot = MemoSlotFor(copies.mask());
     std::uint32_t group_granted = slot->granted & slot->valid;
-    std::uint32_t missing = ~slot->valid & ((std::uint32_t{1} << num_protocols_) - 1);
+    std::uint32_t missing =
+        ~slot->valid & ((std::uint32_t{1} << cfg_.num_protocols) - 1);
     while (missing != 0) {
       const int p = std::countr_zero(missing);
       const std::uint32_t bit = std::uint32_t{1} << p;
       missing &= missing - 1;
-      const bool granted =
-          plans_[static_cast<std::size_t>(p)].kind == BatchedKind::kMcv
-              ? McvGranted(copies)
-              : DvEvaluate(obj, p, copies).granted;
+      const bool granted = plan(p).kind == BatchedKind::kMcv
+                               ? McvGranted(copies)
+                               : DvEvaluate(p, copies).granted;
       slot->valid |= bit;
       if (granted) {
         slot->granted |= bit;
@@ -1005,18 +999,16 @@ void BatchedEngine::Sample(std::size_t obj) {
     once |= group_granted;
   }
   bool all_available = true;
-  for (int p = 0; p < num_protocols_; ++p) {
-    ObservedSlot& obs = observed(obj, p);
+  for (int p = 0; p < cfg_.num_protocols; ++p) {
+    ObservedSlot& obs = observed(p);
     const std::uint32_t bit = std::uint32_t{1} << p;
     if (twice & bit) {
       ++obs.dual_majority_instants;
-      if (spec_.options.check_mutual_exclusion &&
-          plans_[static_cast<std::size_t>(p)].partition_safe()) {
+      if (cfg_.spec.options.check_mutual_exclusion && plan(p).partition_safe()) {
         DYNVOTE_CHECK_MSG(
             (twice & bit) == 0,
             "two disjoint majority partitions (batched engine): " +
-                plans_[static_cast<std::size_t>(p)].name + " at t=" +
-                std::to_string(now_));
+                plan(p).name + " at t=" + std::to_string(now_));
       }
     }
     const bool available = (once & bit) != 0;
@@ -1030,123 +1022,64 @@ void BatchedEngine::Sample(std::size_t obj) {
     }
     all_available = all_available && available;
   }
-  all_available_[obj] = all_available ? 1 : 0;
+  all_available_ = all_available;
 }
 
 // --- top level ------------------------------------------------------------
 
-Result<std::vector<std::vector<PolicyResult>>> BatchedEngine::Run() {
-  num_sites_ = spec_.topology->num_sites();
-  num_repeaters_ = spec_.topology->num_repeaters();
-  for (const ProtocolPlan& plan : plans_) {
-    if (plan.topological) any_topological_ = true;
-    if (plan.kind == BatchedKind::kDynamic && !plan.optimistic) {
-      any_non_optimistic_dv_ = true;
-    }
-  }
-
-  segment_mask_.resize(static_cast<std::size_t>(num_sites_));
-  for (SiteId s = 0; s < num_sites_; ++s) {
-    segment_mask_[static_cast<std::size_t>(s)] =
-        spec_.topology->SitesOnSegment(spec_.topology->SegmentOf(s)).mask();
-  }
-
-  nets_.reserve(num_objects_);
-  access_rngs_.resize(num_objects_);
-  memo_.resize(num_objects_ * kGroupMemoSlots);
-  memo_cursor_.assign(num_objects_, 0);
-  divergent_counts_.assign(num_objects_, 0);
-  all_available_.assign(num_objects_, 1);
-  steady_reads_.assign(num_objects_, 0);
-  steady_writes_.assign(num_objects_, 0);
-  steady_notifies_.assign(num_objects_, 0);
-  sites_.resize(num_objects_ * static_cast<std::size_t>(num_sites_));
-  repeater_rngs_.resize(num_objects_ *
-                        static_cast<std::size_t>(num_repeaters_));
-  observed_.reserve(num_objects_ * static_cast<std::size_t>(num_protocols_));
-  dv_.reserve(num_objects_ * static_cast<std::size_t>(num_protocols_));
-  eval_memo_.assign(num_objects_ * static_cast<std::size_t>(num_protocols_),
-                    DvEvalMemo{});
-  for (std::size_t obj = 0; obj < num_objects_; ++obj) {
-    nets_.emplace_back(spec_.topology);
-    for (int p = 0; p < num_protocols_; ++p) {
-      observed_.emplace_back(AvailabilityTracker(
-          start_, spec_.options.batch_length, spec_.options.num_batches));
-      auto store = ReplicaStore::Make(placement_);
-      if (!store.ok()) return store.status();
-      dv_.emplace_back(store.MoveValue());
-      dv_.back().u_partition = placement_;
-    }
-  }
-
-  for (std::size_t obj = 0; obj < num_objects_; ++obj) InitObject(obj);
-
-  // The fused event loop: one calendar queue over every object's events,
-  // popped in (time, schedule-seq) order — the same order in which N
-  // solo EventQueues would have dispatched them per object.
-  // Popping the first beyond-horizon event (instead of peeking first)
-  // avoids locating the minimum twice per step; the queue is discarded
-  // when the loop ends, so the extra pop is unobservable.
-  while (!queue_.Empty()) {
+std::vector<PolicyResult> ObjectRun::Run() {
+  // The object's events pop in (time, schedule-seq) order — the order a
+  // solo EventQueue dispatches them.
+  while (!queue_.Empty() && queue_.PeekTime() <= cfg_.horizon) {
     CalendarEvent event = queue_.PopNext();
-    if (event.when > horizon_) break;
     now_ = event.when;
     Dispatch(event.payload);
   }
-  now_ = horizon_;
+  now_ = cfg_.horizon;
 
-  std::vector<std::vector<PolicyResult>> results;
-  results.reserve(num_objects_);
-  for (std::size_t obj = 0; obj < num_objects_; ++obj) {
-    // Materialize the steady-state tallies: every steady access charged
-    // each protocol the full-group message pattern and counted as a
-    // granted attempt; every steady network event charged each
-    // instantaneous protocol one full-group refresh.
-    const std::uint64_t total = static_cast<std::uint64_t>(placement_.Size());
-    const std::uint64_t reads = steady_reads_[obj];
-    const std::uint64_t writes = steady_writes_[obj];
-    const std::uint64_t accesses = reads + writes;
-    for (int p = 0; p < num_protocols_; ++p) {
-      ObservedSlot& obs = observed(obj, p);
-      const ProtocolPlan& plan = plans_[static_cast<std::size_t>(p)];
-      obs.attempted += accesses;
-      obs.granted += accesses;
-      obs.counter.Add(MessageKind::kProbe, total * accesses);
-      obs.counter.Add(MessageKind::kProbeReply, total * accesses);
-      obs.counter.Add(MessageKind::kStateRequest, total * accesses);
-      obs.counter.Add(MessageKind::kStateReply, total * accesses);
-      if (plan.kind == BatchedKind::kMcv) {
-        obs.counter.Add(MessageKind::kCommit, total * writes);
-      } else {
-        obs.counter.Add(MessageKind::kCommit, total * accesses);
-        if (!plan.optimistic) {
-          obs.counter.Add(MessageKind::kInstantRefresh,
-                          2 * total * steady_notifies_[obj]);
-        }
+  // Materialize the steady-state tallies: every steady access charged
+  // each protocol the full-group message pattern and counted as a
+  // granted attempt; every steady network event charged each
+  // instantaneous protocol one full-group refresh.
+  const std::uint64_t total = static_cast<std::uint64_t>(cfg_.placement.Size());
+  const std::uint64_t accesses = steady_reads_ + steady_writes_;
+  std::vector<PolicyResult> rows;
+  rows.reserve(static_cast<std::size_t>(cfg_.num_protocols));
+  for (int p = 0; p < cfg_.num_protocols; ++p) {
+    ObservedSlot& obs = observed(p);
+    const ProtocolPlan& pl = plan(p);
+    obs.attempted += accesses;
+    obs.granted += accesses;
+    obs.counter.Add(MessageKind::kProbe, total * accesses);
+    obs.counter.Add(MessageKind::kProbeReply, total * accesses);
+    obs.counter.Add(MessageKind::kStateRequest, total * accesses);
+    obs.counter.Add(MessageKind::kStateReply, total * accesses);
+    if (pl.kind == BatchedKind::kMcv) {
+      obs.counter.Add(MessageKind::kCommit, total * steady_writes_);
+    } else {
+      obs.counter.Add(MessageKind::kCommit, total * accesses);
+      if (!pl.optimistic) {
+        obs.counter.Add(MessageKind::kInstantRefresh,
+                        2 * total * steady_notifies_);
       }
     }
-    std::vector<PolicyResult> rows;
-    rows.reserve(static_cast<std::size_t>(num_protocols_));
-    for (int p = 0; p < num_protocols_; ++p) {
-      ObservedSlot& obs = observed(obj, p);
-      obs.tracker.Finish(horizon_);
-      PolicyResult r;
-      r.name = plans_[static_cast<std::size_t>(p)].name;
-      r.unavailability = obs.tracker.Unavailability();
-      r.stats = obs.tracker.Stats();
-      r.mean_unavailable_duration = obs.tracker.MeanUnavailableDuration();
-      r.num_unavailable_periods = obs.tracker.NumUnavailablePeriods();
-      r.accesses_attempted = obs.attempted;
-      r.accesses_granted = obs.granted;
-      r.messages = obs.counter;
-      r.measured_time = obs.tracker.TotalTime();
-      r.dual_majority_instants = obs.dual_majority_instants;
-      r.time_to_first_outage = obs.tracker.TimeToFirstOutage();
-      rows.push_back(std::move(r));
-    }
-    results.push_back(std::move(rows));
+
+    obs.tracker.Finish(cfg_.horizon);
+    PolicyResult r;
+    r.name = pl.name;
+    r.unavailability = obs.tracker.Unavailability();
+    r.stats = obs.tracker.Stats();
+    r.mean_unavailable_duration = obs.tracker.MeanUnavailableDuration();
+    r.num_unavailable_periods = obs.tracker.NumUnavailablePeriods();
+    r.accesses_attempted = obs.attempted;
+    r.accesses_granted = obs.granted;
+    r.messages = obs.counter;
+    r.measured_time = obs.tracker.TotalTime();
+    r.dual_majority_instants = obs.dual_majority_instants;
+    r.time_to_first_outage = obs.tracker.TimeToFirstOutage();
+    rows.push_back(std::move(r));
   }
-  return results;
+  return rows;
 }
 
 // ---------------------------------------------------------------------------
@@ -1300,9 +1233,6 @@ RunBatchedAvailabilityExperiment(const ExperimentSpec& spec,
   if (seeds.empty()) {
     return Status::InvalidArgument("batched run needs at least one seed");
   }
-  if (seeds.size() > kMaxBatchedObjects) {
-    return Status::InvalidArgument("too many objects for one batch");
-  }
 
   std::vector<ProtocolPlan> plans(protocols.policies.size());
   for (std::size_t i = 0; i < protocols.policies.size(); ++i) {
@@ -1311,8 +1241,18 @@ RunBatchedAvailabilityExperiment(const ExperimentSpec& spec,
     }
   }
 
-  BatchedEngine engine(spec, protocols.placement, std::move(plans), seeds);
-  return engine.Run();
+  auto initial_store = ReplicaStore::Make(protocols.placement);
+  if (!initial_store.ok()) return initial_store.status();
+  const RunConfig cfg(spec, protocols.placement, std::move(plans),
+                      initial_store.MoveValue());
+
+  // One object at a time, each on its own heap: objects share nothing
+  // but the run config, so running them back to back is the same as
+  // interleaving them.
+  std::vector<std::vector<PolicyResult>> results;
+  results.reserve(seeds.size());
+  for (std::uint64_t seed : seeds) results.push_back(ObjectRun(cfg, seed).Run());
+  return results;
 }
 
 }  // namespace dynvote

@@ -1,12 +1,14 @@
 // The batched multi-object simulation engine: N independent replicated
-// files ("objects") run through ONE event loop over a CalendarQueue,
-// with replica/protocol state held as struct-of-arrays — per-object
-// site up/down bits, 64-bit SiteSet masks, vote counters and operation/
-// version scalars in contiguous arrays — instead of N Simulator +
-// protocol-object heaps. The paper's one-access-per-day workload is the
-// sparse-event regime where per-object fixed costs (event-queue
-// comparisons, std::function dispatch, virtual protocol calls) dominate;
-// batching amortizes them across objects.
+// files ("objects") run back to back, each from its seed to the horizon
+// on its own small event heap (sim/calendar_queue.h), with its replica/
+// protocol state held as plain data — site up/down bits, 64-bit SiteSet
+// masks, vote counters and operation/version scalars — instead of a
+// Simulator and protocol-object heaps. The paper's one-access-per-day
+// workload is the sparse-event regime where per-object fixed costs
+// (std::function dispatch, virtual protocol calls) dominate; plain-data
+// events and the uniform-mode fast path below remove them. Each
+// object's state is built fresh from its seed, so objects share nothing
+// but the run's read-only inputs.
 //
 // Bit-identity contract (the hard constraint carried from PRs 1-2):
 // PolicyResult rows for object k in a batch of N are bit-identical to a
@@ -17,7 +19,7 @@
 //     NetworkProcessModel / AccessProcess split them (Rng master(seed),
 //     sites then repeaters via master.Split(); access stream seeded
 //     seed ^ 0x5DEECE66D);
-//   - the calendar queue pops in (time, schedule-seq) order, so each
+//   - the event heap pops in (time, schedule-seq) order, so each
 //     object's events fire in the same relative order a solo EventQueue
 //     would fire them;
 //   - protocol decisions use an integer fast path (all-copies-equal
@@ -78,7 +80,7 @@ std::optional<BatchedProtocolSpec> BatchedPlanFor(
     const ExperimentSpec& spec,
     const std::vector<std::unique_ptr<ConsistencyProtocol>>& protocols);
 
-/// Runs seeds.size() independent objects through one event loop.
+/// Runs seeds.size() independent objects, one after another.
 /// Returns one PolicyResult row vector per object, in seed order;
 /// results[k][p] is bit-identical to what RunSoloAvailabilityExperiment
 /// would report for policy p with spec.options.seed = seeds[k].

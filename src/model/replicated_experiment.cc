@@ -123,7 +123,7 @@ Result<ReplicatedResults> RunReplicatedExperiment(
   // Grouping: with objects > 1, replications that would each go to the
   // batched engine anyway (RunAvailabilityExperiment's own BatchedPlanFor
   // gate, asked with the null spec.obs every uncollected replication
-  // runs with) share one event loop per group instead. Collected traces
+  // runs with) go to it one group per pool task instead. Collected traces
   // or metrics give every replication an obs context, which keeps it on
   // the solo engine. The plan is read off one factory-built set — the
   // factory builds the same set every call. Each group's rows are

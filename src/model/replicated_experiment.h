@@ -58,14 +58,15 @@ struct ReplicationOptions {
   /// Collect metrics into per-replication shards, merged in replication
   /// order into ReplicatedResults::metrics at join.
   bool collect_metrics = false;
-  /// Objects per batched-engine event loop. Which engine a replication
-  /// runs on is decided by BatchedPlanFor alone; this only chooses the
-  /// grouping. When > 1 and the run qualifies for the batched engine
-  /// (untraced, unmetered, stock paper policies), replications are
-  /// grouped into consecutive runs of this size, each group sharing one
-  /// event loop; at 1 each replication is a batch of one. Never affects
-  /// results — the batched engine's bit-identity contract makes every
-  /// grouping produce the same bytes — only wall-clock time.
+  /// Replications per pool task (runs the group's objects back to back;
+  /// never changes results). Which engine a replication runs on is
+  /// decided by BatchedPlanFor alone; this only chooses the grouping.
+  /// When > 1 and the run qualifies for the batched engine (untraced,
+  /// unmetered, stock paper policies), replications are grouped into
+  /// consecutive runs of this size, one batched-engine call per group;
+  /// at 1 each replication is a batch of one. The batched engine's
+  /// bit-identity contract makes every grouping produce the same bytes,
+  /// so only wall-clock time can change.
   int objects = 1;
 };
 
@@ -133,8 +134,8 @@ using ProtocolSetFactory = std::function<
 ///
 /// When `options.objects` > 1, the run collects neither traces nor
 /// metrics, and BatchedPlanFor(spec, factory()) yields a plan,
-/// replications execute in groups of `options.objects` through the
-/// batched multi-object engine. The engine's bit-identity contract
+/// replications execute in groups of `options.objects`, one batched
+/// engine call per group. The engine's bit-identity contract
 /// guarantees the output is byte-identical either way. The last
 /// parameter is ignored (the plan is derived from the factory's
 /// protocols); it stays so existing four-argument callers compile.

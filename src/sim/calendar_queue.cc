@@ -1,5 +1,6 @@
 #include "sim/calendar_queue.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/logging.h"
@@ -8,189 +9,34 @@ namespace dynvote {
 
 namespace {
 
-/// Smallest calendar. Below this, bucket management costs more than the
-/// linear scans it saves.
-constexpr std::size_t kMinBuckets = 8;
-
-/// Width this small would overflow the virtual bucket index for any
-/// realistic horizon; treat the event population as degenerate instead.
-constexpr double kMinWidth = 1e-9;
-
-/// Bucket width as a multiple of the mean pop gap: a few due events per
-/// floor bucket, amortizing the bucket-step overhead without degrading
-/// into a linear scan.
-constexpr double kWidthGapFactor = 2.0;
+/// Heap order for std::push_heap/pop_heap, which keep the *largest*
+/// element first: "a after b" puts the (when, seq)-least event on top.
+/// A closure type rather than a function pointer, so the heap
+/// algorithms inline the comparison.
+constexpr auto kAfter = [](const CalendarEvent& a, const CalendarEvent& b) {
+  return a.when > b.when || (a.when == b.when && a.seq > b.seq);
+};
 
 }  // namespace
-
-CalendarQueue::CalendarQueue() {
-  num_buckets_ = kMinBuckets;
-  buckets_.resize(num_buckets_);
-}
-
-std::size_t CalendarQueue::BucketOf(SimTime when) const {
-  // Virtual (un-wrapped) bucket index; the calendar wraps it modulo the
-  // power-of-two bucket count.
-  double vb = std::floor(when * inv_width_);
-  return static_cast<std::size_t>(static_cast<std::uint64_t>(vb)) &
-         (num_buckets_ - 1);
-}
 
 void CalendarQueue::Schedule(SimTime when, std::uint64_t payload) {
   DYNVOTE_CHECK_MSG(when >= 0.0 && std::isfinite(when),
                     "calendar event time must be finite and >= 0");
-  if (size_ == 0 || when < floor_time_) floor_time_ = when;
-  // The cached minimum survives unless the new event precedes it: at an
-  // equal timestamp the incumbent's smaller sequence number wins, and
-  // push_back never moves events already in place.
-  if (min_valid_ && when < buckets_[min_bucket_][min_slot_].when) {
-    min_valid_ = false;
-  }
-  buckets_[BucketOf(when)].push_back(
-      CalendarEvent{when, next_seq_++, payload});
-  ++size_;
-  if (size_ > 2 * num_buckets_) Resize(num_buckets_ * 2);
+  heap_.push_back(CalendarEvent{when, next_seq_++, payload});
+  std::push_heap(heap_.begin(), heap_.end(), kAfter);
 }
 
-void CalendarQueue::FindMin() {
-  DYNVOTE_CHECK_MSG(size_ > 0, "FindMin on an empty calendar queue");
-  if (min_valid_) return;
-
-  // Walk one calendar lap starting at the floor's bucket. In lap step k
-  // only events whose virtual bucket equals start_vb + k are due; events
-  // stored in the same physical bucket for a later lap are skipped. The
-  // lap membership test recomputes floor(when * inv_width) — the exact
-  // expression BucketOf used at insertion — so an event can never fall
-  // between laps through floating-point rounding of a derived limit.
-  const double start_vb = std::floor(floor_time_ * inv_width_);
-  const std::size_t start_index =
-      static_cast<std::size_t>(static_cast<std::uint64_t>(start_vb));
-  for (std::size_t k = 0; k < num_buckets_; ++k) {
-    const std::size_t b = (start_index + k) & (num_buckets_ - 1);
-    const double lap_vb = start_vb + static_cast<double>(k);
-    const std::vector<CalendarEvent>& bucket = buckets_[b];
-    bool found = false;
-    std::size_t best = 0;
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      const CalendarEvent& e = bucket[i];
-      if (std::floor(e.when * inv_width_) > lap_vb) continue;  // a later lap
-      if (!found || e.when < bucket[best].when ||
-          (e.when == bucket[best].when && e.seq < bucket[best].seq)) {
-        best = i;
-        found = true;
-      }
-    }
-    if (found) {
-      min_bucket_ = b;
-      min_slot_ = best;
-      min_valid_ = true;
-      return;
-    }
-  }
-
-  // Sparse tail: nothing within one lap of the floor. Direct search for
-  // the global (when, seq) minimum, then advance the floor to it so the
-  // next lap walk starts in the right year.
-  bool found = false;
-  for (std::size_t b = 0; b < num_buckets_; ++b) {
-    const std::vector<CalendarEvent>& bucket = buckets_[b];
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      const CalendarEvent& e = bucket[i];
-      if (!found || e.when < buckets_[min_bucket_][min_slot_].when ||
-          (e.when == buckets_[min_bucket_][min_slot_].when &&
-           e.seq < buckets_[min_bucket_][min_slot_].seq)) {
-        min_bucket_ = b;
-        min_slot_ = i;
-        found = true;
-      }
-    }
-  }
-  DYNVOTE_CHECK_MSG(found, "calendar queue lost an event");
-  floor_time_ = buckets_[min_bucket_][min_slot_].when;
-  min_valid_ = true;
-}
-
-SimTime CalendarQueue::PeekTime() {
-  FindMin();
-  return buckets_[min_bucket_][min_slot_].when;
+SimTime CalendarQueue::PeekTime() const {
+  DYNVOTE_CHECK_MSG(!heap_.empty(), "PeekTime on an empty calendar queue");
+  return heap_.front().when;
 }
 
 CalendarEvent CalendarQueue::PopNext() {
-  FindMin();
-  std::vector<CalendarEvent>& bucket = buckets_[min_bucket_];
-  CalendarEvent out = bucket[min_slot_];
-  // Swap-remove: in-bucket order is irrelevant, the minimum is always
-  // re-scanned with the (when, seq) tie-break.
-  bucket[min_slot_] = bucket.back();
-  bucket.pop_back();
-  --size_;
-  min_valid_ = false;
-  floor_time_ = out.when;
-
-  // Track the mean spacing of dequeued events (EWMA, weight 1/8). The
-  // bucket width wants to match the spacing *at the head* of the queue,
-  // not the global span: with exponentially distributed failure times the
-  // span is dominated by a far tail, and span-derived buckets pack
-  // hundreds of near-term events into the floor bucket.
-  const double gap = out.when - last_pop_time_;
-  last_pop_time_ = out.when;
-  avg_pop_gap_ += (gap - avg_pop_gap_) * 0.125;
-  ++pops_since_rewidth_;
-
-  if (num_buckets_ > kMinBuckets && size_ < num_buckets_ / 2) {
-    Resize(num_buckets_ / 2);
-  } else if (pops_since_rewidth_ >= num_buckets_ && avg_pop_gap_ > 0.0) {
-    // Re-bucket in place when the width has drifted far from the popping
-    // rate (the event population's spacing changed, e.g. after the
-    // initial schedule ramp). Amortized: at most one O(n) rebuild per
-    // num_buckets_ pops. Deterministic: a pure function of the popped
-    // event sequence.
-    const double target = kWidthGapFactor * avg_pop_gap_;
-    if (width_ > 4.0 * target || width_ < 0.25 * target) {
-      Resize(num_buckets_);
-    }
-  }
+  DYNVOTE_CHECK_MSG(!heap_.empty(), "PopNext on an empty calendar queue");
+  std::pop_heap(heap_.begin(), heap_.end(), kAfter);
+  CalendarEvent out = heap_.back();
+  heap_.pop_back();
   return out;
-}
-
-void CalendarQueue::Resize(std::size_t new_buckets) {
-  std::vector<CalendarEvent> all;
-  all.reserve(size_);
-  for (std::vector<CalendarEvent>& bucket : buckets_) {
-    all.insert(all.end(), bucket.begin(), bucket.end());
-    bucket.clear();
-  }
-  buckets_.resize(new_buckets);
-  num_buckets_ = new_buckets;
-  min_valid_ = false;
-  pops_since_rewidth_ = 0;
-  if (all.empty()) return;
-
-  // Width selection. Once events have been popped, match the spacing at
-  // the head of the queue (a small multiple of the mean pop gap), so the
-  // floor bucket holds a handful of due events regardless of how far the
-  // tail stretches. Before the first pop (initial schedule ramp) no gap
-  // estimate exists; fall back to the mean spacing the stored events
-  // would have if laid out uniformly over their span. Both rules are
-  // deterministic — pure functions of the event sequence so far.
-  double width;
-  if (avg_pop_gap_ > 0.0) {
-    width = kWidthGapFactor * avg_pop_gap_;
-  } else {
-    double lo = all.front().when;
-    double hi = all.front().when;
-    for (const CalendarEvent& e : all) {
-      if (e.when < lo) lo = e.when;
-      if (e.when > hi) hi = e.when;
-    }
-    width = (hi - lo) / static_cast<double>(all.size());
-  }
-  width_ = width > kMinWidth ? width : 1.0;
-  inv_width_ = 1.0 / width_;
-
-  for (const CalendarEvent& e : all) {
-    buckets_[BucketOf(e.when)].push_back(e);
-  }
 }
 
 }  // namespace dynvote

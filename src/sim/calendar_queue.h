@@ -1,14 +1,18 @@
-// CalendarQueue: a bucketed event queue (R. Brown's calendar queue) with
-// O(1) amortized Schedule/PopNext for the stationary event populations
-// the batched multi-object engine produces. Events are plain data — a
-// timestamp plus a caller-packed 64-bit payload — so a pop never touches
-// a std::function and the queue can be scanned cache-linearly.
+// CalendarQueue: the batched engine's event queue, a binary min-heap of
+// plain-data events — a timestamp plus a caller-packed 64-bit payload —
+// so a pop never touches a std::function. The engine runs one object at
+// a time, so the heap holds one object's pending events (about a dozen
+// on the paper network) and a log-depth sift beats any bucketing.
+//
+// The name is not a description: perfbench's traced replay
+// (perfbench/src/traced.cc) instantiates the class by this name, so a
+// rename has to land together with a change to the benchmark.
 //
 // Ordering contract (load-bearing for solo/batched bit-identity): events
-// pop in ascending (when, seq) order, where seq is the global schedule
+// pop in ascending (when, seq) order, where seq is the queue's schedule
 // order. Two events with equal timestamps therefore fire in the order
 // they were scheduled — exactly the EventQueue tie-break — and since the
-// batched engine schedules each object's events in the same relative
+// batched engine schedules an object's events in the same relative
 // order as a solo run, per-object dispatch order is preserved verbatim.
 //
 // There is deliberately no Cancel: the one cancellation in the system
@@ -34,61 +38,26 @@ struct CalendarEvent {
   std::uint64_t payload = 0;
 };
 
-/// Bucketed priority queue over CalendarEvent, deterministic pop order
-/// by (when, seq). Not thread-safe; timestamps must be >= 0.
+/// Binary-heap priority queue over CalendarEvent, deterministic pop
+/// order by (when, seq). Not thread-safe; timestamps must be >= 0.
 class CalendarQueue {
  public:
-  CalendarQueue();
-
-  /// Enqueues an event; assigns the next global sequence number.
+  /// Enqueues an event; assigns the next sequence number.
   void Schedule(SimTime when, std::uint64_t payload);
 
-  bool Empty() const { return size_ == 0; }
-  std::size_t Size() const { return size_; }
+  bool Empty() const { return heap_.empty(); }
+  std::size_t Size() const { return heap_.size(); }
 
   /// Timestamp of the next event. Queue must be non-empty.
-  SimTime PeekTime();
+  SimTime PeekTime() const;
 
   /// Removes and returns the (when, seq)-least event. Queue must be
   /// non-empty.
   CalendarEvent PopNext();
 
  private:
-  /// Index of the bucket holding timestamp `when` at the current width.
-  std::size_t BucketOf(SimTime when) const;
-  /// Locates the next event; caches (bucket, slot) for PopNext.
-  void FindMin();
-  /// Rebuilds the calendar with a bucket count sized to `size_` and a
-  /// width derived from the current contents (deterministic: depends
-  /// only on the stored events, never on wall-clock or randomness).
-  void Resize(std::size_t new_buckets);
-
-  std::vector<std::vector<CalendarEvent>> buckets_;
-  std::size_t num_buckets_ = 0;  // always a power of two
-  double width_ = 1.0;
-  /// Cached 1 / width_: the hot path classifies events with a multiply.
-  /// Every classification uses the same floor(when * inv_width_)
-  /// expression, so insertion and scan can never disagree on a bucket.
-  double inv_width_ = 1.0;
-  std::size_t size_ = 0;
+  std::vector<CalendarEvent> heap_;
   std::uint64_t next_seq_ = 0;
-  /// Lower bound on every stored event's timestamp; the calendar search
-  /// starts from this position.
-  SimTime floor_time_ = 0.0;
-
-  // Head-spacing estimate driving the bucket width: EWMA of the time
-  // between consecutive pops, and a counter bounding in-place re-bucket
-  // frequency. Both are pure functions of the event sequence, keeping
-  // the queue deterministic.
-  SimTime last_pop_time_ = 0.0;
-  double avg_pop_gap_ = 0.0;
-  std::size_t pops_since_rewidth_ = 0;
-
-  // Cached location of the minimum, valid between FindMin and the next
-  // mutation.
-  bool min_valid_ = false;
-  std::size_t min_bucket_ = 0;
-  std::size_t min_slot_ = 0;
 };
 
 }  // namespace dynvote

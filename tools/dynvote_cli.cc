@@ -115,8 +115,8 @@ struct Options {
   // declaration (default 1).
   int reps = -1;
   int jobs = -1;
-  // simulate/repeat: replications per batched event loop (1 = the
-  // per-replication engine). Never changes results.
+  // repeat: replications per pool task (runs the group's objects back
+  // to back). Never changes results.
   int objects = 1;
   // check:
   std::string topology = "single3";
@@ -162,10 +162,9 @@ int Usage() {
       "  --reps=N         repeat: independent replications\n"
       "  --jobs=M         repeat: worker threads (0 = all cores; never "
       "changes results)\n"
-      "  --objects=N      repeat: replications per batched event loop\n"
-      "                   (groups the replications that run on the batched\n"
-      "                   engine N at a time; never changes results; every\n"
-      "                   run picks its engine itself)\n"
+      "  --objects=N      repeat: replications per pool task (runs the\n"
+      "                   group's objects back to back; never changes\n"
+      "                   results; every run picks its engine itself)\n"
       "  --json=PATH      repeat: write per-replication + aggregate JSON\n"
       "  --trace-out=F    simulate/repeat: write " << kTraceSchema
       << " JSONL events\n"
