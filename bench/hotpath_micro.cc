@@ -1,12 +1,11 @@
 // Microbenchmark of the simulation hot path — connectivity refresh,
-// quorum evaluation and the per-event sample/quorum loop — measured
-// before vs. after the cached-connectivity / memoized-decision overhaul.
-//
-// "Before" is reproduced two ways: the pre-overhaul NetworkState and
-// topological-closure algorithms are embedded here verbatim as Legacy*
-// reference implementations, and the decision memoization is toggled off
-// through the same escape hatch as --no-quorum-cache. Either way the
-// outputs are identical (asserted by tests); only the time changes.
+// quorum evaluation, the per-event sample/quorum loop, the engines and
+// trace emission. Connectivity and quorum evaluation are timed alone;
+// the other rows are paired with an alternative configuration of the
+// same live code: the decision memoization toggled off through the same
+// escape hatch as --no-quorum-cache, tracing off, or sequential solo
+// runs. Outputs are identical either way (asserted by tests); only the
+// time changes.
 //
 // Results are written to BENCH_hotpath.json (override with --out=PATH) in
 // a stable schema so successive PRs can track the perf trajectory:
@@ -16,7 +15,7 @@
 //     "unit": "ns_per_op",
 //     "benchmarks": [
 //       {"name": "...", "ns_per_op": N, "ops": N,
-//        "baseline": "legacy" | "no-cache" | "trace-off" | "solo-seq",
+//        "baseline": "no-cache" | "trace-off" | "solo-seq",
 //        "baseline_ns_per_op": N, "speedup": N},
 //       ...
 //     ]
@@ -34,7 +33,6 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -56,115 +54,6 @@
 
 namespace dynvote {
 namespace {
-
-// ---------------------------------------------------------------------
-// Legacy reference implementations (the seed's algorithms, kept verbatim
-// so the before/after comparison stays honest as the library evolves).
-// ---------------------------------------------------------------------
-
-/// The pre-overhaul NetworkState: vector<bool> site state, union-find
-/// rebuilt lazily, and a fresh vector allocated by every Components()
-/// and ComponentOf() call.
-class LegacyNetworkState {
- public:
-  explicit LegacyNetworkState(std::shared_ptr<const Topology> topology)
-      : topology_(std::move(topology)) {
-    site_up_.assign(topology_->num_sites(), true);
-    repeater_up_.assign(topology_->num_repeaters(), true);
-    segment_root_.assign(topology_->num_segments(), 0);
-  }
-
-  void SetSiteUp(SiteId site, bool up) {
-    if (site_up_[site] != up) {
-      site_up_[site] = up;
-      dirty_ = true;
-    }
-  }
-
-  bool IsSiteUp(SiteId site) const { return site_up_[site]; }
-
-  SiteSet ComponentOf(SiteId site) const {
-    if (!site_up_[site]) return SiteSet();
-    Refresh();
-    int root = segment_root_[topology_->SegmentOf(site)];
-    SiteSet component;
-    for (SiteId s = 0; s < topology_->num_sites(); ++s) {
-      if (site_up_[s] && segment_root_[topology_->SegmentOf(s)] == root) {
-        component.Add(s);
-      }
-    }
-    return component;
-  }
-
-  std::vector<SiteSet> Components() const {
-    Refresh();
-    std::vector<SiteSet> by_root(topology_->num_segments());
-    for (SiteId s = 0; s < topology_->num_sites(); ++s) {
-      if (site_up_[s]) {
-        by_root[segment_root_[topology_->SegmentOf(s)]].Add(s);
-      }
-    }
-    std::vector<SiteSet> out;
-    for (const SiteSet& group : by_root) {
-      if (!group.Empty()) out.push_back(group);
-    }
-    return out;
-  }
-
- private:
-  void Refresh() const {
-    if (!dirty_) return;
-    std::iota(segment_root_.begin(), segment_root_.end(), 0);
-    for (const BridgeInfo& b : topology_->bridges()) {
-      bool bridge_up = b.gateway_site.has_value()
-                           ? site_up_[*b.gateway_site]
-                           : repeater_up_[b.repeater];
-      if (!bridge_up) continue;
-      int ra = FindRoot(b.segment_a);
-      int rb = FindRoot(b.segment_b);
-      if (ra != rb) segment_root_[rb] = ra;
-    }
-    for (int seg = 0; seg < topology_->num_segments(); ++seg) {
-      segment_root_[seg] = FindRoot(seg);
-    }
-    dirty_ = false;
-  }
-
-  int FindRoot(int segment) const {
-    int root = segment;
-    while (segment_root_[root] != root) root = segment_root_[root];
-    while (segment_root_[segment] != root) {
-      int next = segment_root_[segment];
-      segment_root_[segment] = root;
-      segment = next;
-    }
-    return root;
-  }
-
-  std::shared_ptr<const Topology> topology_;
-  std::vector<bool> site_up_;
-  std::vector<bool> repeater_up_;
-  mutable std::vector<int> segment_root_;
-  mutable bool dirty_ = true;
-};
-
-/// The pre-overhaul topological closure: the O(|Pm| * |active|) site-pair
-/// loop that EvaluateDynamicQuorum used before per-segment mask unions.
-SiteSet LegacyTopologicalClosure(const Topology& topology,
-                                 SiteSet prev_partition,
-                                 SiteSet reachable_copies) {
-  SiteSet active_members = prev_partition.Intersect(reachable_copies);
-  SiteSet closure;
-  for (SiteId r : prev_partition) {
-    for (SiteId s : active_members) {
-      if (topology.SameSegment(r, s)) {
-        closure.Add(r);
-        break;
-      }
-    }
-  }
-  return closure;
-}
 
 // ---------------------------------------------------------------------
 // Harness
@@ -258,24 +147,14 @@ void BenchComponents(double min_ms, std::vector<BenchEntry>* out) {
   const int num_sites = paper->topology->num_sites();
 
   NetworkState net(paper->topology);
-  LegacyNetworkState legacy(paper->topology);
   std::uint64_t side_effect = 0;
-  out->push_back(MeasurePaired(
-      "components_after_flip", "legacy", min_ms,
-      [&](std::uint64_t iters) {
+  out->push_back(Measure(
+      "components_after_flip", min_ms, [&](std::uint64_t iters) {
         Rng rng(44);
         for (std::uint64_t i = 0; i < iters; ++i) {
           SiteId s = static_cast<SiteId>(rng.NextBounded(num_sites));
           net.SetSiteUp(s, !net.IsSiteUp(s));
           side_effect += net.Components().size();
-        }
-      },
-      [&](std::uint64_t iters) {
-        Rng rng(44);
-        for (std::uint64_t i = 0; i < iters; ++i) {
-          SiteId s = static_cast<SiteId>(rng.NextBounded(num_sites));
-          legacy.SetSiteUp(s, !legacy.IsSiteUp(s));
-          side_effect += legacy.Components().size();
         }
       }));
 
@@ -283,53 +162,30 @@ void BenchComponents(double min_ms, std::vector<BenchEntry>* out) {
   net.AllUp();
   net.SetSiteUp(2, false);
   net.SetSiteUp(4, false);
-  for (SiteId s = 0; s < num_sites; ++s) {
-    legacy.SetSiteUp(s, s != 2 && s != 4);  // mirror: 2 and 4 down
-  }
-  out->push_back(MeasurePaired(
-      "component_of_query", "legacy", min_ms,
-      [&](std::uint64_t iters) {
+  out->push_back(Measure(
+      "component_of_query", min_ms, [&](std::uint64_t iters) {
         for (std::uint64_t i = 0; i < iters; ++i) {
           side_effect += net.ComponentOf(static_cast<SiteId>(i % 2)).Size();
-        }
-      },
-      [&](std::uint64_t iters) {
-        for (std::uint64_t i = 0; i < iters; ++i) {
-          side_effect +=
-              legacy.ComponentOf(static_cast<SiteId>(i % 2)).Size();
         }
       }));
   if (side_effect == 0xDEAD) std::cerr << "";  // keep side_effect live
 }
 
-/// EvaluateDynamicQuorum with the topological rule: per-segment mask
-/// unions vs. the legacy site-pair closure loop.
+/// EvaluateDynamicQuorum with the topological rule (per-segment mask
+/// unions for the counted set).
 void BenchQuorum(double min_ms, std::vector<BenchEntry>* out) {
   auto paper = MakePaperNetwork();
   auto store = ReplicaStore::Make(kFiveCopyPlacement).MoveValue();
   store.Commit(SiteSet{0, 1, 3}, 5, 3, SiteSet{0, 1, 3});
   const SiteSet reachable{0, 1, 2, 3, 4};
   std::int64_t side_effect = 0;
-
-  // Legacy side: same evaluation with the closure recomputed by the pair
-  // loop (the rest of the decision is shared, so the delta isolates it).
-  out->push_back(MeasurePaired(
-      "quorum_topological", "legacy", min_ms,
-      [&](std::uint64_t iters) {
+  out->push_back(Measure(
+      "quorum_topological", min_ms, [&](std::uint64_t iters) {
         for (std::uint64_t i = 0; i < iters; ++i) {
           QuorumDecision d =
               EvaluateDynamicQuorum(store, reachable,
                                     TieBreak::kLexicographic,
                                     paper->topology.get());
-          side_effect += d.granted + d.counted_set.Size();
-        }
-      },
-      [&](std::uint64_t iters) {
-        for (std::uint64_t i = 0; i < iters; ++i) {
-          QuorumDecision d = EvaluateDynamicQuorum(
-              store, reachable, TieBreak::kLexicographic, nullptr);
-          d.counted_set = LegacyTopologicalClosure(
-              *paper->topology, d.prev_partition, d.reachable_copies);
           side_effect += d.granted + d.counted_set.Size();
         }
       }));

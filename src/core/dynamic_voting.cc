@@ -112,9 +112,6 @@ Status DynamicVoting::Access(const NetworkState& net, SiteId origin,
   counter_.Add(MessageKind::kStateReply, reachable.Size());
 
   QuorumDecision d = Evaluate(group);
-  LogDecision(type == AccessType::kWrite ? DecisionRecord::Operation::kWrite
-                                         : DecisionRecord::Operation::kRead,
-              origin, d.granted, d);
   if (!d.granted) {
     counter_.Add(MessageKind::kAbort, reachable.Size());
     return Status::NoQuorum(name_ + ": " + d.ToString());
@@ -158,7 +155,6 @@ Status DynamicVoting::Recover(const NetworkState& net, SiteId site) {
   }
   SiteSet group = net.ComponentOf(site);
   QuorumDecision d = Evaluate(group);
-  LogDecision(DecisionRecord::Operation::kRecover, site, d.granted, d);
   if (!d.granted) {
     counter_.Add(MessageKind::kAbort, d.reachable_copies.Size());
     if (d.witness_refused) {
@@ -253,7 +249,6 @@ void DynamicVoting::OnNetworkEvent(const NetworkState& net) {
     // exchanges state.
     counter_.Add(MessageKind::kInstantRefresh, 2 * copies.Size());
     QuorumDecision d = Evaluate(group);
-    LogDecision(DecisionRecord::Operation::kRefresh, -1, d.granted, d);
     if (!d.granted) continue;
     bool membership_current =
         d.current_set == d.prev_partition && copies == d.current_set;

@@ -114,21 +114,6 @@ Status MajorityConsensusVoting::Access(const NetworkState& net,
   counter_.Add(MessageKind::kStateReply, reachable.Size());
 
   bool granted = WouldGrant(net, origin, type);
-  {
-    // Synthesize the decision view for the trace: static voting has no
-    // dynamic partition sets, so Pm is the whole placement.
-    QuorumDecision d;
-    d.granted = granted;
-    d.reachable_copies = reachable;
-    d.quorum_set = reachable;
-    d.current_set = store_.MaxVersionSites(reachable);
-    d.counted_set = reachable;
-    d.prev_partition = store_.placement();
-    LogDecision(type == AccessType::kWrite
-                    ? DecisionRecord::Operation::kWrite
-                    : DecisionRecord::Operation::kRead,
-                origin, granted, d);
-  }
   if (!granted) {
     counter_.Add(MessageKind::kAbort, reachable.Size());
     return Status::NoQuorum(name_ + ": fewer votes than the static quorum");

@@ -10,7 +10,7 @@
 #include <memory>
 #include <string>
 
-#include "core/trace.h"
+#include "core/quorum.h"
 #include "net/network_state.h"
 #include "obs/context.h"
 #include "repl/message_bus.h"
@@ -167,8 +167,8 @@ class ConsistencyProtocol {
 
   /// An independent copy of the protocol as it stands: consistency-control
   /// state, message counts, the quorum-cache switch and the cache itself
-  /// carry over. The commit hook, decision log and observability context
-  /// do not — a data layer that clones a protocol installs its own hook.
+  /// carry over. The commit hook and observability context do not — a
+  /// data layer that clones a protocol installs its own hook.
   /// The model checker branches reached states this way instead of
   /// replaying their schedules.
   virtual std::unique_ptr<ConsistencyProtocol> Clone() const = 0;
@@ -184,11 +184,6 @@ class ConsistencyProtocol {
   void set_commit_hook(CommitHook hook) { commit_hook_ = std::move(hook); }
   bool has_commit_hook() const { return static_cast<bool>(commit_hook_); }
 
-  /// Attaches a decision log (see core/trace.h); the protocol records
-  /// every quorum decision it makes. Not owned; pass nullptr to detach.
-  void set_decision_log(DecisionLog* log) { decision_log_ = log; }
-  DecisionLog* decision_log() const { return decision_log_; }
-
   /// Attaches an observability context (trace sink + metrics shard, see
   /// obs/context.h). Not owned; null (the default) disables all emission,
   /// leaving a single pointer test on each instrumented path.
@@ -197,8 +192,8 @@ class ConsistencyProtocol {
 
  protected:
   ConsistencyProtocol() = default;
-  /// For Clone(): copies everything except the attachments (hook, log,
-  /// obs) and the per-sink label and metric-cell caches bound to them.
+  /// For Clone(): copies everything except the attachments (hook, obs)
+  /// and the per-sink label and metric-cell caches bound to them.
   ConsistencyProtocol(const ConsistencyProtocol& other)
       : counter_(other.counter_),
         quorum_cache_enabled_(other.quorum_cache_enabled_),
@@ -245,19 +240,6 @@ class ConsistencyProtocol {
   void EmitUserAccessAs(AccessType type, bool granted, SiteId origin,
                         QuorumReason reason) const {
     if (obs_ != nullptr) EmitUserAccessAsSlow(type, granted, origin, reason);
-  }
-
-  /// Records a decision if a log is attached.
-  void LogDecision(DecisionRecord::Operation operation, SiteId origin,
-                   bool granted, const QuorumDecision& decision) {
-    if (decision_log_ == nullptr) return;
-    DecisionRecord record;
-    record.protocol = name();
-    record.operation = operation;
-    record.origin = origin;
-    record.granted = granted;
-    record.decision = decision;
-    decision_log_->Record(std::move(record));
   }
 
   MessageCounter counter_;
@@ -312,7 +294,6 @@ class ConsistencyProtocol {
                             QuorumReason reason) const;
 
   CommitHook commit_hook_;
-  DecisionLog* decision_log_ = nullptr;
   ObsContext* obs_ = nullptr;
   bool quorum_cache_enabled_ = true;
   mutable QuorumCache quorum_cache_;

@@ -83,9 +83,6 @@ Status RegeneratingVoting::Access(const NetworkState& net, SiteId origin,
   QuorumDecision d = Evaluate(group);
   counter_.Add(MessageKind::kProbe, members_.Size());
   counter_.Add(MessageKind::kProbeReply, d.reachable_copies.Size());
-  LogDecision(type == AccessType::kWrite ? DecisionRecord::Operation::kWrite
-                                         : DecisionRecord::Operation::kRead,
-              origin, d.granted, d);
   if (!d.granted) {
     counter_.Add(MessageKind::kAbort, d.reachable_copies.Size());
     return Status::NoQuorum(name_ + ": " + d.ToString());
@@ -125,7 +122,6 @@ Status RegeneratingVoting::Recover(const NetworkState& net, SiteId site) {
   }
   SiteSet group = net.ComponentOf(site);
   QuorumDecision d = Evaluate(group);
-  LogDecision(DecisionRecord::Operation::kRecover, site, d.granted, d);
   if (!d.granted) {
     return Status::NoQuorum(name_ + ": recovery outside majority");
   }
@@ -212,7 +208,6 @@ void RegeneratingVoting::OnNetworkEvent(const NetworkState& net) {
     if (reachable.Empty()) continue;
     counter_.Add(MessageKind::kInstantRefresh, 2 * reachable.Size());
     QuorumDecision d = Evaluate(group);
-    LogDecision(DecisionRecord::Operation::kRefresh, -1, d.granted, d);
     if (!d.granted) continue;
     bool membership_current =
         d.current_set == d.prev_partition && reachable == d.current_set;

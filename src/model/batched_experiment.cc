@@ -1160,8 +1160,7 @@ std::optional<BatchedProtocolSpec> BatchedPlanFor(
     return std::nullopt;
   }
   for (const auto& p : protocols) {
-    if (p->placement() != plan.placement ||
-        p->decision_log() != nullptr || p->has_commit_hook() ||
+    if (p->placement() != plan.placement || p->has_commit_hook() ||
         p->obs() != nullptr || p->counter()->Total() != 0) {
       return std::nullopt;
     }

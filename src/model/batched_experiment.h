@@ -72,7 +72,7 @@ bool BatchedEngineSupports(const std::vector<std::string>& policies);
 ///     with uniform weights, no witnesses, the derived name, built on
 ///     spec.topology;
 ///   - every protocol is untouched: replica store in its initial state,
-///     zero message counts, no decision log, commit hook or obs context;
+///     zero message counts, no commit hook or obs context;
 ///   - all protocols share one placement inside the topology.
 /// Decided only from what the protocol objects expose, so adding an
 /// option the batched plans do not model must extend this predicate.

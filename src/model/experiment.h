@@ -110,9 +110,9 @@ Result<std::vector<PolicyResult>> RunAvailabilityExperiment(
 /// The instrumented reference engine: one Simulator/EventQueue driving
 /// the real protocol objects. The only engine that emits traces and
 /// metrics, runs the serving model, honours --no-quorum-cache, and
-/// supports every protocol, option and attached decision log or commit
-/// hook. Tests and benches call it directly as the oracle the batched
-/// engine is compared against.
+/// supports every protocol, option and attached commit hook. Tests and
+/// benches call it directly as the oracle the batched engine is compared
+/// against.
 Result<std::vector<PolicyResult>> RunSoloAvailabilityExperiment(
     const ExperimentSpec& spec,
     std::vector<std::unique_ptr<ConsistencyProtocol>> protocols);

@@ -2,7 +2,7 @@
 // continues exactly as its source would (same statuses, grant decisions,
 // state signatures and message counts under an identical random
 // continuation), never touches its source, and leaves the source's
-// attachments (commit hook, decision log, observability) behind while
+// attachments (commit hook, observability) behind while
 // keeping the quorum-cache switch.
 
 #include <memory>
@@ -120,28 +120,27 @@ TEST_P(ProtocolCloneTest, CloneContinuesExactlyAsItsSource) {
     int source_commits = 0;
     source->set_commit_hook(
         [&source_commits](const CommitInfo&) { ++source_commits; });
-    DecisionLog log;
-    source->set_decision_log(&log);
+    RingTraceSink ring;
     ObsContext obs;
+    obs.sink = &ring;
     source->set_obs(&obs);
     source->set_quorum_cache_enabled(seed % 2 == 0);
 
     std::unique_ptr<ConsistencyProtocol> clone = source->Clone();
     EXPECT_EQ(clone->name(), source->name());
     EXPECT_FALSE(clone->has_commit_hook());
-    EXPECT_EQ(clone->decision_log(), nullptr);
     EXPECT_EQ(clone->obs(), nullptr);
     EXPECT_EQ(clone->quorum_cache_enabled(), seed % 2 == 0);
 
     // The clone runs first: its continuation must not reach the source's
-    // hook or log, and the source, continued identically afterwards,
+    // hook or trace sink, and the source, continued identically afterwards,
     // must produce the identical transcript.
     NetworkState clone_net = net;
     Rng clone_rng(seed * 7919);
     const std::string from_clone =
         Drive(clone.get(), &clone_net, &clone_rng, 40);
     EXPECT_EQ(source_commits, 0);
-    EXPECT_TRUE(log.records().empty());
+    EXPECT_TRUE(ring.empty());
 
     source->set_obs(nullptr);
     Rng source_rng(seed * 7919);

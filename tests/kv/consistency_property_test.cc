@@ -11,6 +11,7 @@
 
 #include <map>
 #include <optional>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -27,6 +28,13 @@ struct ConsistencyCase {
   std::string topology;  // "single" or "section3"
   bool strict;           // assert one-copy serialisability
 };
+
+// Names the case in test listings; without it gtest prints the struct's
+// raw bytes, heap pointers included, into every test name.
+void PrintTo(const ConsistencyCase& c, std::ostream* os) {
+  *os << c.protocol << " on " << c.topology
+      << (c.strict ? " (strict)" : " (loose)");
+}
 
 std::shared_ptr<const Topology> BuildTopology(const std::string& name) {
   if (name == "single") return testing_util::SingleSegment(4);

@@ -11,7 +11,6 @@
 #include "core/dynamic_voting.h"
 #include "core/mcv.h"
 #include "core/registry.h"
-#include "core/trace.h"
 #include "model/export.h"
 #include "model/replicated_experiment.h"
 #include "model/site_profile.h"
@@ -480,12 +479,6 @@ TEST(BatchedPlanForTest, UsedOrInstrumentedProtocolsStayOnSolo) {
   {  // Message counts carried in from elsewhere.
     ProtocolSet set = MakeProtocols(spec, names);
     set[0]->counter()->Add(MessageKind::kProbe, 1);
-    EXPECT_FALSE(BatchedPlanFor(spec, set).has_value());
-  }
-  {
-    ProtocolSet set = MakeProtocols(spec, names);
-    DecisionLog log;
-    set[3]->set_decision_log(&log);
     EXPECT_FALSE(BatchedPlanFor(spec, set).has_value());
   }
   {
