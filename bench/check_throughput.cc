@@ -1,6 +1,7 @@
 // Model-checker throughput harness: the parallel exploration fan-out
 // against the sequential engine, the transition savings of partial-order
-// reduction, and the deepest exhaustive bounds this build demonstrates.
+// reduction, the deepest exhaustive bounds this build demonstrates, and
+// the memory one reached state costs.
 //
 // Results are written to BENCH_check.json (override with --out=PATH) in
 // a stable schema so successive PRs can track the checker's reach:
@@ -19,6 +20,11 @@
 //     "depth": [
 //       {"universe": "...", "protocol": "...", "depth": N,
 //        "states": N, "transitions": N, "seconds": F, "por": B}, ...
+//     ],
+//     "memory": [
+//       {"universe": "...", "protocol": "...", "depth": N,
+//        "closed_at_depth": N, "states": N, "peak_rss_delta_mb": F,
+//        "bytes_per_state": F}, ...
 //     ]
 //   }
 //
@@ -30,9 +36,13 @@
 // with reduction off and assert the visited-state *set* (count and
 // order-independent digest) is unchanged. "depth" rows are one-shot
 // demonstrations of the bounds the ROADMAP targets (single3 >= 11,
-// section3 >= 6), with wall-clock seconds for the record.
+// section3 >= 6), with wall-clock seconds for the record. "memory" rows
+// run a universe to closure and divide the growth of the process's peak
+// resident set (VmHWM) over the run by the states it reached; they run
+// first, before any other row has grown the heap.
 
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -230,6 +240,58 @@ void BenchDepths(std::vector<DepthEntry>* out) {
 }
 
 // ---------------------------------------------------------------------
+// Memory per state (one-shot, to closure)
+// ---------------------------------------------------------------------
+
+struct MemoryEntry {
+  std::string universe;
+  std::string protocol;
+  int depth = 0;
+  int closed_at_depth = 0;
+  std::uint64_t states = 0;
+  double peak_rss_delta_mb = 0.0;
+  double bytes_per_state = 0.0;
+};
+
+/// The process's peak resident set size in bytes (VmHWM), or 0 where
+/// /proc/self/status is unavailable.
+double PeakRssBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) * 1024.0;  // kB
+    }
+  }
+  return 0.0;
+}
+
+void BenchMemory(std::vector<MemoryEntry>* out) {
+  // LDV on section3 closes at 126,914 states inside depth 20: large
+  // enough that the checker's per-state containers dwarf the process's
+  // baseline, small enough to run in a couple of seconds.
+  check::CheckOptions options = ExhaustiveOptions("LDV", "section3", 20);
+  options.jobs = 4;
+  const double before = PeakRssBytes();
+  const check::CheckReport report = MustCheck(options);
+  const double after = PeakRssBytes();
+  if (report.counterexample.has_value() || report.closed_at_depth == 0) {
+    std::cerr << "memory row did not run LDV on section3 to closure\n";
+    std::exit(1);
+  }
+  MemoryEntry entry;
+  entry.universe = options.topology;
+  entry.protocol = options.protocol;
+  entry.depth = options.depth;
+  entry.closed_at_depth = report.closed_at_depth;
+  entry.states = report.states_visited;
+  entry.peak_rss_delta_mb = (after - before) / (1024.0 * 1024.0);
+  entry.bytes_per_state =
+      (after - before) / static_cast<double>(report.states_visited);
+  out->push_back(entry);
+}
+
+// ---------------------------------------------------------------------
 // Output
 // ---------------------------------------------------------------------
 
@@ -242,7 +304,8 @@ std::string FormatDouble(double value) {
 
 std::string ToJson(const std::vector<SpeedupEntry>& speedups,
                    const std::vector<PorEntry>& por,
-                   const std::vector<DepthEntry>& depths) {
+                   const std::vector<DepthEntry>& depths,
+                   const std::vector<MemoryEntry>& memory) {
   std::ostringstream os;
   os << "{\n  \"schema\": \"" << kCheckBenchSchema << "\",\n"
      << "  \"benchmarks\": [\n";
@@ -278,6 +341,17 @@ std::string ToJson(const std::vector<SpeedupEntry>& speedups,
        << (e.por ? "true" : "false") << "}"
        << (i + 1 < depths.size() ? "," : "") << "\n";
   }
+  os << "  ],\n  \"memory\": [\n";
+  for (std::size_t i = 0; i < memory.size(); ++i) {
+    const MemoryEntry& e = memory[i];
+    os << "    {\"universe\": \"" << e.universe << "\", \"protocol\": \""
+       << e.protocol << "\", \"depth\": " << e.depth
+       << ", \"closed_at_depth\": " << e.closed_at_depth
+       << ", \"states\": " << e.states << ", \"peak_rss_delta_mb\": "
+       << FormatDouble(e.peak_rss_delta_mb) << ", \"bytes_per_state\": "
+       << FormatDouble(e.bytes_per_state) << "}"
+       << (i + 1 < memory.size() ? "," : "") << "\n";
+  }
   os << "  ]\n}\n";
   return os.str();
 }
@@ -297,6 +371,8 @@ int Main(int argc, char** argv) {
   std::vector<SpeedupEntry> speedups;
   std::vector<PorEntry> por;
   std::vector<DepthEntry> depths;
+  std::vector<MemoryEntry> memory;
+  BenchMemory(&memory);
   BenchSpeedups(min_ms, &speedups);
   BenchPor(&por);
   BenchDepths(&depths);
@@ -318,13 +394,20 @@ int Main(int argc, char** argv) {
               << e.states << " states, " << e.transitions
               << " transitions in " << FormatDouble(e.seconds) << "s\n";
   }
+  for (const MemoryEntry& e : memory) {
+    std::cout << "  memory " << e.protocol << " " << e.universe << "@"
+              << e.depth << " (closed at " << e.closed_at_depth << "): "
+              << e.states << " states, +"
+              << FormatDouble(e.peak_rss_delta_mb) << " MB peak RSS, "
+              << FormatDouble(e.bytes_per_state) << " B/state\n";
+  }
 
   std::ofstream out(out_path);
   if (!out) {
     std::cerr << "cannot write " << out_path << "\n";
     return 1;
   }
-  out << ToJson(speedups, por, depths);
+  out << ToJson(speedups, por, depths, memory);
   std::cout << "wrote " << out_path << "\n";
   return 0;
 }

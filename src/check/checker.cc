@@ -135,11 +135,23 @@ void ParallelFor(ThreadPool* pool, std::size_t n,
   pool->Wait();
 }
 
-/// One frontier entry: a representative schedule for a distinct reached
-/// state, plus the toggle order of its final action.
+/// One distinct reached state in the BFS tree. levels[d][i] is the i-th
+/// state first reached at depth d; its schedule is its parent's (entry
+/// `parent` of levels[d - 1]) plus alphabet[action]. The root,
+/// levels[0][0], stands for the empty schedule. Parent links keep an
+/// entry at 12 bytes however deep it sits.
 struct FrontierEntry {
-  std::vector<CheckAction> schedule;
-  int last_toggle = -1;
+  std::uint32_t parent = 0;  // index into the previous level
+  std::uint32_t action = 0;  // alphabet index
+  int last_toggle = -1;      // POR toggle order of `action`
+};
+
+using Levels = std::vector<std::vector<FrontierEntry>>;
+
+/// An expansion's rare outcomes, kept out of line (see Expansion).
+struct Failure {
+  Status status;  // harness construction / replay configuration errors
+  std::optional<Violation> violation;
 };
 
 /// One (frontier entry, action) expansion of the current BFS level: the
@@ -155,15 +167,17 @@ struct Expansion {
   std::uint32_t action = 0;  // alphabet index
 
   // Phase-A results.
-  Status status;  // harness construction / replay configuration errors
-  std::optional<Violation> violation;
   bool canonical = false;
   /// The signature's min-token cell in the visited set; null unless
   /// memoizing and canonical. Read only after the level barrier.
   const std::uint64_t* claim = nullptr;
   std::uint64_t commits = 0;
   std::uint64_t reads = 0;
+  /// Null unless this expansion failed or violated an invariant.
+  std::unique_ptr<Failure> failure;
 };
+// Failures are rare (one per run at most), so they live out of line.
+static_assert(sizeof(Expansion) <= 48, "BFS slot outgrew its budget");
 
 /// POR's total order position of alphabet action `ai`: its index for a
 /// toggle, -1 for a data-plane move.
@@ -171,17 +185,17 @@ int ToggleOrder(const Exploration& ex, std::size_t ai) {
   return ai < ex.num_toggles ? static_cast<int>(ai) : -1;
 }
 
-/// The schedule an expansion represents: its entry's prefix plus the
-/// appended action. Built only for states that enter the next frontier
-/// or become the counterexample.
+/// The schedule levels[depth][index] represents, rebuilt by walking its
+/// parent links back to the root.
 std::vector<CheckAction> ScheduleOf(const Exploration& ex,
-                                    const std::vector<FrontierEntry>& frontier,
-                                    const Expansion& e) {
-  const std::vector<CheckAction>& prefix = frontier[e.parent].schedule;
-  std::vector<CheckAction> schedule;
-  schedule.reserve(prefix.size() + 1);
-  schedule.assign(prefix.begin(), prefix.end());
-  schedule.push_back(ex.alphabet[e.action]);
+                                    const Levels& levels, std::size_t depth,
+                                    std::uint32_t index) {
+  std::vector<CheckAction> schedule(depth);
+  for (std::size_t d = depth; d > 0; --d) {
+    const FrontierEntry& entry = levels[d][index];
+    schedule[d - 1] = ex.alphabet[entry.action];
+    index = entry.parent;
+  }
   return schedule;
 }
 
@@ -189,12 +203,13 @@ Status RunExhaustive(Exploration* ex) {
   ex->report.unpruned_sequences =
       UnprunedSequences(ex->alphabet.size(), ex->options.depth);
 
-  // Level-synchronous BFS. The frontier holds one representative
-  // schedule per distinct reached state; each entry's state is rebuilt
-  // once per level by replaying that schedule, and every child branches
-  // off it through CheckHarness::Clone. Claim tokens grow monotonically
-  // across levels, so a state first reached at an earlier level always
-  // outranks (is smaller than) every current-level claim.
+  // Level-synchronous BFS. Each level holds one parent-linked entry per
+  // distinct state first reached at that depth; an entry's state is
+  // rebuilt once, when its level is expanded, by replaying the schedule
+  // its links spell out, and every child branches off it through
+  // CheckHarness::Clone. Claim tokens grow monotonically across levels,
+  // so a state first reached at an earlier level always outranks (is
+  // smaller than) every current-level claim.
   ShardedVisitedSet visited;
   bool all_canonical = true;
   std::uint64_t next_token = 1;
@@ -205,7 +220,7 @@ Status RunExhaustive(Exploration* ex) {
     ex->report.visited_digest = memoize ? visited.Digest() : 0;
   };
 
-  std::vector<FrontierEntry> frontier;
+  Levels levels;
   {
     std::unique_ptr<CheckHarness> harness;
     DYNVOTE_ASSIGN_OR_RETURN(std::optional<Violation> violation,
@@ -217,11 +232,12 @@ Status RunExhaustive(Exploration* ex) {
     } else {
       all_canonical = false;
     }
-    frontier.push_back({{}, -1});
+    levels.push_back({FrontierEntry{}});
     ex->report.states_visited = 1;
   }
 
-  for (int d = 0; d < ex->options.depth && !frontier.empty(); ++d) {
+  for (int d = 0; d < ex->options.depth; ++d) {
+    const std::vector<FrontierEntry>& frontier = levels.back();
     // The level work list, in the exact order a sequential BFS would
     // expand (frontier order x alphabet order), minus the interleavings
     // POR canonicalizes away: appending toggle a after toggle b with
@@ -251,37 +267,49 @@ Status RunExhaustive(Exploration* ex) {
     next_token += slots.size();
 
     // Phase A: one task per frontier entry. The worker rebuilds the
-    // entry's state once, then clones it for each child, applies that
-    // child's action and publishes the canonical signature into the
+    // entry's schedule from its parent links and its state by replaying
+    // that schedule once, then clones the state for each child, applies
+    // that child's action and publishes the canonical signature into the
     // sharded visited set under per-shard locks; min-combine makes the
     // set's final contents independent of the interleaving. Workers fill
     // disjoint slots.
-    ParallelFor(ex->pool, frontier.size(), [ex, &frontier, &slots,
+    const std::size_t depth = static_cast<std::size_t>(d);
+    ParallelFor(ex->pool, frontier.size(), [ex, &levels, depth, &slots,
                                             &first_slot, &visited,
                                             first_token](std::size_t p) {
       const std::size_t begin = first_slot[p];
       const std::size_t end = first_slot[p + 1];
       if (begin == end) return;
+      const std::vector<CheckAction> schedule =
+          ScheduleOf(*ex, levels, depth, static_cast<std::uint32_t>(p));
       std::unique_ptr<CheckHarness> state;
-      auto replayed = Replay(*ex, frontier[p].schedule, &state);
+      auto replayed = Replay(*ex, schedule, &state);
       if (!replayed.ok()) {
-        slots[begin].status = replayed.status();
+        slots[begin].failure =
+            std::make_unique<Failure>(Failure{replayed.status(), {}});
         return;
       }
       if (replayed->has_value()) {
-        slots[begin].status = Status::Internal(
-            "frontier schedule violates on replay: " +
-            ScheduleToString(frontier[p].schedule));
+        slots[begin].failure = std::make_unique<Failure>(
+            Failure{Status::Internal("frontier schedule violates on replay: " +
+                                     ScheduleToString(schedule)),
+                    {}});
         return;
       }
       std::string signature;
       for (std::size_t i = begin; i < end; ++i) {
         Expansion& e = slots[i];
         std::unique_ptr<CheckHarness> child = state->Clone();
-        e.violation = child->Apply(ex->alphabet[e.action]);
+        std::optional<Violation> violation =
+            child->Apply(ex->alphabet[e.action]);
         e.commits = child->commits();
         e.reads = child->reads_checked();
-        if (e.violation.has_value() || !ex->options.memoize) continue;
+        if (violation.has_value()) {
+          e.failure = std::make_unique<Failure>(
+              Failure{Status::OK(), std::move(violation)});
+          continue;
+        }
+        if (!ex->options.memoize) continue;
         signature.clear();
         e.canonical = child->AppendSignature(&signature);
         if (e.canonical) {
@@ -297,17 +325,23 @@ Status RunExhaustive(Exploration* ex) {
     // for any job count. The level barrier orders the claim-cell reads
     // after every phase-A write.
     std::vector<FrontierEntry> next;
+    const std::uint64_t states_before = ex->report.states_visited;
     for (std::size_t i = 0; i < slots.size(); ++i) {
       const Expansion& e = slots[i];
-      DYNVOTE_RETURN_NOT_OK(e.status);
+      if (e.failure != nullptr) {
+        DYNVOTE_RETURN_NOT_OK(e.failure->status);
+      }
       ++ex->report.transitions;
       ex->report.commits += e.commits;
       ex->report.reads_checked += e.reads;
-      if (e.violation.has_value()) {
+      if (e.failure != nullptr) {
+        std::vector<CheckAction> schedule =
+            ScheduleOf(*ex, levels, depth, e.parent);
+        schedule.push_back(ex->alphabet[e.action]);
         DYNVOTE_ASSIGN_OR_RETURN(
             ex->report.counterexample,
-            BuildCounterExample(*ex, ScheduleOf(*ex, frontier, e),
-                                *e.violation));
+            BuildCounterExample(*ex, std::move(schedule),
+                                *e.failure->violation));
         finish();
         return Status::OK();
       }
@@ -319,11 +353,16 @@ Status RunExhaustive(Exploration* ex) {
       }
       ++ex->report.states_visited;
       if (d + 1 < ex->options.depth) {
-        next.push_back(
-            {ScheduleOf(*ex, frontier, e), ToggleOrder(*ex, e.action)});
+        next.push_back({e.parent, e.action, ToggleOrder(*ex, e.action)});
       }
     }
-    frontier = std::move(next);
+    if (ex->report.states_visited == states_before) {
+      // Every successor of the previous level was already visited, so
+      // no longer schedule reaches a new state either.
+      ex->report.closed_at_depth = d + 1;
+      break;
+    }
+    levels.push_back(std::move(next));
   }
   finish();
   return Status::OK();

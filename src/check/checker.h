@@ -89,6 +89,12 @@ struct CheckReport {
   /// state *sets*: the POR on/off equivalence and jobs-determinism
   /// checks compare this, not just the count.
   std::uint64_t visited_digest = 0;
+  /// Exhaustive mode: the first depth whose BFS level reached no state
+  /// that an earlier level had not, i.e. the reachable state space is
+  /// exhausted and the verdict holds for schedules of every length.
+  /// Checked up to and including `depth`; 0 means the space is still
+  /// open at the bound (or a violation ended the search first).
+  int closed_at_depth = 0;
   /// Present iff an invariant violation was found (already shrunk when
   /// options.shrink).
   std::optional<CounterExample> counterexample;

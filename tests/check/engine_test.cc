@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "check/checker.h"
 #include "check/counterexample.h"
 #include "check/shrink.h"
@@ -222,6 +224,7 @@ TEST(CheckGoldenTest, Section3Depth8ReportIsPinned) {
     EXPECT_EQ(report->commits, 110703u) << jobs;
     EXPECT_EQ(report->reads_checked, 210641u) << jobs;
     EXPECT_EQ(report->visited_digest, 0xbd318a10362d0caeull) << jobs;
+    EXPECT_EQ(report->closed_at_depth, 0) << jobs;
     EXPECT_TRUE(report->memoized);
     EXPECT_TRUE(report->por_active);
     EXPECT_FALSE(report->counterexample.has_value());
@@ -262,6 +265,64 @@ TEST(CheckGoldenTest, TdvPairsDepth5CounterexampleIsPinned) {
     EXPECT_EQ(CounterExampleToJson(*report->counterexample), expected)
         << jobs;
   }
+}
+
+// Section3 closure goldens, captured before the BFS frontier switched
+// to parent links: MCV and DV exhaust their reachable state space well
+// inside depth 16, so these are the whole universe's state sets.
+TEST(CheckGoldenTest, Section3ClosureIsPinned) {
+  struct Golden {
+    const char* protocol;
+    std::uint64_t states;
+    std::uint64_t transitions;
+    std::uint64_t commits;
+    std::uint64_t reads;
+    std::uint64_t digest;
+    int closed_at_depth;
+  };
+  const Golden goldens[] = {
+      {"MCV", 1792, 10808, 21184, 1624, 0x25fb774c4c163ae0ull, 11},
+      {"DV", 22786, 205074, 308555, 3208, 0x2fe9ff47d4381e49ull, 14},
+  };
+  for (const Golden& g : goldens) {
+    CheckOptions options;
+    options.protocol = g.protocol;
+    options.topology = "section3";
+    options.depth = 16;
+    for (int jobs : {1, 4}) {
+      options.jobs = jobs;
+      auto report = RunCheck(options);
+      ASSERT_TRUE(report.ok()) << report.status();
+      EXPECT_EQ(report->states_visited, g.states) << g.protocol << jobs;
+      EXPECT_EQ(report->transitions, g.transitions) << g.protocol << jobs;
+      EXPECT_EQ(report->commits, g.commits) << g.protocol << jobs;
+      EXPECT_EQ(report->reads_checked, g.reads) << g.protocol << jobs;
+      EXPECT_EQ(report->visited_digest, g.digest) << g.protocol << jobs;
+      EXPECT_EQ(report->closed_at_depth, g.closed_at_depth)
+          << g.protocol << jobs;
+      EXPECT_TRUE(report->memoized);
+      EXPECT_FALSE(report->counterexample.has_value());
+    }
+  }
+}
+
+// MCV reaches its last new state at depth 10. A depth-10 bound has not
+// yet seen a level add nothing, so the space is still open there; the
+// depth-11 bound's final level is the first empty one and counts.
+TEST(CheckGoldenTest, ClosureIsCountedAtTheFinalLevel) {
+  CheckOptions options;
+  options.protocol = "MCV";
+  options.topology = "section3";
+  options.depth = 10;
+  auto at_ten = RunCheck(options);
+  ASSERT_TRUE(at_ten.ok()) << at_ten.status();
+  EXPECT_EQ(at_ten->states_visited, 1792u);
+  EXPECT_EQ(at_ten->closed_at_depth, 0);
+  options.depth = 11;
+  auto at_eleven = RunCheck(options);
+  ASSERT_TRUE(at_eleven.ok()) << at_eleven.status();
+  EXPECT_EQ(at_eleven->states_visited, 1792u);
+  EXPECT_EQ(at_eleven->closed_at_depth, 11);
 }
 
 }  // namespace

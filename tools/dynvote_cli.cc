@@ -53,6 +53,7 @@
 // docs/model_checking.md).
 
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -1190,7 +1191,14 @@ int Check(const Options& opt) {
   std::cout << "\n";
   if (options.mode == check::CheckMode::kExhaustive) {
     std::cout << "states visited:     " << report->states_visited << "\n"
-              << "unpruned sequences: " << report->unpruned_sequences << "\n";
+              << "unpruned sequences: ";
+    // The count saturates at uint64 max rather than wrapping; say so
+    // instead of printing the cap as if it were exact.
+    if (report->unpruned_sequences == ~std::uint64_t{0}) {
+      std::cout << "saturated (>= " << report->unpruned_sequences << ")\n";
+    } else {
+      std::cout << report->unpruned_sequences << "\n";
+    }
     if (report->memoized) {
       // Order-independent digest of the visited-state *set*: CI compares
       // it across --check-jobs values and --no-por to prove neither
@@ -1199,6 +1207,12 @@ int Check(const Options& opt) {
       std::snprintf(digest, sizeof(digest), "%016llx",
                     static_cast<unsigned long long>(report->visited_digest));
       std::cout << "visited digest:     " << digest << "\n";
+    }
+    std::cout << "closed at depth:    ";
+    if (report->closed_at_depth > 0) {
+      std::cout << report->closed_at_depth << "\n";
+    } else {
+      std::cout << "open\n";
     }
   }
   std::cout << "transitions:        " << report->transitions << "\n"
