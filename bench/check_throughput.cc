@@ -23,8 +23,8 @@
 //     ],
 //     "memory": [
 //       {"universe": "...", "protocol": "...", "depth": N,
-//        "closed_at_depth": N, "states": N, "peak_rss_delta_mb": F,
-//        "bytes_per_state": F}, ...
+//        "closed_at_depth": N, "states": N, "seconds": F,
+//        "peak_rss_delta_mb": F, "bytes_per_state": F}, ...
 //     ]
 //   }
 //
@@ -37,9 +37,10 @@
 // order-independent digest) is unchanged. "depth" rows are one-shot
 // demonstrations of the bounds the ROADMAP targets (single3 >= 11,
 // section3 >= 6), with wall-clock seconds for the record. "memory" rows
-// run a universe to closure and divide the growth of the process's peak
-// resident set (VmHWM) over the run by the states it reached; they run
-// first, before any other row has grown the heap.
+// run a universe to closure, record its wall-clock seconds, and divide
+// the growth of the process's peak resident set (VmHWM) over the run by
+// the states it reached; they run first, before any other row has grown
+// the heap.
 
 #include <cstdint>
 #include <cstdlib>
@@ -249,6 +250,7 @@ struct MemoryEntry {
   int depth = 0;
   int closed_at_depth = 0;
   std::uint64_t states = 0;
+  double seconds = 0.0;
   double peak_rss_delta_mb = 0.0;
   double bytes_per_state = 0.0;
 };
@@ -273,7 +275,9 @@ void BenchMemory(std::vector<MemoryEntry>* out) {
   check::CheckOptions options = ExhaustiveOptions("LDV", "section3", 20);
   options.jobs = 4;
   const double before = PeakRssBytes();
+  const auto t0 = std::chrono::steady_clock::now();
   const check::CheckReport report = MustCheck(options);
+  const auto t1 = std::chrono::steady_clock::now();
   const double after = PeakRssBytes();
   if (report.counterexample.has_value() || report.closed_at_depth == 0) {
     std::cerr << "memory row did not run LDV on section3 to closure\n";
@@ -285,6 +289,7 @@ void BenchMemory(std::vector<MemoryEntry>* out) {
   entry.depth = options.depth;
   entry.closed_at_depth = report.closed_at_depth;
   entry.states = report.states_visited;
+  entry.seconds = std::chrono::duration<double>(t1 - t0).count();
   entry.peak_rss_delta_mb = (after - before) / (1024.0 * 1024.0);
   entry.bytes_per_state =
       (after - before) / static_cast<double>(report.states_visited);
@@ -347,7 +352,8 @@ std::string ToJson(const std::vector<SpeedupEntry>& speedups,
     os << "    {\"universe\": \"" << e.universe << "\", \"protocol\": \""
        << e.protocol << "\", \"depth\": " << e.depth
        << ", \"closed_at_depth\": " << e.closed_at_depth
-       << ", \"states\": " << e.states << ", \"peak_rss_delta_mb\": "
+       << ", \"states\": " << e.states << ", \"seconds\": "
+       << FormatDouble(e.seconds) << ", \"peak_rss_delta_mb\": "
        << FormatDouble(e.peak_rss_delta_mb) << ", \"bytes_per_state\": "
        << FormatDouble(e.bytes_per_state) << "}"
        << (i + 1 < memory.size() ? "," : "") << "\n";
@@ -397,7 +403,8 @@ int Main(int argc, char** argv) {
   for (const MemoryEntry& e : memory) {
     std::cout << "  memory " << e.protocol << " " << e.universe << "@"
               << e.depth << " (closed at " << e.closed_at_depth << "): "
-              << e.states << " states, +"
+              << e.states << " states in " << FormatDouble(e.seconds)
+              << "s, +"
               << FormatDouble(e.peak_rss_delta_mb) << " MB peak RSS, "
               << FormatDouble(e.bytes_per_state) << " B/state\n";
   }

@@ -41,9 +41,9 @@ Result<std::unique_ptr<CheckHarness>> FreshHarness(const Exploration& ex) {
 }
 
 /// Replays `schedule` on a fresh harness; returns the violation it trips,
-/// if any, and hands the harness back. Exhaustive mode replays only
-/// frontier schedules (then clones per child); shrinking replays every
-/// candidate.
+/// if any, and hands the harness back. Exhaustive mode replays only the
+/// empty schedule (the root of each task's ancestor path, see
+/// AncestorPath); shrinking replays every candidate.
 Result<std::optional<Violation>> Replay(
     const Exploration& ex, const std::vector<CheckAction>& schedule,
     std::unique_ptr<CheckHarness>* harness_out) {
@@ -111,26 +111,26 @@ std::uint64_t UnprunedSequences(std::size_t alphabet, int depth) {
   return total;
 }
 
-/// Runs body(i) for every i in [0, n): inline without a pool, otherwise
-/// fanned out in contiguous chunks over the workers. Bodies must be
-/// independent and write only their own pre-assigned slot — determinism
-/// never depends on completion order.
-void ParallelFor(ThreadPool* pool, std::size_t n,
-                 const std::function<void(std::size_t)>& body) {
-  if (pool == nullptr || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
+/// Runs body(begin, end) over contiguous ranges that cover [0, n): the
+/// whole range inline without a pool, otherwise a few chunks per worker.
+/// Bodies must be independent and write only their own pre-assigned
+/// slots — determinism never depends on completion order or chunking.
+void ParallelFor(
+    ThreadPool* pool, std::size_t n,
+    const std::function<void(std::size_t, std::size_t)>& body) {
+  if (n == 0) return;
+  if (pool == nullptr || n == 1) {
+    body(0, n);
     return;
   }
-  // A few chunks per worker so a slow chunk (deep replays) does not
+  // A few chunks per worker so a slow chunk (deep rebuilds) does not
   // leave the rest of the pool idle at the level barrier.
   const std::size_t target =
       static_cast<std::size_t>(pool->num_threads()) * 4;
   const std::size_t chunk = std::max<std::size_t>(1, (n + target - 1) / target);
   for (std::size_t begin = 0; begin < n; begin += chunk) {
     const std::size_t end = std::min(n, begin + chunk);
-    pool->Submit([&body, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) body(i);
-    });
+    pool->Submit([&body, begin, end] { body(begin, end); });
   }
   pool->Wait();
 }
@@ -164,20 +164,22 @@ struct Failure {
 /// "lost the race to an earlier-ordered expansion".
 struct Expansion {
   std::uint32_t parent = 0;  // frontier index
-  std::uint32_t action = 0;  // alphabet index
+  std::uint16_t action = 0;  // alphabet index (a dozen actions at most)
 
   // Phase-A results.
   bool canonical = false;
+  /// The child schedule's commit/read totals: at most one commit per
+  /// action and one read per site per action, far inside 32 bits.
+  std::uint32_t commits = 0;
+  std::uint32_t reads = 0;
   /// The signature's min-token cell in the visited set; null unless
   /// memoizing and canonical. Read only after the level barrier.
   const std::uint64_t* claim = nullptr;
-  std::uint64_t commits = 0;
-  std::uint64_t reads = 0;
   /// Null unless this expansion failed or violated an invariant.
   std::unique_ptr<Failure> failure;
 };
 // Failures are rare (one per run at most), so they live out of line.
-static_assert(sizeof(Expansion) <= 48, "BFS slot outgrew its budget");
+static_assert(sizeof(Expansion) <= 32, "BFS slot outgrew its budget");
 
 /// POR's total order position of alphabet action `ai`: its index for a
 /// toggle, -1 for a data-plane move.
@@ -199,17 +201,80 @@ std::vector<CheckAction> ScheduleOf(const Exploration& ex,
   return schedule;
 }
 
+/// One task's states along the ancestor chain of the frontier entry it
+/// rebuilt last: states_[k] holds that entry's level-k ancestor (states_[0]
+/// the root), index_[k] its index in levels[k]. A task walks a contiguous
+/// run of one level, whose neighbouring entries share all but their last
+/// few ancestors, so moving to the next entry re-applies only the actions
+/// below the deepest ancestor the two share — one AssignFrom plus one
+/// Apply per level — instead of replaying the whole schedule.
+class AncestorPath {
+ public:
+  /// The state of levels[depth][entry].
+  Result<const CheckHarness*> MoveTo(const Exploration& ex,
+                                     const Levels& levels, std::size_t depth,
+                                     std::uint32_t entry) {
+    if (states_.empty()) {
+      std::unique_ptr<CheckHarness> root;
+      DYNVOTE_ASSIGN_OR_RETURN(std::optional<Violation> violation,
+                               Replay(ex, {}, &root));
+      (void)violation;  // empty schedule cannot violate
+      states_.push_back(std::move(root));
+      index_.push_back(0);
+      valid_ = 1;
+    }
+    target_.resize(depth + 1);
+    target_[depth] = entry;
+    for (std::size_t d = depth; d > 0; --d) {
+      target_[d - 1] = levels[d][target_[d]].parent;
+    }
+    // Every level's entries form a tree under the root, so the first
+    // level whose ancestors differ ends the shared prefix.
+    std::size_t shared = 0;
+    while (shared + 1 < valid_ && shared + 1 <= depth &&
+           index_[shared + 1] == target_[shared + 1]) {
+      ++shared;
+    }
+    valid_ = shared + 1;
+    for (std::size_t k = shared + 1; k <= depth; ++k) {
+      if (k == states_.size()) {
+        DYNVOTE_ASSIGN_OR_RETURN(std::unique_ptr<CheckHarness> made,
+                                 FreshHarness(ex));
+        states_.push_back(std::move(made));
+        index_.push_back(0);
+      }
+      states_[k]->AssignFrom(*states_[k - 1]);
+      if (states_[k]
+              ->Apply(ex.alphabet[levels[k][target_[k]].action])
+              .has_value()) {
+        return Status::Internal(
+            "frontier schedule violates on replay: " +
+            ScheduleToString(ScheduleOf(ex, levels, depth, entry)));
+      }
+      index_[k] = target_[k];
+      valid_ = k + 1;
+    }
+    return states_[depth].get();
+  }
+
+ private:
+  std::vector<std::unique_ptr<CheckHarness>> states_;
+  std::vector<std::uint32_t> index_;
+  std::vector<std::uint32_t> target_;  // scratch: the entry's ancestors
+  std::size_t valid_ = 0;              // states_[0, valid_) are current
+};
+
 Status RunExhaustive(Exploration* ex) {
   ex->report.unpruned_sequences =
       UnprunedSequences(ex->alphabet.size(), ex->options.depth);
 
   // Level-synchronous BFS. Each level holds one parent-linked entry per
   // distinct state first reached at that depth; an entry's state is
-  // rebuilt once, when its level is expanded, by replaying the schedule
-  // its links spell out, and every child branches off it through
-  // CheckHarness::Clone. Claim tokens grow monotonically across levels,
-  // so a state first reached at an earlier level always outranks (is
-  // smaller than) every current-level claim.
+  // rebuilt once, when its level is expanded, from the ancestor states
+  // its task already holds (AncestorPath), and every child is assigned
+  // from it into the task's one scratch harness. Claim tokens grow
+  // monotonically across levels, so a state first reached at an earlier
+  // level always outranks (is smaller than) every current-level claim.
   ShardedVisitedSet visited;
   bool all_canonical = true;
   std::uint64_t next_token = 1;
@@ -259,61 +324,61 @@ Status RunExhaustive(Exploration* ex) {
         }
         Expansion& e = slots.emplace_back();
         e.parent = static_cast<std::uint32_t>(p);
-        e.action = static_cast<std::uint32_t>(ai);
+        e.action = static_cast<std::uint16_t>(ai);
       }
     }
     first_slot.push_back(slots.size());
     const std::uint64_t first_token = next_token;
     next_token += slots.size();
 
-    // Phase A: one task per frontier entry. The worker rebuilds the
-    // entry's schedule from its parent links and its state by replaying
-    // that schedule once, then clones the state for each child, applies
-    // that child's action and publishes the canonical signature into the
-    // sharded visited set under per-shard locks; min-combine makes the
-    // set's final contents independent of the interleaving. Workers fill
-    // disjoint slots.
+    // Phase A: one task per contiguous run of frontier entries. For each
+    // entry the task rebuilds the entry's state on its ancestor path,
+    // then for each child assigns that state into its scratch harness,
+    // applies the child's action and publishes the canonical signature
+    // into the sharded visited set under per-shard locks; min-combine
+    // makes the set's final contents independent of the interleaving.
+    // Workers fill disjoint slots.
     const std::size_t depth = static_cast<std::size_t>(d);
     ParallelFor(ex->pool, frontier.size(), [ex, &levels, depth, &slots,
                                             &first_slot, &visited,
-                                            first_token](std::size_t p) {
-      const std::size_t begin = first_slot[p];
-      const std::size_t end = first_slot[p + 1];
-      if (begin == end) return;
-      const std::vector<CheckAction> schedule =
-          ScheduleOf(*ex, levels, depth, static_cast<std::uint32_t>(p));
-      std::unique_ptr<CheckHarness> state;
-      auto replayed = Replay(*ex, schedule, &state);
-      if (!replayed.ok()) {
-        slots[begin].failure =
-            std::make_unique<Failure>(Failure{replayed.status(), {}});
-        return;
-      }
-      if (replayed->has_value()) {
-        slots[begin].failure = std::make_unique<Failure>(
-            Failure{Status::Internal("frontier schedule violates on replay: " +
-                                     ScheduleToString(schedule)),
-                    {}});
-        return;
-      }
+                                            first_token](std::size_t first,
+                                                         std::size_t last) {
+      AncestorPath path;
+      auto child = FreshHarness(*ex);
       std::string signature;
-      for (std::size_t i = begin; i < end; ++i) {
-        Expansion& e = slots[i];
-        std::unique_ptr<CheckHarness> child = state->Clone();
-        std::optional<Violation> violation =
-            child->Apply(ex->alphabet[e.action]);
-        e.commits = child->commits();
-        e.reads = child->reads_checked();
-        if (violation.has_value()) {
-          e.failure = std::make_unique<Failure>(
-              Failure{Status::OK(), std::move(violation)});
-          continue;
+      for (std::size_t p = first; p < last; ++p) {
+        const std::size_t begin = first_slot[p];
+        const std::size_t end = first_slot[p + 1];
+        if (begin == end) continue;
+        Result<const CheckHarness*> state =
+            child.ok() ? path.MoveTo(*ex, levels, depth,
+                                     static_cast<std::uint32_t>(p))
+                       : child.status();
+        if (!state.ok()) {
+          // Phase B stops at this slot: every earlier slot is filled.
+          slots[begin].failure =
+              std::make_unique<Failure>(Failure{state.status(), {}});
+          return;
         }
-        if (!ex->options.memoize) continue;
-        signature.clear();
-        e.canonical = child->AppendSignature(&signature);
-        if (e.canonical) {
-          e.claim = visited.InsertMin(signature, first_token + i);
+        for (std::size_t i = begin; i < end; ++i) {
+          Expansion& e = slots[i];
+          CheckHarness& scratch = **child;
+          scratch.AssignFrom(**state);
+          std::optional<Violation> violation =
+              scratch.Apply(ex->alphabet[e.action]);
+          e.commits = static_cast<std::uint32_t>(scratch.commits());
+          e.reads = static_cast<std::uint32_t>(scratch.reads_checked());
+          if (violation.has_value()) {
+            e.failure = std::make_unique<Failure>(
+                Failure{Status::OK(), std::move(violation)});
+            continue;
+          }
+          if (!ex->options.memoize) continue;
+          signature.clear();
+          e.canonical = scratch.AppendSignature(&signature);
+          if (e.canonical) {
+            e.claim = visited.InsertMin(signature, first_token + i);
+          }
         }
       }
     });
@@ -385,26 +450,34 @@ Status RunSwarm(Exploration* ex) {
   // Each schedule gets an independent stream derived from (seed, k), so
   // any single schedule can be re-derived in isolation — and run on any
   // worker without coordination.
-  ParallelFor(ex->pool, slots.size(), [ex, &slots](std::size_t k) {
-    SwarmSlot& slot = slots[k];
-    Rng rng(SplitMix64(ex->options.seed + static_cast<std::uint64_t>(k))
-                .Next());
+  ParallelFor(ex->pool, slots.size(), [ex, &slots](std::size_t first,
+                                                    std::size_t last) {
+    // Every schedule starts from the initial state, assigned into the
+    // task's one harness.
+    auto initial = FreshHarness(*ex);
     auto harness = FreshHarness(*ex);
-    if (!harness.ok()) {
-      slot.status = harness.status();
-      return;
+    for (std::size_t k = first; k < last; ++k) {
+      SwarmSlot& slot = slots[k];
+      Rng rng(SplitMix64(ex->options.seed + static_cast<std::uint64_t>(k))
+                  .Next());
+      if (!initial.ok() || !harness.ok()) {
+        slot.status = initial.ok() ? harness.status() : initial.status();
+        continue;
+      }
+      (*harness)->AssignFrom(**initial);
+      slot.schedule.reserve(
+          static_cast<std::size_t>(ex->options.swarm_depth));
+      for (int step = 0; step < ex->options.swarm_depth; ++step) {
+        const CheckAction& action =
+            ex->alphabet[rng.NextBounded(ex->alphabet.size())];
+        slot.schedule.push_back(action);
+        ++slot.transitions;
+        slot.violation = (*harness)->Apply(action);
+        if (slot.violation.has_value()) break;
+      }
+      slot.commits = (*harness)->commits();
+      slot.reads = (*harness)->reads_checked();
     }
-    slot.schedule.reserve(static_cast<std::size_t>(ex->options.swarm_depth));
-    for (int step = 0; step < ex->options.swarm_depth; ++step) {
-      const CheckAction& action =
-          ex->alphabet[rng.NextBounded(ex->alphabet.size())];
-      slot.schedule.push_back(action);
-      ++slot.transitions;
-      slot.violation = (*harness)->Apply(action);
-      if (slot.violation.has_value()) break;
-    }
-    slot.commits = (*harness)->commits();
-    slot.reads = (*harness)->reads_checked();
   });
 
   // Deterministic merge in schedule order: the first violating schedule

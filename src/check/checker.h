@@ -2,15 +2,16 @@
 // CheckHarness either bounded-exhaustively (level-synchronous BFS with
 // canonical-state memoization, so equivalent interleavings are expanded
 // once) or as a seeded swarm of random schedules. Both modes fan their
-// independent work out over a ThreadPool (`jobs`): exhaustive mode one
-// frontier state per task, built once and cloned per child, swarm mode
-// one schedule per task. Results merge in deterministic expansion order,
-// so every report field — verdicts, state counts, the first
-// counterexample — is bit-identical for any job count. Exhaustive mode
-// additionally applies partial-order reduction over commuting toggles
-// when the harness proves them independent. The first invariant
-// violation is shrunk to a 1-minimal reproducer and returned as a
-// replayable CounterExample.
+// independent work out over a ThreadPool (`jobs`): exhaustive mode a
+// contiguous run of frontier states per task, each rebuilt from the
+// task's cached ancestor states and assigned into one scratch harness per
+// child, swarm mode a run of schedules per task. Results merge in
+// deterministic expansion order, so every report field — verdicts, state
+// counts, the first counterexample — is bit-identical for any job count
+// and any chunking. Exhaustive mode additionally applies partial-order
+// reduction over commuting toggles when the harness proves them
+// independent. The first invariant violation is shrunk to a 1-minimal
+// reproducer and returned as a replayable CounterExample.
 
 #pragma once
 

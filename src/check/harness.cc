@@ -1,8 +1,8 @@
 #include "check/harness.h"
 
-#include <map>
-
 #include "core/dynamic_voting.h"
+#include "util/append.h"
+#include "util/logging.h"
 
 namespace dynvote {
 namespace check {
@@ -92,21 +92,22 @@ Result<std::unique_ptr<CheckHarness>> CheckHarness::Make(
   return harness;
 }
 
-std::unique_ptr<CheckHarness> CheckHarness::Clone() const {
-  auto copy = std::unique_ptr<CheckHarness>(new CheckHarness(policy_));
-  copy->arms_.reserve(arms_.size());
-  for (const HarnessArm& arm : arms_) {
-    HarnessArm& branch = copy->arms_.emplace_back();
-    branch.cluster = arm.cluster->Clone();
-    branch.committed = arm.committed;
-    branch.counter = arm.counter;
-    branch.strict = arm.strict;
-    branch.last_statuses = arm.last_statuses;
+void CheckHarness::AssignFrom(const CheckHarness& other) {
+  DYNVOTE_CHECK_MSG(arms_.size() == other.arms_.size(),
+                    "AssignFrom across oracle configurations");
+  policy_ = other.policy_;
+  for (std::size_t i = 0; i < arms_.size(); ++i) {
+    HarnessArm& arm = arms_[i];
+    const HarnessArm& from = other.arms_[i];
+    arm.cluster->AssignFrom(*from.cluster);
+    arm.committed = from.committed;
+    arm.counter = from.counter;
+    arm.strict = from.strict;
+    arm.last_statuses = from.last_statuses;
   }
-  copy->steps_ = steps_;
-  copy->commits_ = commits_;
-  copy->reads_checked_ = reads_checked_;
-  return copy;
+  steps_ = other.steps_;
+  commits_ = other.commits_;
+  reads_checked_ = other.reads_checked_;
 }
 
 bool CheckHarness::TogglesCommute() const {
@@ -349,7 +350,7 @@ std::optional<Violation> CheckHarness::Apply(const CheckAction& action) {
 bool CheckHarness::AppendSignature(std::string* out) const {
   const NetworkState& net = arms_.front().cluster->net();
   out->push_back('n');
-  *out += std::to_string(net.LiveSites().mask());
+  AppendDecimal(net.LiveSites().mask(), out);
   out->push_back('r');
   for (RepeaterId r = 0; r < net.topology().num_repeaters(); ++r) {
     out->push_back(net.IsRepeaterUp(r) ? '1' : '0');
@@ -364,10 +365,12 @@ bool CheckHarness::AppendSignature(std::string* out) const {
     // commit or test membership of the committed set).
     out->push_back('/');
     out->push_back(arm.committed.empty() ? 'e' : 'n');
-    std::map<std::string, int> stale_class;
-    int next_class = 2;
-    for (SiteId s : arm.cluster->protocol().data_sites()) {
-      const KvMap& contents = arm.cluster->store().ReplicaContents(s);
+    // Stale class c is the value stale[c - 2] points at. Only
+    // [0, num_stale) is read, each entry written first; not zeroed, for
+    // the same reason as DenseRanks.
+    const std::string* stale[kMaxSites];
+    int num_stale = 0;
+    for (const auto& [site, contents] : arm.cluster->store().replicas()) {
       auto it = contents.find(kKey);
       int code;
       if (it == contents.end()) {
@@ -376,12 +379,12 @@ bool CheckHarness::AppendSignature(std::string* out) const {
                  it->second == arm.committed.back()) {
         code = 1;
       } else {
-        auto [slot, inserted] =
-            stale_class.try_emplace(it->second, next_class);
-        if (inserted) ++next_class;
-        code = slot->second;
+        int c = 0;
+        while (c < num_stale && *stale[c] != it->second) ++c;
+        if (c == num_stale) stale[num_stale++] = &it->second;
+        code = c + 2;
       }
-      *out += std::to_string(code);
+      AppendDecimal(code, out);
       out->push_back(',');
     }
   }

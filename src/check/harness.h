@@ -99,7 +99,8 @@ struct HarnessArm {
 
 /// Drives one schedule against a cluster (and oracle shadows). A
 /// harness only moves forward; to explore several continuations of one
-/// reached state, Clone() it once per continuation.
+/// reached state, AssignFrom() it into a scratch harness once per
+/// continuation.
 class CheckHarness {
  public:
   /// `protocol` is a registry name; the oracle dictates the shadow
@@ -108,16 +109,20 @@ class CheckHarness {
       std::shared_ptr<const Topology> topology, SiteSet placement,
       const std::string& protocol, InvariantPolicy policy);
 
-  /// An independent copy of the reached state: every arm's cluster
-  /// (KvCluster::Clone), committed history and status codes, plus the
-  /// step and commit/read counters. Applying the rest of a schedule to a
-  /// clone is indistinguishable from replaying the whole schedule on a
-  /// fresh harness, and leaves this harness untouched.
-  std::unique_ptr<CheckHarness> Clone() const;
+  /// Overwrites this harness with the state `other` reached: every arm's
+  /// cluster (KvCluster::AssignFrom), committed history and status
+  /// codes, plus the step and commit/read counters, reusing this
+  /// harness's allocations. Applying the rest of a schedule afterwards
+  /// is indistinguishable from replaying the whole schedule on a fresh
+  /// harness, and leaves `other` untouched. Both harnesses must come from
+  /// Make with the same protocol and oracle (CHECK-fails on a different
+  /// arm count or protocol type); earlier history of this one does not
+  /// matter.
+  void AssignFrom(const CheckHarness& other);
 
   /// Applies one action to every arm and checks every invariant.
-  /// Returns the first violation, if any; the harness must not be used
-  /// further after a violation.
+  /// Returns the first violation, if any; after a violation the harness
+  /// must not be used further until AssignFrom overwrites it.
   std::optional<Violation> Apply(const CheckAction& action);
 
   /// Appends a canonical signature of the complete reached state (all

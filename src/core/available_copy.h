@@ -21,6 +21,7 @@
 
 #include "core/protocol.h"
 #include "repl/replica_store.h"
+#include "util/append.h"
 #include "util/result.h"
 
 namespace dynvote {
@@ -46,14 +47,14 @@ class AvailableCopy final : public ConsistencyProtocol {
   void OnNetworkEvent(const NetworkState& net) override;
   void Reset() override;
 
-  std::unique_ptr<ConsistencyProtocol> Clone() const override {
-    return std::unique_ptr<ConsistencyProtocol>(new AvailableCopy(*this));
+  void AssignFrom(const ConsistencyProtocol& other) override {
+    *this = SameTypeAs<AvailableCopy>(other);
   }
 
   bool AppendStateSignature(std::string* out) const override {
     store_.AppendCanonicalSignature(out);
     out->push_back('c');
-    *out += std::to_string(current_.mask());
+    AppendDecimal(current_.mask(), out);
     return true;
   }
 

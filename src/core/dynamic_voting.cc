@@ -114,7 +114,10 @@ Status DynamicVoting::Access(const NetworkState& net, SiteId origin,
   QuorumDecision d = Evaluate(group);
   if (!d.granted) {
     counter_.Add(MessageKind::kAbort, reachable.Size());
-    return Status::NoQuorum(name_ + ": " + d.ToString());
+    std::string message = name_;
+    message.append(": ");
+    d.AppendTo(&message);
+    return Status::NoQuorum(std::move(message));
   }
 
   OpNumber op = store_.MaxOp(d.reachable_copies) + 1;

@@ -98,8 +98,8 @@ class DynamicVoting final : public ConsistencyProtocol {
 
   void Reset() override { store_.Reset(); }
 
-  std::unique_ptr<ConsistencyProtocol> Clone() const override {
-    return std::unique_ptr<ConsistencyProtocol>(new DynamicVoting(*this));
+  void AssignFrom(const ConsistencyProtocol& other) override {
+    *this = SameTypeAs<DynamicVoting>(other);
   }
 
   /// Decisions depend only on the store (options and topology are frozen

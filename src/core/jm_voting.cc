@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/append.h"
+#include "util/dense_ranks.h"
 #include "util/logging.h"
 
 namespace dynvote {
@@ -41,30 +43,21 @@ bool JajodiaMutchlerVoting::AppendStateSignature(std::string* out) const {
   // Update numbers and data versions are monotonic counters; only their
   // relative order matters to the majority test, so emit ranks (the
   // cardinality is an absolute quantity and is emitted raw).
-  std::vector<std::int64_t> updates, versions;
+  DenseRanks updates, versions;
   for (SiteId s : placement_) {
-    updates.push_back(states_[s].update_number);
-    versions.push_back(states_[s].data_version);
+    updates.Add(states_[s].update_number);
+    versions.Add(states_[s].data_version);
   }
-  std::sort(updates.begin(), updates.end());
-  updates.erase(std::unique(updates.begin(), updates.end()), updates.end());
-  std::sort(versions.begin(), versions.end());
-  versions.erase(std::unique(versions.begin(), versions.end()),
-                 versions.end());
-  auto rank = [](const std::vector<std::int64_t>& sorted,
-                 std::int64_t value) {
-    return static_cast<int>(
-        std::lower_bound(sorted.begin(), sorted.end(), value) -
-        sorted.begin());
-  };
+  updates.Seal();
+  versions.Seal();
   for (SiteId s : placement_) {
     const JmReplicaState& st = states_[s];
     out->push_back('u');
-    *out += std::to_string(rank(updates, st.update_number));
+    AppendDecimal(updates.RankOf(st.update_number), out);
     out->push_back('d');
-    *out += std::to_string(rank(versions, st.data_version));
+    AppendDecimal(versions.RankOf(st.data_version), out);
     out->push_back('c');
-    *out += std::to_string(st.last_cardinality);
+    AppendDecimal(st.last_cardinality, out);
     out->push_back(';');
   }
   return true;

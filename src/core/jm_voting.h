@@ -55,9 +55,8 @@ class JajodiaMutchlerVoting final : public ConsistencyProtocol {
   void OnNetworkEvent(const NetworkState& net) override;
   void Reset() override;
 
-  std::unique_ptr<ConsistencyProtocol> Clone() const override {
-    return std::unique_ptr<ConsistencyProtocol>(
-        new JajodiaMutchlerVoting(*this));
+  void AssignFrom(const ConsistencyProtocol& other) override {
+    *this = SameTypeAs<JajodiaMutchlerVoting>(other);
   }
   std::uint64_t state_epoch() const override { return epoch_; }
   bool AppendStateSignature(std::string* out) const override;

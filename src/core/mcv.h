@@ -64,9 +64,8 @@ class MajorityConsensusVoting final : public ConsistencyProtocol {
   Status Recover(const NetworkState& net, SiteId site) override;
   void Reset() override { store_.Reset(); }
 
-  std::unique_ptr<ConsistencyProtocol> Clone() const override {
-    return std::unique_ptr<ConsistencyProtocol>(
-        new MajorityConsensusVoting(*this));
+  void AssignFrom(const ConsistencyProtocol& other) override {
+    *this = SameTypeAs<MajorityConsensusVoting>(other);
   }
 
   /// MCV's grant decision is purely static (weights and quorums are

@@ -9,11 +9,13 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <typeinfo>
 
 #include "core/quorum.h"
 #include "net/network_state.h"
 #include "obs/context.h"
 #include "repl/message_bus.h"
+#include "util/logging.h"
 #include "util/site_set.h"
 #include "util/status.h"
 
@@ -165,13 +167,15 @@ class ConsistencyProtocol {
   /// Returns the protocol to its initial state (all copies current).
   virtual void Reset() = 0;
 
-  /// An independent copy of the protocol as it stands: consistency-control
-  /// state, message counts, the quorum-cache switch and the cache itself
-  /// carry over. The commit hook and observability context do not — a
-  /// data layer that clones a protocol installs its own hook.
-  /// The model checker branches reached states this way instead of
-  /// replaying their schedules.
-  virtual std::unique_ptr<ConsistencyProtocol> Clone() const = 0;
+  /// Overwrites this protocol with `other` as it stands: configuration,
+  /// consistency-control state, message counts, the quorum-cache switch
+  /// and the cache itself. This instance keeps its own attachments —
+  /// commit hook, observability context, and the label and metric-cell
+  /// caches bound to them — and reuses its allocated storage. From then
+  /// on it decides exactly as `other` would. `other` must have the same
+  /// dynamic type (CHECK-fails otherwise). The model checker branches
+  /// reached states this way instead of replaying their schedules.
+  virtual void AssignFrom(const ConsistencyProtocol& other) = 0;
 
   /// Message accounting (see repl/message_bus.h).
   MessageCounter* counter() { return &counter_; }
@@ -192,13 +196,25 @@ class ConsistencyProtocol {
 
  protected:
   ConsistencyProtocol() = default;
-  /// For Clone(): copies everything except the attachments (hook, obs)
-  /// and the per-sink label and metric-cell caches bound to them.
-  ConsistencyProtocol(const ConsistencyProtocol& other)
-      : counter_(other.counter_),
-        quorum_cache_enabled_(other.quorum_cache_enabled_),
-        quorum_cache_(other.quorum_cache_) {}
-  ConsistencyProtocol& operator=(const ConsistencyProtocol&) = delete;
+  ConsistencyProtocol(const ConsistencyProtocol&) = delete;
+  /// For AssignFrom (through the subclasses' implicit copy assignment):
+  /// copies everything except the attachments (hook, obs) and the
+  /// per-sink label and metric-cell caches bound to them.
+  ConsistencyProtocol& operator=(const ConsistencyProtocol& other) {
+    counter_ = other.counter_;
+    quorum_cache_enabled_ = other.quorum_cache_enabled_;
+    quorum_cache_ = other.quorum_cache_;
+    return *this;
+  }
+
+  /// `other` as a T, for AssignFrom; CHECK-fails unless `other` is
+  /// exactly a T.
+  template <typename T>
+  static const T& SameTypeAs(const ConsistencyProtocol& other) {
+    DYNVOTE_CHECK_MSG(typeid(other) == typeid(T),
+                      "AssignFrom across protocol types");
+    return static_cast<const T&>(other);
+  }
 
   /// Fires the commit hook, if any.
   void NotifyCommit(const CommitInfo& info) {

@@ -1,7 +1,5 @@
 #include "core/quorum.h"
 
-#include <sstream>
-
 #include "util/logging.h"
 
 namespace dynvote {
@@ -58,15 +56,26 @@ long long VoteWeights::TotalWeight() const {
   return total_;
 }
 
+void QuorumDecision::AppendTo(std::string* out) const {
+  out->append(granted ? "GRANTED" : "DENIED");
+  if (by_tie_break) out->append(" (tie-break)");
+  if (witness_refused) out->append(" (witness-refused)");
+  out->append(" R=");
+  reachable_copies.AppendTo(out);
+  out->append(" Q=");
+  quorum_set.AppendTo(out);
+  out->append(" S=");
+  current_set.AppendTo(out);
+  out->append(" counted=");
+  counted_set.AppendTo(out);
+  out->append(" Pm=");
+  prev_partition.AppendTo(out);
+}
+
 std::string QuorumDecision::ToString() const {
-  std::ostringstream os;
-  os << (granted ? "GRANTED" : "DENIED")
-     << (by_tie_break ? " (tie-break)" : "")
-     << (witness_refused ? " (witness-refused)" : "")
-     << " R=" << reachable_copies
-     << " Q=" << quorum_set << " S=" << current_set
-     << " counted=" << counted_set << " Pm=" << prev_partition;
-  return os.str();
+  std::string out;
+  AppendTo(&out);
+  return out;
 }
 
 QuorumDecision EvaluateDynamicQuorum(const ReplicaStore& store,

@@ -111,7 +111,10 @@ struct QuorumDecision {
   /// decisive: counting Q alone would have denied this group.
   QuorumReason reason = QuorumReason::kDeniedNoCopies;
 
+  /// "DENIED R={0, 1} Q={0} S={0, 1} counted={0} Pm={0, 3}".
   std::string ToString() const;
+  /// Appends ToString()'s text to `out` without temporaries.
+  void AppendTo(std::string* out) const;
 };
 
 /// Evaluates the paper's majority-partition test for the sites `reachable`

@@ -74,8 +74,8 @@ class RegeneratingVoting final : public ConsistencyProtocol {
   void OnNetworkEvent(const NetworkState& net) override;
   void Reset() override;
 
-  std::unique_ptr<ConsistencyProtocol> Clone() const override {
-    return std::unique_ptr<ConsistencyProtocol>(new RegeneratingVoting(*this));
+  void AssignFrom(const ConsistencyProtocol& other) override {
+    *this = SameTypeAs<RegeneratingVoting>(other);
   }
 
   /// Current witness set (observable for tests and benches).

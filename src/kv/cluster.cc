@@ -31,8 +31,9 @@ KvCluster::KvCluster(NetworkState net,
                      std::unique_ptr<ReplicatedKvStore> store)
     : net_(std::move(net)), store_(std::move(store)) {}
 
-std::unique_ptr<KvCluster> KvCluster::Clone() const {
-  return std::unique_ptr<KvCluster>(new KvCluster(net_, store_->Clone()));
+void KvCluster::AssignFrom(const KvCluster& other) {
+  net_ = other.net_;
+  store_->AssignFrom(*other.store_);
 }
 
 void KvCluster::KillSite(SiteId site) {

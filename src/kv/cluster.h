@@ -31,9 +31,11 @@ class KvCluster {
   KvCluster(const KvCluster&) = delete;
   KvCluster& operator=(const KvCluster&) = delete;
 
-  /// An independent copy of the cluster as it stands: network state,
-  /// protocol state and replica contents (see ReplicatedKvStore::Clone).
-  std::unique_ptr<KvCluster> Clone() const;
+  /// Overwrites this cluster with `other` as it stands: network state,
+  /// protocol state and replica contents (see
+  /// ReplicatedKvStore::AssignFrom). The protocols must have the same
+  /// dynamic type.
+  void AssignFrom(const KvCluster& other);
 
   /// --- data plane ------------------------------------------------------
   Status Put(SiteId origin, const std::string& key, std::string value) {

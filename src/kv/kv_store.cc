@@ -22,13 +22,11 @@ ReplicatedKvStore::ReplicatedKvStore(
       [this](const CommitInfo& info) { OnCommit(info); });
 }
 
-std::unique_ptr<ReplicatedKvStore> ReplicatedKvStore::Clone() const {
-  auto copy = std::unique_ptr<ReplicatedKvStore>(
-      new ReplicatedKvStore(protocol_->Clone()));
-  copy->replicas_ = replicas_;
-  copy->pending_write_ = pending_write_;
-  copy->last_read_source_ = last_read_source_;
-  return copy;
+void ReplicatedKvStore::AssignFrom(const ReplicatedKvStore& other) {
+  protocol_->AssignFrom(*other.protocol_);
+  replicas_ = other.replicas_;
+  pending_write_ = other.pending_write_;
+  last_read_source_ = other.last_read_source_;
 }
 
 const KvMap& ReplicatedKvStore::ReplicaContents(SiteId site) const {

@@ -35,10 +35,11 @@ class ReplicatedKvStore {
   ReplicatedKvStore(const ReplicatedKvStore&) = delete;
   ReplicatedKvStore& operator=(const ReplicatedKvStore&) = delete;
 
-  /// An independent copy: a ConsistencyProtocol::Clone() of the protocol
-  /// and every replica's contents. The copy installs itself as its
-  /// protocol's commit hook.
-  std::unique_ptr<ReplicatedKvStore> Clone() const;
+  /// Overwrites this store with `other` as it stands: the protocol (see
+  /// ConsistencyProtocol::AssignFrom — this store stays its protocol's
+  /// commit hook) and every replica's contents, reusing this store's
+  /// allocations. The protocols must have the same dynamic type.
+  void AssignFrom(const ReplicatedKvStore& other);
 
   /// Writes `key` -> `value` through the protocol, issued at `origin`.
   /// Returns NoQuorum when origin is outside the majority partition.
@@ -62,6 +63,9 @@ class ReplicatedKvStore {
   /// Raw contents of one replica — test/debug access; production readers
   /// must go through Get().
   const KvMap& ReplicaContents(SiteId site) const;
+  /// Every data replica's contents, keyed (and ordered) by site: one
+  /// entry per protocol data_sites() member.
+  const std::map<SiteId, KvMap>& replicas() const { return replicas_; }
 
   /// Number of keys a Get at `origin` would see, or NoQuorum.
   Result<std::size_t> Size(const NetworkState& net, SiteId origin);

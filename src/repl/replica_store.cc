@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/append.h"
+#include "util/dense_ranks.h"
 #include "util/logging.h"
 
 namespace dynvote {
@@ -78,35 +80,22 @@ SiteSet ReplicaStore::MaxVersionSites(SiteSet among) const {
   return out;
 }
 
-namespace {
-/// Rank of `value` among the sorted distinct values in `sorted` (which
-/// must contain it).
-int RankOf(const std::vector<std::int64_t>& sorted, std::int64_t value) {
-  return static_cast<int>(
-      std::lower_bound(sorted.begin(), sorted.end(), value) -
-      sorted.begin());
-}
-}  // namespace
-
 void ReplicaStore::AppendCanonicalSignature(std::string* out) const {
-  std::vector<std::int64_t> ops, versions;
+  DenseRanks ops, versions;
   for (SiteId s : placement_) {
-    ops.push_back(states_[s].op_number);
-    versions.push_back(states_[s].version);
+    ops.Add(states_[s].op_number);
+    versions.Add(states_[s].version);
   }
-  std::sort(ops.begin(), ops.end());
-  ops.erase(std::unique(ops.begin(), ops.end()), ops.end());
-  std::sort(versions.begin(), versions.end());
-  versions.erase(std::unique(versions.begin(), versions.end()),
-                 versions.end());
+  ops.Seal();
+  versions.Seal();
   for (SiteId s : placement_) {
     const ReplicaState& st = states_[s];
     out->push_back('o');
-    *out += std::to_string(RankOf(ops, st.op_number));
+    AppendDecimal(ops.RankOf(st.op_number), out);
     out->push_back('v');
-    *out += std::to_string(RankOf(versions, st.version));
+    AppendDecimal(versions.RankOf(st.version), out);
     out->push_back('p');
-    *out += std::to_string(st.partition_set.mask());
+    AppendDecimal(st.partition_set.mask(), out);
     out->push_back(';');
   }
 }

@@ -1,20 +1,24 @@
 #include "util/site_set.h"
 
-#include <sstream>
+#include "util/append.h"
 
 namespace dynvote {
 
-std::string SiteSet::ToString() const {
-  std::ostringstream os;
-  os << '{';
+void SiteSet::AppendTo(std::string* out) const {
+  out->push_back('{');
   bool first = true;
   for (SiteId s : *this) {
-    if (!first) os << ", ";
-    os << s;
+    if (!first) out->append(", ");
+    AppendDecimal(s, out);
     first = false;
   }
-  os << '}';
-  return os.str();
+  out->push_back('}');
+}
+
+std::string SiteSet::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
 }
 
 std::ostream& operator<<(std::ostream& os, SiteSet set) {

@@ -138,6 +138,8 @@ class SiteSet {
 
   /// "{0, 2, 5}" — member ids in increasing order.
   std::string ToString() const;
+  /// Appends ToString()'s text to `out` without a temporary.
+  void AppendTo(std::string* out) const;
 
  private:
   static constexpr bool Valid(SiteId site) {

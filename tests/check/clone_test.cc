@@ -1,11 +1,13 @@
-// CheckHarness::Clone is invisible: the exhaustive engine builds each
-// frontier state once and branches every child off a clone, so a clone
-// taken at any prefix of a schedule and driven through the rest must be
-// indistinguishable from replaying the whole schedule on a fresh harness
-// — same signature bytes, commit/read counts, step count and violation —
-// and must never disturb the harness it was cloned from. Checked over
-// seeded random schedules on every check topology, for every protocol
-// the checker runs and every differential oracle.
+// CheckHarness::AssignFrom is invisible: the exhaustive engine rebuilds
+// each frontier state along a cached ancestor path and assigns it into
+// one scratch harness per child, so a harness assigned from another at
+// any prefix of a schedule and driven through the rest — a "clone" —
+// must be indistinguishable from replaying the whole schedule on a fresh
+// harness (same signature bytes, commit/read counts, step count and
+// violation), whatever the target ran before, and must never disturb
+// the harness it was assigned from. Checked over seeded random schedules
+// on every check topology, for every protocol the checker runs and every
+// differential oracle.
 
 #include <gtest/gtest.h>
 
@@ -126,13 +128,17 @@ TEST(HarnessCloneTest, CloneAtEveryPrefixEqualsAFullReplay) {
                 ? static_cast<std::size_t>(reference.violation->step)
                 : schedule.size();
 
+        // One target reused across prefixes, as the engine reuses its
+        // scratch child: from the second prefix on it holds the state of
+        // a longer run than the one it is assigned.
         auto source = fresh();
+        auto clone = fresh();
         for (std::size_t prefix = 0; prefix <= last_prefix; ++prefix) {
           if (prefix > 0) {
             ASSERT_FALSE(source->Apply(schedule[prefix - 1]).has_value())
                 << label;
           }
-          std::unique_ptr<CheckHarness> clone = source->Clone();
+          clone->AssignFrom(*source);
           ExpectSameOutcome(
               Finish(clone.get(), schedule, prefix), reference,
               label + " cloned after " + std::to_string(prefix) + " actions");
@@ -179,7 +185,11 @@ TEST(HarnessCloneTest, CloneMutationsLeaveTheSourceUntouched) {
       // Drive the clone through every action of the alphabet once: every
       // site and repeater flips, and writes, reads and recoveries mutate
       // its copy of the protocol state and replica contents.
-      std::unique_ptr<CheckHarness> clone = source->Clone();
+      auto made_clone = CheckHarness::Make(
+          *topology, (*topology)->AllSites(), arm.protocol, policy);
+      ASSERT_TRUE(made_clone.ok()) << made_clone.status();
+      std::unique_ptr<CheckHarness> clone = made_clone.MoveValue();
+      clone->AssignFrom(*source);
       for (const CheckAction& action : alphabet) {
         if (clone->Apply(action).has_value()) break;
       }
@@ -207,6 +217,88 @@ TEST(HarnessCloneTest, CloneMutationsLeaveTheSourceUntouched) {
                         Finish(replay->get(), schedule, 0), label);
     }
   }
+}
+
+TEST(HarnessCloneTest, AssignIntoADivergedTargetEqualsAFullReplay) {
+  // The target first runs a longer schedule than the source: more
+  // committed history, stale replicas (writes with sites and repeaters
+  // down) and a different network. Assigning the source over it must
+  // leave no trace of that run.
+  int compared = 0;
+  for (const std::string& topology_name : CheckTopologyNames()) {
+    auto topology = MakeCheckTopology(topology_name);
+    ASSERT_TRUE(topology.ok()) << topology.status();
+    const std::vector<CheckAction> alphabet = ActionAlphabet(**topology);
+    std::vector<CheckAction> divergent;
+    for (const CheckAction& action : alphabet) {
+      divergent.push_back({ActionKind::kWrite, -1});
+      divergent.push_back(action);
+    }
+    divergent.push_back({ActionKind::kWrite, -1});
+    for (const ArmCase& arm : AllArmCases()) {
+      InvariantPolicy policy;
+      policy.strict = false;
+      policy.oracle = arm.oracle;
+      auto fresh = [&] {
+        auto made = CheckHarness::Make(*topology, (*topology)->AllSites(),
+                                       arm.protocol, policy);
+        EXPECT_TRUE(made.ok()) << made.status();
+        return made.MoveValue();
+      };
+      const std::string label = arm.protocol + "/" +
+                                DifferentialOracleName(arm.oracle) + " on " +
+                                topology_name;
+      Rng rng(topology_name.size() * 31 + arm.protocol.size());
+      std::vector<CheckAction> schedule;
+      for (int i = 0; i < 8; ++i) {
+        schedule.push_back(alphabet[rng.NextBounded(alphabet.size())]);
+      }
+      auto replay = fresh();
+      const Outcome reference = Finish(replay.get(), schedule, 0);
+      const std::size_t last_prefix =
+          reference.violation.has_value()
+              ? static_cast<std::size_t>(reference.violation->step)
+              : schedule.size();
+
+      auto source = fresh();
+      for (std::size_t prefix = 0; prefix <= last_prefix; ++prefix) {
+        if (prefix > 0) {
+          ASSERT_FALSE(source->Apply(schedule[prefix - 1]).has_value())
+              << label;
+        }
+        // Even a violation on the way does not stop it: AssignFrom also
+        // revives a harness that tripped an invariant.
+        auto target = fresh();
+        for (const CheckAction& action : divergent) target->Apply(action);
+        ASSERT_EQ(target->steps(), static_cast<int>(divergent.size()));
+        target->AssignFrom(*source);
+        ExpectSameOutcome(
+            Finish(target.get(), schedule, prefix), reference,
+            label + " assigned after " + std::to_string(prefix) + " actions");
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 100);
+}
+
+TEST(HarnessCloneDeathTest, AssignAcrossProtocolsOrOraclesDies) {
+  auto topology = MakeCheckTopology("single3");
+  ASSERT_TRUE(topology.ok()) << topology.status();
+  auto make = [&](const std::string& protocol, DifferentialOracle oracle) {
+    InvariantPolicy policy;
+    policy.oracle = oracle;
+    auto made = CheckHarness::Make(*topology, (*topology)->AllSites(),
+                                   protocol, policy);
+    EXPECT_TRUE(made.ok()) << made.status();
+    return made.MoveValue();
+  };
+  auto odv = make("ODV", DifferentialOracle::kNone);
+  auto mcv = make("MCV", DifferentialOracle::kNone);
+  auto shadowed = make("ODV", DifferentialOracle::kQuorumCache);
+  EXPECT_DEATH(odv->AssignFrom(*mcv), "AssignFrom across protocol types");
+  EXPECT_DEATH(odv->AssignFrom(*shadowed),
+               "AssignFrom across oracle configurations");
 }
 
 }  // namespace

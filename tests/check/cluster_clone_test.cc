@@ -1,6 +1,7 @@
-// KvCluster::Clone is the primitive CheckHarness::Clone is built on: a
-// clone carries the network state, protocol state and replica contents
-// of its source, and from then on neither sees the other's mutations.
+// KvCluster::AssignFrom is the primitive CheckHarness::AssignFrom is
+// built on: a cluster assigned from a source (a "clone") carries the
+// source's network state, protocol state and replica contents, and from
+// then on neither sees the other's mutations.
 //
 // These tests live in check_tests, not kv_tests: the KvConsistencyTest
 // names in kv_tests print their parameter's raw bytes, heap address
@@ -25,7 +26,8 @@ TEST(KvClusterCloneTest, CloneIsIndependentOfItsSource) {
   source->KillSite(3);
   ASSERT_TRUE(source->Put(0, "k", "v2").ok());  // 3 keeps v1
 
-  auto clone = source->Clone();
+  auto clone = KvCluster::Make(topo, SiteSet{0, 1, 2, 3}, "ODV").MoveValue();
+  clone->AssignFrom(*source);
   EXPECT_EQ(clone->store().ReplicaContents(3).at("k"), "v1");
   EXPECT_EQ(*clone->Get(1, "k"), "v2");
 
@@ -55,16 +57,56 @@ TEST(KvClusterCloneTest, CloneKeepsTheQuorumCacheDisabled) {
   // protocol runs with every cache off; its clones must stay that way,
   // or the oracle would compare the cache against itself.
   auto topo = SingleSegment(3);
-  auto cluster = KvCluster::Make(topo, SiteSet{0, 1, 2}, "ODV").MoveValue();
+  auto make = [&] {
+    return KvCluster::Make(topo, SiteSet{0, 1, 2}, "ODV").MoveValue();
+  };
+  auto cluster = make();
   cluster->store().protocol()->set_quorum_cache_enabled(false);
-  auto clone = cluster->Clone();
+  auto clone = make();
+  clone->AssignFrom(*cluster);
   EXPECT_FALSE(clone->protocol().quorum_cache_enabled());
-  EXPECT_FALSE(clone->Clone()->protocol().quorum_cache_enabled());
-  EXPECT_TRUE(KvCluster::Make(topo, SiteSet{0, 1, 2}, "ODV")
-                  .MoveValue()
-                  ->Clone()
-                  ->protocol()
-                  .quorum_cache_enabled());
+  auto second = make();
+  second->AssignFrom(*clone);
+  EXPECT_FALSE(second->protocol().quorum_cache_enabled());
+  auto plain = make();
+  plain->AssignFrom(*make());
+  EXPECT_TRUE(plain->protocol().quorum_cache_enabled());
+}
+
+TEST(KvClusterCloneTest, WritesAfterAssignLandInTheTargetsOwnReplicas) {
+  // The target ran its own history first (different contents, a site
+  // down); after the assignment its store is still its protocol's commit
+  // hook, so a write moves the target's replicas and never the source's.
+  auto topo = Section3Network();
+  auto make = [&] {
+    return KvCluster::Make(topo, SiteSet{0, 1, 2, 3}, "LDV").MoveValue();
+  };
+  auto source = make();
+  ASSERT_TRUE(source->Put(0, "k", "s1").ok());
+  auto target = make();
+  ASSERT_TRUE(target->Put(0, "k", "t1").ok());
+  target->KillSite(2);
+  ASSERT_TRUE(target->Put(0, "k", "t2").ok());
+
+  target->AssignFrom(*source);
+  EXPECT_TRUE(target->net().IsSiteUp(2));
+  for (SiteId s : {0, 1, 2, 3}) {
+    EXPECT_EQ(target->store().ReplicaContents(s).at("k"), "s1") << s;
+  }
+  ASSERT_TRUE(target->Put(0, "k", "t3").ok());
+  for (SiteId s : {0, 1, 2, 3}) {
+    EXPECT_EQ(target->store().ReplicaContents(s).at("k"), "t3") << s;
+    EXPECT_EQ(source->store().ReplicaContents(s).at("k"), "s1") << s;
+  }
+  EXPECT_EQ(*source->Get(1, "k"), "s1");
+  EXPECT_EQ(*target->Get(1, "k"), "t3");
+}
+
+TEST(KvClusterCloneDeathTest, AssignAcrossProtocolTypesDies) {
+  auto topo = SingleSegment(3);
+  auto odv = KvCluster::Make(topo, SiteSet{0, 1, 2}, "ODV").MoveValue();
+  auto mcv = KvCluster::Make(topo, SiteSet{0, 1, 2}, "MCV").MoveValue();
+  EXPECT_DEATH(odv->AssignFrom(*mcv), "AssignFrom across protocol types");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "check/checker.h"
 #include "check/counterexample.h"
@@ -268,11 +269,17 @@ TEST(CheckGoldenTest, TdvPairsDepth5CounterexampleIsPinned) {
 }
 
 // Section3 closure goldens, captured before the BFS frontier switched
-// to parent links: MCV and DV exhaust their reachable state space well
-// inside depth 16, so these are the whole universe's state sets.
+// to parent links (MCV, DV) and before states were assigned instead of
+// cloned (LDV, ODV): MCV and DV exhaust their reachable state space well
+// inside depth 16, LDV and ODV inside depth 20, so these are the whole
+// universe's state sets. The two larger universes run at four jobs only,
+// to keep the suite quick; MCV and DV hold jobs 1 and 4 to the same
+// numbers.
 TEST(CheckGoldenTest, Section3ClosureIsPinned) {
   struct Golden {
     const char* protocol;
+    int depth;
+    std::vector<int> jobs;
     std::uint64_t states;
     std::uint64_t transitions;
     std::uint64_t commits;
@@ -281,15 +288,21 @@ TEST(CheckGoldenTest, Section3ClosureIsPinned) {
     int closed_at_depth;
   };
   const Golden goldens[] = {
-      {"MCV", 1792, 10808, 21184, 1624, 0x25fb774c4c163ae0ull, 11},
-      {"DV", 22786, 205074, 308555, 3208, 0x2fe9ff47d4381e49ull, 14},
+      {"MCV", 16, {1, 4}, 1792, 10808, 21184, 1624, 0x25fb774c4c163ae0ull,
+       11},
+      {"DV", 16, {1, 4}, 22786, 205074, 308555, 3208, 0x2fe9ff47d4381e49ull,
+       14},
+      {"LDV", 20, {4}, 126914, 1142226, 2134139, 30824,
+       0xb4f57ef279f9f729ull, 18},
+      {"ODV", 20, {4}, 210816, 1564354, 3110428, 6416474,
+       0x8477fab8b1ef3cc0ull, 20},
   };
   for (const Golden& g : goldens) {
     CheckOptions options;
     options.protocol = g.protocol;
     options.topology = "section3";
-    options.depth = 16;
-    for (int jobs : {1, 4}) {
+    options.depth = g.depth;
+    for (int jobs : g.jobs) {
       options.jobs = jobs;
       auto report = RunCheck(options);
       ASSERT_TRUE(report.ok()) << report.status();

@@ -8,6 +8,7 @@
 namespace dynvote {
 namespace {
 
+using testing_util::Section3Network;
 using testing_util::SingleSegment;
 
 TEST(DynamicVotingMakeTest, ValidatesArguments) {
@@ -290,6 +291,27 @@ TEST(DynamicVotingTest, WeightedDynamicVoting) {
   wdv->Reset();
   wdv->OnNetworkEvent(net);
   EXPECT_FALSE(wdv->IsAvailable(net));
+}
+
+TEST(DynamicVotingTest, DenialStatusTextIsPinned) {
+  // DV on the Section 3 network: B fails, then both repeaters, leaving
+  // A and D tied over the block {A, D}; B restarts next to A holding a
+  // stale operation number. DV lets ties fail, so a write at B is
+  // denied, and the status spells out every set of the decision.
+  auto topo = Section3Network();
+  auto dv = *MakeDV(topo, SiteSet{0, 1, 2, 3});
+  NetworkState net(topo);
+  net.SetSiteUp(1, false);
+  dv->OnNetworkEvent(net);
+  net.SetRepeaterUp(0, false);
+  dv->OnNetworkEvent(net);
+  net.SetRepeaterUp(1, false);
+  dv->OnNetworkEvent(net);
+  net.SetSiteUp(1, true);
+  dv->OnNetworkEvent(net);
+  Status st = dv->Write(net, 1);
+  ASSERT_TRUE(st.IsNoQuorum());
+  EXPECT_EQ(st.message(), "DV: DENIED R={0, 1} Q={0} S={0, 1} counted={0} Pm={0, 3}");
 }
 
 }  // namespace

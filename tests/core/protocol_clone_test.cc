@@ -1,9 +1,10 @@
-// ConsistencyProtocol::Clone for all five implementations: a clone
-// continues exactly as its source would (same statuses, grant decisions,
-// state signatures and message counts under an identical random
-// continuation), never touches its source, and leaves the source's
-// attachments (commit hook, observability) behind while
-// keeping the quorum-cache switch.
+// ConsistencyProtocol::AssignFrom for all five implementations: a
+// protocol assigned from a source (a "clone") continues exactly as its
+// source would (same statuses, grant decisions, state signatures and
+// message counts under an identical random continuation), whatever it
+// ran before, never touches its source, keeps its own attachments
+// (commit hook, observability) rather than the source's, and takes the
+// source's quorum-cache switch. Assigning across protocol types dies.
 
 #include <memory>
 #include <string>
@@ -126,27 +127,58 @@ TEST_P(ProtocolCloneTest, CloneContinuesExactlyAsItsSource) {
     source->set_obs(&obs);
     source->set_quorum_cache_enabled(seed % 2 == 0);
 
-    std::unique_ptr<ConsistencyProtocol> clone = source->Clone();
+    // The target diverges first — its own, longer history under the
+    // opposite cache switch — and carries its own attachments.
+    std::unique_ptr<ConsistencyProtocol> clone = BuildProtocol(c, topology);
+    ASSERT_NE(clone, nullptr);
+    NetworkState clone_net(topology);
+    Rng divergence(seed * 104729);
+    Drive(clone.get(), &clone_net, &divergence, 60);
+    int clone_commits = 0;
+    clone->set_commit_hook(
+        [&clone_commits](const CommitInfo&) { ++clone_commits; });
+    RingTraceSink clone_ring;
+    ObsContext clone_obs;
+    clone_obs.sink = &clone_ring;
+    clone->set_obs(&clone_obs);
+    clone->set_quorum_cache_enabled(seed % 2 != 0);
+
+    clone->AssignFrom(*source);
     EXPECT_EQ(clone->name(), source->name());
-    EXPECT_FALSE(clone->has_commit_hook());
-    EXPECT_EQ(clone->obs(), nullptr);
+    EXPECT_TRUE(clone->has_commit_hook());
+    EXPECT_EQ(clone->obs(), &clone_obs);
     EXPECT_EQ(clone->quorum_cache_enabled(), seed % 2 == 0);
 
-    // The clone runs first: its continuation must not reach the source's
-    // hook or trace sink, and the source, continued identically afterwards,
-    // must produce the identical transcript.
-    NetworkState clone_net = net;
+    // The clone runs first: its continuation reaches its own hook and
+    // trace sink, never the source's, and the source, continued
+    // identically afterwards, must produce the identical transcript.
+    clone_net = net;
     Rng clone_rng(seed * 7919);
     const std::string from_clone =
         Drive(clone.get(), &clone_net, &clone_rng, 40);
     EXPECT_EQ(source_commits, 0);
     EXPECT_TRUE(ring.empty());
+    EXPECT_FALSE(clone_ring.empty());
 
-    source->set_obs(nullptr);
     Rng source_rng(seed * 7919);
     const std::string from_source = Drive(source.get(), &net, &source_rng, 40);
     EXPECT_EQ(from_clone, from_source) << "seed " << seed;
+    EXPECT_EQ(clone_commits, source_commits) << "seed " << seed;
+    EXPECT_EQ(clone_ring.size(), ring.size()) << "seed " << seed;
   }
+}
+
+TEST(ProtocolCloneDeathTest, AssignAcrossProtocolTypesDies) {
+  auto topology = testing_util::SingleSegment(3);
+  const SiteSet placement = topology->AllSites();
+  auto odv = MakeProtocolByName("ODV", topology, placement).MoveValue();
+  auto ldv = MakeProtocolByName("LDV", topology, placement).MoveValue();
+  auto mcv = MakeProtocolByName("MCV", topology, placement).MoveValue();
+  // LDV and ODV share a class: the assignment takes the configuration.
+  odv->AssignFrom(*ldv);
+  EXPECT_EQ(odv->name(), "LDV");
+  EXPECT_TRUE(odv->uses_instantaneous_information());
+  EXPECT_DEATH(odv->AssignFrom(*mcv), "AssignFrom across protocol types");
 }
 
 std::string CaseName(const ::testing::TestParamInfo<CloneCase>& info) {

@@ -111,6 +111,8 @@ TEST(SiteSetTest, IterationOfEmptySet) {
 TEST(SiteSetTest, ToString) {
   EXPECT_EQ(SiteSet().ToString(), "{}");
   EXPECT_EQ((SiteSet{2, 0, 5}).ToString(), "{0, 2, 5}");
+  EXPECT_EQ((SiteSet{0, 1, 2}).ToString(), "{0, 1, 2}");
+  EXPECT_EQ((SiteSet{63}).ToString(), "{63}");
 }
 
 TEST(SiteSetTest, MaskRoundTrip) {
