@@ -8,6 +8,7 @@
 //
 //   {
 //     "schema": "dynvote-checkbench-v1",
+//     "cores": N,
 //     "benchmarks": [
 //       {"name": "...", "work": "states" | "transitions",
 //        "per_sec": N, "solo_per_sec": N, "speedup": N}, ...
@@ -48,6 +49,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -313,6 +315,7 @@ std::string ToJson(const std::vector<SpeedupEntry>& speedups,
                    const std::vector<MemoryEntry>& memory) {
   std::ostringstream os;
   os << "{\n  \"schema\": \"" << kCheckBenchSchema << "\",\n"
+     << "  \"cores\": " << std::thread::hardware_concurrency() << ",\n"
      << "  \"benchmarks\": [\n";
   for (std::size_t i = 0; i < speedups.size(); ++i) {
     const SpeedupEntry& e = speedups[i];

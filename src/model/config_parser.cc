@@ -4,6 +4,8 @@
 #include <map>
 #include <sstream>
 
+#include "util/parse_number.h"
+
 namespace dynvote {
 
 namespace {
@@ -33,17 +35,11 @@ Result<std::map<std::string, double>> ParseKeyValues(
       return LineError(line, "expected key=value, got '" + tokens[i] + "'");
     }
     std::string key = tokens[i].substr(0, eq);
-    double value = 0.0;
-    try {
-      std::size_t used = 0;
-      value = std::stod(tokens[i].substr(eq + 1), &used);
-      if (used != tokens[i].size() - eq - 1) {
-        return LineError(line, "bad number in '" + tokens[i] + "'");
-      }
-    } catch (const std::exception&) {
+    Result<double> value = ParseDouble(tokens[i].substr(eq + 1));
+    if (!value.ok()) {
       return LineError(line, "bad number in '" + tokens[i] + "'");
     }
-    if (!out.emplace(key, value).second) {
+    if (!out.emplace(key, *value).second) {
       return LineError(line, "duplicate key '" + key + "'");
     }
   }

@@ -82,6 +82,7 @@
 #include "obs/trace_reader.h"
 #include "obs/trace_sink.h"
 #include "stats/table.h"
+#include "util/parse_number.h"
 #include "version_schemas.h"
 
 namespace dynvote {
@@ -235,6 +236,19 @@ bool IsBooleanFlag(const std::string& a) {
          a == "--weaken-mutex" || a == "--no-por";
 }
 
+/// Parses the number after `prefix` in flag `arg` ("--reps=4" -> 4) with
+/// `parse`, naming the flag in the error.
+template <typename T>
+Result<T> FlagNumber(const std::string& arg, const std::string& prefix,
+                     Result<T> (*parse)(const std::string&)) {
+  Result<T> number = parse(arg.substr(prefix.size()));
+  if (!number.ok()) {
+    return Status::InvalidArgument(prefix.substr(0, prefix.size() - 1) +
+                                   ": " + number.status().message());
+  }
+  return number;
+}
+
 Result<Options> Parse(int argc, char** argv) {
   if (argc < 2) return Status::InvalidArgument("missing command");
   Options opt;
@@ -268,49 +282,55 @@ Result<Options> Parse(int argc, char** argv) {
     } else if (a.rfind("--metrics-out=", 0) == 0) {
       opt.metrics_out_path = value("--metrics-out=");
     } else if (a.rfind("--reps=", 0) == 0) {
-      opt.reps = std::stoi(value("--reps="));
+      DYNVOTE_ASSIGN_OR_RETURN(opt.reps, FlagNumber(a, "--reps=", ParseInt));
       if (opt.reps < 1) {
         return Status::InvalidArgument("--reps must be >= 1");
       }
     } else if (a.rfind("--jobs=", 0) == 0) {
-      opt.jobs = std::stoi(value("--jobs="));
+      DYNVOTE_ASSIGN_OR_RETURN(opt.jobs, FlagNumber(a, "--jobs=", ParseInt));
       if (opt.jobs < 0) {
         return Status::InvalidArgument("--jobs must be >= 0 (0 = all cores)");
       }
     } else if (a.rfind("--objects=", 0) == 0) {
-      opt.objects = std::stoi(value("--objects="));
+      DYNVOTE_ASSIGN_OR_RETURN(
+          opt.objects, FlagNumber(a, "--objects=", ParseInt));
       if (opt.objects < 1) {
         return Status::InvalidArgument("--objects must be >= 1");
       }
     } else if (a.rfind("--years=", 0) == 0) {
-      opt.years = std::stod(value("--years="));
+      DYNVOTE_ASSIGN_OR_RETURN(
+          opt.years, FlagNumber(a, "--years=", ParseDouble));
       opt.years_set = true;
     } else if (a.rfind("--rate=", 0) == 0) {
-      opt.rate = std::stod(value("--rate="));
+      DYNVOTE_ASSIGN_OR_RETURN(opt.rate, FlagNumber(a, "--rate=", ParseDouble));
     } else if (a.rfind("--config=", 0) == 0) {
       opt.config = value("--config=");
     } else if (a.rfind("--arrival-rate=", 0) == 0) {
-      opt.arrival_rate = std::stod(value("--arrival-rate="));
+      DYNVOTE_ASSIGN_OR_RETURN(
+          opt.arrival_rate, FlagNumber(a, "--arrival-rate=", ParseDouble));
       if (opt.arrival_rate <= 0.0) {
         return Status::InvalidArgument("--arrival-rate must be > 0");
       }
     } else if (a.rfind("--service-time=", 0) == 0) {
-      opt.service_time_ms = std::stod(value("--service-time="));
+      DYNVOTE_ASSIGN_OR_RETURN(
+          opt.service_time_ms, FlagNumber(a, "--service-time=", ParseDouble));
       if (opt.service_time_ms < 0.0) {
         return Status::InvalidArgument("--service-time must be >= 0");
       }
     } else if (a.rfind("--msg-cost=", 0) == 0) {
-      opt.msg_cost_ms = std::stod(value("--msg-cost="));
+      DYNVOTE_ASSIGN_OR_RETURN(
+          opt.msg_cost_ms, FlagNumber(a, "--msg-cost=", ParseDouble));
       if (opt.msg_cost_ms < 0.0) {
         return Status::InvalidArgument("--msg-cost must be >= 0");
       }
     } else if (a.rfind("--write-fraction=", 0) == 0) {
-      opt.write_fraction = std::stod(value("--write-fraction="));
+      DYNVOTE_ASSIGN_OR_RETURN(
+          opt.write_fraction, FlagNumber(a, "--write-fraction=", ParseDouble));
       if (opt.write_fraction < 0.0 || opt.write_fraction > 1.0) {
         return Status::InvalidArgument("--write-fraction must be in [0, 1]");
       }
     } else if (a.rfind("--seed=", 0) == 0) {
-      opt.seed = std::stoull(value("--seed="));
+      DYNVOTE_ASSIGN_OR_RETURN(opt.seed, FlagNumber(a, "--seed=", ParseUint64));
     } else if (a == "--no-quorum-cache") {
       opt.quorum_cache = false;
     } else if (a.rfind("--topology=", 0) == 0) {
@@ -326,11 +346,13 @@ Result<Options> Parse(int argc, char** argv) {
     } else if (a.rfind("--out=", 0) == 0) {
       opt.out_path = value("--out=");
     } else if (a.rfind("--depth=", 0) == 0) {
-      opt.depth = std::stoi(value("--depth="));
+      DYNVOTE_ASSIGN_OR_RETURN(opt.depth, FlagNumber(a, "--depth=", ParseInt));
     } else if (a.rfind("--schedules=", 0) == 0) {
-      opt.schedules = std::stoi(value("--schedules="));
+      DYNVOTE_ASSIGN_OR_RETURN(
+          opt.schedules, FlagNumber(a, "--schedules=", ParseInt));
     } else if (a.rfind("--swarm-depth=", 0) == 0) {
-      opt.swarm_depth = std::stoi(value("--swarm-depth="));
+      DYNVOTE_ASSIGN_OR_RETURN(
+          opt.swarm_depth, FlagNumber(a, "--swarm-depth=", ParseInt));
     } else if (a == "--no-memo") {
       opt.memoize = false;
     } else if (a == "--no-shrink") {
@@ -338,7 +360,8 @@ Result<Options> Parse(int argc, char** argv) {
     } else if (a == "--weaken-mutex") {
       opt.weaken_mutex = true;
     } else if (a.rfind("--check-jobs=", 0) == 0) {
-      opt.check_jobs = std::stoi(value("--check-jobs="));
+      DYNVOTE_ASSIGN_OR_RETURN(
+          opt.check_jobs, FlagNumber(a, "--check-jobs=", ParseInt));
       if (opt.check_jobs < 0) {
         return Status::InvalidArgument(
             "--check-jobs must be >= 0 (0 = all cores)");
@@ -380,15 +403,11 @@ Result<SiteSet> ResolveSites(const NetworkConfig& network,
       continue;
     }
     // Paper-style 1-based site numbers as a convenience.
-    try {
-      std::size_t used = 0;
-      int number = std::stoi(item, &used);
-      if (used == item.size() && number >= 1 &&
-          number <= network.topology->num_sites()) {
-        placement.Add(number - 1);
-        continue;
-      }
-    } catch (const std::exception&) {
+    Result<int> number = ParseInt(item);
+    if (number.ok() && *number >= 1 &&
+        *number <= network.topology->num_sites()) {
+      placement.Add(*number - 1);
+      continue;
     }
     return Status::InvalidArgument("unknown site '" + item + "'");
   }
