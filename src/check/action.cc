@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "util/parse_number.h"
+
 namespace dynvote {
 namespace check {
 
@@ -24,15 +26,8 @@ std::string CheckAction::Token() const {
 Result<CheckAction> ParseActionToken(const std::string& token) {
   auto targeted = [&token](ActionKind kind,
                            const std::string& prefix) -> Result<CheckAction> {
-    const std::string digits = token.substr(prefix.size());
-    try {
-      std::size_t used = 0;
-      int target = std::stoi(digits, &used);
-      if (used == digits.size() && target >= 0) {
-        return CheckAction{kind, target};
-      }
-    } catch (const std::exception&) {
-    }
+    Result<int> target = ParseInt(token.substr(prefix.size()));
+    if (target.ok() && *target >= 0) return CheckAction{kind, *target};
     return Status::InvalidArgument("bad action target in '" + token + "'");
   };
   if (token.rfind("toggle_site:", 0) == 0) {

@@ -445,7 +445,7 @@ struct SwarmSlot {
 
 Status RunSwarm(Exploration* ex) {
   const int n = ex->options.swarm_schedules;
-  std::vector<SwarmSlot> slots(static_cast<std::size_t>(std::max(n, 0)));
+  std::vector<SwarmSlot> slots(static_cast<std::size_t>(n));
 
   // Each schedule gets an independent stream derived from (seed, k), so
   // any single schedule can be re-derived in isolation — and run on any
@@ -514,6 +514,11 @@ Result<CheckReport> RunCheck(const CheckOptions& options) {
                                             ex.topology->num_repeaters());
   if (options.depth < 1 && options.mode == CheckMode::kExhaustive) {
     return Status::InvalidArgument("depth must be at least 1");
+  }
+  if (options.mode == CheckMode::kSwarm &&
+      (options.swarm_schedules < 1 || options.swarm_depth < 1)) {
+    return Status::InvalidArgument(
+        "swarm schedules and swarm depth must be at least 1");
   }
   if (options.jobs < 0) {
     return Status::InvalidArgument("jobs must be >= 0 (0 = all cores)");

@@ -4,6 +4,7 @@
 
 #include "check/topologies.h"
 #include "obs/trace_reader.h"
+#include "util/parse_number.h"
 
 namespace dynvote {
 namespace check {
@@ -106,18 +107,17 @@ Result<CounterExample> ParseCounterExampleJson(const std::string& text) {
   while (pos < body.size()) {
     std::size_t comma = body.find(',', pos);
     if (comma == std::string::npos) comma = body.size();
-    try {
-      // SiteSet::Add silently ignores out-of-range ids; a record naming
-      // site 99 is corrupt, not a record with fewer copies.
-      int site = std::stoi(body.substr(pos, comma - pos));
-      if (site < 0 || site >= kMaxSites) {
-        return Status::InvalidArgument("placement site out of range in " +
-                                       placement);
-      }
-      ce.placement.Add(site);
-    } catch (const std::exception&) {
+    Result<int> site = ParseInt(body.substr(pos, comma - pos));
+    if (!site.ok()) {
       return Status::InvalidArgument("bad placement entry in " + placement);
     }
+    // SiteSet::Add silently ignores out-of-range ids; a record naming
+    // site 99 is corrupt, not a record with fewer copies.
+    if (*site < 0 || *site >= kMaxSites) {
+      return Status::InvalidArgument("placement site out of range in " +
+                                     placement);
+    }
+    ce.placement.Add(*site);
     pos = comma + 1;
   }
   if (ce.placement.Empty()) {
@@ -131,22 +131,22 @@ Result<CounterExample> ParseCounterExampleJson(const std::string& text) {
   ce.policy.strict = strict == "true";
   DYNVOTE_ASSIGN_OR_RETURN(std::string threshold,
                            require("max_granted_groups"));
-  try {
-    ce.policy.max_granted_groups = std::stoi(threshold);
-  } catch (const std::exception&) {
+  Result<int> max_granted_groups = ParseInt(threshold);
+  if (!max_granted_groups.ok()) {
     return Status::InvalidArgument("bad max_granted_groups '" + threshold +
                                    "'");
   }
+  ce.policy.max_granted_groups = *max_granted_groups;
   DYNVOTE_ASSIGN_OR_RETURN(std::string oracle, require("oracle"));
   DYNVOTE_ASSIGN_OR_RETURN(ce.policy.oracle, ParseDifferentialOracle(oracle));
 
   DYNVOTE_ASSIGN_OR_RETURN(ce.violation.invariant, require("invariant"));
   DYNVOTE_ASSIGN_OR_RETURN(std::string step, require("step"));
-  try {
-    ce.violation.step = std::stoi(step);
-  } catch (const std::exception&) {
+  Result<int> step_number = ParseInt(step);
+  if (!step_number.ok()) {
     return Status::InvalidArgument("bad step '" + step + "'");
   }
+  ce.violation.step = *step_number;
   if (auto it = fields.find("detail"); it != fields.end()) {
     ce.violation.detail = it->second;
   }

@@ -1,5 +1,7 @@
 #include "check/topologies.h"
 
+#include "util/parse_number.h"
+
 namespace dynvote {
 namespace check {
 namespace {
@@ -52,13 +54,8 @@ Result<std::shared_ptr<const Topology>> MakeCheckTopology(
   if (name == "pairs") return Pairs();
   if (name == "section3") return Section3();
   if (name.rfind("single", 0) == 0) {
-    const std::string digits = name.substr(6);
-    try {
-      std::size_t used = 0;
-      int n = std::stoi(digits, &used);
-      if (used == digits.size() && n >= 2 && n <= 8) return Single(n);
-    } catch (const std::exception&) {
-    }
+    Result<int> n = ParseInt(name.substr(6));
+    if (n.ok() && *n >= 2 && *n <= 8) return Single(*n);
   }
   return Status::InvalidArgument(
       "unknown check topology '" + name +

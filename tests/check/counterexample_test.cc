@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "check/counterexample.h"
 
 namespace dynvote {
@@ -103,6 +105,16 @@ TEST(CounterExampleTest, RejectsMissingAndMalformedFields) {
   EXPECT_FALSE(ParseCounterExampleJson(replaced("[0,1,2,3]", "[]")).ok());
   EXPECT_FALSE(ParseCounterExampleJson(replaced("\"step\": 3", "\"step\": x"))
                    .ok());
+  // Numbers must use up their whole field: "0x" is not step 0.
+  for (const auto& [from, to] :
+       {std::pair{"\"step\": 3", "\"step\": 0x"},
+        std::pair{"\"step\": 3", "\"step\": \"0x\""},
+        std::pair{"\"max_granted_groups\": 1", "\"max_granted_groups\": 1x"},
+        std::pair{"[0,1,2,3]", "[0,1x,2,3]"}}) {
+    auto parsed = ParseCounterExampleJson(replaced(from, to));
+    EXPECT_FALSE(parsed.ok()) << to;
+    EXPECT_TRUE(parsed.status().IsInvalidArgument()) << parsed.status();
+  }
   EXPECT_FALSE(
       ParseCounterExampleJson(replaced("\"none\"", "\"psychic\"")).ok());
   EXPECT_FALSE(ParseCounterExampleJson(

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "check/checker.h"
@@ -83,6 +84,24 @@ TEST(CheckEngineTest, SwarmIsDeterministicPerSeed) {
   // to hold for these constants).
   EXPECT_TRUE(a->commits != c->commits ||
               a->reads_checked != c->reads_checked);
+}
+
+TEST(CheckEngineTest, SwarmRejectsEmptyAndNegativeSizes) {
+  // A negative depth used to reach vector::reserve (std::length_error),
+  // and zero or negative schedules reported a clean run of nothing.
+  for (const auto& [schedules, depth] :
+       {std::pair{0, 12}, std::pair{-5, 12}, std::pair{16, 0},
+        std::pair{16, -3}}) {
+    CheckOptions options;
+    options.protocol = "ODV";
+    options.topology = "single2";
+    options.mode = CheckMode::kSwarm;
+    options.swarm_schedules = schedules;
+    options.swarm_depth = depth;
+    auto report = RunCheck(options);
+    ASSERT_FALSE(report.ok()) << schedules << " x " << depth;
+    EXPECT_TRUE(report.status().IsInvalidArgument()) << report.status();
+  }
 }
 
 TEST(CheckEngineTest, MemoizationPrunesWithoutChangingTheVerdict) {

@@ -1,8 +1,12 @@
-# Hostile numeric flag values, run by ctest as cli_numeric_flags: every
-# numeric flag given an empty, non-numeric, trailing-garbage or
-# overflowing value must be a usage error (exit 2) whose message names the
-# flag — never an uncaught exception, and never a silently truncated
-# number ("--reps=2abc" is not 2).
+# Malformed and misdirected flags, run by ctest as cli_numeric_flags:
+#   - every numeric flag given an empty, non-numeric, trailing-garbage or
+#     overflowing value, or a value outside its bound, is a usage error
+#     (exit 2) whose message names the flag — never an uncaught
+#     exception, and never a silently truncated number ("--reps=2abc" is
+#     not 2);
+#   - a flag the subcommand does not read, and a positional argument the
+#     subcommand does not take, are usage errors naming the subcommand;
+#   - an unknown subcommand exits 3 before any flag is looked at.
 #
 #   cmake -DCLI=path/to/dynvote_cli -DWORK_DIR=scratch/dir \
 #         -P numeric_flags_smoke.cmake
@@ -13,28 +17,49 @@ endif()
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
-# Fails the test unless `dynvote_cli <command> <flag><value>` exits 2 and
-# its stderr names the flag.
-function(expect_usage_error command flag value)
-  execute_process(COMMAND "${CLI}" ${command} --sites=1,2,3 "${flag}${value}"
+# Fails the test unless `dynvote_cli <args>` exits with `expected_rc` and
+# its stderr contains every `needle` (a ;-list).
+function(expect_rejected expected_rc needles)
+  execute_process(COMMAND "${CLI}" ${ARGN}
     WORKING_DIRECTORY "${WORK_DIR}"
     OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 2)
+  string(JOIN " " args ${ARGN})
+  if(NOT rc EQUAL expected_rc)
     message(FATAL_ERROR
-      "dynvote_cli ${command} ${flag}${value} exited with ${rc} "
-      "(expected 2):\n${out}${err}")
+      "dynvote_cli ${args} exited with ${rc} (expected ${expected_rc}):\n"
+      "${out}${err}")
+  endif()
+  foreach(needle IN LISTS needles)
+    string(FIND "${err}" "${needle}" at)
+    if(at EQUAL -1)
+      message(FATAL_ERROR
+        "dynvote_cli ${args} did not say '${needle}':\n${err}")
+    endif()
+  endforeach()
+endfunction()
+
+# Fails the test unless `dynvote_cli <command> <flag><value>` is a usage
+# error naming the flag. Commands that need a placement get one, so a
+# value wrongly accepted would run rather than fail for another reason.
+function(expect_usage_error command flag value)
+  set(placement)
+  if(command MATCHES "^(simulate|repeat)$")
+    set(placement --sites=1,2,3)
   endif()
   string(REGEX REPLACE "=$" "" name "${flag}")
-  string(FIND "${err}" "${name}: " at)
-  if(at EQUAL -1)
-    message(FATAL_ERROR
-      "dynvote_cli ${command} ${flag}${value} did not name ${name}:\n${err}")
-  endif()
+  expect_rejected(2 "${name}: " ${command} ${placement} "${flag}${value}")
 endfunction()
 
 # Feeds `flag` of `command` every hostile value, `overflow` among them.
 function(expect_rejects_garbage command flag overflow)
   foreach(value "" abc 2abc ${overflow})
+    expect_usage_error(${command} ${flag} "${value}")
+  endforeach()
+endfunction()
+
+# Feeds `flag` of `command` each value after them, all outside its bound.
+function(expect_out_of_range command flag)
+  foreach(value IN LISTS ARGN)
     expect_usage_error(${command} ${flag} "${value}")
   endforeach()
 endfunction()
@@ -55,3 +80,41 @@ endforeach()
 
 # A negative seed would wrap to a huge unsigned value.
 expect_usage_error(simulate --seed= -1)
+
+# Each bound is the one the library enforces: counts >= 1, thread counts
+# >= 0, rates and horizons > 0, costs >= 0, the write mix in [0, 1].
+# NaN is outside every bound.
+expect_out_of_range(repeat --reps= 0 -1)
+expect_out_of_range(repeat --objects= 0 -1)
+expect_out_of_range(check --depth= 0 -1)
+expect_out_of_range(check --schedules= 0 -5)
+expect_out_of_range(check --swarm-depth= 0 -3)
+expect_out_of_range(repeat --jobs= -1)
+expect_out_of_range(check --check-jobs= -1)
+expect_out_of_range(simulate --years= 0 -1 nan)
+expect_out_of_range(simulate --rate= 0 -2)
+expect_out_of_range(serve --arrival-rate= 0 -1)
+expect_out_of_range(serve --service-time= -0.5)
+expect_out_of_range(serve --msg-cost= -1)
+expect_out_of_range(serve --write-fraction= -0.1 1.5 nan)
+
+# Flags a subcommand does not read are rejected, naming both.
+expect_rejected(2 "simulate does not accept --depth"
+                simulate --sites=1,2 --depth=3 --mode=swarm --config=Z)
+expect_rejected(2 "serve does not accept --trace-out" serve --trace-out=x)
+expect_rejected(2 "serve does not accept --network" serve --network=x)
+expect_rejected(2 "repeat does not accept --csv" repeat --sites=1,2 --csv=x)
+expect_rejected(2 "check does not accept --sites" check --sites=1,2)
+expect_rejected(2 "unknown flag --frobnicate" print --frobnicate)
+expect_rejected(2 "--no-memo takes no value" check --no-memo=1)
+expect_rejected(2 "--out needs a value" check --out)
+
+# One positional argument at most, and only where the command takes one.
+expect_rejected(2 "unexpected argument 'b.jsonl' for trace-summary"
+                trace-summary a.jsonl b.jsonl)
+expect_rejected(2 "unexpected argument 'extra' for simulate"
+                simulate --sites=1,2 extra)
+
+# The command is looked up first: a bad flag cannot mask a bad command.
+expect_rejected(3 "unknown command 'frobnicate';trace-summary"
+                frobnicate --reps=x)

@@ -1,57 +1,9 @@
-// dynvote — command-line front end to the library.
-//
-//   dynvote print    [--network=FILE]
-//   dynvote analyze  [--network=FILE] --sites=a,b,c
-//   dynvote simulate [--network=FILE] --sites=a,b,c [--policies=...]
-//                    [--years=N] [--rate=R] [--seed=N] [--csv=PATH]
-//                    [--trace-out=FILE.{jsonl,btrace}]
-//                    [--metrics-out=FILE.json]
-//   dynvote repeat   [--network=FILE] --sites=a,b,c [--policies=...]
-//                    [--years=N] [--rate=R] [--seed=N] [--reps=N]
-//                    [--jobs=M] [--objects=N] [--json=PATH]
-//                    [--trace-out=FILE.{jsonl,btrace}]
-//                    [--metrics-out=FILE.json]
-//   dynvote serve    [--config=ABCDEFGH] [--policies=...]
-//                    [--arrival-rate=R] [--service-time=MS]
-//                    [--msg-cost=MS] [--write-fraction=F] [--years=N]
-//                    [--reps=N] [--jobs=M] [--seed=N] [--json=PATH]
-//   dynvote scenario [--network=FILE] --sites=a,b,c [--protocol=LDV]
-//                    <script.dvs>
-//   dynvote trace-summary <trace.jsonl|trace.btrace>
-//   dynvote trace-convert <trace.btrace> [--out=FILE.jsonl]
-//   dynvote check    [--protocol=ODV] [--topology=single3] [--depth=5]
-//                    [--mode=exhaustive|swarm] [--seed=N] [--schedules=N]
-//                    [--swarm-depth=N] [--oracle=NAME] [--weaken-mutex]
-//                    [--no-memo] [--no-shrink] [--check-jobs=M] [--no-por]
-//                    [--out=FILE.json]
-//   dynvote check    --replay=counterexample.json
-//   dynvote --version
-//
-// Flags accept both `--flag=value` and `--flag value`.
-//
-// Without --network the paper's eight-site network is used and sites may
-// be given either by name (csvax, ..., mangle) or by the paper's 1-based
-// numbers. `analyze` reports partition points, the reachable partition
-// patterns and the closed-form static-voting availability; `simulate`
-// runs the discrete-event model; `repeat` runs R independent
-// replications of it in parallel and reports cross-replication means
-// with 95 % confidence intervals; `serve` runs the serving model
-// (docs/serving.md) over the paper's placements and reports per-protocol
-// messages-per-access and latency percentiles; `scenario` executes a fault
-// script
-// against a replicated KV store; `trace-summary` aggregates a trace file
-// (dynvote-trace-v1 JSONL, or dynvote-btrace-v1 binary — a `--trace-out`
-// path ending in .btrace selects the compact binary format, written
-// through a background writer thread) into per-protocol grant/denial
-// attribution, and `trace-convert` decodes a binary trace to JSONL that
-// is byte-identical to what a direct JSONL run would have produced (see
-// docs/observability.md). Tracing never changes statistical results:
-// traced and untraced runs of the same seed produce identical tables,
-// CSV and JSON. `check` model-checks a protocol's safety
-// invariants over small fault/access schedules, shrinks any violation to
-// a minimal reproducer and replays exported counterexamples (see
-// docs/model_checking.md).
+// dynvote — command-line front end to the library. kFlags below declares
+// every flag, which subcommands accept it and its help line; run the tool
+// without arguments for the generated usage. docs/observability.md,
+// docs/serving.md and docs/model_checking.md describe the outputs.
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
@@ -61,6 +13,8 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "check/checker.h"
@@ -90,7 +44,6 @@ namespace cli {
 namespace {
 
 struct Options {
-  std::string command;
   std::string network_path;  // empty = paper network
   std::string sites;         // comma-separated
   std::string policies = "MCV,DV,LDV,ODV,TDV,OTDV";
@@ -99,9 +52,9 @@ struct Options {
   std::string json_path;
   std::string trace_out_path;    // simulate/repeat: JSONL event trace
   std::string metrics_out_path;  // simulate/repeat: metrics JSON
-  std::string positional;  // scenario script / trace-summary input path
-  double years = 100.0;
-  bool years_set = false;  // serve defaults shorter than simulate/repeat
+  std::string positional;  // the command's argument (Command::argument)
+  // 0 = the command's default: 100 years, or 2 on serve.
+  double years = 0.0;
   double rate = 1.0;
   // Serving model (docs/serving.md). On simulate/repeat the model stays
   // off until --arrival-rate is given; `serve` turns it on with the
@@ -112,7 +65,7 @@ struct Options {
   double msg_cost_ms = 0.1;
   double write_fraction = 0.5;
   std::uint64_t seed = 20260704;
-  bool quorum_cache = true;
+  bool no_quorum_cache = false;
   // repeat: -1 = take the value from the network file's `experiment`
   // declaration (default 1).
   int reps = -1;
@@ -130,13 +83,13 @@ struct Options {
   int depth = 5;
   int schedules = 256;
   int swarm_depth = 12;
-  bool memoize = true;
-  bool shrink = true;
+  bool no_memo = false;
+  bool no_shrink = false;
   bool weaken_mutex = false;
   // check: replay fan-out width and partial-order reduction. Neither
   // ever changes a verdict, a count, or the counterexample.
   int check_jobs = 1;
-  bool por = true;
+  bool no_por = false;
 };
 
 // Exit codes: 0 success, 1 runtime failure, 2 bad flags / usage,
@@ -145,236 +98,242 @@ struct Options {
 constexpr int kExitUsage = 2;
 constexpr int kExitUnknownCommand = 3;
 
-constexpr const char kSubcommands[] =
-    "print analyze simulate repeat serve scenario trace-summary "
-    "trace-convert check";
+// One bit per subcommand; a flag lists the subcommands that accept it.
+enum CommandBit : unsigned {
+  kPrint = 1u << 0,
+  kAnalyze = 1u << 1,
+  kSimulate = 1u << 2,
+  kRepeat = 1u << 3,
+  kServe = 1u << 4,
+  kScenario = 1u << 5,
+  kTraceConvert = 1u << 6,
+  kCheck = 1u << 7,
+  kRun = kSimulate | kRepeat,  // the commands that run an experiment
+};
 
-int Usage() {
-  std::cerr <<
-      "usage: dynvote "
-      "<print|analyze|simulate|repeat|serve|scenario|trace-summary|"
-      "trace-convert|check> [options]\n"
-      "       dynvote --version\n"
-      "(flags accept --flag=value and --flag value)\n"
-      "  --network=FILE   network description (default: the paper's)\n"
-      "  --sites=a,b,c    copy placement (names, or 1-8 on the paper "
-      "network)\n"
-      "  --policies=...   simulate/repeat: protocols to compare\n"
-      "  --protocol=P     scenario: protocol to run\n"
-      "  --reps=N         repeat: independent replications\n"
-      "  --jobs=M         repeat: worker threads (0 = all cores; never "
-      "changes results)\n"
-      "  --objects=N      repeat: replications per pool task (runs the\n"
-      "                   group's objects back to back; never changes\n"
-      "                   results; every run picks its engine itself)\n"
-      "  --json=PATH      repeat: write per-replication + aggregate JSON\n"
-      "  --trace-out=F    simulate/repeat: write " << kTraceSchema
-      << " JSONL events\n"
-      "                   (a .btrace path writes " << kBinaryTraceSchema
-      << " binary instead)\n"
-      "  --out=F          trace-convert: JSONL destination (default: "
-      "stdout)\n"
-      "  --metrics-out=F  simulate/repeat: write " << kMetricsSchema
-      << " JSON metrics\n"
-      "  --no-quorum-cache  simulate/repeat: disable grant-decision\n"
-      "                   memoization (results are identical either way)\n"
-      "  --years=N --rate=R --seed=N --csv=PATH\n"
-      "serving model (docs/serving.md; " << kServingSchema << "):\n"
-      "  --arrival-rate=R simulate/repeat/serve: open-loop Poisson\n"
-      "                   arrivals per day, split across the replicas\n"
-      "                   (replaces the closed-loop accessor)\n"
-      "  --service-time=MS --msg-cost=MS --write-fraction=F\n"
-      "                   per-request base service time, per-control-\n"
-      "                   message cost, and write mix\n"
-      "  --config=A..H    serve: paper placements to report (default all)\n"
-      "  --json=PATH      serve: write the " << kServingSchema
-      << " report\n"
-      "check options (see docs/model_checking.md):\n"
-      "  --topology=T     check universe (single2..single8, pairs, "
-      "section3)\n"
-      "  --depth=N        exhaustive: maximum schedule length\n"
-      "  --mode=M         exhaustive (default) or swarm\n"
-      "  --schedules=N --swarm-depth=N  swarm size and schedule length\n"
-      "  --oracle=O       none, quorum_cache, jm_equivalence, lex_pair\n"
-      "  --strict=S       auto (strict iff partition-safe), on, off\n"
-      "  --weaken-mutex   test hook: any grant at all violates\n"
-      "  --no-memo        disable canonical-state merging\n"
-      "  --check-jobs=M   worker threads for the replay fan-out (0 = all\n"
-      "                   cores; never changes results)\n"
-      "  --no-por         disable partial-order reduction over commuting\n"
-      "                   toggles (applied only where provably sound;\n"
-      "                   never changes the visited-state set)\n"
-      "  --no-shrink      keep the unshrunk failing schedule\n"
-      "  --out=FILE       write the counterexample JSON here\n"
-      "  --replay=FILE    replay a " << check::kCounterExampleSchema
-      << " file instead of exploring\n";
-  return kExitUsage;
-}
+/// The range of a numeric flag's value: the range the library accepts
+/// where it reads the setting. The bound is checked on every run that
+/// passes the flag, also one that never reads it, so `--rate=0` next
+/// to `--arrival-rate` and `check --mode=swarm --depth=0` are rejected.
+enum Bound { kAny, kNonNegative, kPositive, kAtLeastOne, kFraction };
 
-int UnknownCommand(const std::string& command) {
-  std::cerr << "dynvote: unknown command '" << command
-            << "'\navailable commands: " << kSubcommands
-            << "\n(run a command with no arguments, or see --version)\n";
-  return kExitUnknownCommand;
-}
-
-int Version() {
-  // Prints the registry verbatim: tests/lint/version_schemas_test.cc
-  // keeps kAllSchemas equal to the set of schema tokens in the tree, so
-  // this loop cannot silently omit a schema.
-  std::cout << "dynvote schemas:\n";
-  for (const VersionedSchema& schema : kAllSchemas) {
-    std::string label = schema.label;
-    label.resize(15, ' ');
-    std::cout << "  " << label << " " << schema.token << "\n";
+/// The bound as text when `value` lies outside it, else null. NaN lies
+/// outside every bound but kAny.
+const char* OutOfBound(Bound bound, double value) {
+  if (bound == kNonNegative && !(value >= 0.0)) return ">= 0";
+  if (bound == kPositive && !(value > 0.0)) return "> 0";
+  if (bound == kAtLeastOne && !(value >= 1.0)) return ">= 1";
+  if (bound == kFraction && !(value >= 0.0 && value <= 1.0)) {
+    return "in [0, 1]";
   }
-  return 0;
+  return nullptr;
 }
 
-bool IsBooleanFlag(const std::string& a) {
-  return a == "--no-quorum-cache" || a == "--no-memo" || a == "--no-shrink" ||
-         a == "--weaken-mutex" || a == "--no-por";
+/// The Options field a flag sets. A bool field makes a flag that takes
+/// no value and sets the field to true.
+using Field =
+    std::variant<std::string Options::*, int Options::*, double Options::*,
+                 std::uint64_t Options::*, bool Options::*>;
+
+struct Flag {
+  const char* name;   // without the leading "--"
+  unsigned commands;  // CommandBit mask of the subcommands that accept it
+  Field field;
+  // The value's placeholder in the usage text, null when the flag takes
+  // no value; "a|b" allows only a or b.
+  const char* value;
+  const char* help;
+  Bound bound = kAny;
+};
+
+constexpr Flag kFlags[] = {
+    {"network", kPrint | kAnalyze | kRun | kScenario, &Options::network_path,
+     "FILE", "network description (default: the paper's)"},
+    {"sites", kAnalyze | kRun | kScenario, &Options::sites, "a,b,c",
+     "copy placement (names, or 1-8 on the paper network)"},
+    {"policies", kRun | kServe, &Options::policies, "P,Q",
+     "protocols to compare"},
+    {"protocol", kScenario | kCheck, &Options::protocol, "P",
+     "protocol to run"},
+    {"years", kRun | kServe, &Options::years, "N",
+     "simulated years (default 100; serve: 2)", kPositive},
+    {"rate", kRun, &Options::rate, "R", "closed-loop accesses per day",
+     kPositive},
+    {"seed", kRun | kServe | kCheck, &Options::seed, "N", "master seed"},
+    {"csv", kSimulate, &Options::csv_path, "PATH",
+     "write the result rows as CSV"},
+    {"reps", kRepeat | kServe, &Options::reps, "N",
+     "independent replications", kAtLeastOne},
+    {"jobs", kRepeat | kServe, &Options::jobs, "M",
+     "worker threads (0 = all cores; never changes results)", kNonNegative},
+    {"objects", kRepeat, &Options::objects, "N",
+     "replications per pool task (never changes results)", kAtLeastOne},
+    {"json", kRepeat | kServe, &Options::json_path, "PATH",
+     "write the results JSON (serve: the serving report)"},
+    {"trace-out", kRun, &Options::trace_out_path, "FILE",
+     "write the event trace (.btrace: binary, else JSONL)"},
+    {"metrics-out", kRun, &Options::metrics_out_path, "FILE",
+     "write the metrics JSON"},
+    {"no-quorum-cache", kRun | kServe, &Options::no_quorum_cache, nullptr,
+     "disable grant-decision memos (results are identical)"},
+    {"arrival-rate", kRun | kServe, &Options::arrival_rate, "R",
+     "open-loop arrivals per day (turns the serving model on)", kPositive},
+    {"service-time", kRun | kServe, &Options::service_time_ms, "MS",
+     "serving: per-request base service time", kNonNegative},
+    {"msg-cost", kRun | kServe, &Options::msg_cost_ms, "MS",
+     "serving: cost per control message", kNonNegative},
+    {"write-fraction", kRun | kServe, &Options::write_fraction, "F",
+     "serving: share of arrivals that write", kFraction},
+    {"config", kServe, &Options::config, "A..H",
+     "paper placements to report (default all)"},
+    {"topology", kCheck, &Options::topology, "T",
+     "check universe (single2..single8, pairs, section3)"},
+    {"mode", kCheck, &Options::mode, "exhaustive|swarm",
+     "how schedules are explored (default exhaustive)"},
+    {"depth", kCheck, &Options::depth, "N",
+     "exhaustive: maximum schedule length", kAtLeastOne},
+    {"schedules", kCheck, &Options::schedules, "N",
+     "swarm: number of random schedules", kAtLeastOne},
+    {"swarm-depth", kCheck, &Options::swarm_depth, "N",
+     "swarm: actions per schedule", kAtLeastOne},
+    {"oracle", kCheck, &Options::oracle, "O",
+     "none, quorum_cache, jm_equivalence or lex_pair"},
+    {"strict", kCheck, &Options::strict, "auto|on|off",
+     "strict invariants (auto: iff the protocol is partition-safe)"},
+    {"weaken-mutex", kCheck, &Options::weaken_mutex, nullptr,
+     "test hook: any grant at all violates"},
+    {"no-memo", kCheck, &Options::no_memo, nullptr,
+     "disable canonical-state merging"},
+    {"no-shrink", kCheck, &Options::no_shrink, nullptr,
+     "keep the unshrunk failing schedule"},
+    {"check-jobs", kCheck, &Options::check_jobs, "M",
+     "replay fan-out threads (0 = all cores; same results)", kNonNegative},
+    {"no-por", kCheck, &Options::no_por, nullptr,
+     "disable partial-order reduction (same state set)"},
+    {"replay", kCheck, &Options::replay_path, "FILE",
+     "replay a counterexample file instead of exploring"},
+    {"out", kTraceConvert | kCheck, &Options::out_path, "FILE",
+     "converted JSONL (default stdout) or counterexample JSON"},
+};
+
+bool TakesValue(const Flag& flag) {
+  return !std::holds_alternative<bool Options::*>(flag.field);
 }
 
-/// Parses the number after `prefix` in flag `arg` ("--reps=4" -> 4) with
-/// `parse`, naming the flag in the error.
-template <typename T>
-Result<T> FlagNumber(const std::string& arg, const std::string& prefix,
-                     Result<T> (*parse)(const std::string&)) {
-  Result<T> number = parse(arg.substr(prefix.size()));
-  if (!number.ok()) {
-    return Status::InvalidArgument(prefix.substr(0, prefix.size() - 1) +
-                                   ": " + number.status().message());
-  }
-  return number;
+Result<int> ParseNumber(const std::string& text, int*) {
+  return ParseInt(text);
+}
+Result<double> ParseNumber(const std::string& text, double*) {
+  return ParseDouble(text);
+}
+Result<std::uint64_t> ParseNumber(const std::string& text, std::uint64_t*) {
+  return ParseUint64(text);
 }
 
-Result<Options> Parse(int argc, char** argv) {
-  if (argc < 2) return Status::InvalidArgument("missing command");
+/// Stores `value` into `flag`'s field: numbers parsed whole and checked
+/// against the flag's bound, choices checked against the placeholder's
+/// list; errors name the flag.
+Status Set(const Flag& flag, const std::string& value, Options* opt) {
+  const std::string name = std::string("--") + flag.name;
+  return std::visit(
+      [&](auto field) {
+        auto& out = opt->*field;
+        using T = std::remove_reference_t<decltype(out)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          out = true;
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          const std::string choices = std::string("|") + flag.value + "|";
+          if (std::string_view(flag.value).find('|') != std::string::npos &&
+              choices.find("|" + value + "|") == std::string::npos) {
+            return Status::InvalidArgument(name + ": must be one of " +
+                                           flag.value + ", got '" + value +
+                                           "'");
+          }
+          out = value;
+        } else {
+          Result<T> number = ParseNumber(value, &out);
+          if (!number.ok()) {
+            return Status::InvalidArgument(name + ": " +
+                                           number.status().message());
+          }
+          if (const char* bound =
+                  OutOfBound(flag.bound, static_cast<double>(*number))) {
+            return Status::InvalidArgument(name + ": must be " + bound +
+                                           ", got '" + value + "'");
+          }
+          out = *number;
+        }
+        return Status::OK();
+      },
+      flag.field);
+}
+
+struct Command {
+  const char* name;
+  unsigned bit;          // 0: accepts no flag
+  const char* argument;  // its one, required argument; null for none
+  int (*run)(const Options&);
+};
+
+/// Parses `args` (the arguments after the subcommand) against kFlags,
+/// accepting only the flags that list `command` and exactly the
+/// positional arguments it takes. `--flag value` folds into
+/// `--flag=value` unless the flag takes no value.
+Result<Options> Parse(const Command& command,
+                      const std::vector<std::string>& args) {
   Options opt;
-  opt.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string a = argv[i];
-    // Accept `--flag value` by folding it into the `--flag=value` form.
-    if (a.rfind("--", 0) == 0 && a.find('=') == std::string::npos &&
-        !IsBooleanFlag(a) && i + 1 < argc &&
-        std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      a += "=";
-      a += argv[++i];
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& arg = args[i];
+    if (!arg.starts_with("--")) {
+      if (command.argument == nullptr || !opt.positional.empty()) {
+        return Status::InvalidArgument("unexpected argument '" + arg +
+                                       "' for " + command.name);
+      }
+      opt.positional = arg;
+      continue;
     }
-    auto value = [&a](const char* prefix) {
-      return a.substr(std::string(prefix).size());
-    };
-    if (a.rfind("--network=", 0) == 0) {
-      opt.network_path = value("--network=");
-    } else if (a.rfind("--sites=", 0) == 0) {
-      opt.sites = value("--sites=");
-    } else if (a.rfind("--policies=", 0) == 0) {
-      opt.policies = value("--policies=");
-    } else if (a.rfind("--protocol=", 0) == 0) {
-      opt.protocol = value("--protocol=");
-    } else if (a.rfind("--csv=", 0) == 0) {
-      opt.csv_path = value("--csv=");
-    } else if (a.rfind("--json=", 0) == 0) {
-      opt.json_path = value("--json=");
-    } else if (a.rfind("--trace-out=", 0) == 0) {
-      opt.trace_out_path = value("--trace-out=");
-    } else if (a.rfind("--metrics-out=", 0) == 0) {
-      opt.metrics_out_path = value("--metrics-out=");
-    } else if (a.rfind("--reps=", 0) == 0) {
-      DYNVOTE_ASSIGN_OR_RETURN(opt.reps, FlagNumber(a, "--reps=", ParseInt));
-      if (opt.reps < 1) {
-        return Status::InvalidArgument("--reps must be >= 1");
-      }
-    } else if (a.rfind("--jobs=", 0) == 0) {
-      DYNVOTE_ASSIGN_OR_RETURN(opt.jobs, FlagNumber(a, "--jobs=", ParseInt));
-      if (opt.jobs < 0) {
-        return Status::InvalidArgument("--jobs must be >= 0 (0 = all cores)");
-      }
-    } else if (a.rfind("--objects=", 0) == 0) {
-      DYNVOTE_ASSIGN_OR_RETURN(
-          opt.objects, FlagNumber(a, "--objects=", ParseInt));
-      if (opt.objects < 1) {
-        return Status::InvalidArgument("--objects must be >= 1");
-      }
-    } else if (a.rfind("--years=", 0) == 0) {
-      DYNVOTE_ASSIGN_OR_RETURN(
-          opt.years, FlagNumber(a, "--years=", ParseDouble));
-      opt.years_set = true;
-    } else if (a.rfind("--rate=", 0) == 0) {
-      DYNVOTE_ASSIGN_OR_RETURN(opt.rate, FlagNumber(a, "--rate=", ParseDouble));
-    } else if (a.rfind("--config=", 0) == 0) {
-      opt.config = value("--config=");
-    } else if (a.rfind("--arrival-rate=", 0) == 0) {
-      DYNVOTE_ASSIGN_OR_RETURN(
-          opt.arrival_rate, FlagNumber(a, "--arrival-rate=", ParseDouble));
-      if (opt.arrival_rate <= 0.0) {
-        return Status::InvalidArgument("--arrival-rate must be > 0");
-      }
-    } else if (a.rfind("--service-time=", 0) == 0) {
-      DYNVOTE_ASSIGN_OR_RETURN(
-          opt.service_time_ms, FlagNumber(a, "--service-time=", ParseDouble));
-      if (opt.service_time_ms < 0.0) {
-        return Status::InvalidArgument("--service-time must be >= 0");
-      }
-    } else if (a.rfind("--msg-cost=", 0) == 0) {
-      DYNVOTE_ASSIGN_OR_RETURN(
-          opt.msg_cost_ms, FlagNumber(a, "--msg-cost=", ParseDouble));
-      if (opt.msg_cost_ms < 0.0) {
-        return Status::InvalidArgument("--msg-cost must be >= 0");
-      }
-    } else if (a.rfind("--write-fraction=", 0) == 0) {
-      DYNVOTE_ASSIGN_OR_RETURN(
-          opt.write_fraction, FlagNumber(a, "--write-fraction=", ParseDouble));
-      if (opt.write_fraction < 0.0 || opt.write_fraction > 1.0) {
-        return Status::InvalidArgument("--write-fraction must be in [0, 1]");
-      }
-    } else if (a.rfind("--seed=", 0) == 0) {
-      DYNVOTE_ASSIGN_OR_RETURN(opt.seed, FlagNumber(a, "--seed=", ParseUint64));
-    } else if (a == "--no-quorum-cache") {
-      opt.quorum_cache = false;
-    } else if (a.rfind("--topology=", 0) == 0) {
-      opt.topology = value("--topology=");
-    } else if (a.rfind("--mode=", 0) == 0) {
-      opt.mode = value("--mode=");
-    } else if (a.rfind("--oracle=", 0) == 0) {
-      opt.oracle = value("--oracle=");
-    } else if (a.rfind("--strict=", 0) == 0) {
-      opt.strict = value("--strict=");
-    } else if (a.rfind("--replay=", 0) == 0) {
-      opt.replay_path = value("--replay=");
-    } else if (a.rfind("--out=", 0) == 0) {
-      opt.out_path = value("--out=");
-    } else if (a.rfind("--depth=", 0) == 0) {
-      DYNVOTE_ASSIGN_OR_RETURN(opt.depth, FlagNumber(a, "--depth=", ParseInt));
-    } else if (a.rfind("--schedules=", 0) == 0) {
-      DYNVOTE_ASSIGN_OR_RETURN(
-          opt.schedules, FlagNumber(a, "--schedules=", ParseInt));
-    } else if (a.rfind("--swarm-depth=", 0) == 0) {
-      DYNVOTE_ASSIGN_OR_RETURN(
-          opt.swarm_depth, FlagNumber(a, "--swarm-depth=", ParseInt));
-    } else if (a == "--no-memo") {
-      opt.memoize = false;
-    } else if (a == "--no-shrink") {
-      opt.shrink = false;
-    } else if (a == "--weaken-mutex") {
-      opt.weaken_mutex = true;
-    } else if (a.rfind("--check-jobs=", 0) == 0) {
-      DYNVOTE_ASSIGN_OR_RETURN(
-          opt.check_jobs, FlagNumber(a, "--check-jobs=", ParseInt));
-      if (opt.check_jobs < 0) {
-        return Status::InvalidArgument(
-            "--check-jobs must be >= 0 (0 = all cores)");
-      }
-    } else if (a == "--no-por") {
-      opt.por = false;
-    } else if (a.rfind("--", 0) == 0) {
-      return Status::InvalidArgument("unknown flag " + a);
-    } else {
-      opt.positional = a;
+    const std::size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    const std::string_view key = std::string_view(name).substr(2);
+    const Flag* flag =
+        std::find_if(std::begin(kFlags), std::end(kFlags),
+                     [key](const Flag& f) { return key == f.name; });
+    if (flag == std::end(kFlags)) {
+      return Status::InvalidArgument("unknown flag " + name);
     }
+    if ((flag->commands & command.bit) == 0) {
+      return Status::InvalidArgument(std::string(command.name) +
+                                     " does not accept " + name);
+    }
+    std::string value;
+    if (eq != std::string::npos) {
+      if (!TakesValue(*flag)) {
+        return Status::InvalidArgument(name + " takes no value");
+      }
+      value = arg.substr(eq + 1);
+    } else if (TakesValue(*flag)) {
+      if (i + 1 == args.size() || args[i + 1].starts_with("--")) {
+        return Status::InvalidArgument(name + " needs a value");
+      }
+      value = args[++i];
+    }
+    DYNVOTE_RETURN_NOT_OK(Set(*flag, value, &opt));
+  }
+  if (command.argument != nullptr && opt.positional.empty()) {
+    return Status::InvalidArgument(std::string(command.name) + " needs " +
+                                   command.argument);
   }
   return opt;
+}
+
+/// Splits a comma-separated list, dropping empty items ("a,,b," -> a, b).
+std::vector<std::string> SplitCsv(const std::string& csv) {
+  std::vector<std::string> items;
+  std::istringstream in(csv);
+  for (std::string item; std::getline(in, item, ',');) {
+    if (!item.empty()) items.push_back(item);
+  }
+  return items;
 }
 
 Result<NetworkConfig> LoadNetwork(const Options& opt) {
@@ -393,10 +352,7 @@ Result<SiteSet> ResolveSites(const NetworkConfig& network,
     return Status::InvalidArgument("--sites=... is required");
   }
   SiteSet placement;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
+  for (const std::string& item : SplitCsv(csv)) {
     auto by_name = network.topology->FindSite(item);
     if (by_name.ok()) {
       placement.Add(*by_name);
@@ -507,29 +463,29 @@ int Analyze(const Options& opt) {
   return 0;
 }
 
-std::vector<std::string> SplitCsv(const std::string& csv) {
-  std::vector<std::string> items;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) items.push_back(item);
+/// The experiment options the flags describe over `years` of
+/// measurement. On simulate and repeat the serving model engages only
+/// when --arrival-rate was given; `serve` forces it on (falling back to
+/// the library's default rate).
+ExperimentOptions FlagExperimentOptions(const Options& opt, double years,
+                                        bool force_serving) {
+  ExperimentOptions options;
+  options.warmup = Days(360);
+  options.num_batches = 20;
+  options.batch_length = Years(years / 20.0);
+  options.access.rate_per_day = opt.rate;
+  options.seed = opt.seed;
+  options.quorum_cache = !opt.no_quorum_cache;
+  if (force_serving || opt.arrival_rate > 0.0) {
+    options.serving.enabled = true;
+    if (opt.arrival_rate > 0.0) {
+      options.serving.arrival_rate_per_day = opt.arrival_rate;
+    }
+    options.serving.service_time_ms = opt.service_time_ms;
+    options.serving.msg_cost_ms = opt.msg_cost_ms;
+    options.serving.write_fraction = opt.write_fraction;
   }
-  return items;
-}
-
-/// Copies the serving-model flags into the experiment. On simulate and
-/// repeat the model engages only when --arrival-rate was given; `serve`
-/// forces it on (falling back to the library's default rate).
-void ApplyServingFlags(const Options& opt, bool force,
-                       ExperimentOptions* options) {
-  if (!force && opt.arrival_rate <= 0.0) return;
-  options->serving.enabled = true;
-  if (opt.arrival_rate > 0.0) {
-    options->serving.arrival_rate_per_day = opt.arrival_rate;
-  }
-  options->serving.service_time_ms = opt.service_time_ms;
-  options->serving.msg_cost_ms = opt.msg_cost_ms;
-  options->serving.write_fraction = opt.write_fraction;
+  return options;
 }
 
 /// A `--trace-out` path ending in .btrace selects the binary format.
@@ -583,29 +539,47 @@ int WriteObsOutputs(const Options& opt, const std::string& trace_body,
   return 0;
 }
 
-int Simulate(const Options& opt) {
-  auto network = LoadNetwork(opt);
-  if (!network.ok()) {
-    std::cerr << network.status() << "\n";
-    return 1;
-  }
-  auto placement = ResolveSites(*network, opt.sites);
-  if (!placement.ok()) {
-    std::cerr << placement.status() << "\n";
-    return 1;
-  }
-
+/// What simulate and repeat share: the network, the experiment built
+/// from the flags, and a factory for the --policies protocols on the
+/// --sites placement.
+struct Experiment {
+  NetworkConfig network;
   ExperimentSpec spec;
-  spec.topology = network->topology;
-  spec.profiles = network->profiles;
-  spec.repeater_profiles = network->repeater_profiles;
-  spec.options.warmup = Days(360);
-  spec.options.num_batches = 20;
-  spec.options.batch_length = Years(opt.years / 20.0);
-  spec.options.access.rate_per_day = opt.rate;
-  spec.options.seed = opt.seed;
-  spec.options.quorum_cache = opt.quorum_cache;
-  ApplyServingFlags(opt, /*force=*/false, &spec.options);
+  ProtocolSetFactory protocols;
+};
+
+Result<Experiment> SetUpExperiment(const Options& opt) {
+  Experiment e;
+  DYNVOTE_ASSIGN_OR_RETURN(e.network, LoadNetwork(opt));
+  DYNVOTE_ASSIGN_OR_RETURN(SiteSet placement,
+                           ResolveSites(e.network, opt.sites));
+  e.spec.topology = e.network.topology;
+  e.spec.profiles = e.network.profiles;
+  e.spec.repeater_profiles = e.network.repeater_profiles;
+  e.spec.options = FlagExperimentOptions(
+      opt, opt.years > 0.0 ? opt.years : 100.0, /*force_serving=*/false);
+  e.protocols = [topology = e.network.topology, placement,
+                 policies = SplitCsv(opt.policies)]()
+      -> Result<std::vector<std::unique_ptr<ConsistencyProtocol>>> {
+    std::vector<std::unique_ptr<ConsistencyProtocol>> protocols;
+    for (const std::string& policy : policies) {
+      DYNVOTE_ASSIGN_OR_RETURN(
+          std::unique_ptr<ConsistencyProtocol> p,
+          MakeProtocolByName(policy, topology, placement));
+      protocols.push_back(std::move(p));
+    }
+    return protocols;
+  };
+  return e;
+}
+
+int Simulate(const Options& opt) {
+  auto experiment = SetUpExperiment(opt);
+  if (!experiment.ok()) {
+    std::cerr << experiment.status() << "\n";
+    return 1;
+  }
+  ExperimentSpec& spec = experiment->spec;
 
   // Observability is opt-in per flag; with neither flag spec.obs stays
   // null and instrumentation costs one never-taken branch per site.
@@ -647,16 +621,12 @@ int Simulate(const Options& opt) {
   // RunAvailabilityExperiment picks the engine: untraced runs of the
   // paper policies go to the batched engine, everything else (including
   // --no-quorum-cache) to the solo reference engine, with identical rows.
-  std::vector<std::unique_ptr<ConsistencyProtocol>> protocols;
-  for (const std::string& policy : SplitCsv(opt.policies)) {
-    auto p = MakeProtocolByName(policy, network->topology, *placement);
-    if (!p.ok()) {
-      std::cerr << p.status() << "\n";
-      return 1;
-    }
-    protocols.push_back(p.MoveValue());
+  auto protocols = experiment->protocols();
+  if (!protocols.ok()) {
+    std::cerr << protocols.status() << "\n";
+    return 1;
   }
-  auto results = RunAvailabilityExperiment(spec, std::move(protocols));
+  auto results = RunAvailabilityExperiment(spec, protocols.MoveValue());
   if (!results.ok()) {
     std::cerr << results.status() << "\n";
     return 1;
@@ -706,34 +676,18 @@ int Simulate(const Options& opt) {
 }
 
 int Repeat(const Options& opt) {
-  auto network = LoadNetwork(opt);
-  if (!network.ok()) {
-    std::cerr << network.status() << "\n";
+  auto experiment = SetUpExperiment(opt);
+  if (!experiment.ok()) {
+    std::cerr << experiment.status() << "\n";
     return 1;
   }
-  auto placement = ResolveSites(*network, opt.sites);
-  if (!placement.ok()) {
-    std::cerr << placement.status() << "\n";
-    return 1;
-  }
-
-  ExperimentSpec spec;
-  spec.topology = network->topology;
-  spec.profiles = network->profiles;
-  spec.repeater_profiles = network->repeater_profiles;
-  spec.options.warmup = Days(360);
-  spec.options.num_batches = 20;
-  spec.options.batch_length = Years(opt.years / 20.0);
-  spec.options.access.rate_per_day = opt.rate;
-  spec.options.seed = opt.seed;
-  spec.options.quorum_cache = opt.quorum_cache;
-  ApplyServingFlags(opt, /*force=*/false, &spec.options);
+  const NetworkConfig& network = experiment->network;
 
   // Command line wins; the network file's `experiment` declaration
   // supplies defaults.
   ReplicationOptions replication;
-  replication.replications = opt.reps >= 1 ? opt.reps : network->replications;
-  replication.jobs = opt.jobs >= 0 ? opt.jobs : network->jobs;
+  replication.replications = opt.reps >= 1 ? opt.reps : network.replications;
+  replication.jobs = opt.jobs >= 0 ? opt.jobs : network.jobs;
   replication.collect_traces = !opt.trace_out_path.empty();
   replication.trace_format = WantsBinaryTrace(opt.trace_out_path)
                                  ? TraceFormat::kBinary
@@ -741,22 +695,8 @@ int Repeat(const Options& opt) {
   replication.collect_metrics = !opt.metrics_out_path.empty();
   replication.objects = opt.objects;
 
-  std::vector<std::string> policies = SplitCsv(opt.policies);
-  std::shared_ptr<const Topology> topology = network->topology;
-  SiteSet sites = *placement;
-  ProtocolSetFactory factory =
-      [topology, sites, policies]()
-      -> Result<std::vector<std::unique_ptr<ConsistencyProtocol>>> {
-    std::vector<std::unique_ptr<ConsistencyProtocol>> protocols;
-    for (const std::string& policy : policies) {
-      auto p = MakeProtocolByName(policy, topology, sites);
-      if (!p.ok()) return p.status();
-      protocols.push_back(p.MoveValue());
-    }
-    return protocols;
-  };
-
-  auto results = RunReplicatedExperiment(spec, factory, replication);
+  auto results = RunReplicatedExperiment(
+      experiment->spec, experiment->protocols, replication);
   if (!results.ok()) {
     std::cerr << results.status() << "\n";
     return 1;
@@ -830,27 +770,17 @@ void AppendJsonDouble(double value, std::string* out) {
 /// metrics shard, which folds in replication order — so the report (and
 /// the --json document) is byte-identical for any --jobs value.
 int Serve(const Options& opt) {
-  if (!opt.network_path.empty()) {
-    std::cerr << "serve runs the paper's placements; --network is not "
-                 "supported\n";
-    return kExitUsage;
-  }
   if (opt.config.empty()) {
     std::cerr << "--config needs at least one placement letter (A-H)\n";
     return kExitUsage;
   }
   std::vector<std::string> policies = SplitCsv(opt.policies);
 
-  ExperimentOptions options;
-  options.warmup = Days(360);
-  options.num_batches = 20;
   // The open loop serves ~1000 accesses per simulated day, so a short
   // horizon already gives tight percentiles; --years overrides.
-  const double years = opt.years_set ? opt.years : 2.0;
-  options.batch_length = Years(years / 20.0);
-  options.seed = opt.seed;
-  options.quorum_cache = opt.quorum_cache;
-  ApplyServingFlags(opt, /*force=*/true, &options);
+  const double years = opt.years > 0.0 ? opt.years : 2.0;
+  const ExperimentOptions options =
+      FlagExperimentOptions(opt, years, /*force_serving=*/true);
 
   ReplicationOptions replication;
   replication.replications = opt.reps >= 1 ? opt.reps : 1;
@@ -983,10 +913,6 @@ int Serve(const Options& opt) {
 }
 
 int RunScenario(const Options& opt) {
-  if (opt.positional.empty()) {
-    std::cerr << "scenario needs a script path\n";
-    return 1;
-  }
   auto network = LoadNetwork(opt);
   if (!network.ok()) {
     std::cerr << network.status() << "\n";
@@ -1028,10 +954,6 @@ int RunScenario(const Options& opt) {
 }
 
 int TraceSummaryCommand(const Options& opt) {
-  if (opt.positional.empty()) {
-    std::cerr << "trace-summary needs a trace file path\n";
-    return 1;
-  }
   std::ifstream in(opt.positional, std::ios::binary);
   if (!in) {
     std::cerr << "cannot read " << opt.positional << "\n";
@@ -1056,10 +978,6 @@ int TraceSummaryCommand(const Options& opt) {
 /// Decodes a dynvote-btrace-v1 file to dynvote-trace-v1 JSONL,
 /// byte-identical to a direct JSONL run of the same events.
 int TraceConvertCommand(const Options& opt) {
-  if (opt.positional.empty()) {
-    std::cerr << "trace-convert needs a binary trace file path\n";
-    return 1;
-  }
   std::ifstream in(opt.positional, std::ios::binary);
   if (!in) {
     std::cerr << "cannot read " << opt.positional << "\n";
@@ -1145,25 +1063,16 @@ int Check(const Options& opt) {
   options.seed = opt.seed;
   options.swarm_schedules = opt.schedules;
   options.swarm_depth = opt.swarm_depth;
-  options.memoize = opt.memoize;
-  options.shrink = opt.shrink;
+  options.memoize = !opt.no_memo;
+  options.shrink = !opt.no_shrink;
   options.jobs = opt.check_jobs;
-  options.por = opt.por;
-  if (opt.mode == "exhaustive") {
-    options.mode = check::CheckMode::kExhaustive;
-  } else if (opt.mode == "swarm") {
-    options.mode = check::CheckMode::kSwarm;
-  } else {
-    std::cerr << "unknown --mode '" << opt.mode
-              << "' (expected exhaustive or swarm)\n";
-    return kExitUsage;
-  }
+  options.por = !opt.no_por;
+  options.mode = opt.mode == "swarm" ? check::CheckMode::kSwarm
+                                     : check::CheckMode::kExhaustive;
   if (opt.weaken_mutex) options.policy.max_granted_groups = 0;
-  if (opt.strict == "on") {
-    options.policy.strict = true;
-  } else if (opt.strict == "off") {
-    options.policy.strict = false;
-  } else if (opt.strict == "auto") {
+  if (opt.strict != "auto") {
+    options.policy.strict = opt.strict == "on";
+  } else {
     // Strict iff the protocol has no documented partition hazard; probe
     // an instance to ask.
     auto topology = check::MakeCheckTopology(options.topology);
@@ -1178,10 +1087,6 @@ int Check(const Options& opt) {
       return 1;
     }
     options.policy.strict = (*probe)->partition_safe();
-  } else {
-    std::cerr << "unknown --strict '" << opt.strict
-              << "' (expected auto, on or off)\n";
-    return kExitUsage;
   }
   auto oracle = check::ParseDifferentialOracle(opt.oracle);
   if (!oracle.ok()) {
@@ -1261,25 +1166,88 @@ int Check(const Options& opt) {
   return 1;
 }
 
+int Version(const Options&) {
+  // Prints the registry verbatim: tests/lint/version_schemas_test.cc
+  // keeps kAllSchemas equal to the set of schema tokens in the tree, so
+  // this loop cannot silently omit a schema.
+  std::cout << "dynvote schemas:\n";
+  for (const VersionedSchema& schema : kAllSchemas) {
+    std::string label = schema.label;
+    label.resize(15, ' ');
+    std::cout << "  " << label << " " << schema.token << "\n";
+  }
+  return 0;
+}
+
+constexpr Command kCommands[] = {
+    {"print", kPrint, nullptr, Print},
+    {"analyze", kAnalyze, nullptr, Analyze},
+    {"simulate", kSimulate, nullptr, Simulate},
+    {"repeat", kRepeat, nullptr, Repeat},
+    {"serve", kServe, nullptr, Serve},
+    {"scenario", kScenario, "SCRIPT.dvs", RunScenario},
+    {"trace-summary", 0, "TRACE", TraceSummaryCommand},
+    {"trace-convert", kTraceConvert, "TRACE.btrace", TraceConvertCommand},
+    {"check", kCheck, nullptr, Check},
+    {"version", 0, nullptr, Version},
+};
+
+/// Prints the usage of `only`, or of every command when it is null, with
+/// the flags each accepts; returns the usage exit code.
+int Usage(const Command* only) {
+  std::cerr << "usage: dynvote <command> [flags]  (--flag=value or "
+               "--flag value)\n";
+  for (const Command& command : kCommands) {
+    if (only != nullptr && &command != only) continue;
+    std::string line = std::string("  dynvote ") + command.name;
+    if (command.argument != nullptr) {
+      line += std::string(" ") + command.argument;
+    }
+    for (const Flag& flag : kFlags) {
+      if ((flag.commands & command.bit) == 0) continue;
+      std::string word = std::string(" [--") + flag.name;
+      if (TakesValue(flag)) word += std::string("=") + flag.value;
+      word += "]";
+      if (line.size() + word.size() > 78) {
+        std::cerr << line << "\n";
+        line = std::string(10 + std::string_view(command.name).size(), ' ');
+      }
+      line += word;
+    }
+    std::cerr << line << "\n";
+  }
+  for (const Flag& flag : kFlags) {
+    if (only != nullptr && (flag.commands & only->bit) == 0) continue;
+    std::string spelling = std::string("--") + flag.name;
+    if (TakesValue(flag)) spelling += std::string("=") + flag.value;
+    spelling.resize(std::max<std::size_t>(spelling.size(), 20), ' ');
+    std::cerr << "  " << spelling << " " << flag.help << "\n";
+  }
+  return kExitUsage;
+}
+
 int Main(int argc, char** argv) {
-  auto opt = Parse(argc, argv);
+  if (argc < 2) return Usage(nullptr);
+  // `--version` is the documented spelling of the version command.
+  const std::string name =
+      argv[1] == std::string_view("--version") ? "version" : argv[1];
+  const Command* command = nullptr;
+  for (const Command& candidate : kCommands) {
+    if (name == candidate.name) command = &candidate;
+  }
+  if (command == nullptr) {
+    std::cerr << "dynvote: unknown command '" << argv[1]
+              << "'\navailable commands:";
+    for (const Command& known : kCommands) std::cerr << " " << known.name;
+    std::cerr << "\n(run dynvote without arguments for usage)\n";
+    return kExitUnknownCommand;
+  }
+  auto opt = Parse(*command, std::vector<std::string>(argv + 2, argv + argc));
   if (!opt.ok()) {
     std::cerr << opt.status() << "\n";
-    return Usage();
+    return Usage(command);
   }
-  if (opt->command == "--version" || opt->command == "version") {
-    return Version();
-  }
-  if (opt->command == "print") return Print(*opt);
-  if (opt->command == "analyze") return Analyze(*opt);
-  if (opt->command == "simulate") return Simulate(*opt);
-  if (opt->command == "repeat") return Repeat(*opt);
-  if (opt->command == "serve") return Serve(*opt);
-  if (opt->command == "scenario") return RunScenario(*opt);
-  if (opt->command == "trace-summary") return TraceSummaryCommand(*opt);
-  if (opt->command == "trace-convert") return TraceConvertCommand(*opt);
-  if (opt->command == "check") return Check(*opt);
-  return UnknownCommand(opt->command);
+  return command->run(*opt);
 }
 
 }  // namespace
