@@ -8,46 +8,75 @@
 #include "model/replicated_experiment.h"
 #include "model/site_profile.h"
 #include "stats/table.h"
+#include "util/parse_number.h"
 
 namespace dynvote {
 namespace bench {
+namespace {
+
+[[noreturn]] void FlagError(const std::string& message) {
+  std::cerr << message << "\n";
+  std::exit(2);
+}
+
+/// The parsed number, or exit 2 naming `flag`.
+template <typename T>
+T ValueOrExit(const std::string& flag, const Result<T>& parsed) {
+  if (!parsed.ok()) FlagError(flag + ": " + parsed.status().message());
+  return *parsed;
+}
+
+}  // namespace
 
 BenchArgs ParseArgs(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    auto value_of = [&a](const std::string& prefix) -> std::string {
-      return a.substr(prefix.size());
-    };
-    if (a.rfind("--years=", 0) == 0) {
-      args.years = std::stod(value_of("--years="));
-    } else if (a.rfind("--batches=", 0) == 0) {
-      args.batches = std::stoi(value_of("--batches="));
-    } else if (a.rfind("--seed=", 0) == 0) {
-      args.seed = std::stoull(value_of("--seed="));
-    } else if (a.rfind("--configs=", 0) == 0) {
-      args.configs = value_of("--configs=");
-    } else if (a.rfind("--csv=", 0) == 0) {
-      args.csv_path = value_of("--csv=");
-    } else if (a.rfind("--reps=", 0) == 0) {
-      args.reps = std::stoi(value_of("--reps="));
-    } else if (a.rfind("--jobs=", 0) == 0) {
-      args.jobs = std::stoi(value_of("--jobs="));
-    } else if (a == "--no-quorum-cache") {
+    const std::string a = argv[i];
+    const std::size_t eq = a.find('=');
+    const std::string flag = a.substr(0, eq);
+    const std::string value = eq == std::string::npos ? "" : a.substr(eq + 1);
+    if (a == "--no-quorum-cache") {
       args.quorum_cache = false;
     } else if (a == "--verbose") {
       args.verbose = true;
+    } else if (eq == std::string::npos) {
+      RejectUnknownFlag(a);
+    } else if (flag == "--years") {
+      args.years = ValueOrExit(flag, ParseDouble(value));
+    } else if (flag == "--batches") {
+      args.batches = ValueOrExit(flag, ParseInt(value));
+    } else if (flag == "--seed") {
+      args.seed = ValueOrExit(flag, ParseUint64(value));
+    } else if (flag == "--configs") {
+      args.configs = value;
+    } else if (flag == "--csv") {
+      args.csv_path = value;
+    } else if (flag == "--reps") {
+      args.reps = ValueOrExit(flag, ParseInt(value));
+      if (args.reps < 1) {
+        FlagError("--reps: must be >= 1, got '" + value + "'");
+      }
+    } else if (flag == "--jobs") {
+      args.jobs = ValueOrExit(flag, ParseInt(value));
+      if (args.jobs < 0) {
+        FlagError("--jobs: must be >= 0 (0 = all cores), got '" + value +
+                  "'");
+      }
+    } else if (flag == "--runs") {
+      args.runs = ValueOrExit(flag, ParseInt(value));
+    } else {
+      RejectUnknownFlag(a);
     }
   }
-  if (args.reps < 1) {
-    std::cerr << "--reps must be >= 1\n";
-    std::exit(1);
-  }
-  if (args.jobs < 0) {
-    std::cerr << "--jobs must be >= 0 (0 = all cores)\n";
-    std::exit(1);
-  }
   return args;
+}
+
+double ParseDoubleFlag(const std::string& flag, const std::string& value) {
+  return ValueOrExit(flag, ParseDouble(value));
+}
+
+void RejectUnknownFlag(const std::string& arg) {
+  FlagError("unknown flag " + arg);
 }
 
 ExperimentOptions MakeOptions(const BenchArgs& args) {

@@ -128,12 +128,24 @@ struct BenchArgs {
   /// Grant-decision memoization (--no-quorum-cache disables). Never
   /// changes results, only wall-clock time.
   bool quorum_cache = true;
+  /// Independent runs per configuration (reliability_mttf only).
+  int runs = 25;
 };
 
-/// Parses --years=, --batches=, --seed=, --configs=, --reps=, --jobs=,
-/// --verbose from argv. Unknown flags (including google-benchmark's) are
-/// ignored. Exits the process on invalid values.
+/// Parses --years=, --batches=, --seed=, --configs=, --csv=, --reps=,
+/// --jobs=, --runs=, --no-quorum-cache and --verbose from argv. Numbers
+/// must parse whole (util/parse_number.h); --reps must be >= 1 and
+/// --jobs >= 0. A bad value or an unknown flag prints a message naming
+/// the flag and exits 2.
 BenchArgs ParseArgs(int argc, char** argv);
+
+/// Parses `value` of `flag` whole as a double, for the harnesses that
+/// read their own flags (--min-time-ms=); exits 2 naming the flag on a
+/// bad value.
+double ParseDoubleFlag(const std::string& flag, const std::string& value);
+
+/// Prints "unknown flag <arg>" and exits 2.
+[[noreturn]] void RejectUnknownFlag(const std::string& arg);
 
 /// Builds paper-style experiment options from bench args.
 ExperimentOptions MakeOptions(const BenchArgs& args);

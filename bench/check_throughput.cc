@@ -373,7 +373,9 @@ int Main(int argc, char** argv) {
     if (a.rfind("--out=", 0) == 0) {
       out_path = a.substr(6);
     } else if (a.rfind("--min-time-ms=", 0) == 0) {
-      min_ms = std::stod(a.substr(14));
+      min_ms = bench::ParseDoubleFlag("--min-time-ms", a.substr(14));
+    } else {
+      bench::RejectUnknownFlag(a);
     }
   }
 

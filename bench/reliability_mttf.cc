@@ -22,24 +22,16 @@ namespace dynvote {
 namespace bench {
 namespace {
 
-int ParseRuns(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind("--runs=", 0) == 0) return std::stoi(a.substr(7));
-  }
-  return 25;
-}
-
-int Run(const BenchArgs& args, int runs) {
+int Run(const BenchArgs& args) {
   std::cout << "=== Reliability: time to first unavailability ===\n"
-            << runs << " independent runs per configuration, horizon "
+            << args.runs << " independent runs per configuration, horizon "
             << args.years << " years each, 1 access/day\n\n";
 
   int failures = 0;
   for (char config : args.configs) {
     std::map<std::string, Histogram> tallies;
 
-    for (int run = 0; run < runs; ++run) {
+    for (int run = 0; run < args.runs; ++run) {
       ExperimentOptions options = MakeOptions(args);
       options.num_batches = 1;
       options.batch_length = Years(args.years);
@@ -103,5 +95,5 @@ int main(int argc, char** argv) {
   dynvote::bench::BenchArgs args = dynvote::bench::ParseArgs(argc, argv);
   if (args.years == 600.0) args.years = 350.0;
   if (args.configs == "ABCDEFGH") args.configs = "EB";
-  return dynvote::bench::Run(args, dynvote::bench::ParseRuns(argc, argv));
+  return dynvote::bench::Run(args);
 }

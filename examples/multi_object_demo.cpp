@@ -6,9 +6,13 @@
 // Build & run:  ./build/examples/multi_object_demo
 
 #include <iostream>
+#include <map>
+#include <memory>
+#include <string>
 
 #include "core/regenerating.h"
-#include "kv/multi_store.h"
+#include "core/registry.h"
+#include "kv/kv_store.h"
 #include "model/site_profile.h"
 
 using namespace dynvote;
@@ -35,47 +39,68 @@ int main() {
   auto topo = network->topology;
   NetworkState net(topo);
 
-  auto store_result =
-      MultiKvStore::Make(topo, "LDV", SiteSet{0, 1, 2});  // main segment
-  if (!store_result.ok()) {
-    std::cerr << store_result.status() << "\n";
-    return 1;
-  }
-  MultiKvStore& store = **store_result;
-
   std::cout << "== Per-object quorums on the paper's network ==\n\n";
 
-  // Three objects with different placements and protocols.
-  (void)store.DeclareKey("local", SiteSet{0, 1, 2});           // main only
-  (void)store.DeclareKey("spread", SiteSet{0, 5, 7});          // config C
-  (void)store.DeclareKey("clustered", SiteSet{0, 1, 2, 3}, "TDV");  // E
+  // Three objects, each its own replicated store with its own placement
+  // and protocol, so each keeps its own quorum.
+  struct ObjectSpec {
+    const char* key;
+    SiteSet placement;
+    const char* protocol;
+  };
+  std::map<std::string, std::unique_ptr<ReplicatedKvStore>> objects;
+  for (const ObjectSpec& spec :
+       {ObjectSpec{"local", SiteSet{0, 1, 2}, "LDV"},            // main only
+        ObjectSpec{"spread", SiteSet{0, 5, 7}, "LDV"},           // config C
+        ObjectSpec{"clustered", SiteSet{0, 1, 2, 3}, "TDV"}}) {  // E
+    auto protocol = MakeProtocolByName(spec.protocol, topo, spec.placement);
+    if (!protocol.ok()) {
+      std::cerr << protocol.status() << "\n";
+      return 1;
+    }
+    auto store = ReplicatedKvStore::Make(protocol.MoveValue());
+    if (!store.ok()) {
+      std::cerr << store.status() << "\n";
+      return 1;
+    }
+    objects[spec.key] = store.MoveValue();
+  }
+  auto put = [&](const std::string& key, std::string value) {
+    return objects.at(key)->Put(net, 0, key, std::move(value));
+  };
+  auto get = [&](SiteId origin, const std::string& key) {
+    return objects.at(key)->Get(net, origin, key);
+  };
+  auto notify = [&] {
+    for (auto& [key, object] : objects) {
+      object->protocol()->OnNetworkEvent(net);
+    }
+  };
 
-  Show("Put(local)", store.Put(net, 0, "local", "on-main"));
-  Show("Put(spread)", store.Put(net, 0, "spread", "across-gateways"));
-  Show("Put(clustered)", store.Put(net, 0, "clustered", "same-segment"));
+  Show("Put(local)", put("local", "on-main"));
+  Show("Put(spread)", put("spread", "across-gateways"));
+  Show("Put(clustered)", put("clustered", "same-segment"));
 
   std::cout << "\nGateway wizard fails — gremlin's segment cut off:\n";
   net.SetSiteUp(3, false);
-  store.OnNetworkEvent(net);
-  Show("Get(local)  [unaffected]", store.Get(net, 0, "local"));
-  Show("Get(spread) [adapted: {csvax, mangle} majority]",
-       store.Get(net, 0, "spread"));
-  Show("Get(clustered) [TDV carries wizard's vote]",
-       store.Get(net, 0, "clustered"));
+  notify();
+  Show("Get(local)  [unaffected]", get(0, "local"));
+  Show("Get(spread) [adapted: {csvax, mangle} majority]", get(0, "spread"));
+  Show("Get(clustered) [TDV carries wizard's vote]", get(0, "clustered"));
 
   std::cout << "\nAmos fails too; csvax and beowulf as well:\n";
   for (SiteId s : {4, 0, 1}) {
     net.SetSiteUp(s, false);
-    store.OnNetworkEvent(net);
+    notify();
   }
   Show("Get(local)   [only grendel of {csvax,beowulf,grendel} is up]",
-       store.Get(net, 2, "local"));
-  Show("Get(spread)  [no quorum anywhere]", store.Get(net, 2, "spread"));
+       get(2, "local"));
+  Show("Get(spread)  [no quorum anywhere]", get(2, "spread"));
   Show("Get(clustered) [TDV: grendel carries its dead segment-mates]",
-       store.Get(net, 2, "clustered"));
+       get(2, "clustered"));
 
   net.AllUp();
-  store.OnNetworkEvent(net);
+  notify();
 
   // A regenerable witness on its own object: data on csvax + gremlin,
   // witness on mangle; when mangle goes down for a two-week repair the

@@ -6,36 +6,45 @@
 #     not 2);
 #   - a flag the subcommand does not read, and a positional argument the
 #     subcommand does not take, are usage errors naming the subcommand;
-#   - an unknown subcommand exits 3 before any flag is looked at.
+#   - an unknown subcommand exits 3 before any flag is looked at;
+#   - the bench binaries (BENCH_DIR) hold their flags to the same rules:
+#     a bad number, an out-of-bound --reps/--jobs or an unknown flag
+#     exits 2 with a message naming it, before any simulation runs.
 #
-#   cmake -DCLI=path/to/dynvote_cli -DWORK_DIR=scratch/dir \
-#         -P numeric_flags_smoke.cmake
+#   cmake -DCLI=path/to/dynvote_cli -DBENCH_DIR=path/to/bench \
+#         -DWORK_DIR=scratch/dir -P numeric_flags_smoke.cmake
 
-if(NOT CLI OR NOT WORK_DIR)
-  message(FATAL_ERROR "pass -DCLI=<dynvote_cli> -DWORK_DIR=<dir>")
+if(NOT CLI OR NOT BENCH_DIR OR NOT WORK_DIR)
+  message(FATAL_ERROR
+    "pass -DCLI=<dynvote_cli> -DBENCH_DIR=<bench dir> -DWORK_DIR=<dir>")
 endif()
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
-# Fails the test unless `dynvote_cli <args>` exits with `expected_rc` and
+# Fails the test unless `<program> <args>` exits with `expected_rc` and
 # its stderr contains every `needle` (a ;-list).
-function(expect_rejected expected_rc needles)
-  execute_process(COMMAND "${CLI}" ${ARGN}
+function(expect_exit program expected_rc needles)
+  execute_process(COMMAND "${program}" ${ARGN}
     WORKING_DIRECTORY "${WORK_DIR}"
     OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
   string(JOIN " " args ${ARGN})
+  get_filename_component(name "${program}" NAME)
   if(NOT rc EQUAL expected_rc)
     message(FATAL_ERROR
-      "dynvote_cli ${args} exited with ${rc} (expected ${expected_rc}):\n"
+      "${name} ${args} exited with ${rc} (expected ${expected_rc}):\n"
       "${out}${err}")
   endif()
   foreach(needle IN LISTS needles)
     string(FIND "${err}" "${needle}" at)
     if(at EQUAL -1)
-      message(FATAL_ERROR
-        "dynvote_cli ${args} did not say '${needle}':\n${err}")
+      message(FATAL_ERROR "${name} ${args} did not say '${needle}':\n${err}")
     endif()
   endforeach()
+endfunction()
+
+# expect_exit for dynvote_cli.
+function(expect_rejected expected_rc needles)
+  expect_exit("${CLI}" ${expected_rc} "${needles}" ${ARGN})
 endfunction()
 
 # Fails the test unless `dynvote_cli <command> <flag><value>` is a usage
@@ -118,3 +127,46 @@ expect_rejected(2 "unexpected argument 'extra' for simulate"
 # The command is looked up first: a bad flag cannot mask a bad command.
 expect_rejected(3 "unknown command 'frobnicate';trace-summary"
                 frobnicate --reps=x)
+
+# --- The bench binaries -------------------------------------------------
+# Every rejected value exits 2 before the grid runs. The flags ahead of
+# the one under test keep a wrongly accepted value cheap to run.
+set(paper_tables "${BENCH_DIR}/paper_tables")
+set(short --years=1 --batches=2 --configs=A)
+
+# Fails the test unless `<bench> <short> <flag><value>` is a usage error
+# naming the flag.
+function(expect_bench_usage_error bench flag value)
+  string(REGEX REPLACE "=$" "" name "${flag}")
+  expect_exit("${bench}" 2 "${name}: " ${short} "${flag}${value}")
+endfunction()
+
+foreach(flag --batches= --reps= --jobs= --runs=)
+  foreach(value "" abc 2abc 99999999999999999999999)
+    expect_bench_usage_error("${paper_tables}" ${flag} "${value}")
+  endforeach()
+endforeach()
+foreach(value "" abc 2abc 1e999)
+  expect_bench_usage_error("${paper_tables}" --years= "${value}")
+endforeach()
+foreach(value "" abc -1 99999999999999999999999)
+  expect_bench_usage_error("${paper_tables}" --seed= "${value}")
+endforeach()
+foreach(value 0 -1)
+  expect_bench_usage_error("${paper_tables}" --reps= "${value}")
+endforeach()
+expect_bench_usage_error("${paper_tables}" --jobs= -1)
+expect_bench_usage_error("${BENCH_DIR}/reliability_mttf" --runs= x)
+
+# A misspelt flag no longer falls back to the 600-year default.
+expect_exit("${paper_tables}" 2 "unknown flag --yeras=5" --yeras=5)
+expect_exit("${paper_tables}" 2 "unknown flag --verbose=1" --verbose=1)
+
+# The harnesses that read their own flags.
+foreach(bench hotpath_micro serving_latency check_throughput)
+  foreach(value "" abc 2abc 1e999)
+    expect_exit("${BENCH_DIR}/${bench}" 2 "--min-time-ms: "
+                "--min-time-ms=${value}")
+  endforeach()
+  expect_exit("${BENCH_DIR}/${bench}" 2 "unknown flag --bogus" --bogus)
+endforeach()

@@ -1,8 +1,8 @@
-// Unit tests for the symbol-aware analyzer: the tokenizer, the four
-// rule families (each firing and suppressed, per the fixture pairs
-// under fixtures/analyze/), and the DOT/JSON renderings.
+// Unit tests for dynvote_lint's symbol pass: the tokenizer, the four
+// symbol rules (each firing and suppressed, per the fixture pairs under
+// fixtures/analyze/), and the DOT/JSON renderings of the lock graph.
 
-#include "lint/analyze.h"
+#include "lint/lint.h"
 
 #include <algorithm>
 #include <fstream>
@@ -30,7 +30,7 @@ FileInput LoadFixture(const std::string& rel) {
   return {rel, buffer.str()};
 }
 
-int CountRule(const AnalyzeResult& result, const std::string& rule) {
+int CountRule(const RunResult& result, const std::string& rule) {
   int n = 0;
   for (const Finding& f : result.findings) {
     if (f.rule == rule) ++n;
@@ -119,7 +119,7 @@ TEST(TokenizerTest, ShiftIsTwoCloseAngles) {
 // ---------------------------------------------------------------------------
 
 TEST(AnalyzeLockOrderTest, InconsistentOrderIsACycle) {
-  AnalyzeResult r =
+  RunResult r =
       RunAnalyze({LoadFixture("analyze/src/util/lockorder_fire.cc")});
   EXPECT_FALSE(r.lock_graph.acyclic);
   EXPECT_EQ(CountRule(r, "lock-order"), 1);
@@ -130,7 +130,7 @@ TEST(AnalyzeLockOrderTest, InconsistentOrderIsACycle) {
 }
 
 TEST(AnalyzeLockOrderTest, SuppressedAcquisitionDropsTheEdge) {
-  AnalyzeResult r =
+  RunResult r =
       RunAnalyze({LoadFixture("analyze/src/util/lockorder_allow.cc")});
   EXPECT_TRUE(r.lock_graph.acyclic) << ToText(r);
   EXPECT_EQ(CountRule(r, "lock-order"), 0);
@@ -139,7 +139,7 @@ TEST(AnalyzeLockOrderTest, SuppressedAcquisitionDropsTheEdge) {
 }
 
 TEST(AnalyzeLockOrderTest, RequiresAnnotationSeedsHeldSet) {
-  AnalyzeResult r =
+  RunResult r =
       RunAnalyze({LoadFixture("analyze/src/util/lockorder_annotated.cc")});
   EXPECT_TRUE(r.lock_graph.acyclic) << ToText(r);
   EXPECT_TRUE(HasEdge(r.lock_graph, "Gamma::g_", "Gamma::h_"));
@@ -154,7 +154,7 @@ TEST(AnalyzeLockOrderTest, SequentialGuardsCreateNoEdges) {
                  " private:\n"
                  "  Mutex m_;\n"
                  "};\n"};
-  AnalyzeResult r = RunAnalyze({file});
+  RunResult r = RunAnalyze({file});
   EXPECT_TRUE(r.lock_graph.edges.empty());
   EXPECT_TRUE(r.lock_graph.acyclic);
   ASSERT_EQ(r.lock_graph.nodes.size(), 1u);
@@ -170,7 +170,7 @@ TEST(AnalyzeLockOrderTest, RecursiveAcquisitionIsASelfCycle) {
                  "  }\n"
                  "  Mutex m_;\n"
                  "};\n"};
-  AnalyzeResult r = RunAnalyze({file});
+  RunResult r = RunAnalyze({file});
   EXPECT_FALSE(r.lock_graph.acyclic);
   EXPECT_EQ(CountRule(r, "lock-order"), 1);
 }
@@ -180,16 +180,14 @@ TEST(AnalyzeLockOrderTest, RecursiveAcquisitionIsASelfCycle) {
 // ---------------------------------------------------------------------------
 
 TEST(AnalyzeGuardedByTest, UnannotatedMutableMemberFires) {
-  AnalyzeResult r =
-      RunAnalyze({LoadFixture("analyze/src/obs/guardedby_fire.h")});
+  RunResult r = RunAnalyze({LoadFixture("analyze/src/obs/guardedby_fire.h")});
   EXPECT_EQ(CountRule(r, "guarded-by"), 1) << ToText(r);
   ASSERT_FALSE(r.findings.empty());
   EXPECT_NE(r.findings[0].message.find("misses_"), std::string::npos);
 }
 
 TEST(AnalyzeGuardedByTest, ProofSuppressionIsClean) {
-  AnalyzeResult r =
-      RunAnalyze({LoadFixture("analyze/src/obs/guardedby_allow.h")});
+  RunResult r = RunAnalyze({LoadFixture("analyze/src/obs/guardedby_allow.h")});
   EXPECT_TRUE(r.findings.empty()) << ToText(r);
 }
 
@@ -197,14 +195,14 @@ TEST(AnalyzeGuardedByTest, OnlyThreadedDirsAreInScope) {
   // Same shape as the firing fixture, but core/ has no threads.
   FileInput file{"src/core/single.h",
                  "class C {\n  Mutex mutex_;\n  int unguarded_ = 0;\n};\n"};
-  AnalyzeResult r = RunAnalyze({file});
+  RunResult r = RunAnalyze({file});
   EXPECT_TRUE(r.findings.empty()) << ToText(r);
 }
 
 TEST(AnalyzeGuardedByTest, MutexFreeClassesAreExempt) {
   FileInput file{"src/obs/plain.h",
                  "class P {\n  int counter_ = 0;\n};\n"};
-  AnalyzeResult r = RunAnalyze({file});
+  RunResult r = RunAnalyze({file});
   EXPECT_TRUE(r.findings.empty()) << ToText(r);
 }
 
@@ -213,8 +211,7 @@ TEST(AnalyzeGuardedByTest, MutexFreeClassesAreExempt) {
 // ---------------------------------------------------------------------------
 
 TEST(AnalyzeHygieneTest, ThrowStreamsLogAndSinkDispatchFire) {
-  AnalyzeResult r =
-      RunAnalyze({LoadFixture("analyze/src/util/hygiene_fire.cc")});
+  RunResult r = RunAnalyze({LoadFixture("analyze/src/util/hygiene_fire.cc")});
   EXPECT_EQ(CountRule(r, "lock-hygiene"), 4) << ToText(r);
   std::set<std::string> mentioned;
   for (const Finding& f : r.findings) {
@@ -231,8 +228,7 @@ TEST(AnalyzeHygieneTest, ThrowStreamsLogAndSinkDispatchFire) {
 }
 
 TEST(AnalyzeHygieneTest, SuppressionsAndScopedWorkAreClean) {
-  AnalyzeResult r =
-      RunAnalyze({LoadFixture("analyze/src/util/hygiene_allow.cc")});
+  RunResult r = RunAnalyze({LoadFixture("analyze/src/util/hygiene_allow.cc")});
   EXPECT_TRUE(r.findings.empty()) << ToText(r);
 }
 
@@ -246,7 +242,7 @@ TEST(AnalyzeHygieneTest, LoggingOutsideTheGuardScopeIsClean) {
                  "  void touch();\n"
                  "  Mutex m_;\n"
                  "};\n"};
-  AnalyzeResult r = RunAnalyze({file});
+  RunResult r = RunAnalyze({file});
   EXPECT_TRUE(r.findings.empty()) << ToText(r);
 }
 
@@ -264,7 +260,7 @@ std::vector<FileInput> SchemaTree(const std::string& variant) {
 }
 
 TEST(AnalyzeSchemaFieldsTest, DriftFiresOnEverySide) {
-  AnalyzeResult r = RunAnalyze(SchemaTree("drift"));
+  RunResult r = RunAnalyze(SchemaTree("drift"));
   // orphan: not encoded + not decoded; ghost: no field + undocumented;
   // phantom: documented but never emitted.
   EXPECT_EQ(CountRule(r, "schema-fields"), 5) << ToText(r);
@@ -280,14 +276,14 @@ TEST(AnalyzeSchemaFieldsTest, DriftFiresOnEverySide) {
 TEST(AnalyzeSchemaFieldsTest, ConsistentTreeIsCleanAndAliasesResolve) {
   // The clean tree exercises the alias map: latency_ms serializes as
   // lat_ms and type as ev.
-  AnalyzeResult r = RunAnalyze(SchemaTree("clean"));
+  RunResult r = RunAnalyze(SchemaTree("clean"));
   EXPECT_TRUE(r.findings.empty()) << ToText(r);
 }
 
 TEST(AnalyzeSchemaFieldsTest, InactiveWithoutAllParticipants) {
   // The struct alone (or struct + encoder) must not demand the rest of
   // the tree be passed.
-  AnalyzeResult r = RunAnalyze(
+  RunResult r = RunAnalyze(
       {LoadFixture("analyze/drift/src/obs/trace_event.h"),
        LoadFixture("analyze/drift/src/obs/trace_sink.cc")});
   EXPECT_EQ(CountRule(r, "schema-fields"), 0) << ToText(r);
@@ -298,7 +294,7 @@ TEST(AnalyzeSchemaFieldsTest, InactiveWithoutAllParticipants) {
 // ---------------------------------------------------------------------------
 
 TEST(AnalyzeOutputTest, DotExportIsByteStable) {
-  AnalyzeResult r =
+  RunResult r =
       RunAnalyze({LoadFixture("analyze/src/util/lockorder_annotated.cc")});
   const std::string expected =
       "digraph lock_order {\n"
@@ -311,19 +307,17 @@ TEST(AnalyzeOutputTest, DotExportIsByteStable) {
 }
 
 TEST(AnalyzeOutputTest, JsonCarriesSchemaFindingsAndGraph) {
-  AnalyzeResult r =
+  RunResult r =
       RunAnalyze({LoadFixture("analyze/src/util/lockorder_fire.cc")});
   const std::string json = ToJson(r);
-  EXPECT_NE(json.find("\"schema\": \"dynvote-analyze-v1\""),
-            std::string::npos);
+  EXPECT_NE(json.find("\"schema\": \"dynvote-lint-v2\""), std::string::npos);
   EXPECT_NE(json.find("\"acyclic\": false"), std::string::npos);
   EXPECT_NE(json.find("\"cycles\": ["), std::string::npos);
   EXPECT_NE(json.find("\"rule\": \"lock-order\""), std::string::npos);
 }
 
 TEST(AnalyzeOutputTest, TextSummarizesTheGraph) {
-  AnalyzeResult clean =
-      RunAnalyze({FileInput{"src/core/ok.cc", "int x = 1;\n"}});
+  RunResult clean = RunAnalyze({FileInput{"src/core/ok.cc", "int x = 1;\n"}});
   const std::string text = ToText(clean);
   EXPECT_NE(text.find("0 finding(s) in 1 file(s) analyzed"),
             std::string::npos);
@@ -332,7 +326,7 @@ TEST(AnalyzeOutputTest, TextSummarizesTheGraph) {
 
 TEST(AnalyzeCatalogTest, RuleNamesAreUniqueAndComplete) {
   std::set<std::string> names;
-  for (const RuleInfo& rule : AnalyzeRules()) {
+  for (const RuleInfo& rule : Rules()) {
     EXPECT_TRUE(names.insert(rule.name).second)
         << "duplicate rule " << rule.name;
     EXPECT_FALSE(rule.summary.empty());

@@ -203,7 +203,7 @@ TEST(LintSchemaTest, Suppressible) {
 TEST(LintOutputTest, JsonCarriesSchemaAndFindings) {
   RunResult r = RunLint({LoadFixture("src/sim/unordered_fire.h")}, {});
   const std::string json = ToJson(r);
-  EXPECT_NE(json.find("\"schema\": \"dynvote-lint-v1\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\": \"dynvote-lint-v2\""), std::string::npos);
   EXPECT_NE(json.find("\"rule\": \"unordered-container\""),
             std::string::npos);
   EXPECT_NE(json.find("\"files_scanned\": 1"), std::string::npos);

@@ -1,4 +1,4 @@
-#include "lint/analyze.h"
+#include "lint/lint.h"
 
 #include <algorithm>
 #include <cstddef>
@@ -1121,10 +1121,10 @@ void CheckSchemaFields(const Model& m, std::vector<Finding>* findings) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Entry point + rendering
+// Entry point
 // ---------------------------------------------------------------------------
 
-AnalyzeResult RunAnalyze(const std::vector<FileInput>& files) {
+RunResult RunAnalyze(const std::vector<FileInput>& files) {
   Model m;
   m.files.resize(files.size());
   for (std::size_t f = 0; f < files.size(); ++f) {
@@ -1141,7 +1141,7 @@ AnalyzeResult RunAnalyze(const std::vector<FileInput>& files) {
     }
   }
 
-  AnalyzeResult result;
+  RunResult result;
   result.files_scanned = static_cast<int>(files.size());
 
   // Every Mutex member is a node even when never locked: the DOT export
@@ -1188,126 +1188,6 @@ AnalyzeResult RunAnalyze(const std::vector<FileInput>& files) {
                            family->end());
   }
   return result;
-}
-
-std::string ToJson(const AnalyzeResult& result) {
-  std::string out;
-  out.append("{\n  \"schema\": \"");
-  out.append(kAnalyzeSchema);
-  out.append("\",\n  \"files_scanned\": ");
-  out.append(std::to_string(result.files_scanned));
-  out.append(",\n  \"findings\": [");
-  bool first = true;
-  for (const Finding& f : result.findings) {
-    out.append(first ? "\n    {" : ",\n    {");
-    first = false;
-    out.append("\"rule\": ");
-    AppendJsonString(f.rule, &out);
-    out.append(", \"file\": ");
-    AppendJsonString(f.file, &out);
-    out.append(", \"line\": ");
-    out.append(std::to_string(f.line));
-    out.append(", \"message\": ");
-    AppendJsonString(f.message, &out);
-    out.push_back('}');
-  }
-  out.append(first ? "]" : "\n  ]");
-  out.append(",\n  \"lock_graph\": {\n    \"acyclic\": ");
-  out.append(result.lock_graph.acyclic ? "true" : "false");
-  out.append(",\n    \"nodes\": [");
-  first = true;
-  for (const std::string& node : result.lock_graph.nodes) {
-    if (!first) out.append(", ");
-    first = false;
-    AppendJsonString(node, &out);
-  }
-  out.append("],\n    \"edges\": [");
-  first = true;
-  for (const LockEdge& e : result.lock_graph.edges) {
-    out.append(first ? "\n      {" : ",\n      {");
-    first = false;
-    out.append("\"from\": ");
-    AppendJsonString(e.from, &out);
-    out.append(", \"to\": ");
-    AppendJsonString(e.to, &out);
-    out.append(", \"file\": ");
-    AppendJsonString(e.file, &out);
-    out.append(", \"line\": ");
-    out.append(std::to_string(e.line));
-    out.push_back('}');
-  }
-  out.append(first ? "]" : "\n    ]");
-  out.append(",\n    \"cycles\": [");
-  first = true;
-  for (const std::string& cycle : result.lock_graph.cycles) {
-    if (!first) out.append(", ");
-    first = false;
-    AppendJsonString(cycle, &out);
-  }
-  out.append("]\n  }\n}\n");
-  return out;
-}
-
-std::string ToText(const AnalyzeResult& result) {
-  std::string out;
-  for (const Finding& f : result.findings) {
-    out += f.file + ":" + std::to_string(f.line) + ": [" + f.rule + "] " +
-           f.message + "\n";
-  }
-  out += std::to_string(result.findings.size()) + " finding(s) in " +
-         std::to_string(result.files_scanned) + " file(s) analyzed; lock "
-         "graph: " +
-         std::to_string(result.lock_graph.nodes.size()) + " mutex(es), " +
-         std::to_string(result.lock_graph.edges.size()) + " edge(s), ";
-  if (result.lock_graph.acyclic) {
-    out += "acyclic.\n";
-  } else {
-    out += "CYCLIC:\n";
-    for (const std::string& cycle : result.lock_graph.cycles) {
-      out += "  " + cycle + "\n";
-    }
-  }
-  return out;
-}
-
-std::string ToDot(const LockGraph& graph) {
-  std::string out;
-  out.append("digraph lock_order {\n");
-  out.append("  rankdir=LR;\n");
-  out.append("  node [shape=box];\n");
-  std::set<std::string> with_edges;
-  for (const LockEdge& e : graph.edges) {
-    with_edges.insert(e.from);
-    with_edges.insert(e.to);
-  }
-  for (const std::string& node : graph.nodes) {
-    if (with_edges.count(node) != 0) continue;
-    out.append("  \"" + node + "\";\n");
-  }
-  for (const LockEdge& e : graph.edges) {
-    out.append("  \"" + e.from + "\" -> \"" + e.to + "\" [label=\"" +
-               e.file + ":" + std::to_string(e.line) + "\"];\n");
-  }
-  out.append("}\n");
-  return out;
-}
-
-std::vector<RuleInfo> AnalyzeRules() {
-  return {
-      {"lock-order",
-       "the global mutex-acquisition graph (MutexLock nesting + "
-       "DYNVOTE_ACQUIRE/REQUIRES annotations) must be acyclic"},
-      {"guarded-by",
-       "mutable non-atomic members of Mutex-owning classes in threaded "
-       "dirs (util/ obs/ check/ stats/) need DYNVOTE_GUARDED_BY or a "
-       "proof suppression"},
-      {"lock-hygiene",
-       "no throw, stream I/O / logging, or virtual dispatch through a "
-       "trace sink while a lock is held"},
-      {"schema-fields",
-       "TraceEvent struct fields, the JSONL encoder, the binary codec "
-       "and the docs field tables must agree field by field"},
-  };
 }
 
 }  // namespace lint

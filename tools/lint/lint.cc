@@ -16,7 +16,7 @@ namespace {
 
 // Path classification, comment/string-aware line splitting and the
 // allow() suppression grammar live in lint/scan.h, shared with the
-// symbol-aware analyzer (lint/analyze.h).
+// symbol pass (analyze.cc).
 
 // ---------------------------------------------------------------------------
 // Token rules (data-driven)
@@ -138,6 +138,17 @@ void CollectSchemas(const std::vector<Line>& lines, const std::string& path,
       }
     }
   }
+}
+
+/// Appends `items` as a one-line JSON array of strings.
+void AppendJsonStrings(const std::vector<std::string>& items,
+                       std::string* out) {
+  out->push_back('[');
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) out->append(", ");
+    AppendJsonString(items[i], out);
+  }
+  out->push_back(']');
 }
 
 }  // namespace
@@ -331,7 +342,30 @@ std::string ToJson(const RunResult& result) {
     out.push_back('}');
   }
   out.append(first ? "]" : "\n  ]");
-  out.append("\n}\n");
+  const LockGraph& graph = result.lock_graph;
+  out.append(",\n  \"lock_graph\": {\n    \"acyclic\": ");
+  out.append(graph.acyclic ? "true" : "false");
+  out.append(",\n    \"nodes\": ");
+  AppendJsonStrings(graph.nodes, &out);
+  out.append(",\n    \"edges\": [");
+  first = true;
+  for (const LockEdge& e : graph.edges) {
+    out.append(first ? "\n      {" : ",\n      {");
+    first = false;
+    out.append("\"from\": ");
+    AppendJsonString(e.from, &out);
+    out.append(", \"to\": ");
+    AppendJsonString(e.to, &out);
+    out.append(", \"file\": ");
+    AppendJsonString(e.file, &out);
+    out.append(", \"line\": ");
+    out.append(std::to_string(e.line));
+    out.push_back('}');
+  }
+  out.append(first ? "]" : "\n    ]");
+  out.append(",\n    \"cycles\": ");
+  AppendJsonStrings(graph.cycles, &out);
+  out.append("\n  }\n}\n");
   return out;
 }
 
@@ -341,12 +375,44 @@ std::string ToText(const RunResult& result) {
     out += f.file + ":" + std::to_string(f.line) + ": [" + f.rule + "] " +
            f.message + "\n";
   }
+  const LockGraph& graph = result.lock_graph;
   out += std::to_string(result.findings.size()) + " finding(s) in " +
-         std::to_string(result.files_scanned) + " file(s) scanned";
+         std::to_string(result.files_scanned) + " file(s) analyzed";
   if (result.fixes_applied > 0) {
     out += ", " + std::to_string(result.fixes_applied) + " fix(es) applied";
   }
-  out += ".\n";
+  out += "; lock graph: " + std::to_string(graph.nodes.size()) +
+         " mutex(es), " + std::to_string(graph.edges.size()) + " edge(s), ";
+  if (graph.acyclic) {
+    out += "acyclic.\n";
+  } else {
+    out += "CYCLIC:\n";
+    for (const std::string& cycle : graph.cycles) {
+      out += "  " + cycle + "\n";
+    }
+  }
+  return out;
+}
+
+std::string ToDot(const LockGraph& graph) {
+  std::string out;
+  out.append("digraph lock_order {\n");
+  out.append("  rankdir=LR;\n");
+  out.append("  node [shape=box];\n");
+  std::set<std::string> with_edges;
+  for (const LockEdge& e : graph.edges) {
+    with_edges.insert(e.from);
+    with_edges.insert(e.to);
+  }
+  for (const std::string& node : graph.nodes) {
+    if (with_edges.count(node) != 0) continue;
+    out.append("  \"" + node + "\";\n");
+  }
+  for (const LockEdge& e : graph.edges) {
+    out.append("  \"" + e.from + "\" -> \"" + e.to + "\" [label=\"" +
+               e.file + ":" + std::to_string(e.line) + "\"];\n");
+  }
+  out.append("}\n");
   return out;
 }
 
@@ -365,6 +431,21 @@ std::vector<RuleInfo> Rules() {
   rules.push_back({"schema-docs",
                    "every dynvote-*-vN schema string must appear in both "
                    "the source and the scanned docs"});
+  rules.push_back({"lock-order",
+                   "the global mutex-acquisition graph (MutexLock nesting "
+                   "+ DYNVOTE_ACQUIRE/REQUIRES annotations) must be "
+                   "acyclic"});
+  rules.push_back({"guarded-by",
+                   "mutable non-atomic members of Mutex-owning classes in "
+                   "threaded dirs (util/ obs/ check/ stats/) need "
+                   "DYNVOTE_GUARDED_BY or a proof suppression"});
+  rules.push_back({"lock-hygiene",
+                   "no throw, stream I/O / logging, or virtual dispatch "
+                   "through a trace sink while a lock is held"});
+  rules.push_back({"schema-fields",
+                   "TraceEvent struct fields, the JSONL encoder, the binary "
+                   "codec and the docs field tables must agree field by "
+                   "field"});
   return rules;
 }
 

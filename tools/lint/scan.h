@@ -1,9 +1,9 @@
-// Shared scanning layer for the project lint (dynvote_lint) and the
-// symbol-aware analyzer (dynvote_analyze): path classification, the
-// comment/string-aware line splitter, and the `dynvote-lint: allow()`
-// suppression grammar. Factored out of lint.cc so both tools see the
-// exact same view of a source file — a suppression that silences a lint
-// rule silences an analyzer rule through the identical code path.
+// Shared scanning layer for dynvote_lint's line pass (lint.cc) and
+// symbol pass (analyze.cc): path classification, the comment/string-aware
+// line splitter, and the `dynvote-lint: allow()` suppression grammar.
+// Both passes see the exact same view of a source file — a suppression
+// that silences a line rule silences a symbol rule through the identical
+// code path.
 //
 // The line splitter understands //, /* */, string and char literals,
 // C++ raw string literals (R"(...)", including custom delimiters and

@@ -1,7 +1,7 @@
-// A dependency-free C++ tokenizer for the symbol-aware analyzer
-// (lint/analyze.h). Produces a flat token stream — identifiers/keywords,
-// numbers, string and char literals (raw strings included), and
-// punctuation — with 1-based line numbers. Comments are skipped;
+// A dependency-free C++ tokenizer for dynvote_lint's symbol pass
+// (RunAnalyze in lint/lint.h). Produces a flat token stream —
+// identifiers/keywords, numbers, string and char literals (raw strings
+// included), and punctuation — with 1-based line numbers. Comments are skipped;
 // preprocessor directives are skipped whole (with backslash
 // continuations honored), because the scan layer (lint/scan.h) already
 // exposes #include targets per line and the analyzer reads those there.

@@ -15,7 +15,6 @@
 #include <array>
 
 #include "check/counterexample.h"  // check::kCounterExampleSchema
-#include "lint/analyze.h"          // lint::kAnalyzeSchema
 #include "lint/lint.h"             // lint::kLintSchema
 #include "model/open_loop.h"       // kServingSchema
 #include "obs/schemas.h"           // trace / btrace / metrics / bench
@@ -27,7 +26,7 @@ struct VersionedSchema {
   const char* token;
 };
 
-inline constexpr std::array<VersionedSchema, 9> kAllSchemas = {{
+inline constexpr std::array<VersionedSchema, 8> kAllSchemas = {{
     {"bench", kHotpathBenchSchema},
     {"check bench", kCheckBenchSchema},
     {"trace", kTraceSchema},
@@ -36,7 +35,6 @@ inline constexpr std::array<VersionedSchema, 9> kAllSchemas = {{
     {"serving", kServingSchema},
     {"counterexample", check::kCounterExampleSchema},
     {"lint", lint::kLintSchema},
-    {"analyze", lint::kAnalyzeSchema},
 }};
 
 }  // namespace dynvote
