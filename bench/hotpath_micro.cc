@@ -349,9 +349,10 @@ void BenchBatchedEngine(double min_ms, std::vector<BenchEntry>* out) {
 
 /// Tracing overhead on the same experiment-year unit: observability
 /// disabled (instrumentation reduces to one never-taken branch per
-/// site), a bounded in-memory ring sink, full JSONL serialization, and
-/// the binary encoder paged through the async writer thread. The traced
-/// entries report their slowdown against the off run via the
+/// site), btrace recorded into memory (a repeat worker), btrace rendered
+/// as JSONL on the async writer thread (a JSONL --trace-out), and btrace
+/// paged through the async writer thread (a .btrace --trace-out). The
+/// traced entries report their slowdown against the off run via the
 /// "trace-off" baseline; CI gates experiment_year_trace_binary_async at
 /// 1.3x of trace-off. Every side runs the solo engine — the only one that
 /// traces — so trace-off is the like-for-like untraced baseline.
@@ -364,18 +365,15 @@ void BenchTracingOverhead(double min_ms, std::vector<BenchEntry>* out) {
   spec.options.num_batches = 1;
   spec.options.batch_length = Years(1);
 
-  auto run = [&](ObsContext* obs, std::uint64_t iters) {
-    for (std::uint64_t i = 0; i < iters; ++i) {
-      spec.options.seed = 1 + i;
-      spec.obs = obs;
-      auto protocols =
-          MakePaperProtocols(paper->topology, kFiveCopyPlacement);
-      auto results =
-          RunSoloAvailabilityExperiment(spec, std::move(protocols));
-      if (!results.ok()) {
-        std::cerr << results.status() << "\n";
-        std::exit(1);
-      }
+  // Iteration i simulates one year with seed 1 + i.
+  auto run_year = [&](ObsContext* obs, std::uint64_t i) {
+    spec.options.seed = 1 + i;
+    spec.obs = obs;
+    auto protocols = MakePaperProtocols(paper->topology, kFiveCopyPlacement);
+    auto results = RunSoloAvailabilityExperiment(spec, std::move(protocols));
+    if (!results.ok()) {
+      std::cerr << results.status() << "\n";
+      std::exit(1);
     }
   };
 
@@ -398,61 +396,64 @@ void BenchTracingOverhead(double min_ms, std::vector<BenchEntry>* out) {
     // round rather than each iteration — a real traced run drains once
     // before closing the file, not per simulated year.
     binary_buffer.seekp(0);
-    for (std::uint64_t i = 0; i < iters; ++i) {
-      spec.options.seed = 1 + i;
-      spec.obs = &binary_obs;
-      auto protocols =
-          MakePaperProtocols(paper->topology, kFiveCopyPlacement);
-      auto results =
-          RunSoloAvailabilityExperiment(spec, std::move(protocols));
-      if (!results.ok()) {
-        std::cerr << results.status() << "\n";
-        std::exit(1);
-      }
-    }
+    for (std::uint64_t i = 0; i < iters; ++i) run_year(&binary_obs, i);
     binary_sink.Flush();
   };
 
   auto [off_r, binary_r] = bench::MeasurePairedMinOfRounds(
-      min_ms, [&](std::uint64_t n) { run(nullptr, n); }, run_binary);
+      min_ms,
+      [&](std::uint64_t iters) {
+        for (std::uint64_t i = 0; i < iters; ++i) run_year(nullptr, i);
+      },
+      run_binary);
 
   BenchEntry off;
   off.name = "experiment_year_trace_off";
   off.ops = off_r.ops;
   off.ns_per_op = off_r.ns_per_op;
 
-  RingTraceSink ring_sink;
-  ObsContext ring_obs;
-  ring_obs.sink = &ring_sink;
-  BenchEntry ring =
-      Measure("experiment_year_trace_ring", min_ms,
-              [&](std::uint64_t iters) { run(&ring_obs, iters); });
+  // The repeat worker's configuration: pages written synchronously into
+  // a per-replication buffer, flushed at the end of each replication.
+  // Rewind (rather than reset) the buffer so the probe measures the
+  // recording: a fresh str() would make the stream re-grow its buffer
+  // every iteration, charging allocator churn a real run never pays.
+  std::ostringstream memory_buffer;
+  StreamPageSink memory_pages(&memory_buffer);
+  BinaryTraceSink memory_sink(&memory_pages);
+  ObsContext memory_obs;
+  memory_obs.sink = &memory_sink;
+  BenchEntry memory =
+      Measure("experiment_year_trace_memory", min_ms,
+              [&](std::uint64_t iters) {
+                for (std::uint64_t i = 0; i < iters; ++i) {
+                  memory_buffer.seekp(0);
+                  run_year(&memory_obs, i);
+                  memory_sink.Flush();
+                }
+              });
 
-  std::ostringstream trace_buffer;
-  JsonlTraceSink jsonl_sink(&trace_buffer);
+  // `simulate --trace-out=X.jsonl`: the same pages rendered as JSONL on
+  // the writer thread. The writer is drained before each rewind.
+  std::ostringstream jsonl_buffer;
+  JsonlPageSink jsonl_pages(&jsonl_buffer);
+  AsyncTraceSink jsonl_writer(&jsonl_pages);
+  BinaryTraceSink jsonl_sink(&jsonl_writer);
   ObsContext jsonl_obs;
   jsonl_obs.sink = &jsonl_sink;
   BenchEntry jsonl =
       Measure("experiment_year_trace_jsonl", min_ms,
               [&](std::uint64_t iters) {
                 for (std::uint64_t i = 0; i < iters; ++i) {
-                  // Rewind (rather than reset) the buffer so the probe
-                  // measures serialization: a fresh str() would make the
-                  // stream re-grow its buffer every iteration, charging
-                  // allocator churn a real file run never pays.
-                  trace_buffer.seekp(0);
-                  spec.options.seed = 1 + i;
-                  spec.obs = &jsonl_obs;
-                  auto protocols =
-                      MakePaperProtocols(paper->topology, kFiveCopyPlacement);
-                  auto results =
-                      RunSoloAvailabilityExperiment(spec, std::move(protocols));
-                  if (!results.ok()) {
-                    std::cerr << results.status() << "\n";
-                    std::exit(1);
-                  }
+                  jsonl_buffer.seekp(0);
+                  run_year(&jsonl_obs, i);
+                  jsonl_sink.Flush();
                 }
               });
+  if (!memory_sink.ok() || !jsonl_sink.ok()) {
+    std::cerr << "trace pipeline failed: " << memory_sink.error()
+              << jsonl_sink.error() << "\n";
+    std::exit(1);
+  }
 
   // The shipping pipeline (binary encoding into pages, drained by a
   // writer thread into an in-memory stream so the probe measures the
@@ -468,14 +469,14 @@ void BenchTracingOverhead(double min_ms, std::vector<BenchEntry>* out) {
   binary.ops = binary_r.ops;
   binary.ns_per_op = binary_r.ns_per_op;
 
-  ring.baseline = "trace-off";
-  ring.baseline_ns_per_op = off.ns_per_op;
+  memory.baseline = "trace-off";
+  memory.baseline_ns_per_op = off.ns_per_op;
   jsonl.baseline = "trace-off";
   jsonl.baseline_ns_per_op = off.ns_per_op;
   binary.baseline = "trace-off";
   binary.baseline_ns_per_op = off.ns_per_op;
   out->push_back(off);
-  out->push_back(ring);
+  out->push_back(memory);
   out->push_back(jsonl);
   out->push_back(binary);
 }

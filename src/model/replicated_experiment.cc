@@ -11,7 +11,6 @@
 #include "obs/async_writer.h"
 #include "obs/binary_trace.h"
 #include "obs/context.h"
-#include "obs/trace_sink.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -26,7 +25,8 @@ namespace {
 struct ReplicationSlot {
   Status status;  // OK iff rows is meaningful
   std::vector<PolicyResult> rows;
-  std::string trace;     // JSONL body when collect_traces
+  std::string trace;  // btrace body when collect_traces
+  std::uint64_t trace_events = 0;
   MetricsShard metrics;  // per-replication shard when collect_metrics
 };
 
@@ -48,19 +48,15 @@ ReplicationSlot RunOneReplication(const ExperimentSpec& base,
   ExperimentSpec spec = base;  // private copy; only options.seed differs
   spec.options.seed = seed;
 
-  // Both sinks write to the worker-private buffer; which one the context
-  // points at is the only format difference, so binary collection keeps
-  // the same confinement (and thus the same determinism contract).
+  // The worker records btrace into its private buffer — the one trace
+  // encoding in the process; a JSONL --trace-out renders these bodies at
+  // the output. Confinement to the worker keeps the determinism contract.
   std::ostringstream trace_out;
-  JsonlTraceSink jsonl_sink(&trace_out);
   StreamPageSink trace_pages(&trace_out);
-  BinaryTraceSink binary_sink(&trace_pages);
-  TraceSink* trace_sink = options.trace_format == TraceFormat::kBinary
-                              ? static_cast<TraceSink*>(&binary_sink)
-                              : &jsonl_sink;
+  std::optional<BinaryTraceSink> trace_sink;
   ObsContext ctx;
   ctx.replication = replication;
-  if (options.collect_traces) ctx.sink = trace_sink;
+  if (options.collect_traces) ctx.sink = &trace_sink.emplace(&trace_pages);
   if (options.collect_metrics) ctx.metrics = &slot.metrics;
   spec.obs = options.collect_traces || options.collect_metrics ? &ctx
                                                                : nullptr;
@@ -71,14 +67,15 @@ ReplicationSlot RunOneReplication(const ExperimentSpec& base,
     return slot;
   }
   slot.rows = rows.MoveValue();
-  if (options.collect_traces) {
-    trace_sink->Flush();  // binary: hand off the final partial page
+  if (trace_sink.has_value()) {
+    trace_sink->Flush();  // hand off the final partial page
     if (!trace_sink->ok()) {
       slot.status = Status::Internal("trace collection failed: " +
                                      trace_sink->error());
       return slot;
     }
-    slot.trace = trace_out.str();
+    slot.trace = std::move(trace_out).str();
+    slot.trace_events = trace_sink->total_events();
   }
   return slot;
 }
@@ -202,12 +199,18 @@ Result<ReplicatedResults> RunReplicatedExperiment(
   }
 
   out.per_replication.reserve(slots.size());
-  if (options.collect_traces) out.traces.reserve(slots.size());
+  if (options.collect_traces) {
+    out.traces.reserve(slots.size());
+    out.trace_events.reserve(slots.size());
+  }
   for (ReplicationSlot& slot : slots) {
     out.per_replication.push_back(std::move(slot.rows));
     // Traces and metrics fold in slot (replication) order, keeping both
     // outputs bit-identical for any job count.
-    if (options.collect_traces) out.traces.push_back(std::move(slot.trace));
+    if (options.collect_traces) {
+      out.traces.push_back(std::move(slot.trace));
+      out.trace_events.push_back(slot.trace_events);
+    }
     if (options.collect_metrics) out.metrics.Merge(slot.metrics);
   }
 

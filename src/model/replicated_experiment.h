@@ -35,10 +35,12 @@
 
 namespace dynvote {
 
-/// Wire format for collected traces.
+/// Selects nothing: collected traces are always dynvote-btrace-v1, and
+/// JSONL is rendered from them at the output. Kept declared for callers
+/// that still set ReplicationOptions::trace_format.
 enum class TraceFormat {
-  kJsonl,   ///< dynvote-trace-v1 JSONL lines
-  kBinary,  ///< dynvote-btrace-v1 length-prefixed binary records
+  kJsonl,
+  kBinary,
 };
 
 /// How many replications to run and how wide to fan out.
@@ -53,7 +55,7 @@ struct ReplicationOptions {
   /// traces are bit-identical for any `jobs` value — as are the
   /// statistical outputs, which tracing never perturbs.
   bool collect_traces = false;
-  /// Encoding of the collected trace bodies.
+  /// Ignored: collected bodies are always btrace (see TraceFormat).
   TraceFormat trace_format = TraceFormat::kJsonl;
   /// Collect metrics into per-replication shards, merged in replication
   /// order into ReplicatedResults::metrics at join.
@@ -103,12 +105,14 @@ struct ReplicatedResults {
   std::vector<AggregatePolicyResult> aggregate;
   /// The seed each replication ran with (seeds[0] == the master seed).
   std::vector<std::uint64_t> seeds;
-  /// traces[r]: replication r's rep-tagged event stream, headerless, in
-  /// ReplicationOptions::trace_format (JSONL lines, or binary records
-  /// whose string tables restart per body — concatenating bodies behind
-  /// one BinaryTraceHeader yields a valid file). Empty unless
-  /// ReplicationOptions::collect_traces.
+  /// traces[r]: replication r's rep-tagged event stream as headerless
+  /// dynvote-btrace-v1 records whose string table restarts per body —
+  /// concatenating bodies behind one BinaryTraceHeader yields a valid
+  /// file, and feeding them in order to a JsonlPageSink renders the JSONL
+  /// body. Empty unless ReplicationOptions::collect_traces.
   std::vector<std::string> traces;
+  /// trace_events[r]: the number of events in traces[r].
+  std::vector<std::uint64_t> trace_events;
   /// All replications' metrics, merged in replication order. Empty unless
   /// ReplicationOptions::collect_metrics.
   MetricsShard metrics;

@@ -27,6 +27,41 @@ void StreamPageSink::Flush() {
   }
 }
 
+void JsonlPageSink::WritePage(std::string* page) {
+  // Render through a bounded buffer, so a page — or a whole replication
+  // body — never exists as JSONL in memory all at once.
+  constexpr std::size_t kDrainBytes = 64 * 1024;
+  std::string_view records = *page;
+  while (error_.empty()) {
+    auto more = decoder_.NextEvent(&records, &event_);
+    if (!more.ok()) {
+      error_ = "trace page decode failed: " + more.status().ToString();
+      break;
+    }
+    if (*more) {
+      AppendTraceEventJson(event_, &lines_);
+      lines_.push_back('\n');
+      if (lines_.size() < kDrainBytes) continue;
+    }
+    out_->write(lines_.data(), static_cast<std::streamsize>(lines_.size()));
+    lines_.clear();
+    if (!out_->good()) {
+      error_ = "trace page write failed (disk full or unwritable path?)";
+    }
+    if (!*more) break;
+  }
+  lines_.clear();
+  page->clear();  // capacity retained for the producer to refill
+}
+
+void JsonlPageSink::Flush() {
+  if (!error_.empty()) return;
+  out_->flush();
+  if (!out_->good()) {
+    error_ = "trace stream flush failed (disk full or unwritable path?)";
+  }
+}
+
 AsyncTraceSink::AsyncTraceSink(TracePageSink* inner,
                                std::size_t max_queued_pages)
     : inner_(inner),

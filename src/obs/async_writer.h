@@ -1,12 +1,14 @@
-// Page-level output plumbing for high-rate trace serialization. A
-// serializing sink (BinaryTraceSink in binary_trace.h) fills fixed-size
-// in-memory pages and hands each completed page to a TracePageSink:
-// either the synchronous StreamPageSink, or AsyncTraceSink — a decorator
-// that queues completed pages to a dedicated writer thread so file I/O
-// overlaps simulation. The queue is bounded: when the writer falls
-// behind, the producer blocks (back-pressure) instead of buffering
-// unbounded memory, and drained page buffers are recycled back to the
-// producer so the steady state runs allocation-free (double buffering).
+// Page-level output plumbing for trace recording. BinaryTraceSink
+// (binary_trace.h) fills fixed-size in-memory pages of btrace records and
+// hands each completed page to a TracePageSink. Two destinations write
+// pages to a std::ostream — StreamPageSink as btrace bytes, JsonlPageSink
+// rendered as dynvote-trace-v1 JSONL lines — and AsyncTraceSink is a
+// decorator that queues completed pages to a dedicated writer thread so
+// file I/O (and JSONL rendering) overlaps simulation. The queue is
+// bounded: when the writer falls behind, the producer blocks
+// (back-pressure) instead of buffering unbounded memory, and drained
+// page buffers are recycled back to the producer so the steady state
+// runs allocation-free (double buffering).
 //
 // Error contract, mirroring ThreadPool: a writer-thread exception is
 // captured and rethrown at the next Flush(); a destructor that never saw
@@ -25,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/binary_trace.h"
 #include "util/thread_annotations.h"
 
 namespace dynvote {
@@ -71,6 +74,29 @@ class StreamPageSink final : public TracePageSink {
   std::ostream* out_;
   std::string error_;
   std::uint64_t bytes_written_ = 0;
+};
+
+/// Synchronous TracePageSink rendering btrace pages as dynvote-trace-v1
+/// JSONL lines (no header) into a borrowed std::ostream. Each page must
+/// hold whole records; the string table and the same-instant state carry
+/// from one page to the next, so a run's pages — or per-replication
+/// bodies fed in replication order — render exactly as `trace-convert`
+/// renders the concatenated btrace file.
+class JsonlPageSink final : public TracePageSink {
+ public:
+  explicit JsonlPageSink(std::ostream* out) : out_(out) {}
+
+  void WritePage(std::string* page) override;
+  void Flush() override;
+  bool ok() const override { return error_.empty(); }
+  std::string error() const override { return error_; }
+
+ private:
+  std::ostream* out_;
+  std::string error_;
+  BinaryRecordDecoder decoder_;
+  TraceEvent event_;   // decode target, reused
+  std::string lines_;  // rendered lines awaiting the stream, reused
 };
 
 /// Decorator that moves another TracePageSink's writes onto a dedicated

@@ -352,10 +352,9 @@ Result<bool> BinaryTraceReader::Next(TraceEvent* event) {
     if (in_->gcount() != static_cast<std::streamsize>(payload_len)) {
       return Corrupt("truncated record payload");
     }
-    bool is_event = false;
-    Status st = DecodePayload(payload_, event, &is_event);
-    if (!st.ok()) return st;
-    if (is_event) {
+    auto is_event = decoder_.DecodeRecord(payload_, event);
+    if (!is_event.ok()) return is_event;
+    if (*is_event) {
       ++events_decoded_;
       return true;
     }
@@ -363,14 +362,32 @@ Result<bool> BinaryTraceReader::Next(TraceEvent* event) {
   }
 }
 
-Status BinaryTraceReader::DecodePayload(std::string_view payload,
-                                        TraceEvent* event, bool* is_event) {
+Result<bool> BinaryRecordDecoder::NextEvent(std::string_view* records,
+                                            TraceEvent* event) {
+  while (!records->empty()) {
+    PayloadCursor cur{*records};
+    std::uint64_t payload_len = 0;
+    if (!cur.ReadVarint(&payload_len)) {
+      return Corrupt("truncated record length");
+    }
+    if (payload_len == 0 || payload_len > cur.data.size() - cur.pos) {
+      return Corrupt("implausible record length");
+    }
+    std::string_view payload = records->substr(cur.pos, payload_len);
+    records->remove_prefix(cur.pos + payload_len);
+    auto is_event = DecodeRecord(payload, event);
+    if (!is_event.ok() || *is_event) return is_event;
+  }
+  return false;
+}
+
+Result<bool> BinaryRecordDecoder::DecodeRecord(std::string_view payload,
+                                               TraceEvent* event) {
   PayloadCursor cur{payload};
   std::uint8_t kind = 0;
   if (!cur.ReadByte(&kind)) return Corrupt("empty record");
 
   if (kind == btrace::kRecordStringDef) {
-    *is_event = false;
     std::uint64_t id = 0;
     std::uint64_t len = 0;
     if (!cur.ReadVarint(&id) || !cur.ReadVarint(&len) ||
@@ -386,10 +403,9 @@ Status BinaryTraceReader::DecodePayload(std::string_view payload,
     } else {
       strings_[id] = std::move(value);
     }
-    return Status::OK();
+    return false;
   }
 
-  *is_event = true;
   *event = TraceEvent();  // unserialized fields keep their defaults
   std::uint8_t flags = 0;
   if (!cur.ReadByte(&flags)) return Corrupt("event prefix");
@@ -513,7 +529,7 @@ Status BinaryTraceReader::DecodePayload(std::string_view payload,
       return Corrupt("unknown record kind");
   }
   if (!cur.AtEnd()) return Corrupt("trailing bytes in record");
-  return Status::OK();
+  return true;
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,12 @@
-// Compact binary trace encoding (schema dynvote-btrace-v1): the cheap
-// per-access tracing format the JSONL sink is too slow for. Events are
-// length-prefixed records with LEB128 varint integers, zigzag-coded
-// signed fields, raw IEEE-754 timestamps (so JSONL conversion reproduces
-// %.17g output bit for bit) and interned protocol/op strings. A file is
+// Compact binary trace encoding (schema dynvote-btrace-v1): the one
+// record format inside the process. Every traced run records through
+// BinaryTraceSink; a dynvote-trace-v1 JSONL file is a rendering of these
+// records at the output (JsonlPageSink in async_writer.h, or
+// `trace-convert` via ConvertBinaryTraceToJsonl), and both renderings
+// share the BinaryRecordDecoder below. Events are length-prefixed
+// records with LEB128 varint integers, zigzag-coded signed fields, raw
+// IEEE-754 timestamps (so the JSONL rendering reproduces %.17g output
+// bit for bit) and interned protocol/op strings. A file is
 //
 //   header  = magic(8) | varint len | schema bytes | varint seed
 //   records = varint payload_len | payload ...
@@ -12,10 +16,7 @@
 // ids are assigned sequentially from 0 in first-use order; a definition
 // for an existing id *replaces* it, which is what lets per-replication
 // bodies (each interning from scratch) simply concatenate behind one
-// header. Decoding a trace then converting it to JSONL byte-matches a
-// direct JsonlTraceSink run of the same events — asserted by tests and
-// the trace-smoke CI job. See docs/observability.md for the field
-// tables.
+// header. See docs/observability.md for the field tables.
 
 #pragma once
 
@@ -39,7 +40,7 @@ class TracePageSink;
 /// Wire-format constants and raw-pointer serialization helpers of the
 /// dynvote-btrace-v1 encoding. Internal detail shared by the inline
 /// typed encoders below and the decoder in binary_trace.cc — the public
-/// surface is BinaryTraceSink / BinaryTraceReader.
+/// surface is BinaryTraceSink / BinaryRecordDecoder / BinaryTraceReader.
 namespace btrace {
 
 // Record kinds (payload[0]).
@@ -132,10 +133,11 @@ std::string BinaryTraceHeader(std::uint64_t seed);
 bool LooksLikeBinaryTrace(std::istream& in);
 
 /// TraceSink encoding events into fixed-size pages and handing each
-/// completed page to `pages` (synchronous StreamPageSink or the
-/// threaded AsyncTraceSink). Records serialize through a raw cursor
-/// into one flat buffer — plain stores, no per-record string append —
-/// and steady-state writes are allocation-free. Does NOT write the
+/// completed page to `pages` (StreamPageSink or JsonlPageSink, directly
+/// or behind the threaded AsyncTraceSink). Pages end on record
+/// boundaries. Records serialize through a raw cursor into one flat
+/// buffer — plain stores, no per-record string append — and
+/// steady-state writes are allocation-free. Does NOT write the
 /// file header — the owner of the output stream does, which is what
 /// lets the replicated engine concatenate per-replication bodies
 /// behind a single header.
@@ -364,10 +366,38 @@ inline void BinaryTraceSink::EncodeAvail(double t, std::uint64_t seq,
   FinishTypedRecord(rec, p);
 }
 
-/// Streaming decoder for a binary trace. Decoded events reference the
-/// reader's string table (`op` and `protocol` stay valid until the next
-/// Next() call). Truncated or corrupt input yields an error Status, not
-/// a crash.
+/// Decoder state of a dynvote-btrace-v1 record stream: the string table
+/// and the previous record's instant, both of which carry from one record
+/// to the next — across page and per-replication body boundaries too.
+/// Framing is the caller's: BinaryTraceReader reads records off an
+/// istream, JsonlPageSink walks the whole records of each page. Decoded
+/// events reference the string table (`op` stays valid until its id is
+/// redefined). Corrupt input yields an error Status, not a crash.
+class BinaryRecordDecoder {
+ public:
+  /// Decodes one record payload (length prefix already stripped). A
+  /// string definition updates the table and returns false; an event
+  /// record fills *event and returns true.
+  Result<bool> DecodeRecord(std::string_view payload, TraceEvent* event);
+
+  /// Decodes the next event of `*records`, a run of whole length-prefixed
+  /// records such as one page, and advances `*records` past every record
+  /// consumed. Returns false once `*records` is exhausted.
+  Result<bool> NextEvent(std::string_view* records, TraceEvent* event);
+
+ private:
+  std::deque<std::string> strings_;  // id -> value; deque: stable refs
+  // Instant of the previous event record (same-instant head elision).
+  double last_t_ = 0.0;
+  std::uint64_t last_seq_ = 0;
+  int last_repl_ = -1;
+  bool have_instant_ = false;
+};
+
+/// Streaming decoder for a binary trace file: reads the header and frames
+/// records off an istream for a BinaryRecordDecoder. Decoded events
+/// reference the decoder's string table. Truncated or corrupt input
+/// yields an error Status, not a crash.
 class BinaryTraceReader {
  public:
   explicit BinaryTraceReader(std::istream* in) : in_(in) {}
@@ -385,27 +415,18 @@ class BinaryTraceReader {
   Result<bool> Next(TraceEvent* event);
 
  private:
-  Status DecodePayload(std::string_view payload, TraceEvent* event,
-                       bool* is_event);
-
   std::istream* in_;
   std::string schema_;
   std::uint64_t seed_ = 0;
   std::uint64_t events_decoded_ = 0;
-  std::string payload_;              // record buffer, reused
-  std::deque<std::string> strings_;  // id -> value; deque: stable refs
-  // Instant of the previous event record (same-instant head elision).
-  double last_t_ = 0.0;
-  std::uint64_t last_seq_ = 0;
-  int last_repl_ = -1;
-  bool have_instant_ = false;
+  std::string payload_;  // record buffer, reused
+  BinaryRecordDecoder decoder_;
 };
 
-/// Streams a binary trace out as dynvote-trace-v1 JSONL (header line
-/// plus one line per event) — byte-identical to what a JsonlTraceSink
-/// run over the same events with the same seed produces. Returns the
-/// number of event lines written, or an error on corrupt input / failed
-/// output.
+/// Streams a binary trace file out as dynvote-trace-v1 JSONL (header
+/// line plus one line per event) — byte-identical to what a run writing
+/// `--trace-out=X.jsonl` with the same seed produces. Returns the number
+/// of event lines written, or an error on corrupt input / failed output.
 Result<std::uint64_t> ConvertBinaryTraceToJsonl(std::istream& in,
                                                 std::ostream& out);
 

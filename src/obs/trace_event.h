@@ -1,8 +1,8 @@
-// One typed record per observable occurrence in a run. A single struct
-// (rather than a class hierarchy) keeps emission allocation-free on the
-// ring-buffer path and lets sinks switch on `type` without RTTI; fields
-// not meaningful for a given type keep their defaults and are omitted
-// from the JSONL form.
+// One typed record per observable occurrence in a run: what the generic
+// TraceSink::Write() takes and what BinaryRecordDecoder decodes into. A
+// single struct (rather than a class hierarchy) lets sinks and renderers
+// switch on `type` without RTTI; fields not meaningful for a given type
+// keep their defaults and are omitted from the JSONL form.
 
 #pragma once
 

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
-#include <ostream>
 
 namespace dynvote {
 namespace {
@@ -69,78 +68,10 @@ TraceSink::TraceSink() {
 }
 
 std::uint32_t TraceSink::RegisterLabel(std::string_view label) {
-  // Sinks without a string table have nothing to intern; the typed
-  // writes they inherit carry the string itself.
+  // Sinks without a string table have nothing to intern; their typed
+  // writes carry the string itself.
   (void)label;
   return 0;
-}
-
-// --- Typed fast paths: default implementations -------------------------
-// Materialize the equivalent TraceEvent and forward to Write(), so every
-// sink that does not override these behaves exactly as if the emission
-// site had built the event itself.
-
-void TraceSink::WriteSim(double t, std::uint64_t seq, int replication,
-                         const char* op, std::uint32_t /*label*/) {
-  TraceEvent event;
-  event.type = TraceEventType::kSim;
-  event.t = t;
-  event.replication = replication;
-  event.seq = seq;
-  event.op = op;
-  Write(event);
-}
-
-void TraceSink::WriteQuorum(double t, std::uint64_t seq, int replication,
-                            const std::string& protocol,
-                            std::uint32_t /*label*/, bool write, bool granted,
-                            QuorumReason reason, const QuorumSetMasks& sets) {
-  TraceEvent event;
-  event.type = TraceEventType::kQuorum;
-  event.t = t;
-  event.replication = replication;
-  event.seq = seq;
-  event.protocol = protocol;
-  event.write = write;
-  event.granted = granted;
-  event.reason = reason;
-  event.group = sets.group;
-  event.set_r = sets.r;
-  event.set_q = sets.q;
-  event.set_s = sets.s;
-  event.set_t = sets.t;
-  event.set_pm = sets.pm;
-  Write(event);
-}
-
-void TraceSink::WriteAccess(double t, std::uint64_t seq, int replication,
-                            const std::string& protocol,
-                            std::uint32_t /*label*/, bool write, bool granted,
-                            QuorumReason reason, int origin) {
-  TraceEvent event;
-  event.type = TraceEventType::kAccess;
-  event.t = t;
-  event.replication = replication;
-  event.seq = seq;
-  event.protocol = protocol;
-  event.write = write;
-  event.origin = origin;
-  event.granted = granted;
-  event.reason = reason;
-  Write(event);
-}
-
-void TraceSink::WriteAvail(double t, std::uint64_t seq, int replication,
-                           const std::string& protocol,
-                           std::uint32_t /*label*/, bool available) {
-  TraceEvent event;
-  event.type = TraceEventType::kAvail;
-  event.t = t;
-  event.replication = replication;
-  event.seq = seq;
-  event.protocol = protocol;
-  event.available = available;
-  Write(event);
 }
 
 void AppendTraceEventJson(const TraceEvent& event, std::string* out) {
@@ -250,54 +181,6 @@ std::string TraceHeaderLine(std::uint64_t seed) {
   AppendU64(seed, &line);
   line.push_back('}');
   return line;
-}
-
-void RingTraceSink::Write(const TraceEvent& event) {
-  CountEvent();
-  if (capacity_ == 0) return;
-  // Assign into the preallocated slot: the slot's components vector and
-  // protocol string keep their capacity, so steady-state writes are
-  // allocation-free (the former push_back path deep-copied the event
-  // into a fresh deque node on every call).
-  slots_[head_] = event;
-  head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
-  if (size_ < capacity_) ++size_;
-  CountWritten();
-}
-
-std::vector<TraceEvent> RingTraceSink::events() const {
-  std::vector<TraceEvent> out;
-  out.reserve(size_);
-  // head_ is the oldest slot exactly when the ring is full; otherwise
-  // the ring has never wrapped and slot 0 is the oldest.
-  std::size_t first = size_ == capacity_ ? head_ : 0;
-  for (std::size_t i = 0; i < size_; ++i) {
-    out.push_back(slots_[(first + i) % capacity_]);
-  }
-  return out;
-}
-
-void JsonlTraceSink::Write(const TraceEvent& event) {
-  CountEvent();
-  if (!ok()) return;  // the stream already failed; drop, but keep counting
-  line_.clear();
-  AppendTraceEventJson(event, &line_);
-  line_.push_back('\n');
-  out_->write(line_.data(),
-              static_cast<std::streamsize>(line_.size()));
-  if (!out_->good()) {
-    SetError("trace stream write failed (disk full or unwritable path?)");
-    return;
-  }
-  CountWritten();
-}
-
-void JsonlTraceSink::Flush() {
-  if (!ok()) return;
-  out_->flush();
-  if (!out_->good()) {
-    SetError("trace stream flush failed (disk full or unwritable path?)");
-  }
 }
 
 }  // namespace dynvote

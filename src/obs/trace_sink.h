@@ -1,18 +1,15 @@
-// Where trace events go. Implementations: an in-memory ring (cheap,
-// bounded, for tests and the overhead probe), a JSONL writer (one event
-// per line in the dynvote-trace-v1 schema) and the binary writer in
-// binary_trace.h (dynvote-btrace-v1). Emission sites hold a TraceSink*
+// Where trace events go. The one implementation in the tree is
+// BinaryTraceSink (binary_trace.h), which records dynvote-btrace-v1 pages;
+// JSONL (dynvote-trace-v1) is rendered from those records at the output
+// with AppendTraceEventJson below. Emission sites hold a TraceSink*
 // behind ObsContext and test it for null — that single branch is the
 // entire disabled-tracing cost.
 
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "obs/trace_event.h"
 
@@ -28,12 +25,10 @@ class TraceSink {
   virtual void Write(const TraceEvent& event) = 0;
 
   // --- Typed fast paths ------------------------------------------------
-  // One emitter per high-rate event kind. Each call is equivalent to
-  // filling a TraceEvent with the same fields and passing it to Write()
-  // — that is exactly what the default implementations do, so buffering
-  // sinks behave as if the caller had built the event — but a
-  // serializing sink (BinaryTraceSink) overrides them to encode straight
-  // from the arguments, skipping the event object on the hot path.
+  // One emitter per high-rate event kind. Each call must be equivalent
+  // to filling a TraceEvent with the same fields and passing it to
+  // Write(); BinaryTraceSink encodes straight from the arguments,
+  // skipping the event object on the hot path.
   // `protocol` must reference storage that outlives the call (emission
   // sites pass the protocol object's own name string); `op` must be a
   // static label, as on TraceEvent::op. `label` is the RegisterLabel()
@@ -41,18 +36,18 @@ class TraceSink {
   // TraceLabelCache so a serializing sink never re-interns per event.
 
   virtual void WriteSim(double t, std::uint64_t seq, int replication,
-                        const char* op, std::uint32_t label);
+                        const char* op, std::uint32_t label) = 0;
   virtual void WriteQuorum(double t, std::uint64_t seq, int replication,
                            const std::string& protocol, std::uint32_t label,
                            bool write, bool granted, QuorumReason reason,
-                           const QuorumSetMasks& sets);
+                           const QuorumSetMasks& sets) = 0;
   virtual void WriteAccess(double t, std::uint64_t seq, int replication,
                            const std::string& protocol, std::uint32_t label,
                            bool write, bool granted, QuorumReason reason,
-                           int origin);
+                           int origin) = 0;
   virtual void WriteAvail(double t, std::uint64_t seq, int replication,
                           const std::string& protocol, std::uint32_t label,
-                          bool available);
+                          bool available) = 0;
 
   /// Declares a recurring string (a protocol name, a sim op) ahead of the
   /// typed writes that reference it, returning the token to pass as their
@@ -82,8 +77,7 @@ class TraceSink {
   /// for the async pipeline). Default: nothing buffered, nothing to do.
   virtual void Flush() {}
 
-  /// Total events offered to the sink over its lifetime (including any
-  /// a bounded sink has since evicted).
+  /// Total events offered to the sink over its lifetime.
   std::uint64_t total_events() const { return total_events_; }
 
   /// Events the sink actually delivered to its destination. On a healthy
@@ -149,56 +143,6 @@ struct TraceLabelCache {
   bool BinaryHit(const TraceSink* sink) const {
     return binary && epoch == sink->label_epoch();
   }
-};
-
-/// Bounded in-memory sink: keeps the most recent `capacity` events in a
-/// preallocated ring. Slots are reused by assignment, so after warmup a
-/// Write() performs no heap allocation — the slot's `components` vector
-/// (and the SSO protocol string) retain their capacity across reuse.
-class RingTraceSink : public TraceSink {
- public:
-  explicit RingTraceSink(std::size_t capacity = 4096)
-      : capacity_(capacity), slots_(capacity) {}
-
-  void Write(const TraceEvent& event) override;
-
-  /// Buffered events, oldest first. Copies out of the ring — intended
-  /// for tests and post-run inspection, never the emission hot path.
-  std::vector<TraceEvent> events() const;
-
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  std::size_t capacity() const { return capacity_; }
-
-  /// Forgets the buffered events (slot storage is retained) but not the
-  /// lifetime counters.
-  void Clear() {
-    head_ = 0;
-    size_ = 0;
-  }
-
- private:
-  std::size_t capacity_;
-  std::vector<TraceEvent> slots_;  // fixed at capacity; reused in place
-  std::size_t head_ = 0;           // next slot to overwrite
-  std::size_t size_ = 0;           // occupied slots (<= capacity_)
-};
-
-/// Serializes each event as one JSON object per line (dynvote-trace-v1).
-/// The stream is borrowed, not owned. A stream failure (ENOSPC, closed
-/// pipe, unwritable path) is sticky: the sink records the error, stops
-/// writing, and the lost tail shows up as events_written() falling short
-/// of total_events().
-class JsonlTraceSink : public TraceSink {
- public:
-  explicit JsonlTraceSink(std::ostream* out) : out_(out) {}
-
-  void Write(const TraceEvent& event) override;
-  void Flush() override;
-
- private:
-  std::ostream* out_;
-  std::string line_;  // reused between events to avoid reallocation
 };
 
 /// Renders one event in the dynvote-trace-v1 JSONL form (no trailing

@@ -3,18 +3,26 @@
 #     and lists the known ones;
 #   - a traced, metered simulate summarizes cleanly, and its .btrace twin
 #     converts to the byte-identical JSONL;
+#   - that run's trace and metrics pass the schema checks: every event
+#     line has a known kind and a numeric time, the metrics document is
+#     dynvote-metrics-v1 with its three sections, TDV/OTDV report a
+#     topological carry and ODV none, and each protocol's trace-summary
+#     accesses=/granted= equal its accesses_attempted/accesses_granted
+#     counters;
 #   - a truncated binary trace is a clean error (exit 1), not a crash;
 #   - repeat JSON, JSONL and btrace traces and metrics are byte-identical
 #     for --jobs=1 and --jobs=4, with and without the serving model;
-#   - serve writes its schema-tagged report.
-# The run leaves sim.jsonl and sim-metrics.json in WORK_DIR for schema
-# validators to read.
+#   - serve writes its schema-tagged report;
+#   - the simulate traces and the jobs=1 serving repeat traces, in JSONL
+#     and btrace, match the SHA-256 digests pinned in
+#     GOLDEN_DIR/traces.sha256 (`sha256sum -c` reads the same file).
 #
-#   cmake -DCLI=path/to/dynvote_cli -DWORK_DIR=scratch/dir \
-#         -P trace_smoke.cmake
+#   cmake -DCLI=path/to/dynvote_cli -DGOLDEN_DIR=tests/cli/golden \
+#         -DWORK_DIR=scratch/dir -P trace_smoke.cmake
 
-if(NOT CLI OR NOT WORK_DIR)
-  message(FATAL_ERROR "pass -DCLI=<dynvote_cli> -DWORK_DIR=<dir>")
+if(NOT CLI OR NOT GOLDEN_DIR OR NOT WORK_DIR)
+  message(FATAL_ERROR
+    "pass -DCLI=<dynvote_cli> -DGOLDEN_DIR=<dir> -DWORK_DIR=<dir>")
 endif()
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
@@ -54,6 +62,25 @@ function(expect_same_file a b)
   endif()
 endfunction()
 
+# Fails unless file `name` in WORK_DIR has the SHA-256 digest pinned for
+# it in GOLDEN_DIR/traces.sha256.
+file(STRINGS "${GOLDEN_DIR}/traces.sha256" pinned_digests)
+function(expect_pinned_digest name)
+  foreach(line IN LISTS pinned_digests)
+    if(line MATCHES "^([0-9a-f]+)  (.+)$" AND CMAKE_MATCH_2 STREQUAL name)
+      set(expected "${CMAKE_MATCH_1}")
+    endif()
+  endforeach()
+  if(NOT expected)
+    message(FATAL_ERROR "traces.sha256 pins no digest for ${name}")
+  endif()
+  file(SHA256 "${WORK_DIR}/${name}" actual)
+  if(NOT actual STREQUAL expected)
+    message(FATAL_ERROR
+      "${name} has SHA-256 ${actual}, golden pins ${expected}")
+  endif()
+endfunction()
+
 # --- Version lists every schema; unknown commands exit 3 ----------------
 run_cli(version 0 --version)
 foreach(schema dynvote-trace-v1 dynvote-btrace-v1 dynvote-metrics-v1
@@ -72,10 +99,85 @@ expect_contains("trace-summary sim.jsonl" "${summary}"
                 "schema=dynvote-trace-v1")
 expect_contains("trace-summary sim.jsonl" "${summary}" "malformed=0")
 
+# --- Trace and metrics schemas, carry attribution, reconciliation -------
+file(STRINGS "${WORK_DIR}/sim.jsonl" trace_header LIMIT_COUNT 1)
+string(JSON trace_schema ERROR_VARIABLE err GET "${trace_header}" schema)
+if(NOT trace_schema STREQUAL "dynvote-trace-v1")
+  message(FATAL_ERROR "bad trace header: ${trace_header}")
+endif()
+file(STRINGS "${WORK_DIR}/sim.jsonl" trace_lines)
+file(STRINGS "${WORK_DIR}/sim.jsonl" event_lines REGEX
+  "^{\"ev\":\"(net|sim|quorum|access|avail|serving)\",\"t\":-?[0-9][0-9.eE+-]*[,}]")
+list(LENGTH trace_lines num_lines)
+list(LENGTH event_lines num_events)
+math(EXPR num_expected "${num_lines} - 1")
+if(num_events EQUAL 0 OR NOT num_events EQUAL num_expected)
+  message(FATAL_ERROR "sim.jsonl: ${num_events} of ${num_expected} event "
+    "lines have a known kind and a numeric time")
+endif()
+
+file(READ "${WORK_DIR}/sim-metrics.json" metrics)
+string(JSON metrics_schema ERROR_VARIABLE err GET "${metrics}" schema)
+if(NOT metrics_schema STREQUAL "dynvote-metrics-v1")
+  message(FATAL_ERROR "bad metrics schema '${metrics_schema}'")
+endif()
+foreach(section counters gauges histograms)
+  string(JSON kind ERROR_VARIABLE err TYPE "${metrics}" ${section})
+  if(NOT kind STREQUAL "OBJECT")
+    message(FATAL_ERROR "metrics missing '${section}'")
+  endif()
+endforeach()
+# Counter `key`, or 0 when absent (zero counters are not exported).
+function(metrics_counter out_var key)
+  string(JSON value ERROR_VARIABLE err GET "${metrics}" counters "${key}")
+  if(err)
+    set(value 0)
+  endif()
+  set(${out_var} "${value}" PARENT_SCOPE)
+endfunction()
+set(carry "reason=granted_topological_carry")
+metrics_counter(tdv_carry "quorum_evaluations{protocol=TDV,${carry}}")
+metrics_counter(otdv_carry "quorum_evaluations{protocol=OTDV,${carry}}")
+metrics_counter(odv_carry "quorum_evaluations{protocol=ODV,${carry}}")
+math(EXPR topological_carry "${tdv_carry} + ${otdv_carry}")
+if(topological_carry EQUAL 0)
+  message(FATAL_ERROR "no granted_topological_carry for TDV/OTDV")
+endif()
+if(NOT odv_carry EQUAL 0)
+  message(FATAL_ERROR "ODV must never report a topological carry")
+endif()
+# The trace's access totals reconcile with the attempted/granted counters
+# protocol by protocol.
+string(REGEX MATCHALL "\n[A-Za-z-]+: accesses=[0-9]+ granted=[0-9]+"
+       protocol_lines "${summary}")
+if(NOT protocol_lines)
+  message(FATAL_ERROR "trace-summary sim.jsonl lists no protocol")
+endif()
+foreach(line IN LISTS protocol_lines)
+  string(REGEX MATCH "([A-Za-z-]+): accesses=([0-9]+) granted=([0-9]+)"
+         ignored "${line}")
+  set(proto "${CMAKE_MATCH_1}")
+  set(accesses "${CMAKE_MATCH_2}")
+  set(granted "${CMAKE_MATCH_3}")
+  string(JSON attempted ERROR_VARIABLE err GET "${metrics}" counters
+         "accesses_attempted{protocol=${proto}}")
+  if(err OR NOT attempted EQUAL accesses)
+    message(FATAL_ERROR
+      "${proto}: ${accesses} access events vs attempted counter '${attempted}'")
+  endif()
+  metrics_counter(granted_counter "accesses_granted{protocol=${proto}}")
+  if(NOT granted_counter EQUAL granted)
+    message(FATAL_ERROR
+      "${proto}: ${granted} granted access events vs ${granted_counter}")
+  endif()
+endforeach()
+
 # --- The binary trace converts to the byte-identical JSONL run ----------
 run_cli(ignored 0 simulate --sites=1,3,5 --years=5 --trace-out=sim.btrace)
 run_cli(ignored 0 trace-convert sim.btrace --out=sim-converted.jsonl)
 expect_same_file(sim-converted.jsonl sim.jsonl)
+expect_pinned_digest(sim.jsonl)
+expect_pinned_digest(sim.btrace)
 run_cli(bsummary 0 trace-summary sim.btrace)
 expect_contains("trace-summary sim.btrace" "${bsummary}"
                 "schema=dynvote-btrace-v1")
@@ -119,6 +221,10 @@ endforeach()
 expect_same_file(serving1.json serving4.json)
 expect_same_file(serving1.jsonl serving4.jsonl)
 expect_same_file(serving1-metrics.json serving4-metrics.json)
+expect_pinned_digest(serving1.jsonl)
+run_cli(ignored 0 repeat --sites=1,3,5 --years=1 --reps=4 --jobs=1
+        --arrival-rate=5 --policies=MCV,ODV,TDV --trace-out=serving1.btrace)
+expect_pinned_digest(serving1.btrace)
 file(READ "${WORK_DIR}/serving1-metrics.json" serving_metrics)
 expect_contains("serving metrics" "${serving_metrics}" serving_latency_ms)
 run_cli(serving_summary 0 trace-summary serving1.jsonl)

@@ -1,6 +1,6 @@
 // Golden-sequence test: the Section 2.1 walkthrough produces a known,
-// exact sequence of quorum decisions. Pinning the kQuorum records a ring
-// trace sink receives guards the whole decision pipeline (evaluation,
+// exact sequence of quorum decisions. Pinning the kQuorum records a
+// captured trace holds guards the whole decision pipeline (evaluation,
 // tie-break, commit bookkeeping, the Evaluate memo and trace emission)
 // against silent behavioural drift.
 
@@ -14,7 +14,7 @@
 #include "core/test_topologies.h"
 #include "net/network_state.h"
 #include "obs/context.h"
-#include "obs/trace_sink.h"
+#include "obs/test_trace_capture.h"
 
 namespace dynvote {
 namespace {
@@ -47,9 +47,9 @@ TEST(GoldenTraceTest, WalkthroughDecisionSequence) {
   RepeaterId ac = builder.AddRepeater("ac", sa, sc);
   auto topo = builder.Build().MoveValue();
 
-  RingTraceSink ring;
+  testing_util::TraceCapture capture;
   ObsContext obs;
-  obs.sink = &ring;
+  obs.sink = capture.sink();
   auto odv = MakeODV(topo, SiteSet{0, 1, 2}).MoveValue();
   odv->set_obs(&obs);
   NetworkState net(topo);
@@ -117,7 +117,7 @@ TEST(GoldenTraceTest, WalkthroughDecisionSequence) {
       "S={0, 1, 2} T={0, 2} Pm={0, 2}",
   };
   std::vector<std::string> actual;
-  for (const TraceEvent& e : ring.events()) {
+  for (const TraceEvent& e : capture.Events()) {
     ASSERT_EQ(e.type, TraceEventType::kQuorum);
     actual.push_back(Render(e));
   }

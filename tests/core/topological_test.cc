@@ -8,7 +8,7 @@
 #include "core/test_topologies.h"
 #include "net/network_state.h"
 #include "obs/context.h"
-#include "obs/trace_sink.h"
+#include "obs/test_trace_capture.h"
 
 namespace dynvote {
 namespace {
@@ -133,10 +133,10 @@ TEST(TopologicalTest, CarryDecisiveGrantIsAttributedInTraces) {
   auto odv = *MakeODV(topo, SiteSet{a, b, c, d});
   NetworkState net(topo);
 
-  RingTraceSink sink;
+  testing_util::TraceCapture capture;
   MetricsShard metrics;
   ObsContext obs;
-  obs.sink = &sink;
+  obs.sink = capture.sink();
   obs.metrics = &metrics;
   tdv->set_obs(&obs);
   odv->set_obs(&obs);
@@ -161,7 +161,7 @@ TEST(TopologicalTest, CarryDecisiveGrantIsAttributedInTraces) {
 
   int tdv_carries = 0;
   int odv_carries = 0;
-  for (const TraceEvent& event : sink.events()) {
+  for (const TraceEvent& event : capture.Events()) {
     if (event.type != TraceEventType::kQuorum) continue;
     if (event.reason != QuorumReason::kGrantedTopologicalCarry) continue;
     if (event.protocol == "TDV") ++tdv_carries;

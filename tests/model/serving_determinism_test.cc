@@ -16,6 +16,7 @@
 #include "model/export.h"
 #include "model/open_loop.h"
 #include "model/replicated_experiment.h"
+#include "obs/binary_trace.h"
 #include "obs/trace_reader.h"
 
 namespace dynvote {
@@ -48,8 +49,10 @@ Result<ReplicatedResults> RunServingConfigB(const ReplicationOptions& reps) {
                                       ServingShortOptions(), reps);
 }
 
+/// The btrace file the collected bodies make: one header, then every
+/// body in replication order.
 std::string JoinTraces(const ReplicatedResults& results) {
-  std::string out;
+  std::string out = BinaryTraceHeader(ServingShortOptions().seed);
   for (const std::string& body : results.traces) out += body;
   return out;
 }

@@ -7,10 +7,12 @@
 
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "core/registry.h"
 #include "model/export.h"
 #include "model/replicated_experiment.h"
+#include "obs/async_writer.h"
 #include "obs/binary_trace.h"
 #include "obs/trace_reader.h"
 
@@ -40,8 +42,10 @@ Result<ReplicatedResults> RunConfigB(const ReplicationOptions& reps) {
                                       ShortOptions(), reps);
 }
 
+/// The btrace file the collected bodies make: one header, then every
+/// body in replication order.
 std::string JoinTraces(const ReplicatedResults& results) {
-  std::string out;
+  std::string out = BinaryTraceHeader(ShortOptions().seed);
   for (const std::string& body : results.traces) out += body;
   return out;
 }
@@ -90,57 +94,65 @@ TEST(TraceDeterminismTest, SameSeedRunsProduceIdenticalEventStreams) {
 TEST(TraceDeterminismTest, EventsCarryTheirReplicationIndex) {
   auto traced = RunConfigB(Reps(2, 2, /*collect=*/true));
   ASSERT_TRUE(traced.ok()) << traced.status();
+  ASSERT_EQ(traced->trace_events.size(), traced->traces.size());
   for (std::size_t r = 0; r < traced->traces.size(); ++r) {
-    std::string tag = "\"rep\":" + std::to_string(r);
     ASSERT_FALSE(traced->traces[r].empty());
-    std::istringstream lines(traced->traces[r]);
-    std::string line;
-    while (std::getline(lines, line)) {
-      ASSERT_NE(line.find(tag), std::string::npos)
-          << "replication " << r << " line: " << line;
+    std::string_view records = traced->traces[r];
+    BinaryRecordDecoder decoder;
+    TraceEvent event;
+    std::uint64_t events = 0;
+    for (;;) {
+      auto more = decoder.NextEvent(&records, &event);
+      ASSERT_TRUE(more.ok()) << more.status();
+      if (!*more) break;
+      ++events;
+      ASSERT_EQ(event.replication, static_cast<int>(r))
+          << "replication " << r << " event " << events;
     }
+    EXPECT_EQ(events, traced->trace_events[r]) << "replication " << r;
   }
 }
 
 TEST(TraceDeterminismTest, BinaryTracesAreIdenticalForAnyJobCount) {
-  ReplicationOptions serial_opts = Reps(3, 1, /*collect=*/true);
-  serial_opts.trace_format = TraceFormat::kBinary;
-  ReplicationOptions parallel_opts = Reps(3, 3, /*collect=*/true);
-  parallel_opts.trace_format = TraceFormat::kBinary;
-  auto serial = RunConfigB(serial_opts);
+  // Collected bodies are btrace records whatever the worker count; this
+  // pins a different replication count and pool width than the test
+  // above.
+  auto serial = RunConfigB(Reps(3, 1, /*collect=*/true));
   ASSERT_TRUE(serial.ok()) << serial.status();
-  auto parallel = RunConfigB(parallel_opts);
+  auto parallel = RunConfigB(Reps(3, 3, /*collect=*/true));
   ASSERT_TRUE(parallel.ok()) << parallel.status();
   ASSERT_EQ(serial->traces.size(), 3u);
   for (std::size_t r = 0; r < serial->traces.size(); ++r) {
     EXPECT_EQ(serial->traces[r], parallel->traces[r]) << "replication " << r;
   }
+  EXPECT_EQ(serial->trace_events, parallel->trace_events);
   EXPECT_EQ(ReplicatedResultsToJson("config-B", *serial),
             ReplicatedResultsToJson("config-B", *parallel));
 }
 
 TEST(TraceDeterminismTest, BinaryTraceConvertsToTheExactJsonlRun) {
   // The end-to-end byte-identity contract behind `dynvote trace-convert`:
-  // a binary collection of the same seed, decoded to JSONL, matches the
-  // JSONL collection byte for byte — header line included.
-  ReplicationOptions jsonl_opts = Reps(2, 2, /*collect=*/true);
-  auto jsonl = RunConfigB(jsonl_opts);
-  ASSERT_TRUE(jsonl.ok()) << jsonl.status();
-  ReplicationOptions binary_opts = Reps(2, 2, /*collect=*/true);
-  binary_opts.trace_format = TraceFormat::kBinary;
-  auto binary = RunConfigB(binary_opts);
-  ASSERT_TRUE(binary.ok()) << binary.status();
+  // the collected bodies behind one header, decoded to JSONL, match what
+  // `repeat --trace-out=X.jsonl` writes — the header line, then the same
+  // bodies rendered by a JsonlPageSink in replication order.
+  auto traced = RunConfigB(Reps(2, 2, /*collect=*/true));
+  ASSERT_TRUE(traced.ok()) << traced.status();
 
   const std::uint64_t seed = ShortOptions().seed;
-  std::istringstream binary_file(BinaryTraceHeader(seed) +
-                                 JoinTraces(*binary));
+  std::istringstream binary_file(JoinTraces(*traced));
   std::ostringstream converted;
   auto events = ConvertBinaryTraceToJsonl(binary_file, converted);
   ASSERT_TRUE(events.ok()) << events.status();
   EXPECT_GT(*events, 0u);
+  EXPECT_EQ(*events, traced->trace_events[0] + traced->trace_events[1]);
 
-  std::string direct = TraceHeaderLine(seed) + "\n" + JoinTraces(*jsonl);
-  EXPECT_EQ(converted.str(), direct);
+  std::ostringstream rendered;
+  rendered << TraceHeaderLine(seed) << "\n";
+  JsonlPageSink pages(&rendered);
+  for (std::string& body : traced->traces) pages.WritePage(&body);
+  pages.Flush();
+  ASSERT_TRUE(pages.ok()) << pages.error();
+  EXPECT_EQ(converted.str(), rendered.str());
 }
 
 TEST(TraceDeterminismTest, TraceAccessCountsReconcileWithResults) {

@@ -1,7 +1,8 @@
 // dynvote-btrace-v1 round trips: randomized events of every type decode
-// back bit-identically, conversion to JSONL byte-matches a direct
-// JsonlTraceSink run, concatenated per-replication bodies decode behind
-// one header, and truncated or corrupt input yields clean errors.
+// back bit-identically, `trace-convert` and the JSONL page sink both
+// render the canonical JSONL of the events byte for byte, concatenated
+// per-replication bodies decode behind one header, and truncated or
+// corrupt input yields clean errors.
 
 #include "obs/binary_trace.h"
 
@@ -164,17 +165,30 @@ TEST(BinaryTraceTest, ConversionMatchesDirectJsonlByteForByte) {
     events.push_back(RandomEvent(rng, seq));
   }
 
-  std::ostringstream direct;
-  direct << TraceHeaderLine(123) << "\n";
-  JsonlTraceSink jsonl(&direct);
-  for (const TraceEvent& e : events) jsonl.Write(e);
+  // The canonical JSONL of the events, rendered one by one.
+  std::string direct = TraceHeaderLine(123) + "\n";
+  for (const TraceEvent& e : events) direct += Jsonl(e) + "\n";
 
+  // trace-convert of the btrace file.
   std::istringstream binary_in(Encode(events, 123));
   std::ostringstream converted;
   auto n = ConvertBinaryTraceToJsonl(binary_in, converted);
   ASSERT_TRUE(n.ok()) << n.status();
   EXPECT_EQ(*n, events.size());
-  EXPECT_EQ(converted.str(), direct.str());
+  EXPECT_EQ(converted.str(), direct);
+
+  // A --trace-out=X.jsonl run: the same records rendered page by page,
+  // with small pages so the string table and the same-instant state
+  // cross many page boundaries.
+  std::ostringstream rendered;
+  rendered << TraceHeaderLine(123) << "\n";
+  JsonlPageSink pages(&rendered);
+  BinaryTraceSink sink(&pages, /*page_bytes=*/64);
+  for (const TraceEvent& e : events) sink.Write(e);
+  sink.Flush();
+  ASSERT_TRUE(sink.ok()) << sink.error();
+  EXPECT_EQ(sink.events_written(), events.size());
+  EXPECT_EQ(rendered.str(), direct);
 }
 
 TEST(BinaryTraceTest, TypedFastPathsMatchTheGenericEncoding) {

@@ -1,8 +1,9 @@
 // Error paths of the observability plumbing: the trace reader on
-// truncated and garbage input, the JSONL sink on a stream that already
-// failed (e.g. an unwritable path), and WriteFile on paths that cannot
-// be created. None of these may crash, and failures must surface as
-// counted malformed lines or a clean Status — never as an exception.
+// truncated and garbage input, the JSONL trace pipeline (btrace pages
+// rendered by a JsonlPageSink) on a stream that fails, and WriteFile on
+// paths that cannot be created. None of these may crash, and failures
+// must surface as counted malformed lines, sticky sink error state or a
+// clean Status — never as an exception.
 
 #include <algorithm>
 #include <fstream>
@@ -92,10 +93,11 @@ TEST(TraceReaderErrorTest, ParseTraceLineRejectsNonObjects) {
 
 TEST(JsonlTraceSinkErrorTest, FailedStreamDoesNotCrashAndKeepsCounting) {
   // An ofstream on an unwritable path is open()-failed from the start;
-  // the sink must tolerate writing into it indefinitely.
+  // the JSONL pipeline must tolerate writing into it indefinitely.
   std::ofstream out("/nonexistent-dir-dynvote/trace.jsonl");
   ASSERT_FALSE(out.good());
-  JsonlTraceSink sink(&out);
+  JsonlPageSink pages(&out);
+  BinaryTraceSink sink(&pages, /*page_bytes=*/64);
   TraceEvent e;
   e.type = TraceEventType::kSim;
   e.op = "site_fail";
@@ -103,6 +105,7 @@ TEST(JsonlTraceSinkErrorTest, FailedStreamDoesNotCrashAndKeepsCounting) {
     e.seq = static_cast<std::uint64_t>(i);
     sink.Write(e);
   }
+  sink.Flush();
   EXPECT_EQ(sink.total_events(), 100u);
   EXPECT_FALSE(out.good());
   // The failure is no longer silent: error state is set and the
@@ -113,14 +116,17 @@ TEST(JsonlTraceSinkErrorTest, FailedStreamDoesNotCrashAndKeepsCounting) {
 }
 
 TEST(JsonlTraceSinkErrorTest, MidStreamFailureSurfacesAndReconciles) {
-  // Regression: the sink used to ignore stream state entirely, so a
-  // disk filling up mid-run silently truncated the trace while
-  // total_events() kept climbing. Now the first failed line sets sticky
+  // Regression: the JSONL writer used to ignore stream state entirely,
+  // so a disk filling up mid-run silently truncated the trace while
+  // total_events() kept climbing. Now the first failed page sets sticky
   // error state and events_written() stops, so the CLI can report
   // "M of N events written".
   FailingStreambuf buf(150);  // room for a couple of lines, then ENOSPC
   std::ostream out(&buf);
-  JsonlTraceSink sink(&out);
+  JsonlPageSink pages(&out);
+  // Pages of a few records each: the first lands whole, a later one
+  // hits the full disk.
+  BinaryTraceSink sink(&pages, /*page_bytes=*/16);
   TraceEvent e;
   e.type = TraceEventType::kSim;
   e.op = "site_fail";
@@ -140,7 +146,8 @@ TEST(JsonlTraceSinkErrorTest, MidStreamFailureSurfacesAndReconciles) {
 
 TEST(JsonlTraceSinkErrorTest, FlushDetectsDeferredFailure) {
   std::ostringstream out;
-  JsonlTraceSink sink(&out);
+  JsonlPageSink pages(&out);
+  BinaryTraceSink sink(&pages);
   TraceEvent e;
   e.type = TraceEventType::kSim;
   e.op = "x";
@@ -149,6 +156,7 @@ TEST(JsonlTraceSinkErrorTest, FlushDetectsDeferredFailure) {
   out.setstate(std::ios::badbit);  // failure lands between write and flush
   sink.Flush();
   EXPECT_FALSE(sink.ok());
+  EXPECT_LT(sink.events_written(), sink.total_events());
 }
 
 TEST(TraceSummaryRatesTest, ZeroDenominatorsRenderDashNotNan) {

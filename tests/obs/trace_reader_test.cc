@@ -66,12 +66,14 @@ TEST(ParseTraceLineTest, RoundTripsSinkOutput) {
   EXPECT_EQ(fields.at("t"), "0.30000000000000004");
 }
 
-/// Builds a small synthetic trace through the real sink so reader tests
-/// track the writer format automatically.
+/// Builds a small synthetic trace through the real pipeline (btrace
+/// records rendered as JSONL) so reader tests track the writer format
+/// automatically.
 std::string SyntheticTrace() {
   std::ostringstream out;
   out << TraceHeaderLine(7) << "\n";
-  JsonlTraceSink sink(&out);
+  JsonlPageSink pages(&out);
+  BinaryTraceSink sink(&pages);
 
   TraceEvent sim;
   sim.type = TraceEventType::kSim;
@@ -109,6 +111,8 @@ std::string SyntheticTrace() {
   avail.protocol = "LDV";
   avail.available = false;
   sink.Write(avail);
+  sink.Flush();
+  EXPECT_TRUE(sink.ok()) << sink.error();
   return out.str();
 }
 
@@ -179,8 +183,11 @@ TEST(SummarizeTraceTest, ServingEventsFoldIdenticallyFromBothFormats) {
 
   std::ostringstream jsonl;
   jsonl << TraceHeaderLine(11) << "\n";
-  JsonlTraceSink sink(&jsonl);
+  JsonlPageSink jsonl_pages(&jsonl);
+  BinaryTraceSink sink(&jsonl_pages);
   for (const TraceEvent& e : events) sink.Write(e);
+  sink.Flush();
+  ASSERT_TRUE(sink.ok()) << sink.error();
 
   std::istringstream jsonl_in(jsonl.str());
   TraceSummary from_jsonl = SummarizeTrace(jsonl_in);

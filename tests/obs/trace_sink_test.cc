@@ -1,5 +1,6 @@
-// Trace sinks: ring-buffer bounding, JSONL rendering of every event
-// type, string escaping, and the schema header line.
+// JSONL rendering of every event type, string escaping, the schema
+// header line, and the JSONL page destination that renders recorded
+// btrace pages.
 
 #include "obs/trace_sink.h"
 
@@ -7,6 +8,9 @@
 
 #include <algorithm>
 #include <sstream>
+
+#include "obs/async_writer.h"
+#include "obs/binary_trace.h"
 
 namespace dynvote {
 namespace {
@@ -18,56 +22,6 @@ TraceEvent SimEvent(double t, std::uint64_t seq) {
   e.seq = seq;
   e.op = "dispatch";
   return e;
-}
-
-TEST(RingTraceSinkTest, KeepsTheMostRecentEvents) {
-  RingTraceSink sink(3);
-  for (int i = 0; i < 5; ++i) sink.Write(SimEvent(i, i));
-  EXPECT_EQ(sink.total_events(), 5u);
-  ASSERT_EQ(sink.events().size(), 3u);
-  EXPECT_EQ(sink.events().front().seq, 2u);
-  EXPECT_EQ(sink.events().back().seq, 4u);
-}
-
-TEST(RingTraceSinkTest, ZeroCapacityOnlyCounts) {
-  RingTraceSink sink(0);
-  sink.Write(SimEvent(1.0, 1));
-  EXPECT_EQ(sink.total_events(), 1u);
-  EXPECT_TRUE(sink.events().empty());
-}
-
-TEST(RingTraceSinkTest, ClearDropsEventsButNotTheCount) {
-  RingTraceSink sink;
-  sink.Write(SimEvent(1.0, 1));
-  sink.Clear();
-  EXPECT_TRUE(sink.events().empty());
-  EXPECT_EQ(sink.total_events(), 1u);
-}
-
-TEST(RingTraceSinkTest, WrapsManyTimesWithoutLosingOrder) {
-  // The ring now reuses preallocated slots instead of deep-copying each
-  // event into a fresh deque node; wrapping several times over must
-  // still yield the newest events, oldest first.
-  RingTraceSink sink(4);
-  TraceEvent net;
-  net.type = TraceEventType::kNet;
-  net.components = {0x1, 0x2, 0x3};  // per-slot vector storage is reused
-  for (int i = 0; i < 103; ++i) {
-    net.seq = static_cast<std::uint64_t>(i);
-    sink.Write(net);
-  }
-  EXPECT_EQ(sink.total_events(), 103u);
-  std::vector<TraceEvent> events = sink.events();
-  ASSERT_EQ(events.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(events[i].seq, static_cast<std::uint64_t>(99 + i));
-    EXPECT_EQ(events[i].components.size(), 3u);
-  }
-  sink.Clear();
-  EXPECT_EQ(sink.capacity(), 4u);
-  sink.Write(SimEvent(1.0, 7));
-  ASSERT_EQ(sink.events().size(), 1u);
-  EXPECT_EQ(sink.events().front().seq, 7u);
 }
 
 TEST(JsonlTest, SimEventRendersCompactly) {
@@ -174,10 +128,13 @@ TEST(JsonlTest, DoublesRoundTripAtFullPrecision) {
 
 TEST(JsonlTest, SinkWritesOneLinePerEvent) {
   std::ostringstream out;
-  JsonlTraceSink sink(&out);
+  JsonlPageSink pages(&out);
+  BinaryTraceSink sink(&pages);
   sink.Write(SimEvent(1.0, 1));
   sink.Write(SimEvent(2.0, 2));
+  sink.Flush();
   EXPECT_EQ(sink.total_events(), 2u);
+  EXPECT_EQ(sink.events_written(), 2u);
   std::string text = out.str();
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
   EXPECT_EQ(text.find('{'), 0u);

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -50,7 +51,7 @@ struct Options {
   std::string protocol = "LDV";
   std::string csv_path;
   std::string json_path;
-  std::string trace_out_path;    // simulate/repeat: JSONL event trace
+  std::string trace_out_path;    // simulate/repeat: event trace
   std::string metrics_out_path;  // simulate/repeat: metrics JSON
   std::string positional;  // the command's argument (Command::argument)
   // 0 = the command's default: 100 years, or 2 on serve.
@@ -488,54 +489,73 @@ ExperimentOptions FlagExperimentOptions(const Options& opt, double years,
   return options;
 }
 
-/// A `--trace-out` path ending in .btrace selects the binary format.
-bool WantsBinaryTrace(const std::string& path) {
-  constexpr std::string_view kExt = ".btrace";
-  return path.size() >= kExt.size() &&
-         path.compare(path.size() - kExt.size(), kExt.size(), kExt) == 0;
+/// The --trace-out file: its schema header, then the recorded btrace
+/// pages, written as they are when the path ends in .btrace and rendered
+/// as dynvote-trace-v1 JSONL lines otherwise.
+struct TraceFile {
+  TraceFile() = default;
+  // `pages` points at `out`: never copied or moved.
+  TraceFile(const TraceFile&) = delete;
+  TraceFile& operator=(const TraceFile&) = delete;
+
+  std::ofstream out;
+  std::unique_ptr<TracePageSink> pages;
+};
+
+/// Opens --trace-out and writes its header. Returns 0, or 1 with the
+/// error already printed.
+int OpenTraceFile(const Options& opt, TraceFile* trace) {
+  const std::string& path = opt.trace_out_path;
+  trace->out.open(path, std::ios::binary | std::ios::trunc);
+  if (!trace->out) {
+    std::cerr << "cannot open '" << path << "' for write\n";
+    return 1;
+  }
+  constexpr std::string_view kBinaryExt = ".btrace";
+  std::string header;
+  if (path.ends_with(kBinaryExt)) {
+    header = BinaryTraceHeader(opt.seed);
+    trace->pages = std::make_unique<StreamPageSink>(&trace->out);
+  } else {
+    header = TraceHeaderLine(opt.seed) + "\n";
+    trace->pages = std::make_unique<JsonlPageSink>(&trace->out);
+  }
+  trace->out.write(header.data(), static_cast<std::streamsize>(header.size()));
+  return 0;
 }
 
-/// Reports a trace sink that lost events (failed stream, failed page
-/// pipeline) and returns 1; returns 0 when every event reached the sink.
-/// The written-vs-offered reconciliation makes silent truncation — the
-/// old failure mode — impossible to miss in scripts.
-int CheckTraceSink(const TraceSink& sink, const std::string& path) {
-  if (sink.ok()) return 0;
-  std::cerr << "trace-out failed: " << sink.error() << " ("
-            << sink.events_written() << " of " << sink.total_events()
-            << " events reached " << path << ")\n";
-  return 1;
+/// Closes --trace-out once `pages` (its page pipeline) is flushed. A
+/// pipeline that lost events — a failed stream, a full disk — is reported
+/// with the written-vs-offered reconciliation, so a silently truncated
+/// trace is impossible to miss in scripts. Returns 0, or 1 with the error
+/// already printed.
+int CloseTraceFile(const std::string& path, const TracePageSink& pages,
+                   std::uint64_t written, std::uint64_t total,
+                   TraceFile* trace) {
+  if (!pages.ok()) {
+    std::cerr << "trace-out failed: " << pages.error() << " (" << written
+              << " of " << total << " events reached " << path << ")\n";
+    return 1;
+  }
+  trace->out.close();
+  if (!trace->out) {
+    std::cerr << "short write to '" << path << "'\n";
+    return 1;
+  }
+  std::cout << "wrote " << path << "\n";
+  return 0;
 }
 
-/// Writes --trace-out (schema header + pre-rendered body, JSONL or
-/// binary by extension) and/or --metrics-out after a run. Returns 0, or
-/// 1 with the error already printed.
-int WriteObsOutputs(const Options& opt, const std::string& trace_body,
-                    const MetricsShard& metrics) {
-  if (!opt.trace_out_path.empty()) {
-    std::string contents;
-    if (WantsBinaryTrace(opt.trace_out_path)) {
-      contents = BinaryTraceHeader(opt.seed);
-    } else {
-      contents = TraceHeaderLine(opt.seed);
-      contents.push_back('\n');
-    }
-    contents += trace_body;
-    Status st = WriteFile(opt.trace_out_path, contents);
-    if (!st.ok()) {
-      std::cerr << st << "\n";
-      return 1;
-    }
-    std::cout << "wrote " << opt.trace_out_path << "\n";
+/// Writes --metrics-out after a run. Returns 0, or 1 with the error
+/// already printed.
+int WriteMetrics(const Options& opt, const MetricsShard& metrics) {
+  if (opt.metrics_out_path.empty()) return 0;
+  Status st = WriteFile(opt.metrics_out_path, metrics.ToJson());
+  if (!st.ok()) {
+    std::cerr << st << "\n";
+    return 1;
   }
-  if (!opt.metrics_out_path.empty()) {
-    Status st = WriteFile(opt.metrics_out_path, metrics.ToJson());
-    if (!st.ok()) {
-      std::cerr << st << "\n";
-      return 1;
-    }
-    std::cout << "wrote " << opt.metrics_out_path << "\n";
-  }
+  std::cout << "wrote " << opt.metrics_out_path << "\n";
   return 0;
 }
 
@@ -582,38 +602,20 @@ int Simulate(const Options& opt) {
   ExperimentSpec& spec = experiment->spec;
 
   // Observability is opt-in per flag; with neither flag spec.obs stays
-  // null and instrumentation costs one never-taken branch per site.
-  // JSONL buffers in memory and lands via WriteObsOutputs; binary
-  // streams pages straight to the file through a background writer
-  // thread, so the simulation never waits on disk.
-  const bool binary_trace = WantsBinaryTrace(opt.trace_out_path);
-  std::ostringstream trace_out;
-  JsonlTraceSink jsonl_sink(&trace_out);
-  std::ofstream btrace_out;
-  std::optional<StreamPageSink> btrace_pages;
-  std::optional<AsyncTraceSink> btrace_async;
-  std::optional<BinaryTraceSink> btrace_sink;
+  // null and instrumentation costs one never-taken branch per site. The
+  // trace records btrace pages on the simulation thread; a background
+  // writer thread writes them to the file, rendering JSONL there when
+  // the extension asks for it, so the simulation never waits on disk.
+  TraceFile trace;
+  std::optional<AsyncTraceSink> trace_writer;
+  std::optional<BinaryTraceSink> trace_sink;
   MetricsShard metrics;
   ObsContext obs;
   if (!opt.trace_out_path.empty()) {
-    if (binary_trace) {
-      btrace_out.open(opt.trace_out_path,
-                      std::ios::binary | std::ios::trunc);
-      if (!btrace_out) {
-        std::cerr << "cannot open '" << opt.trace_out_path
-                  << "' for write\n";
-        return 1;
-      }
-      std::string header = BinaryTraceHeader(opt.seed);
-      btrace_out.write(header.data(),
-                       static_cast<std::streamsize>(header.size()));
-      btrace_pages.emplace(&btrace_out);
-      btrace_async.emplace(&*btrace_pages);
-      btrace_sink.emplace(&*btrace_async);
-      obs.sink = &*btrace_sink;
-    } else {
-      obs.sink = &jsonl_sink;
-    }
+    if (int rc = OpenTraceFile(opt, &trace); rc != 0) return rc;
+    trace_writer.emplace(trace.pages.get());
+    trace_sink.emplace(&*trace_writer);
+    obs.sink = &*trace_sink;
   }
   if (!opt.metrics_out_path.empty()) obs.metrics = &metrics;
   if (obs.sink != nullptr || obs.metrics != nullptr) spec.obs = &obs;
@@ -654,25 +656,18 @@ int Simulate(const Options& opt) {
     }
     std::cout << "wrote " << opt.csv_path << "\n";
   }
-  if (obs.sink != nullptr) {
-    // Drain the async writer / flush the stream, then reconcile events
-    // offered against events written — a failed sink is a hard error.
-    obs.sink->Flush();
-    if (int rc = CheckTraceSink(*obs.sink, opt.trace_out_path); rc != 0) {
+  if (trace_sink.has_value()) {
+    // Drain the writer thread, then reconcile events offered against
+    // events written — a failed trace is a hard error.
+    trace_sink->Flush();
+    if (int rc = CloseTraceFile(opt.trace_out_path, *trace_writer,
+                                trace_sink->events_written(),
+                                trace_sink->total_events(), &trace);
+        rc != 0) {
       return rc;
     }
   }
-  if (binary_trace) {
-    btrace_out.close();
-    if (!btrace_out) {
-      std::cerr << "short write to '" << opt.trace_out_path << "'\n";
-      return 1;
-    }
-    std::cout << "wrote " << opt.trace_out_path << "\n";
-  }
-  Options remaining = opt;
-  if (binary_trace) remaining.trace_out_path.clear();  // already on disk
-  return WriteObsOutputs(remaining, trace_out.str(), metrics);
+  return WriteMetrics(opt, metrics);
 }
 
 int Repeat(const Options& opt) {
@@ -689,12 +684,13 @@ int Repeat(const Options& opt) {
   replication.replications = opt.reps >= 1 ? opt.reps : network.replications;
   replication.jobs = opt.jobs >= 0 ? opt.jobs : network.jobs;
   replication.collect_traces = !opt.trace_out_path.empty();
-  replication.trace_format = WantsBinaryTrace(opt.trace_out_path)
-                                 ? TraceFormat::kBinary
-                                 : TraceFormat::kJsonl;
   replication.collect_metrics = !opt.metrics_out_path.empty();
   replication.objects = opt.objects;
 
+  TraceFile trace;
+  if (replication.collect_traces) {
+    if (int rc = OpenTraceFile(opt, &trace); rc != 0) return rc;
+  }
   auto results = RunReplicatedExperiment(
       experiment->spec, experiment->protocols, replication);
   if (!results.ok()) {
@@ -727,11 +723,26 @@ int Repeat(const Options& opt) {
     }
     std::cout << "wrote " << opt.json_path << "\n";
   }
-  // Per-replication bodies concatenate in replication order, so the
-  // trace file is byte-identical for any --jobs.
-  std::string trace_body;
-  for (const std::string& body : results->traces) trace_body += body;
-  return WriteObsOutputs(opt, trace_body, results->metrics);
+  if (replication.collect_traces) {
+    // Per-replication btrace bodies go out in replication order, so the
+    // trace file is byte-identical for any --jobs. Each body is released
+    // once written.
+    std::uint64_t written = 0;
+    std::uint64_t total = 0;
+    for (std::size_t r = 0; r < results->traces.size(); ++r) {
+      total += results->trace_events[r];
+      trace.pages->WritePage(&results->traces[r]);
+      if (trace.pages->ok()) written += results->trace_events[r];
+      results->traces[r] = std::string();
+    }
+    trace.pages->Flush();
+    if (int rc = CloseTraceFile(opt.trace_out_path, *trace.pages, written,
+                                total, &trace);
+        rc != 0) {
+      return rc;
+    }
+  }
+  return WriteMetrics(opt, results->metrics);
 }
 
 /// Counter lookup tolerating the absent-when-zero export convention.
