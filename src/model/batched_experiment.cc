@@ -7,13 +7,12 @@
 #include "core/dynamic_voting.h"
 #include "core/mcv.h"
 #include "core/quorum.h"
+#include "model/sample_path.h"
 #include "net/network_state.h"
 #include "repl/message_bus.h"
 #include "repl/replica_store.h"
-#include "sim/calendar_queue.h"
 #include "stats/tracker.h"
 #include "util/logging.h"
-#include "util/rng.h"
 
 namespace dynvote {
 
@@ -75,55 +74,8 @@ bool PlanFor(const std::string& name, ProtocolPlan* plan) {
 }
 
 // ---------------------------------------------------------------------------
-// Event payload packing
-// ---------------------------------------------------------------------------
-
-/// Payload layout: kind in bits 0-2, entity in bits 3-10, generation in
-/// the high 32 bits.
-enum class EventKind : std::uint64_t {
-  kSiteFailure = 0,
-  kSiteRepair = 1,
-  kMaintenanceStart = 2,
-  kMaintenanceEnd = 3,
-  kRepeaterFailure = 4,
-  kRepeaterRepair = 5,
-  kAccess = 6,
-};
-
-constexpr std::uint64_t Pack(EventKind kind, int entity,
-                             std::uint32_t generation) {
-  return static_cast<std::uint64_t>(kind) |
-         (static_cast<std::uint64_t>(entity) << 3) |
-         (static_cast<std::uint64_t>(generation) << 32);
-}
-
-constexpr EventKind KindOf(std::uint64_t payload) {
-  return static_cast<EventKind>(payload & 0x7);
-}
-constexpr int EntityOf(std::uint64_t payload) {
-  return static_cast<int>((payload >> 3) & 0xFF);
-}
-constexpr std::uint32_t GenerationOf(std::uint64_t payload) {
-  return static_cast<std::uint32_t>(payload >> 32);
-}
-
-// ---------------------------------------------------------------------------
 // Per-object state
 // ---------------------------------------------------------------------------
-
-/// Failure-process state of one site, the analogue of
-/// NetworkProcessModel::SiteRuntime. The solo model cancels the pending
-/// failure event at maintenance start; here cancellation is a generation
-/// bump — a SiteFailure event whose generation no longer matches is
-/// stale and dropped at dispatch.
-struct SiteSlot {
-  Rng rng{0};
-  std::uint32_t failure_generation = 0;
-  bool failed = false;
-  bool in_maintenance = false;
-
-  bool EffectiveUp() const { return !failed && !in_maintenance; }
-};
 
 /// Dynamic-voting state of one protocol.
 ///
@@ -262,7 +214,6 @@ struct RunConfig {
         plans(std::move(plans_in)),
         num_protocols(static_cast<int>(plans.size())),
         num_sites(spec_in.topology->num_sites()),
-        num_repeaters(spec_in.topology->num_repeaters()),
         horizon(spec_in.options.warmup +
                 spec_in.options.batch_length * spec_in.options.num_batches),
         initial_store(std::move(initial_store_in)) {
@@ -283,7 +234,6 @@ struct RunConfig {
   std::vector<ProtocolPlan> plans;
   int num_protocols;
   int num_sites;
-  int num_repeaters;
   SimTime horizon;
   /// Some protocol refreshes membership on every network event.
   bool any_non_optimistic_dv = false;
@@ -313,20 +263,9 @@ class ObjectRun {
     return cfg_.plans[static_cast<std::size_t>(p)];
   }
 
-  // --- failure/access processes (exact ports of model/failure_model.cc
-  // and model/access_model.cc handlers) -----------------------------------
-  void Dispatch(std::uint64_t payload);
-  void ScheduleSiteFailure(SiteId s);
-  void PublishSite(SiteId s);
+  // --- reactions to the sample path's events -------------------------------
   void NotifyNetworkEvent();
-  void OnSiteFailure(SiteId s);
-  void OnSiteRepair(SiteId s);
-  void OnMaintenanceStart(SiteId s);
-  void OnMaintenanceEnd(SiteId s);
-  void ScheduleRepeaterFailure(int r);
-  void OnRepeaterFailure(int r);
-  void OnRepeaterRepair(int r);
-  void OnAccess();
+  void OnAccess(AccessType type);
 
   // --- protocol fast paths (exact ports of core/mcv.cc and
   // core/dynamic_voting.cc) ------------------------------------------------
@@ -351,7 +290,7 @@ class ObjectRun {
   /// fixed pattern and the per-protocol evaluate/commit machinery can be
   /// skipped wholesale.
   bool Steady() const {
-    return divergent_count_ == 0 && net_.FullyConnected(cfg_.placement);
+    return divergent_count_ == 0 && path_.net().FullyConnected(cfg_.placement);
   }
 
   /// Brings every tracker to "available". A no-op when the previous
@@ -362,7 +301,7 @@ class ObjectRun {
     if (all_available_) return;
     for (ObservedSlot& obs : observed_) {
       if (!obs.last_available) {
-        obs.tracker.Update(now_, true);
+        obs.tracker.Update(path_.now(), true);
         obs.last_available = true;
       }
     }
@@ -370,13 +309,9 @@ class ObjectRun {
   }
 
   const RunConfig& cfg_;
-  CalendarQueue queue_;
-  SimTime now_ = 0.0;
-
-  NetworkState net_;
-  std::vector<SiteSlot> sites_;
-  std::vector<Rng> repeater_rngs_;
-  Rng access_rng_;
+  /// The failure, maintenance and access processes; the only source of
+  /// events and of network changes.
+  SamplePath path_;
 
   // Per protocol.
   std::vector<ObservedSlot> observed_;
@@ -401,20 +336,7 @@ class ObjectRun {
 };
 
 ObjectRun::ObjectRun(const RunConfig& cfg, std::uint64_t seed)
-    : cfg_(cfg),
-      net_(cfg.spec.topology),
-      sites_(static_cast<std::size_t>(cfg.num_sites)),
-      // AccessProcess owns an independent stream at seed ^ 0x5DEECE66D.
-      access_rng_(seed ^ 0x5DEECE66DULL) {
-  // RNG fan-out in exactly the solo order: NetworkProcessModel::Make
-  // splits one master stream to sites then repeaters.
-  Rng master(seed);
-  for (SiteSlot& site : sites_) site.rng = master.Split();
-  repeater_rngs_.reserve(static_cast<std::size_t>(cfg.num_repeaters));
-  for (int r = 0; r < cfg.num_repeaters; ++r) {
-    repeater_rngs_.push_back(master.Split());
-  }
-
+    : cfg_(cfg), path_(cfg.spec, cfg.placement, seed) {
   const ExperimentOptions& o = cfg.spec.options;
   observed_.reserve(static_cast<std::size_t>(cfg.num_protocols));
   dv_.reserve(static_cast<std::size_t>(cfg.num_protocols));
@@ -425,45 +347,9 @@ ObjectRun::ObjectRun(const RunConfig& cfg, std::uint64_t seed)
     dv_.back().u_partition = cfg.placement;
   }
   eval_memo_.resize(static_cast<std::size_t>(cfg.num_protocols));
-
-  // NetworkProcessModel::Start(): per site, the first failure draw and
-  // the maintenance phase draw; then per repeater, the first failure.
-  for (SiteId s = 0; s < cfg.num_sites; ++s) {
-    ScheduleSiteFailure(s);
-    const SiteProfile& prof = cfg.spec.profiles[static_cast<std::size_t>(s)];
-    if (prof.maintenance_interval_days > 0.0 && prof.maintenance_hours > 0.0) {
-      double phase = sites_[static_cast<std::size_t>(s)].rng.NextDouble() *
-                     prof.maintenance_interval_days;
-      queue_.Schedule(Days(phase), Pack(EventKind::kMaintenanceStart, s, 0));
-    }
-  }
-  for (int r = 0; r < cfg.num_repeaters; ++r) ScheduleRepeaterFailure(r);
-
-  // AccessProcess::Start().
-  if (o.access.enabled) {
-    double gap = o.access.deterministic
-                     ? 1.0 / o.access.rate_per_day
-                     : access_rng_.NextExponential(1.0 / o.access.rate_per_day);
-    queue_.Schedule(now_ + gap, Pack(EventKind::kAccess, 0, 0));
-  }
 }
 
-// --- failure/access processes ---------------------------------------------
-
-void ObjectRun::ScheduleSiteFailure(SiteId s) {
-  SiteSlot& slot = sites_[static_cast<std::size_t>(s)];
-  double ttf = slot.rng.NextExponential(
-      cfg_.spec.profiles[static_cast<std::size_t>(s)].mttf_days);
-  std::uint32_t gen = ++slot.failure_generation;
-  queue_.Schedule(now_ + ttf, Pack(EventKind::kSiteFailure, s, gen));
-}
-
-void ObjectRun::PublishSite(SiteId s) {
-  // The solo model notifies on every publish, even when the effective
-  // up/down state did not flip (e.g. failure during maintenance).
-  net_.SetSiteUp(s, sites_[static_cast<std::size_t>(s)].EffectiveUp());
-  NotifyNetworkEvent();
-}
+// --- reactions to the sample path ------------------------------------------
 
 void ObjectRun::NotifyNetworkEvent() {
   // experiment.cc on_change: every protocol's OnNetworkEvent (a no-op
@@ -489,89 +375,7 @@ void ObjectRun::NotifyNetworkEvent() {
   Sample();
 }
 
-void ObjectRun::OnSiteFailure(SiteId s) {
-  SiteSlot& slot = sites_[static_cast<std::size_t>(s)];
-  slot.failed = true;
-  PublishSite(s);
-
-  const SiteProfile& prof = cfg_.spec.profiles[static_cast<std::size_t>(s)];
-  SimTime repair;
-  if (slot.rng.NextBernoulli(prof.hardware_fraction)) {
-    repair = Hours(prof.hw_repair_const_hours);
-    if (prof.hw_repair_exp_hours > 0.0) {
-      repair += Hours(slot.rng.NextExponential(prof.hw_repair_exp_hours));
-    }
-  } else {
-    repair = Minutes(prof.restart_minutes);
-  }
-  queue_.Schedule(now_ + repair, Pack(EventKind::kSiteRepair, s, 0));
-}
-
-void ObjectRun::OnSiteRepair(SiteId s) {
-  SiteSlot& slot = sites_[static_cast<std::size_t>(s)];
-  slot.failed = false;
-  PublishSite(s);
-  if (slot.EffectiveUp()) ScheduleSiteFailure(s);
-}
-
-void ObjectRun::OnMaintenanceStart(SiteId s) {
-  SiteSlot& slot = sites_[static_cast<std::size_t>(s)];
-  slot.in_maintenance = true;
-  // Cancel the pending failure (solo: queue Cancel; here: stale the
-  // generation so the event is dropped at dispatch).
-  ++slot.failure_generation;
-  PublishSite(s);
-  const SiteProfile& prof = cfg_.spec.profiles[static_cast<std::size_t>(s)];
-  queue_.Schedule(now_ + Hours(prof.maintenance_hours),
-                  Pack(EventKind::kMaintenanceEnd, s, 0));
-}
-
-void ObjectRun::OnMaintenanceEnd(SiteId s) {
-  SiteSlot& slot = sites_[static_cast<std::size_t>(s)];
-  slot.in_maintenance = false;
-  PublishSite(s);
-  if (slot.EffectiveUp()) ScheduleSiteFailure(s);
-  const SiteProfile& prof = cfg_.spec.profiles[static_cast<std::size_t>(s)];
-  // Same association as the solo ScheduleIn(interval - duration): the
-  // offset is formed first, then added to now. (now + interval) - duration
-  // rounds differently and drifts the calendar by an ulp now and then.
-  queue_.Schedule(now_ + (Days(prof.maintenance_interval_days) -
-                          Hours(prof.maintenance_hours)),
-                  Pack(EventKind::kMaintenanceStart, s, 0));
-}
-
-void ObjectRun::ScheduleRepeaterFailure(int r) {
-  double ttf = repeater_rngs_[static_cast<std::size_t>(r)].NextExponential(
-      cfg_.spec.repeater_profiles[static_cast<std::size_t>(r)].mttf_days);
-  queue_.Schedule(now_ + ttf, Pack(EventKind::kRepeaterFailure, r, 0));
-}
-
-void ObjectRun::OnRepeaterFailure(int r) {
-  net_.SetRepeaterUp(r, false);
-  NotifyNetworkEvent();
-  const RepeaterProfile& prof =
-      cfg_.spec.repeater_profiles[static_cast<std::size_t>(r)];
-  SimTime repair = Hours(prof.repair_const_hours);
-  if (prof.repair_exp_hours > 0.0) {
-    repair += Hours(repeater_rngs_[static_cast<std::size_t>(r)].NextExponential(
-        prof.repair_exp_hours));
-  }
-  queue_.Schedule(now_ + repair, Pack(EventKind::kRepeaterRepair, r, 0));
-}
-
-void ObjectRun::OnRepeaterRepair(int r) {
-  net_.SetRepeaterUp(r, true);
-  NotifyNetworkEvent();
-  ScheduleRepeaterFailure(r);
-}
-
-void ObjectRun::OnAccess() {
-  const AccessOptions& a = cfg_.spec.options.access;
-  // AccessProcess::Fire draw order: access type, then the callback, then
-  // the next arrival gap.
-  AccessType type = access_rng_.NextBernoulli(a.write_fraction)
-                        ? AccessType::kWrite
-                        : AccessType::kRead;
+void ObjectRun::OnAccess(AccessType type) {
   if (Steady()) {
     // Every protocol grants in its one full group: MCV has its static
     // majority, each dynamic variant finds Q = S = R = P_m. The message
@@ -602,42 +406,6 @@ void ObjectRun::OnAccess() {
     }
     Sample();
   }
-  double gap = a.deterministic ? 1.0 / a.rate_per_day
-                               : access_rng_.NextExponential(1.0 / a.rate_per_day);
-  queue_.Schedule(now_ + gap, Pack(EventKind::kAccess, 0, 0));
-}
-
-void ObjectRun::Dispatch(std::uint64_t payload) {
-  const int entity = EntityOf(payload);
-  switch (KindOf(payload)) {
-    case EventKind::kSiteFailure:
-      // Stale generation == the solo model's cancelled pending failure.
-      if (GenerationOf(payload) !=
-          sites_[static_cast<std::size_t>(entity)].failure_generation) {
-        return;
-      }
-      OnSiteFailure(entity);
-      return;
-    case EventKind::kSiteRepair:
-      OnSiteRepair(entity);
-      return;
-    case EventKind::kMaintenanceStart:
-      OnMaintenanceStart(entity);
-      return;
-    case EventKind::kMaintenanceEnd:
-      OnMaintenanceEnd(entity);
-      return;
-    case EventKind::kRepeaterFailure:
-      OnRepeaterFailure(entity);
-      return;
-    case EventKind::kRepeaterRepair:
-      OnRepeaterRepair(entity);
-      return;
-    case EventKind::kAccess:
-      OnAccess();
-      return;
-  }
-  DYNVOTE_CHECK_MSG(false, "unknown batched event kind");
 }
 
 // --- MCV fast path --------------------------------------------------------
@@ -655,7 +423,7 @@ bool ObjectRun::McvGranted(SiteSet copies) const {
 
 bool ObjectRun::McvUserAccess(int p, AccessType type) {
   ObservedSlot& obs = observed(p);
-  for (const SiteSet& group : net_.Components()) {
+  for (const SiteSet& group : path_.net().Components()) {
     SiteSet copies = group.Intersect(cfg_.placement);
     if (copies.Empty()) continue;
     if (!McvGranted(copies)) continue;
@@ -847,7 +615,7 @@ bool ObjectRun::DvUserAccess(int p, AccessType type) {
   // DynamicVoting::UserAccess + Access, fused: find the first granted
   // group, charge the Access message pattern, commit, reintegrate.
   ObservedSlot& obs = observed(p);
-  for (const SiteSet& group : net_.Components()) {
+  for (const SiteSet& group : path_.net().Components()) {
     SiteSet copies = group.Intersect(cfg_.placement);
     if (copies.Empty()) continue;
     EvalResult d = DvEvaluate(p, copies);
@@ -871,7 +639,7 @@ bool ObjectRun::DvUserAccess(int p, AccessType type) {
 
 bool ObjectRun::DvRecover(int p, SiteId site) {
   ObservedSlot& obs = observed(p);
-  SiteSet copies = net_.ComponentOf(site).Intersect(cfg_.placement);
+  SiteSet copies = path_.net().ComponentOf(site).Intersect(cfg_.placement);
   EvalResult d = DvEvaluate(p, copies);
   if (!d.granted) {
     obs.counter.Add(MessageKind::kAbort, d.reachable.Size());
@@ -923,7 +691,7 @@ void ObjectRun::DvOnNetworkEvent(int p) {
   // The instantaneous variants refresh state in every group on every
   // network event (the paper's "connection vector" cost).
   ObservedSlot& obs = observed(p);
-  for (const SiteSet& group : net_.Components()) {
+  for (const SiteSet& group : path_.net().Components()) {
     SiteSet copies = group.Intersect(cfg_.placement);
     if (copies.Empty()) continue;
     obs.counter.Add(MessageKind::kInstantRefresh, 2 * copies.Size());
@@ -973,7 +741,7 @@ void ObjectRun::Sample() {
   // dual-majority case). Two words replace a zeroed per-protocol array.
   std::uint32_t once = 0;
   std::uint32_t twice = 0;
-  for (const SiteSet& group : net_.Components()) {
+  for (const SiteSet& group : path_.net().Components()) {
     SiteSet copies = group.Intersect(cfg_.placement);
     if (copies.Empty()) continue;
     GroupMemoSlot* slot = MemoSlotFor(copies.mask());
@@ -1008,7 +776,7 @@ void ObjectRun::Sample() {
         DYNVOTE_CHECK_MSG(
             (twice & bit) == 0,
             "two disjoint majority partitions (batched engine): " +
-                plan(p).name + " at t=" + std::to_string(now_));
+                plan(p).name + " at t=" + std::to_string(path_.now()));
       }
     }
     const bool available = (once & bit) != 0;
@@ -1017,7 +785,7 @@ void ObjectRun::Sample() {
     // update-by-update so the outage accumulation sums in the same
     // floating-point order as the solo engine.
     if (!(available && obs.last_available)) {
-      obs.tracker.Update(now_, available);
+      obs.tracker.Update(path_.now(), available);
       obs.last_available = available;
     }
     all_available = all_available && available;
@@ -1028,14 +796,16 @@ void ObjectRun::Sample() {
 // --- top level ------------------------------------------------------------
 
 std::vector<PolicyResult> ObjectRun::Run() {
-  // The object's events pop in (time, schedule-seq) order — the order a
-  // solo EventQueue dispatches them.
-  while (!queue_.Empty() && queue_.PeekTime() <= cfg_.horizon) {
-    CalendarEvent event = queue_.PopNext();
-    now_ = event.when;
-    Dispatch(event.payload);
+  // The solo engine's loop without the trace stamping: the batched
+  // engine reacts to exactly the events a solo run reacts to.
+  while (path_.Advance(cfg_.horizon)) {
+    const PathEvent event = path_.Apply();
+    if (event.kind == PathEvent::Kind::kAccess) {
+      OnAccess(event.type);
+    } else {
+      NotifyNetworkEvent();
+    }
   }
-  now_ = cfg_.horizon;
 
   // Materialize the steady-state tallies: every steady access charged
   // each protocol the full-group message pattern and counted as a
@@ -1176,14 +946,14 @@ Result<std::vector<std::vector<PolicyResult>>>
 RunBatchedAvailabilityExperiment(const ExperimentSpec& spec,
                                  const BatchedProtocolSpec& protocols,
                                  const std::vector<std::uint64_t>& seeds) {
-  // Mirror the validation of RunSoloAvailabilityExperiment and the
-  // process factories it calls, so both engines reject the same inputs.
-  if (spec.topology == nullptr) {
-    return Status::InvalidArgument("experiment needs a topology");
-  }
   if (spec.obs != nullptr) {
     return Status::InvalidArgument(
         "the batched engine is observability-free; route traced runs "
+        "through RunSoloAvailabilityExperiment");
+  }
+  if (spec.options.serving.enabled) {
+    return Status::InvalidArgument(
+        "the batched engine has no serving model; route serving runs "
         "through RunSoloAvailabilityExperiment");
   }
   if (protocols.policies.empty()) {
@@ -1193,41 +963,13 @@ RunBatchedAvailabilityExperiment(const ExperimentSpec& spec,
     return Status::InvalidArgument(
         "policy set not supported by the batched engine");
   }
-  if (spec.options.num_batches < 1 || spec.options.batch_length <= 0.0 ||
-      spec.options.warmup < 0.0) {
-    return Status::InvalidArgument("bad measurement window");
-  }
+  // The same validation RunSoloAvailabilityExperiment runs, so both
+  // engines reject the same inputs with the same Status.
+  DYNVOTE_RETURN_NOT_OK(SamplePath::Validate(spec, protocols.placement));
   if (protocols.placement.Empty() ||
       !protocols.placement.IsSubsetOf(spec.topology->AllSites())) {
     return Status::InvalidArgument(
         "placement must be a non-empty subset of the topology's sites");
-  }
-  if (static_cast<int>(spec.profiles.size()) != spec.topology->num_sites()) {
-    return Status::InvalidArgument("need one SiteProfile per site");
-  }
-  if (static_cast<int>(spec.repeater_profiles.size()) !=
-      spec.topology->num_repeaters()) {
-    return Status::InvalidArgument("need one RepeaterProfile per repeater");
-  }
-  for (const SiteProfile& p : spec.profiles) {
-    if (p.mttf_days <= 0.0) {
-      return Status::InvalidArgument("site MTTF must be > 0");
-    }
-    if (p.hardware_fraction < 0.0 || p.hardware_fraction > 1.0) {
-      return Status::InvalidArgument("hardware fraction outside [0, 1]");
-    }
-  }
-  for (const RepeaterProfile& p : spec.repeater_profiles) {
-    if (p.mttf_days <= 0.0) {
-      return Status::InvalidArgument("repeater MTTF must be > 0");
-    }
-  }
-  if (spec.options.access.enabled && spec.options.access.rate_per_day <= 0.0) {
-    return Status::InvalidArgument("access rate must be > 0");
-  }
-  if (spec.options.access.write_fraction < 0.0 ||
-      spec.options.access.write_fraction > 1.0) {
-    return Status::InvalidArgument("write fraction outside [0, 1]");
   }
   if (seeds.empty()) {
     return Status::InvalidArgument("batched run needs at least one seed");

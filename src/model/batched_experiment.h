@@ -1,27 +1,20 @@
 // The batched multi-object simulation engine: N independent replicated
 // files ("objects") run back to back, each from its seed to the horizon
-// on its own small event heap (sim/calendar_queue.h), with its replica/
-// protocol state held as plain data — site up/down bits, 64-bit SiteSet
-// masks, vote counters and operation/version scalars — instead of a
-// Simulator and protocol-object heaps. The paper's one-access-per-day
-// workload is the sparse-event regime where per-object fixed costs
-// (std::function dispatch, virtual protocol calls) dominate; plain-data
-// events and the uniform-mode fast path below remove them. Each
-// object's state is built fresh from its seed, so objects share nothing
-// but the run's read-only inputs.
+// on its own SamplePath (model/sample_path.h), with its replica/protocol
+// state held as plain data — 64-bit SiteSet masks, vote counters and
+// operation/version scalars — instead of protocol-object heaps. The
+// paper's one-access-per-day workload is the sparse-event regime where
+// per-object fixed costs (virtual protocol calls, memo bookkeeping)
+// dominate; plain-data protocol slots and the uniform-mode fast path
+// below remove them. Each object's state is built fresh from its seed,
+// so objects share nothing but the run's read-only inputs.
 //
-// Bit-identity contract (the hard constraint carried from PRs 1-2):
-// PolicyResult rows for object k in a batch of N are bit-identical to a
-// RunSoloAvailabilityExperiment with seed seeds[k] — same tracker
-// updates, counters, grant decisions and RNG draw sequence. The engine
-// guarantees this by construction:
-//   - each object owns private Rng streams split exactly as the solo
-//     NetworkProcessModel / AccessProcess split them (Rng master(seed),
-//     sites then repeaters via master.Split(); access stream seeded
-//     seed ^ 0x5DEECE66D);
-//   - the event heap pops in (time, schedule-seq) order, so each
-//     object's events fire in the same relative order a solo EventQueue
-//     would fire them;
+// Bit-identity contract: PolicyResult rows for object k in a batch of N
+// are bit-identical to a RunSoloAvailabilityExperiment with seed
+// seeds[k] — same tracker updates, counters and grant decisions. The
+// engine guarantees this by construction:
+//   - both engines drive the same SamplePath, so the event sequence, the
+//     RNG draws and the network states are the solo run's;
 //   - protocol decisions use an integer fast path (all-copies-equal
 //     "uniform" mode: popcount majority tests over SiteSet masks) that
 //     falls back to the real ReplicaStore + EvaluateDynamicQuorum the
@@ -84,7 +77,8 @@ std::optional<BatchedProtocolSpec> BatchedPlanFor(
 /// Returns one PolicyResult row vector per object, in seed order;
 /// results[k][p] is bit-identical to what RunSoloAvailabilityExperiment
 /// would report for policy p with spec.options.seed = seeds[k].
-/// spec.options.seed itself is ignored; spec.obs must be null.
+/// spec.options.seed itself is ignored; spec.obs must be null and the
+/// serving model off.
 Result<std::vector<std::vector<PolicyResult>>>
 RunBatchedAvailabilityExperiment(const ExperimentSpec& spec,
                                  const BatchedProtocolSpec& protocols,

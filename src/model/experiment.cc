@@ -5,9 +5,9 @@
 #include "core/dynamic_voting.h"
 #include "core/registry.h"
 #include "model/batched_experiment.h"
-#include "model/failure_model.h"
+#include "model/sample_path.h"
 #include "net/network_state.h"
-#include "sim/simulator.h"
+#include "obs/binary_trace.h"
 #include "stats/tracker.h"
 #include "util/logging.h"
 
@@ -24,6 +24,52 @@ struct Observed {
   std::uint64_t dual_majority_instants = 0;
   /// Serving-model bookkeeping; null unless options.serving.enabled.
   std::unique_ptr<ServingStage> serving;
+};
+
+/// The observability side of event dispatch. Before each live event is
+/// applied, stamps `obs->now`/`obs->seq` (so downstream emitters —
+/// NetworkState, protocols, trackers — timestamp without knowing the
+/// clock), emits one `dispatch` record and bumps the `sim_events`
+/// counter. Sequence numbers count live events from 0; cancelled
+/// failures never reach it.
+class DispatchStamp {
+ public:
+  explicit DispatchStamp(ObsContext* obs) : obs_(obs) {}
+
+  void Stamp(SimTime now) {
+    obs_->now = now;
+    obs_->seq = seq_;
+    if (obs_->sink != nullptr) {
+      TraceSink* sink = obs_->sink;
+      // Devirtualized fast path, as in the protocol emitters.
+      if (label_.BinaryHit(sink)) {
+        static_cast<BinaryTraceSink*>(sink)->EncodeSim(
+            now, seq_, obs_->replication, label_.id);
+      } else {
+        sink->WriteSim(now, seq_, obs_->replication, "dispatch",
+                       label_.Resolve(sink, "dispatch"));
+      }
+    }
+    if (obs_->metrics != nullptr) {
+      MetricsShard* shard = obs_->metrics;
+      // One map walk per (shard, epoch) instead of one per event.
+      if (shard != cell_shard_ || cell_epoch_ != shard->cell_epoch()) {
+        cell_shard_ = shard;
+        cell_epoch_ = shard->cell_epoch();
+        sim_events_cell_ = shard->CounterCell("sim_events");
+      }
+      ++*sim_events_cell_;
+    }
+    ++seq_;
+  }
+
+ private:
+  ObsContext* obs_;
+  std::uint64_t seq_ = 0;
+  TraceLabelCache label_;  // the sink's token for "dispatch"
+  MetricsShard* cell_shard_ = nullptr;
+  std::uint64_t cell_epoch_ = 0;
+  std::uint64_t* sim_events_cell_ = nullptr;
 };
 
 }  // namespace
@@ -44,56 +90,24 @@ Result<std::vector<PolicyResult>> RunAvailabilityExperiment(
 Result<std::vector<PolicyResult>> RunSoloAvailabilityExperiment(
     const ExperimentSpec& spec,
     std::vector<std::unique_ptr<ConsistencyProtocol>> protocols) {
-  if (spec.topology == nullptr) {
-    return Status::InvalidArgument("experiment needs a topology");
-  }
   if (protocols.empty()) {
     return Status::InvalidArgument("experiment needs at least one protocol");
   }
-  if (spec.options.num_batches < 1 || spec.options.batch_length <= 0.0 ||
-      spec.options.warmup < 0.0) {
-    return Status::InvalidArgument("bad measurement window");
-  }
-
-  Simulator sim;
-  NetworkState net(spec.topology);
-  if (spec.obs != nullptr) {
-    sim.set_obs(spec.obs);
-    net.set_obs(spec.obs);
-  }
-
-  auto model_result = NetworkProcessModel::Make(
-      &sim, &net, spec.profiles, spec.repeater_profiles, spec.options.seed);
-  if (!model_result.ok()) return model_result.status();
-  std::unique_ptr<NetworkProcessModel> model = model_result.MoveValue();
-
   // The workload: the paper's closed-loop single accessor, or — when the
-  // serving model is enabled — open-loop Poisson arrivals per replica
-  // (the closed-loop process is then not created at all, so accesses
-  // originate solely from the arrival streams).
-  std::unique_ptr<AccessProcess> access;
-  std::unique_ptr<OpenLoopProcess> open_loop;
-  const bool serving = spec.options.serving.enabled;
-  // Arrivals target every replica any observed protocol placed — for the
+  // serving model is enabled — open-loop Poisson arrivals per replica.
+  // Arrivals target every replica any observed protocol placed; for the
   // paper configurations the protocols share one placement, so this is
   // simply that placement.
+  const bool serving = spec.options.serving.enabled;
   SiteSet arrival_sites;
   for (const auto& p : protocols) {
     arrival_sites = arrival_sites.Union(p->placement());
   }
-  if (serving) {
-    auto open_result = OpenLoopProcess::Make(
-        &sim, arrival_sites, spec.options.serving,
-        spec.options.seed ^ 0x6C8E9CF570932BD5ULL);
-    if (!open_result.ok()) return open_result.status();
-    open_loop = open_result.MoveValue();
-  } else {
-    auto access_result =
-        AccessProcess::Make(&sim, spec.options.access, spec.options.seed ^
-                                                            0x5DEECE66DULL);
-    if (!access_result.ok()) return access_result.status();
-    access = access_result.MoveValue();
-  }
+  DYNVOTE_RETURN_NOT_OK(SamplePath::Validate(spec, arrival_sites));
+
+  SamplePath path(spec, arrival_sites, spec.options.seed);
+  NetworkState& net = path.net();
+  if (spec.obs != nullptr) net.set_obs(spec.obs);
 
   const SimTime start = spec.options.warmup;
   const SimTime horizon =
@@ -146,7 +160,7 @@ Result<std::vector<PolicyResult>> RunSoloAvailabilityExperiment(
         if (spec.options.check_mutual_exclusion &&
             obs.protocol->partition_safe()) {
           std::string detail = obs.protocol->name() + " at t=" +
-                               std::to_string(sim.Now()) + " groups:";
+                               std::to_string(path.now()) + " groups:";
           for (const SiteSet& group : groups) {
             detail += " " + group.ToString();
           }
@@ -160,11 +174,13 @@ Result<std::vector<PolicyResult>> RunSoloAvailabilityExperiment(
                             "two disjoint majority partitions: " + detail);
         }
       }
-      obs.tracker.Update(sim.Now(), granted_groups > 0);
+      obs.tracker.Update(path.now(), granted_groups > 0);
     }
   };
 
-  model->set_on_change([&]() {
+  // The engine's reactions read the network and drive the protocols;
+  // none draws from the path's generators or schedules an event.
+  auto on_network_event = [&]() {
     for (Observed& obs : observed) {
       obs.protocol->OnNetworkEvent(net);
       if (obs.serving != nullptr) {
@@ -175,71 +191,80 @@ Result<std::vector<PolicyResult>> RunSoloAvailabilityExperiment(
       }
     }
     sample();
-  });
+  };
 
-  if (access != nullptr) {
-    access->set_callback([&](AccessType type) {
-      for (Observed& obs : observed) {
-        ++obs.attempted;
-        Status st = obs.protocol->UserAccess(net, type);
-        if (st.ok()) {
-          ++obs.granted;
-        } else {
-          DYNVOTE_CHECK_MSG(st.IsNoQuorum(),
-                            "unexpected access failure: " + st.ToString());
-        }
+  auto on_access = [&](AccessType type) {
+    for (Observed& obs : observed) {
+      ++obs.attempted;
+      Status st = obs.protocol->UserAccess(net, type);
+      if (st.ok()) {
+        ++obs.granted;
+      } else {
+        DYNVOTE_CHECK_MSG(st.IsNoQuorum(),
+                          "unexpected access failure: " + st.ToString());
       }
-      sample();
-    });
-  }
+    }
+    sample();
+  };
 
-  if (open_loop != nullptr) {
-    open_loop->set_callback([&](SiteId origin, AccessType type) {
-      const double now = sim.Now();
-      const bool origin_up = net.IsSiteUp(origin);
-      for (Observed& obs : observed) {
-        ServingStage& stage = *obs.serving;
-        if (!origin_up) {
-          // The user's front-end replica is down: nothing to queue at.
-          stage.OnRejected();
-          continue;
-        }
-        ++obs.attempted;
-        Status st = obs.protocol->UserAccess(net, type);
-        if (st.ok()) {
-          ++obs.granted;
-        } else {
-          DYNVOTE_CHECK_MSG(st.IsNoQuorum(),
-                            "unexpected access failure: " + st.ToString());
-        }
-        const std::uint64_t msgs = stage.AttributeMessages(
-            *obs.protocol->counter(), ServingStage::Phase::kAccess);
-        ServingStage::Outcome outcome =
-            stage.OnArrival(now, origin, msgs, st.ok());
-        if (spec.obs != nullptr && spec.obs->sink != nullptr) {
-          TraceEvent event;
-          event.type = TraceEventType::kServing;
-          event.t = spec.obs->now;
-          event.replication = spec.obs->replication;
-          event.seq = spec.obs->seq;
-          event.protocol = obs.protocol->name();
-          event.write = type == AccessType::kWrite;
-          event.origin = origin;
-          event.granted = st.ok();
-          event.latency_ms = outcome.latency_ms;
-          event.msgs = static_cast<std::uint32_t>(msgs);
-          event.depth = outcome.depth;
-          spec.obs->sink->Write(event);
-        }
+  auto on_arrival = [&](SiteId origin, AccessType type) {
+    const double now = path.now();
+    const bool origin_up = net.IsSiteUp(origin);
+    for (Observed& obs : observed) {
+      ServingStage& stage = *obs.serving;
+      if (!origin_up) {
+        // The user's front-end replica is down: nothing to queue at.
+        stage.OnRejected();
+        continue;
       }
-      sample();
-    });
-  }
+      ++obs.attempted;
+      Status st = obs.protocol->UserAccess(net, type);
+      if (st.ok()) {
+        ++obs.granted;
+      } else {
+        DYNVOTE_CHECK_MSG(st.IsNoQuorum(),
+                          "unexpected access failure: " + st.ToString());
+      }
+      const std::uint64_t msgs = stage.AttributeMessages(
+          *obs.protocol->counter(), ServingStage::Phase::kAccess);
+      ServingStage::Outcome outcome =
+          stage.OnArrival(now, origin, msgs, st.ok());
+      if (spec.obs != nullptr && spec.obs->sink != nullptr) {
+        TraceEvent event;
+        event.type = TraceEventType::kServing;
+        event.t = spec.obs->now;
+        event.replication = spec.obs->replication;
+        event.seq = spec.obs->seq;
+        event.protocol = obs.protocol->name();
+        event.write = type == AccessType::kWrite;
+        event.origin = origin;
+        event.granted = st.ok();
+        event.latency_ms = outcome.latency_ms;
+        event.msgs = static_cast<std::uint32_t>(msgs);
+        event.depth = outcome.depth;
+        spec.obs->sink->Write(event);
+      }
+    }
+    sample();
+  };
 
-  model->Start();
-  if (access != nullptr) access->Start();
-  if (open_loop != nullptr) open_loop->Start();
-  DYNVOTE_RETURN_NOT_OK(sim.RunUntil(horizon));
+  std::optional<DispatchStamp> stamp;
+  if (spec.obs != nullptr) stamp.emplace(spec.obs);
+  while (path.Advance(horizon)) {
+    if (stamp.has_value()) stamp->Stamp(path.now());
+    const PathEvent event = path.Apply();
+    switch (event.kind) {
+      case PathEvent::Kind::kNetwork:
+        on_network_event();
+        break;
+      case PathEvent::Kind::kAccess:
+        on_access(event.type);
+        break;
+      case PathEvent::Kind::kArrival:
+        on_arrival(event.origin, event.type);
+        break;
+    }
+  }
 
   std::vector<PolicyResult> results;
   results.reserve(observed.size());

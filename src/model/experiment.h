@@ -11,10 +11,10 @@
 #include <vector>
 
 #include "core/protocol.h"
-#include "model/access_model.h"
 #include "model/open_loop.h"
-#include "obs/context.h"
+#include "model/sample_path.h"
 #include "model/site_profile.h"
+#include "obs/context.h"
 #include "net/topology.h"
 #include "repl/message_bus.h"
 #include "sim/time.h"
@@ -88,7 +88,7 @@ struct ExperimentSpec {
   std::vector<SiteProfile> profiles;
   std::vector<RepeaterProfile> repeater_profiles;  // empty if none
   ExperimentOptions options;
-  /// Observability context attached to the simulator, the network state,
+  /// Observability context attached to the event loop, the network state,
   /// every protocol and every tracker for the duration of the run. Not
   /// owned; null (the default) disables tracing and metrics entirely.
   /// Tracing never changes statistical outputs — only what is recorded.
@@ -107,8 +107,8 @@ Result<std::vector<PolicyResult>> RunAvailabilityExperiment(
     const ExperimentSpec& spec,
     std::vector<std::unique_ptr<ConsistencyProtocol>> protocols);
 
-/// The instrumented reference engine: one Simulator/EventQueue driving
-/// the real protocol objects. The only engine that emits traces and
+/// The instrumented reference engine: one SamplePath driving the real
+/// protocol objects. The only engine that emits traces and
 /// metrics, runs the serving model, honours --no-quorum-cache, and
 /// supports every protocol, option and attached commit hook. Tests and
 /// benches call it directly as the oracle the batched engine is compared

@@ -4,66 +4,6 @@
 
 namespace dynvote {
 
-Result<std::unique_ptr<OpenLoopProcess>> OpenLoopProcess::Make(
-    Simulator* sim, SiteSet arrival_sites, const ServingOptions& options,
-    std::uint64_t seed) {
-  if (sim == nullptr) {
-    return Status::InvalidArgument("simulator must not be null");
-  }
-  if (arrival_sites.Empty()) {
-    return Status::InvalidArgument("open-loop traffic needs arrival sites");
-  }
-  if (options.arrival_rate_per_day <= 0.0) {
-    return Status::InvalidArgument("arrival rate must be > 0");
-  }
-  if (options.service_time_ms < 0.0 || options.msg_cost_ms < 0.0) {
-    return Status::InvalidArgument("service costs must be >= 0");
-  }
-  if (options.write_fraction < 0.0 || options.write_fraction > 1.0) {
-    return Status::InvalidArgument("write fraction outside [0, 1]");
-  }
-  return std::unique_ptr<OpenLoopProcess>(
-      new OpenLoopProcess(sim, options, seed, arrival_sites));
-}
-
-OpenLoopProcess::OpenLoopProcess(Simulator* sim,
-                                 const ServingOptions& options,
-                                 std::uint64_t seed, SiteSet arrival_sites)
-    : sim_(sim), options_(options) {
-  // One generator per stream, expanded from the seed in site order: the
-  // draws a site sees depend only on the seed and the site set, never on
-  // how the streams interleave in the event queue.
-  SplitMix64 mix(seed);
-  streams_.reserve(static_cast<std::size_t>(arrival_sites.Size()));
-  for (SiteId site : arrival_sites) {
-    streams_.push_back(SiteStream{site, Rng(mix.Next())});
-  }
-  per_site_rate_ =
-      options_.arrival_rate_per_day / static_cast<double>(streams_.size());
-}
-
-void OpenLoopProcess::Start() {
-  for (std::size_t i = 0; i < streams_.size(); ++i) ScheduleNext(i);
-}
-
-void OpenLoopProcess::ScheduleNext(std::size_t stream_index) {
-  double gap =
-      streams_[stream_index].rng.NextExponential(1.0 / per_site_rate_);
-  sim_->ScheduleIn(gap, [this, stream_index](SimTime) {
-    Fire(stream_index);
-  });
-}
-
-void OpenLoopProcess::Fire(std::size_t stream_index) {
-  SiteStream& stream = streams_[stream_index];
-  ++total_;
-  AccessType type = stream.rng.NextBernoulli(options_.write_fraction)
-                        ? AccessType::kWrite
-                        : AccessType::kRead;
-  if (callback_) callback_(stream.site, type);
-  ScheduleNext(stream_index);
-}
-
 ServingStage::ServingStage(std::string protocol_name,
                            const ServingOptions& options, int num_sites)
     : name_(std::move(protocol_name)),

@@ -1,11 +1,12 @@
-// The serving model (docs/serving.md): an open-loop traffic source and a
-// per-replica queueing stage, layered over the availability experiment.
+// The serving model (docs/serving.md): its options and the per-replica
+// queueing stage, layered over the availability experiment.
 //
 // The paper's workload is one closed-loop access per day — enough for
 // Tables 2-3 but useless for judging a protocol as a serving system.
-// OpenLoopProcess generates Poisson arrivals *per replica site* at a
-// configurable aggregate rate (arrivals never wait for each other: an
-// open loop, so queues can actually build), and ServingStage models each
+// With ServingOptions enabled, the SamplePath (model/sample_path.h)
+// generates Poisson arrivals *per replica site* at a configurable
+// aggregate rate (arrivals never wait for each other: an open loop, so
+// queues can actually build), and ServingStage models each
 // replica as a single FIFO server whose per-request service time grows
 // with the protocol's control-message count for that access. The result
 // is the measurement substrate behind `dynvote serve`: arrival-to-
@@ -17,17 +18,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/protocol.h"
 #include "obs/metrics.h"
 #include "repl/message_bus.h"
-#include "sim/simulator.h"
-#include "util/result.h"
-#include "util/rng.h"
 #include "util/site_set.h"
 
 namespace dynvote {
@@ -45,7 +40,7 @@ inline constexpr double kMillisPerDay = 86400.0 * 1000.0;
 /// experiments are unchanged unless a caller opts in.
 struct ServingOptions {
   /// Master switch; when false the experiment runs the paper's
-  /// closed-loop AccessProcess exactly as before.
+  /// closed-loop accessor (AccessOptions) exactly as before.
   bool enabled = false;
   /// Aggregate arrival rate over all replica sites, per simulated day.
   /// Split evenly across the replicas; each site draws an independent
@@ -60,60 +55,9 @@ struct ServingOptions {
   double write_fraction = 0.5;
 };
 
-/// Open-loop traffic source: one independent Poisson arrival stream per
-/// replica site, all scheduled through the owning Simulator's event
-/// queue. Streams are seeded from SplitMix64 expansions of one seed, so
-/// a run is bit-reproducible and adding a protocol never perturbs the
-/// arrival sequence (common random numbers across protocols).
-class OpenLoopProcess {
- public:
-  /// Invoked for each arrival: the replica site it arrived at and the
-  /// access type drawn for it.
-  using ArrivalCallback = std::function<void(SiteId, AccessType)>;
-
-  /// Creates the process; fails on an empty site set, a non-positive
-  /// rate, or a write fraction outside [0, 1].
-  static Result<std::unique_ptr<OpenLoopProcess>> Make(
-      Simulator* sim, SiteSet arrival_sites, const ServingOptions& options,
-      std::uint64_t seed);
-
-  OpenLoopProcess(const OpenLoopProcess&) = delete;
-  OpenLoopProcess& operator=(const OpenLoopProcess&) = delete;
-
-  void set_callback(ArrivalCallback callback) {
-    callback_ = std::move(callback);
-  }
-
-  /// Schedules the first arrival of every stream. Call once.
-  void Start();
-
-  std::uint64_t total_arrivals() const { return total_; }
-
- private:
-  /// One replica's arrival stream: its own generator, so the interleaving
-  /// of sites in the event queue never changes which draw a site sees.
-  struct SiteStream {
-    SiteId site;
-    Rng rng;
-  };
-
-  OpenLoopProcess(Simulator* sim, const ServingOptions& options,
-                  std::uint64_t seed, SiteSet arrival_sites);
-
-  void ScheduleNext(std::size_t stream_index);
-  void Fire(std::size_t stream_index);
-
-  Simulator* sim_;
-  ServingOptions options_;
-  double per_site_rate_;
-  std::vector<SiteStream> streams_;
-  ArrivalCallback callback_;
-  std::uint64_t total_ = 0;
-};
-
 /// Per-protocol serving bookkeeping: a single-server FIFO queue per
-/// replica (Lindley recursion — no completion events enter the
-/// simulator, so the serving stage never perturbs the sample path the
+/// replica (Lindley recursion — no completion events enter the event
+/// calendar, so the serving stage never perturbs the sample path the
 /// availability experiment measures), a latency histogram, and message
 /// accounting split by phase. Accumulates into plain members and flushes
 /// once via Finish(), keeping the per-arrival cost to a few stores.

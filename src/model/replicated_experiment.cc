@@ -7,7 +7,6 @@
 
 #include "core/registry.h"
 #include "model/batched_experiment.h"
-#include "model/failure_model.h"
 #include "obs/async_writer.h"
 #include "obs/binary_trace.h"
 #include "obs/context.h"

@@ -13,7 +13,7 @@
 // `replications = 1` reproduces the sequential RunAvailabilityExperiment
 // byte for byte.
 //
-// Threading model: each replication owns a private Simulator, NetworkState
+// Threading model: each replication owns a private SamplePath, NetworkState
 // and protocol set, all confined to the worker thread that runs it (the
 // single-thread confinement documented in core/protocol.h is preserved
 // per-replication). Only the immutable ExperimentSpec is shared.

@@ -88,7 +88,7 @@ AsyncTraceSink::~AsyncTraceSink() {
   }
 }
 
-void AsyncTraceSink::WritePage(std::string* page) {
+void AsyncTraceSink::WriteEventPage(std::string* page, std::uint64_t events) {
   std::string recycled;
   {
     MutexLock lock(mutex_);
@@ -105,7 +105,7 @@ void AsyncTraceSink::WritePage(std::string* page) {
         recycled = std::move(recycled_.back());
         recycled_.pop_back();
       }
-      queue_.push_back(std::move(*page));
+      queue_.push_back(QueuedPage{std::move(*page), events});
     }
   }
   page_ready_.NotifyOne();
@@ -114,9 +114,25 @@ void AsyncTraceSink::WritePage(std::string* page) {
   *page = std::move(recycled);
 }
 
+std::uint64_t AsyncTraceSink::events_written() const {
+  MutexLock lock(mutex_);
+  return inner_events_written_;
+}
+
+void AsyncTraceSink::WriteInner(QueuedPage* page) {
+  inner_->WriteEventPage(&page->bytes, page->events);
+  // Read the sink's state before taking the lock: no virtual dispatch
+  // inside the critical section (lock-hygiene).
+  const std::uint64_t written = inner_->events_written();
+  std::string err = inner_->ok() ? std::string() : inner_->error();
+  MutexLock lock(mutex_);
+  inner_events_written_ = written;
+  if (error_.empty()) error_ = std::move(err);
+}
+
 void AsyncTraceSink::Flush() {
   std::exception_ptr pending;
-  std::deque<std::string> stolen;
+  std::deque<QueuedPage> stolen;
   {
     MutexLock lock(mutex_);
     // Idle-writer fast path: steal the queued pages and write them
@@ -134,9 +150,7 @@ void AsyncTraceSink::Flush() {
   if (pending) std::rethrow_exception(pending);
   // The queue is empty, the writer is idle, and the producer (our
   // caller) is here — nobody else can touch inner_ right now.
-  for (std::string& page : stolen) {
-    inner_->WritePage(&page);
-  }
+  for (QueuedPage& page : stolen) WriteInner(&page);
   inner_->Flush();
   if (!inner_->ok()) {
     // Read the sink's error before taking the lock: no virtual
@@ -148,8 +162,8 @@ void AsyncTraceSink::Flush() {
   if (!stolen.empty()) {
     MutexLock lock(mutex_);
     while (!stolen.empty() && recycled_.size() < max_queued_pages_) {
-      stolen.back().clear();
-      recycled_.push_back(std::move(stolen.back()));
+      stolen.back().bytes.clear();
+      recycled_.push_back(std::move(stolen.back().bytes));
       stolen.pop_back();
     }
   }
@@ -171,7 +185,7 @@ std::uint64_t AsyncTraceSink::pages_accepted() const {
 }
 
 void AsyncTraceSink::WriterLoop() {
-  std::string page;
+  QueuedPage page;
   for (;;) {
     {
       MutexLock lock(mutex_);
@@ -186,14 +200,7 @@ void AsyncTraceSink::WriterLoop() {
       writer_busy_ = true;
     }
     try {
-      inner_->WritePage(&page);
-      if (!inner_->ok()) {
-        // Read the sink's error before taking the lock: no virtual
-        // dispatch inside the critical section (lock-hygiene).
-        std::string err = inner_->error();
-        MutexLock lock(mutex_);
-        if (error_.empty()) error_ = std::move(err);
-      }
+      WriteInner(&page);
     } catch (...) {
       MutexLock lock(mutex_);
       if (writer_exception_ == nullptr) {
@@ -204,11 +211,11 @@ void AsyncTraceSink::WriterLoop() {
       MutexLock lock(mutex_);
       // Keep a bounded pool of drained buffers for producer reuse.
       if (recycled_.size() < max_queued_pages_) {
-        page.clear();
-        recycled_.push_back(std::move(page));
+        page.bytes.clear();
+        recycled_.push_back(std::move(page.bytes));
       }
     }
-    page = std::string();
+    page = QueuedPage();
   }
 }
 

@@ -45,6 +45,20 @@ class TracePageSink {
   /// dropped so producers never wedge on a dead writer.
   virtual void WritePage(std::string* page) = 0;
 
+  /// WritePage for a page that holds `events` trace events. They count
+  /// toward events_written() only once the page has reached the
+  /// destination: a page that failed, or still waits in a queue, is not
+  /// credited.
+  virtual void WriteEventPage(std::string* page, std::uint64_t events) {
+    WritePage(page);
+    if (ok()) events_written_ += events;
+  }
+
+  /// Events whose page reached the destination. Complete once Flush()
+  /// returns; a value below the events offered, with ok() false, is how
+  /// much of a failed trace landed.
+  virtual std::uint64_t events_written() const { return events_written_; }
+
   /// Blocks until every accepted page reached the underlying stream,
   /// then flushes it. Rethrows a captured writer-thread exception, if
   /// any (the slot is cleared, like ThreadPool::Wait).
@@ -56,6 +70,9 @@ class TracePageSink {
   /// First failure message ("" while ok()). By value: the async
   /// implementation reads it under its lock.
   virtual std::string error() const = 0;
+
+ private:
+  std::uint64_t events_written_ = 0;
 };
 
 /// Synchronous TracePageSink writing straight to a borrowed std::ostream.
@@ -103,9 +120,11 @@ class JsonlPageSink final : public TracePageSink {
 /// writer thread. WritePage() enqueues the page (blocking while
 /// `max_queued_pages` are already pending) and swaps a drained buffer
 /// back to the producer; the writer thread forwards pages to the inner
-/// sink in order. Flush() drains the queue, flushes the inner sink and
-/// rethrows any captured writer exception. The destructor drains and
-/// joins; an uncollected exception is logged and dropped.
+/// sink in order, each with its event count, so events_written() is the
+/// inner sink's credit for pages it actually wrote. Flush() drains the
+/// queue, flushes the inner sink and rethrows any captured writer
+/// exception. The destructor drains and joins; an uncollected exception
+/// is logged and dropped.
 class AsyncTraceSink final : public TracePageSink {
  public:
   explicit AsyncTraceSink(TracePageSink* inner,
@@ -115,7 +134,12 @@ class AsyncTraceSink final : public TracePageSink {
   AsyncTraceSink(const AsyncTraceSink&) = delete;
   AsyncTraceSink& operator=(const AsyncTraceSink&) = delete;
 
-  void WritePage(std::string* page) override DYNVOTE_EXCLUDES(mutex_);
+  void WritePage(std::string* page) override DYNVOTE_EXCLUDES(mutex_) {
+    WriteEventPage(page, 0);
+  }
+  void WriteEventPage(std::string* page, std::uint64_t events) override
+      DYNVOTE_EXCLUDES(mutex_);
+  std::uint64_t events_written() const override DYNVOTE_EXCLUDES(mutex_);
   void Flush() override DYNVOTE_EXCLUDES(mutex_);
   bool ok() const override DYNVOTE_EXCLUDES(mutex_);
   std::string error() const override DYNVOTE_EXCLUDES(mutex_);
@@ -125,7 +149,16 @@ class AsyncTraceSink final : public TracePageSink {
   std::uint64_t pages_accepted() const DYNVOTE_EXCLUDES(mutex_);
 
  private:
+  /// A queued page and the number of trace events it holds.
+  struct QueuedPage {
+    std::string bytes;
+    std::uint64_t events = 0;
+  };
+
   void WriterLoop() DYNVOTE_EXCLUDES(mutex_);
+  /// Hands one page to the inner sink and records the inner sink's
+  /// outcome. Called by the one thread that owns inner_ at the time.
+  void WriteInner(QueuedPage* page) DYNVOTE_EXCLUDES(mutex_);
 
   // Touched only by the writer thread, and by Flush() once the queue is
   // provably empty and the writer is idle — thread-confined, not
@@ -137,7 +170,7 @@ class AsyncTraceSink final : public TracePageSink {
   mutable Mutex mutex_;
   CondVar page_ready_;    // signals the writer: work or shutdown
   CondVar page_drained_;  // signals producers: queue space / all done
-  std::deque<std::string> queue_ DYNVOTE_GUARDED_BY(mutex_);
+  std::deque<QueuedPage> queue_ DYNVOTE_GUARDED_BY(mutex_);
   std::vector<std::string> recycled_ DYNVOTE_GUARDED_BY(mutex_);
   bool writer_busy_ DYNVOTE_GUARDED_BY(mutex_) = false;
   bool shutting_down_ DYNVOTE_GUARDED_BY(mutex_) = false;
@@ -145,6 +178,8 @@ class AsyncTraceSink final : public TracePageSink {
   /// First exception the writer thread threw since the last Flush().
   std::exception_ptr writer_exception_ DYNVOTE_GUARDED_BY(mutex_);
   std::uint64_t pages_accepted_ DYNVOTE_GUARDED_BY(mutex_) = 0;
+  /// inner_->events_written() as of the last page the inner sink took.
+  std::uint64_t inner_events_written_ DYNVOTE_GUARDED_BY(mutex_) = 0;
 
   // Started last in the constructor, joined in the destructor, never
   // reassigned in between — confined to the owner thread, not

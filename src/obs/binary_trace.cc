@@ -257,12 +257,10 @@ void BinaryTraceSink::EmitPage() {
   // The accumulator itself is the handoff buffer: shrink to the encoded
   // length (no bytes move) and let the page sink consume or swap it.
   page_.resize(used);
-  pages_->WritePage(&page_);
-  if (pages_->ok()) {
-    CountWritten(events_in_page_);
-  } else {
-    SetError(pages_->error());
-  }
+  // The page carries its event count down the pipeline: the events are
+  // credited only once the terminal page sink has written them.
+  pages_->WriteEventPage(&page_, events_in_page_);
+  if (!pages_->ok()) SetError(pages_->error());
   events_in_page_ = 0;
   // WritePage left an empty (possibly recycled) buffer; size it back up
   // for the cursor. With a warm recycle pool this reuses capacity.
@@ -272,6 +270,10 @@ void BinaryTraceSink::EmitPage() {
   }
   page_.resize(capacity_);
   ResetCursor();
+}
+
+std::uint64_t BinaryTraceSink::events_written() const {
+  return pages_->events_written();
 }
 
 void BinaryTraceSink::Flush() {

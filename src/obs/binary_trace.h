@@ -213,6 +213,10 @@ class BinaryTraceSink final : public TraceSink {
   /// writer exception).
   void Flush() override;
 
+  /// The page pipeline's count: events whose page the terminal page sink
+  /// wrote. Complete once Flush() returns.
+  std::uint64_t events_written() const override;
+
  private:
   std::uint32_t InternString(std::string_view value);
 

@@ -21,7 +21,7 @@ inline constexpr const char kTraceSchema[] = "dynvote-trace-v1";
 enum class TraceEventType : std::uint8_t {
   /// A site or repeater changed state and the component partition moved.
   kNet = 0,
-  /// The simulator dispatched a scheduled event.
+  /// The event loop dispatched a scheduled event.
   kSim,
   /// A protocol evaluated a quorum for one group of communicating sites.
   kQuorum,
@@ -59,7 +59,7 @@ struct TraceEvent {
   double t = 0.0;
   /// Replication index (-1 outside replicated runs).
   int replication = -1;
-  /// Simulator dispatch sequence number active when the event fired.
+  /// Dispatch sequence number active when the event fired.
   std::uint64_t seq = 0;
 
   // --- net ---

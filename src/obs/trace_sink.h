@@ -85,7 +85,7 @@ class TraceSink {
   /// value together with a non-empty error() means the trace tail was
   /// silently lost (failed stream, full disk) and the file on disk is
   /// shorter than the run's event count.
-  std::uint64_t events_written() const { return events_written_; }
+  virtual std::uint64_t events_written() const { return events_written_; }
 
   /// False once a write failed; the sink stops writing (but keeps
   /// counting offered events) so a full disk cannot busy-loop the run.

@@ -1,19 +1,18 @@
-// CalendarQueue: the batched engine's event queue, a binary min-heap of
-// plain-data events — a timestamp plus a caller-packed 64-bit payload —
-// so a pop never touches a std::function. The engine runs one object at
-// a time, so the heap holds one object's pending events (about a dozen
-// on the paper network) and a log-depth sift beats any bucketing.
+// CalendarQueue: the event queue of both engines (through SamplePath,
+// model/sample_path.h), a binary min-heap of plain-data events — a
+// timestamp plus a caller-packed 64-bit payload — so a pop never touches
+// a std::function. An engine runs one object at a time, so the heap holds
+// one object's pending events (about a dozen on the paper network) and a
+// log-depth sift beats any bucketing.
 //
 // The name is not a description: perfbench's traced replay
 // (perfbench/src/traced.cc) instantiates the class by this name, so a
 // rename has to land together with a change to the benchmark.
 //
-// Ordering contract (load-bearing for solo/batched bit-identity): events
-// pop in ascending (when, seq) order, where seq is the queue's schedule
-// order. Two events with equal timestamps therefore fire in the order
-// they were scheduled — exactly the EventQueue tie-break — and since the
-// batched engine schedules an object's events in the same relative
-// order as a solo run, per-object dispatch order is preserved verbatim.
+// Ordering contract (load-bearing for determinism): events pop in
+// ascending (when, seq) order, where seq is the queue's schedule order.
+// Two events with equal timestamps therefore fire in the order they were
+// scheduled — the same tie-break as EventQueue.
 //
 // There is deliberately no Cancel: the one cancellation in the system
 // (a pending site failure cancelled at maintenance start) is expressed

@@ -1,6 +1,11 @@
 // A discrete-event calendar: a binary min-heap of (time, sequence) keyed
 // events with O(log n) insertion and extraction and O(1) lazy cancellation.
 // Ties in time are broken by insertion order, so runs are deterministic.
+//
+// Neither engine uses it: both run on CalendarQueue through SamplePath
+// (model/sample_path.h). It stays because perfbench's traced replay
+// (perfbench/src/traced.cc) times it, and goes with the next change to
+// the benchmark.
 
 #pragma once
 

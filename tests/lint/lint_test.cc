@@ -154,7 +154,7 @@ TEST(LintLayeringTest, FiresUpwardAndOnUnknownDirs) {
 
 TEST(LintLayeringTest, Suppressible) {
   FileInput file{"src/core/experimental.cc",
-                 "#include \"sim/simulator.h\"  "
+                 "#include \"sim/event_queue.h\"  "
                  "// dynvote-lint: allow(layering)\n"};
   RunResult r = RunLint({file}, {});
   EXPECT_TRUE(r.findings.empty()) << ToText(r);
@@ -238,7 +238,7 @@ TEST(LintEngineTest, BlockCommentsSpanningLinesDoNotFire) {
 
 TEST(LintEngineTest, MultipleRulesInOneAllowList) {
   FileInput file{"src/core/multi.cc",
-                 "#include \"sim/simulator.h\"  "
+                 "#include \"sim/event_queue.h\"  "
                  "// dynvote-lint: allow(layering, nondeterminism)\n"};
   RunResult r = RunLint({file}, {});
   EXPECT_TRUE(r.findings.empty()) << ToText(r);

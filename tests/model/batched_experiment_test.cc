@@ -274,6 +274,60 @@ TEST(BatchedExperimentTest, RejectsUnknownPolicyAndEmptyBatch) {
   EXPECT_FALSE(RunBatchedAvailabilityExperiment(spec, ok_spec, {}).ok());
 }
 
+TEST(BatchedExperimentTest, BothEnginesRejectInvalidSpecsWithTheSameStatus) {
+  // One validation serves both engines, so every invalid spec fails the
+  // same way whichever engine it reaches.
+  struct Case {
+    const char* what;
+    void (*spoil)(ExperimentSpec*);
+    Status expected;
+  };
+  const Case cases[] = {
+      {"zero MTTF", [](ExperimentSpec* s) { s->profiles[2].mttf_days = 0.0; },
+       Status::InvalidArgument("site MTTF must be > 0")},
+      {"negative MTTF",
+       [](ExperimentSpec* s) { s->profiles[0].mttf_days = -3.0; },
+       Status::InvalidArgument("site MTTF must be > 0")},
+      {"hardware fraction below 0",
+       [](ExperimentSpec* s) { s->profiles[1].hardware_fraction = -0.1; },
+       Status::InvalidArgument("hardware fraction outside [0, 1]")},
+      {"hardware fraction above 1",
+       [](ExperimentSpec* s) { s->profiles[7].hardware_fraction = 1.5; },
+       Status::InvalidArgument("hardware fraction outside [0, 1]")},
+      {"zero access rate",
+       [](ExperimentSpec* s) { s->options.access.rate_per_day = 0.0; },
+       Status::InvalidArgument("access rate must be > 0")},
+      {"negative access rate",
+       [](ExperimentSpec* s) { s->options.access.rate_per_day = -1.0; },
+       Status::InvalidArgument("access rate must be > 0")},
+      {"write fraction below 0",
+       [](ExperimentSpec* s) { s->options.access.write_fraction = -0.5; },
+       Status::InvalidArgument("write fraction outside [0, 1]")},
+      {"write fraction above 1",
+       [](ExperimentSpec* s) { s->options.access.write_fraction = 1.01; },
+       Status::InvalidArgument("write fraction outside [0, 1]")},
+      {"one profile short", [](ExperimentSpec* s) { s->profiles.pop_back(); },
+       Status::InvalidArgument("need one SiteProfile per site")},
+      {"one profile extra",
+       [](ExperimentSpec* s) { s->profiles.push_back(s->profiles.front()); },
+       Status::InvalidArgument("need one SiteProfile per site")},
+  };
+  const std::vector<std::string>& names = PaperProtocolNames();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    ExperimentSpec spec = PaperSpec();
+    c.spoil(&spec);
+    auto solo =
+        RunSoloAvailabilityExperiment(spec, MakeProtocols(spec, names));
+    auto batched = RunBatchedAvailabilityExperiment(
+        spec, BatchedProtocolSpec{names, kFiveCopyPlacement}, {1, 2});
+    ASSERT_FALSE(solo.ok());
+    ASSERT_FALSE(batched.ok());
+    EXPECT_EQ(solo.status(), c.expected);
+    EXPECT_EQ(batched.status(), solo.status());
+  }
+}
+
 TEST(ReplicatedObjectsTest, ObjectsGroupingIsByteInvisible) {
   // The integration contract: --objects only changes wall-clock time.
   // The serialized JSON (the CLI's --json output) must be byte-identical

@@ -1,20 +1,16 @@
-// The serving model's building blocks (docs/serving.md): argument
-// validation and arrival determinism of the open-loop traffic source,
-// and ServingStage's Lindley queue arithmetic, message attribution and
-// metrics flush.
+// The serving model's queueing stage (docs/serving.md): ServingStage's
+// Lindley queue arithmetic, message attribution and metrics flush. The
+// open-loop arrival streams are tested with the other processes in
+// sample_path_test.cc.
 
 #include "model/open_loop.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "repl/message_bus.h"
-#include "sim/simulator.h"
-#include "util/site_set.h"
 
 namespace dynvote {
 namespace {
@@ -27,81 +23,6 @@ ServingOptions TestServing() {
   o.msg_cost_ms = 0.5;
   o.write_fraction = 0.5;
   return o;
-}
-
-TEST(OpenLoopProcessTest, MakeRejectsBadArguments) {
-  Simulator sim;
-  const SiteSet sites{0, 1, 2};
-  EXPECT_FALSE(
-      OpenLoopProcess::Make(nullptr, sites, TestServing(), 1).ok());
-  EXPECT_FALSE(
-      OpenLoopProcess::Make(&sim, SiteSet{}, TestServing(), 1).ok());
-  ServingOptions bad_rate = TestServing();
-  bad_rate.arrival_rate_per_day = 0.0;
-  EXPECT_FALSE(OpenLoopProcess::Make(&sim, sites, bad_rate, 1).ok());
-  ServingOptions bad_service = TestServing();
-  bad_service.service_time_ms = -1.0;
-  EXPECT_FALSE(OpenLoopProcess::Make(&sim, sites, bad_service, 1).ok());
-  ServingOptions bad_cost = TestServing();
-  bad_cost.msg_cost_ms = -0.1;
-  EXPECT_FALSE(OpenLoopProcess::Make(&sim, sites, bad_cost, 1).ok());
-  ServingOptions bad_fraction = TestServing();
-  bad_fraction.write_fraction = 1.5;
-  EXPECT_FALSE(OpenLoopProcess::Make(&sim, sites, bad_fraction, 1).ok());
-}
-
-struct Arrival {
-  double t;
-  SiteId site;
-  AccessType type;
-
-  bool operator==(const Arrival&) const = default;
-};
-
-std::vector<Arrival> CollectArrivals(std::uint64_t seed, double horizon) {
-  Simulator sim;
-  auto process =
-      OpenLoopProcess::Make(&sim, SiteSet{1, 3, 5}, TestServing(), seed);
-  EXPECT_TRUE(process.ok()) << process.status();
-  std::vector<Arrival> arrivals;
-  (*process)->set_callback([&](SiteId site, AccessType type) {
-    arrivals.push_back(Arrival{sim.Now(), site, type});
-  });
-  (*process)->Start();
-  EXPECT_TRUE(sim.RunUntil(horizon).ok());
-  EXPECT_EQ((*process)->total_arrivals(), arrivals.size());
-  return arrivals;
-}
-
-TEST(OpenLoopProcessTest, SameSeedReproducesTheArrivalSequence) {
-  const std::vector<Arrival> first = CollectArrivals(42, 20.0);
-  const std::vector<Arrival> second = CollectArrivals(42, 20.0);
-  ASSERT_FALSE(first.empty());
-  EXPECT_EQ(first, second);
-  EXPECT_NE(first, CollectArrivals(43, 20.0));
-}
-
-TEST(OpenLoopProcessTest, SplitsTheAggregateRateAcrossReplicas) {
-  // 90/day over 50 days: expect ~4500 arrivals, ~1500 per site, both
-  // access types drawn. Deterministic, so the loose bands never flake.
-  const std::vector<Arrival> arrivals = CollectArrivals(7, 50.0);
-  EXPECT_GT(arrivals.size(), 3600u);
-  EXPECT_LT(arrivals.size(), 5400u);
-  std::uint64_t per_site[6] = {};
-  std::uint64_t writes = 0;
-  for (const Arrival& a : arrivals) {
-    ASSERT_GE(a.site, 0);
-    ASSERT_LT(a.site, 6);
-    ++per_site[a.site];
-    if (a.type == AccessType::kWrite) ++writes;
-  }
-  EXPECT_EQ(per_site[0] + per_site[2] + per_site[4], 0u);
-  for (SiteId site : {1, 3, 5}) {
-    EXPECT_GT(per_site[site], 1000u) << "site " << site;
-    EXPECT_LT(per_site[site], 2000u) << "site " << site;
-  }
-  EXPECT_GT(writes, arrivals.size() / 3);
-  EXPECT_LT(writes, 2 * arrivals.size() / 3);
 }
 
 TEST(ServingStageTest, FirstArrivalLatencyIsTheServiceTime) {

@@ -48,6 +48,30 @@ class RecordingPageSink : public TracePageSink {
   int flushes_ = 0;
 };
 
+/// Writes `capacity` pages, then fails every later one (a disk filling
+/// up between pages).
+class FillingPageSink : public TracePageSink {
+ public:
+  explicit FillingPageSink(int capacity) : capacity_(capacity) {}
+
+  void WritePage(std::string* page) override {
+    if (written_ < capacity_) {
+      ++written_;
+    } else {
+      error_ = "disk full";
+    }
+    page->clear();
+  }
+  void Flush() override {}
+  bool ok() const override { return error_.empty(); }
+  std::string error() const override { return error_; }
+
+ private:
+  int capacity_;
+  int written_ = 0;
+  std::string error_;
+};
+
 class ThrowingPageSink : public TracePageSink {
  public:
   void WritePage(std::string* page) override {
@@ -109,6 +133,22 @@ TEST(AsyncTraceSinkTest, StreamFailureSurfacesAndDropsWithoutWedging) {
   EXPECT_FALSE(sink.ok());
   EXPECT_FALSE(sink.error().empty());
   EXPECT_EQ(sink.pages_accepted(), 100u);
+}
+
+TEST(AsyncTraceSinkTest, CreditsEventsOnlyForPagesTheInnerSinkWrote) {
+  // Queueing a page is not writing it: the event count follows each page
+  // to the inner sink, which credits it only if the page landed.
+  FillingPageSink inner(/*capacity=*/2);
+  AsyncTraceSink sink(&inner);
+  for (int i = 0; i < 5; ++i) {
+    std::string page = Page("events");
+    sink.WriteEventPage(&page, /*events=*/10);
+  }
+  sink.Flush();
+  EXPECT_FALSE(sink.ok());
+  EXPECT_EQ(sink.error(), "disk full");
+  EXPECT_EQ(sink.events_written(), 20u);
+  EXPECT_EQ(inner.events_written(), 20u);
 }
 
 TEST(AsyncTraceSinkTest, WriterExceptionRethrownAtFlush) {

@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "model/experiment.h"
+#include "model/sample_path.h"
+#include "net/topology.h"
 #include "repl/replica_store.h"
 #include "sim/event_queue.h"
-#include "sim/simulator.h"
 #include "stats/tracker.h"
 
 namespace dynvote {
@@ -31,16 +35,43 @@ TEST(ContractDeathTest, EventQueueNullCallbackAborts) {
   EXPECT_DEATH(q.Schedule(1.0, nullptr), "null callback");
 }
 
-TEST(ContractDeathTest, SimulatorNegativeDelayAborts) {
-  Simulator sim;
-  EXPECT_DEATH(sim.ScheduleIn(-1.0, [](SimTime) {}),
-               "finite and non-negative");
+/// A one-site spec with no accesses whose profile is `profile`.
+ExperimentSpec OneSiteSpec(const SiteProfile& profile) {
+  auto builder = Topology::Builder();
+  builder.AddSite("s", builder.AddSegment("lan"));
+  ExperimentSpec spec;
+  spec.topology = builder.Build().MoveValue();
+  spec.profiles = {profile};
+  spec.options.access.enabled = false;
+  return spec;
 }
 
-TEST(ContractDeathTest, SimulatorPastAbsoluteTimeAborts) {
-  Simulator sim;
-  ASSERT_TRUE(sim.RunUntil(10.0).ok());
-  EXPECT_DEATH(sim.ScheduleAt(5.0, [](SimTime) {}), "not in the past");
+TEST(ContractDeathTest, SamplePathNegativeDelayAborts) {
+  // A negative restart time passes validation (only MTTF and the
+  // hardware fraction are checked) and schedules the repair in the past.
+  SiteProfile profile;
+  profile.mttf_days = 1.0;
+  profile.restart_minutes = -5.0;
+  const ExperimentSpec spec = OneSiteSpec(profile);
+  ASSERT_TRUE(SamplePath::Validate(spec, SiteSet{0}).ok());
+  EXPECT_DEATH(
+      {
+        SamplePath path(spec, SiteSet{0}, 1);
+        while (path.Advance(Days(10))) path.Apply();
+      },
+      "finite and non-negative");
+}
+
+TEST(ContractDeathTest, SamplePathNonFiniteTimeAborts) {
+  // An infinite maintenance interval puts the first window's staggered
+  // start at an infinite absolute time.
+  SiteProfile profile;
+  profile.mttf_days = 1.0;
+  profile.maintenance_interval_days = std::numeric_limits<double>::infinity();
+  profile.maintenance_hours = 3.0;
+  const ExperimentSpec spec = OneSiteSpec(profile);
+  ASSERT_TRUE(SamplePath::Validate(spec, SiteSet{0}).ok());
+  EXPECT_DEATH({ SamplePath path(spec, SiteSet{0}, 1); }, "not in the past");
 }
 
 TEST(ContractDeathTest, TrackerTimeMovingBackwardsAborts) {

@@ -530,11 +530,11 @@ int OpenTraceFile(const Options& opt, TraceFile* trace) {
 /// trace is impossible to miss in scripts. Returns 0, or 1 with the error
 /// already printed.
 int CloseTraceFile(const std::string& path, const TracePageSink& pages,
-                   std::uint64_t written, std::uint64_t total,
-                   TraceFile* trace) {
+                   std::uint64_t total, TraceFile* trace) {
   if (!pages.ok()) {
-    std::cerr << "trace-out failed: " << pages.error() << " (" << written
-              << " of " << total << " events reached " << path << ")\n";
+    std::cerr << "trace-out failed: " << pages.error() << " ("
+              << pages.events_written() << " of " << total
+              << " events reached " << path << ")\n";
     return 1;
   }
   trace->out.close();
@@ -661,7 +661,6 @@ int Simulate(const Options& opt) {
     // events written — a failed trace is a hard error.
     trace_sink->Flush();
     if (int rc = CloseTraceFile(opt.trace_out_path, *trace_writer,
-                                trace_sink->events_written(),
                                 trace_sink->total_events(), &trace);
         rc != 0) {
       return rc;
@@ -727,17 +726,16 @@ int Repeat(const Options& opt) {
     // Per-replication btrace bodies go out in replication order, so the
     // trace file is byte-identical for any --jobs. Each body is released
     // once written.
-    std::uint64_t written = 0;
     std::uint64_t total = 0;
     for (std::size_t r = 0; r < results->traces.size(); ++r) {
       total += results->trace_events[r];
-      trace.pages->WritePage(&results->traces[r]);
-      if (trace.pages->ok()) written += results->trace_events[r];
+      trace.pages->WriteEventPage(&results->traces[r],
+                                  results->trace_events[r]);
       results->traces[r] = std::string();
     }
     trace.pages->Flush();
-    if (int rc = CloseTraceFile(opt.trace_out_path, *trace.pages, written,
-                                total, &trace);
+    if (int rc = CloseTraceFile(opt.trace_out_path, *trace.pages, total,
+                                &trace);
         rc != 0) {
       return rc;
     }
