@@ -13,6 +13,7 @@
 //   {
 //     "schema": "dynvote-hotpath-bench-v1",
 //     "unit": "ns_per_op",
+//     "cores": N,
 //     "benchmarks": [
 //       {"name": "...", "ns_per_op": N, "ops": N,
 //        "baseline": "no-cache" | "trace-off" | "solo-seq",
@@ -22,7 +23,8 @@
 //   }
 //
 // Every entry carries ns_per_op; paired entries also carry their
-// baseline's ns_per_op and the speedup ratio. New benchmarks may be
+// baseline's ns_per_op and the speedup ratio. "cores" is the hardware
+// concurrency of the machine the run took. New benchmarks may be
 // appended, but existing names and fields must keep their meaning.
 //
 // All measurements use the min-of-rounds estimator from bench_util.h;
@@ -35,6 +37,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -495,7 +498,9 @@ std::string FormatDouble(double value) {
 std::string ToJson(const std::vector<BenchEntry>& entries) {
   std::ostringstream os;
   os << "{\n  \"schema\": \"" << kHotpathBenchSchema << "\",\n"
-     << "  \"unit\": \"ns_per_op\",\n  \"benchmarks\": [\n";
+     << "  \"unit\": \"ns_per_op\",\n"
+     << "  \"cores\": " << std::thread::hardware_concurrency() << ",\n"
+     << "  \"benchmarks\": [\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const BenchEntry& e = entries[i];
     os << "    {\"name\": \"" << e.name << "\", \"ns_per_op\": "

@@ -154,6 +154,21 @@ struct ObservedSlot {
   /// span-by-span and merging spans would change the floating-point
   /// sums.
   bool last_available = true;
+
+  /// Copies of the group that granted the last access (0 if it was
+  /// denied): the group every repeat of that access is granted in.
+  std::uint64_t repeat_copies = 0;
+};
+
+/// Reads and writes among a run of repeated accesses.
+struct RepeatTally {
+  std::uint64_t reads = 0;
+  std::uint64_t writes = 0;
+
+  void Add(AccessType type) {
+    ++(type == AccessType::kWrite ? writes : reads);
+  }
+  std::uint64_t Total() const { return reads + writes; }
 };
 
 /// One slot of the per-object sample memo: grant decisions for a copies
@@ -213,6 +228,9 @@ struct RunConfig {
         placement(placement_in),
         plans(std::move(plans_in)),
         num_protocols(static_cast<int>(plans.size())),
+        all_protocols(num_protocols == kMaxBatchedProtocols
+                          ? ~std::uint32_t{0}
+                          : (std::uint32_t{1} << num_protocols) - 1),
         num_sites(spec_in.topology->num_sites()),
         horizon(spec_in.options.warmup +
                 spec_in.options.batch_length * spec_in.options.num_batches),
@@ -233,6 +251,8 @@ struct RunConfig {
   SiteSet placement;
   std::vector<ProtocolPlan> plans;
   int num_protocols;
+  /// One bit per protocol (the width of the engine's protocol masks).
+  std::uint32_t all_protocols;
   int num_sites;
   SimTime horizon;
   /// Some protocol refreshes membership on every network event.
@@ -266,15 +286,17 @@ class ObjectRun {
   // --- reactions to the sample path's events -------------------------------
   void NotifyNetworkEvent();
   void OnAccess(AccessType type);
+  void DrainRepeats(RepeatTally tally);
+  void ChargeRepeats(const RepeatTally& tally);
 
   // --- protocol fast paths (exact ports of core/mcv.cc and
   // core/dynamic_voting.cc) ------------------------------------------------
   bool McvGranted(SiteSet copies) const;
-  bool McvUserAccess(int p, AccessType type);
+  SiteSet McvUserAccess(int p, AccessType type);
   EvalResult DvEvaluate(int p, SiteSet copies);
   void DvCommit(int p, SiteSet participants, OpNumber op,
                 VersionNumber version, SiteSet partition);
-  bool DvUserAccess(int p, AccessType type);
+  SiteSet DvUserAccess(int p, AccessType type);
   bool DvRecover(int p, SiteId site);
   void DvReintegrateGroup(int p, SiteSet group);
   void DvOnNetworkEvent(int p);
@@ -320,18 +342,20 @@ class ObjectRun {
 
   GroupMemoSlot memo_[kGroupMemoSlots] = {};
   int memo_cursor_ = 0;
+  /// The last sample's grant bits: `sampled_once_` has protocol p's bit
+  /// if some group granted, `sampled_twice_` if a second one did.
+  std::uint32_t sampled_once_ = 0;
+  std::uint32_t sampled_twice_ = 0;
   /// Number of dynamic slots currently out of uniform mode; 0 is a
   /// precondition of the steady-state fast path.
   int divergent_count_ = 0;
   /// True while every tracker last reported "available": steady-state
   /// events may then skip the tracker updates entirely.
   bool all_available_ = true;
-  /// Steady-state event tallies, materialized into the message counters
-  /// and access totals once at the end of the run — the per-event
-  /// deltas of a steady access/notify are fixed patterns, and counter
-  /// addition commutes with the slow paths' direct increments.
-  std::uint64_t steady_reads_ = 0;
-  std::uint64_t steady_writes_ = 0;
+  /// Steady-state network events, materialized into the refresh counters
+  /// once at the end of the run — the per-event delta of a steady notify
+  /// is a fixed pattern, and counter addition commutes with the slow
+  /// paths' direct increments.
   std::uint64_t steady_notifies_ = 0;
 };
 
@@ -376,35 +400,96 @@ void ObjectRun::NotifyNetworkEvent() {
 }
 
 void ObjectRun::OnAccess(AccessType type) {
+  RepeatTally tally;
   if (Steady()) {
     // Every protocol grants in its one full group: MCV has its static
-    // majority, each dynamic variant finds Q = S = R = P_m. The message
-    // pattern and access totals are fixed and tallied for the end of
-    // the run; only the dynamic scalars must stay current (slow paths
-    // read them), and covering commits keep the sample memo valid.
-    const bool write = type == AccessType::kWrite;
-    if (write) {
-      ++steady_writes_;
-    } else {
-      ++steady_reads_;
+    // majority, each dynamic variant finds Q = S = R = P_m. That is the
+    // repeat pattern already, so this access is charged with its
+    // repeats.
+    for (ObservedSlot& obs : observed_) {
+      obs.repeat_copies = cfg_.placement.mask();
     }
-    for (int p = 0; p < cfg_.num_protocols; ++p) {
-      if (plan(p).kind == BatchedKind::kMcv) continue;
-      DvSlot& slot = dv(p);
-      slot.u_op += 1;
-      if (write) slot.u_version += 1;
-    }
+    sampled_once_ = cfg_.all_protocols;
+    sampled_twice_ = 0;
+    tally.Add(type);
     MarkAllAvailable();
   } else {
     for (int p = 0; p < cfg_.num_protocols; ++p) {
       ObservedSlot& obs = observed(p);
       ++obs.attempted;
-      bool granted = plan(p).kind == BatchedKind::kMcv
-                         ? McvUserAccess(p, type)
-                         : DvUserAccess(p, type);
-      if (granted) ++obs.granted;
+      const SiteSet copies = plan(p).kind == BatchedKind::kMcv
+                                 ? McvUserAccess(p, type)
+                                 : DvUserAccess(p, type);
+      if (!copies.Empty()) ++obs.granted;
+      obs.repeat_copies = copies.mask();
     }
     Sample();
+  }
+  DrainRepeats(tally);
+}
+
+void ObjectRun::DrainRepeats(RepeatTally tally) {
+  // Until the next network event every access repeats the one just
+  // handled: the network is unchanged, and the access left each protocol
+  // where the same access finds the same answer (see ChargeRepeats). Only
+  // the outage spans need each access's time — an unavailable tracker is
+  // fed span by span, as Sample() would.
+  const std::uint32_t unavailable = cfg_.all_protocols & ~sampled_once_;
+  path_.DrainAccesses(cfg_.horizon, [&](SimTime t, AccessType type) {
+    tally.Add(type);
+    for (std::uint32_t bits = unavailable; bits != 0; bits &= bits - 1) {
+      observed(std::countr_zero(bits)).tracker.Update(t, false);
+    }
+  });
+  if (tally.Total() != 0) ChargeRepeats(tally);
+}
+
+void ObjectRun::ChargeRepeats(const RepeatTally& tally) {
+  // The repeat invariant: after an access, every protocol is in a state
+  // the same access leaves alone but for its op/version scalars —
+  //   - MCV holds no state;
+  //   - a denied protocol committed nothing;
+  //   - a granted dynamic protocol committed and reintegrated its whole
+  //     group, so it is uniform over the full placement, or locally
+  //     uniform (local_valid) over exactly the group's copies.
+  // A repeat is then granted in the same group with Q = S = R = P_m and
+  // charges the same messages, and the sample after it grants as the
+  // last one did. So `tally` repeats cost one step: count × pattern.
+  const std::uint64_t n = tally.Total();
+  const std::uint64_t total =
+      static_cast<std::uint64_t>(cfg_.placement.Size());
+  for (int p = 0; p < cfg_.num_protocols; ++p) {
+    ObservedSlot& obs = observed(p);
+    obs.attempted += n;
+    if ((sampled_twice_ >> p) & 1) obs.dual_majority_instants += n;
+    if (obs.repeat_copies == 0) continue;
+    const SiteSet copies = SiteSet::FromMask(obs.repeat_copies);
+    const std::uint64_t k = static_cast<std::uint64_t>(copies.Size());
+    obs.granted += n;
+    obs.counter.Add(MessageKind::kProbe, total * n);
+    obs.counter.Add(MessageKind::kProbeReply, k * n);
+    obs.counter.Add(MessageKind::kStateRequest, k * n);
+    obs.counter.Add(MessageKind::kStateReply, k * n);
+    if (plan(p).kind == BatchedKind::kMcv) {
+      obs.counter.Add(MessageKind::kCommit, k * tally.writes);
+      continue;
+    }
+    obs.counter.Add(MessageKind::kCommit, k * n);
+    const DvSlot& slot = dv(p);
+    DYNVOTE_CHECK_MSG(slot.uniform ? copies == cfg_.placement
+                                   : slot.local_valid &&
+                                         copies == slot.local_set,
+                      "a repeated access must find its slot uniform on the "
+                      "placement or locally uniform on its group");
+    // The n commits in one: each would install P = copies over copies
+    // with the op number one higher and, for a write, the version too.
+    // Either mode takes DvCommit's scalar-only path for that.
+    const OpNumber op =
+        (slot.uniform ? slot.u_op : slot.local_op) + static_cast<OpNumber>(n);
+    const VersionNumber version =
+        (slot.uniform ? slot.u_version : slot.local_version) +
+        static_cast<VersionNumber>(tally.writes);
+    DvCommit(p, copies, op, version, copies);
   }
 }
 
@@ -421,7 +506,7 @@ bool ObjectRun::McvGranted(SiteSet copies) const {
   return 2 * votes == total && copies.Contains(cfg_.placement.RankMax());
 }
 
-bool ObjectRun::McvUserAccess(int p, AccessType type) {
+SiteSet ObjectRun::McvUserAccess(int p, AccessType type) {
   ObservedSlot& obs = observed(p);
   for (const SiteSet& group : path_.net().Components()) {
     SiteSet copies = group.Intersect(cfg_.placement);
@@ -436,9 +521,9 @@ bool ObjectRun::McvUserAccess(int p, AccessType type) {
     if (type == AccessType::kWrite) {
       obs.counter.Add(MessageKind::kCommit, copies.Size());
     }
-    return true;
+    return copies;
   }
-  return false;  // no quorum anywhere: no messages, like the solo path
+  return SiteSet{};  // no quorum anywhere: no messages, like the solo path
 }
 
 // --- dynamic-voting fast path ---------------------------------------------
@@ -611,9 +696,10 @@ void ObjectRun::DvCommit(int p, SiteSet participants, OpNumber op,
   InvalidateMemo(p, touched);
 }
 
-bool ObjectRun::DvUserAccess(int p, AccessType type) {
+SiteSet ObjectRun::DvUserAccess(int p, AccessType type) {
   // DynamicVoting::UserAccess + Access, fused: find the first granted
   // group, charge the Access message pattern, commit, reintegrate.
+  // Returns the granted group's copies, empty when denied.
   ObservedSlot& obs = observed(p);
   for (const SiteSet& group : path_.net().Components()) {
     SiteSet copies = group.Intersect(cfg_.placement);
@@ -632,9 +718,9 @@ bool ObjectRun::DvUserAccess(int p, AccessType type) {
     DvCommit(p, d.current, op, version, d.current);
     obs.counter.Add(MessageKind::kCommit, d.current.Size());
     DvReintegrateGroup(p, copies);
-    return true;
+    return copies;
   }
-  return false;  // NoQuorum: no messages
+  return SiteSet{};  // NoQuorum: no messages
 }
 
 bool ObjectRun::DvRecover(int p, SiteId site) {
@@ -746,8 +832,7 @@ void ObjectRun::Sample() {
     if (copies.Empty()) continue;
     GroupMemoSlot* slot = MemoSlotFor(copies.mask());
     std::uint32_t group_granted = slot->granted & slot->valid;
-    std::uint32_t missing =
-        ~slot->valid & ((std::uint32_t{1} << cfg_.num_protocols) - 1);
+    std::uint32_t missing = ~slot->valid & cfg_.all_protocols;
     while (missing != 0) {
       const int p = std::countr_zero(missing);
       const std::uint32_t bit = std::uint32_t{1} << p;
@@ -791,6 +876,8 @@ void ObjectRun::Sample() {
     all_available = all_available && available;
   }
   all_available_ = all_available;
+  sampled_once_ = once;
+  sampled_twice_ = twice;
 }
 
 // --- top level ------------------------------------------------------------
@@ -807,31 +894,17 @@ std::vector<PolicyResult> ObjectRun::Run() {
     }
   }
 
-  // Materialize the steady-state tallies: every steady access charged
-  // each protocol the full-group message pattern and counted as a
-  // granted attempt; every steady network event charged each
+  // Materialize the steady network events: each charged every
   // instantaneous protocol one full-group refresh.
   const std::uint64_t total = static_cast<std::uint64_t>(cfg_.placement.Size());
-  const std::uint64_t accesses = steady_reads_ + steady_writes_;
   std::vector<PolicyResult> rows;
   rows.reserve(static_cast<std::size_t>(cfg_.num_protocols));
   for (int p = 0; p < cfg_.num_protocols; ++p) {
     ObservedSlot& obs = observed(p);
     const ProtocolPlan& pl = plan(p);
-    obs.attempted += accesses;
-    obs.granted += accesses;
-    obs.counter.Add(MessageKind::kProbe, total * accesses);
-    obs.counter.Add(MessageKind::kProbeReply, total * accesses);
-    obs.counter.Add(MessageKind::kStateRequest, total * accesses);
-    obs.counter.Add(MessageKind::kStateReply, total * accesses);
-    if (pl.kind == BatchedKind::kMcv) {
-      obs.counter.Add(MessageKind::kCommit, total * steady_writes_);
-    } else {
-      obs.counter.Add(MessageKind::kCommit, total * accesses);
-      if (!pl.optimistic) {
-        obs.counter.Add(MessageKind::kInstantRefresh,
-                        2 * total * steady_notifies_);
-      }
+    if (pl.kind == BatchedKind::kDynamic && !pl.optimistic) {
+      obs.counter.Add(MessageKind::kInstantRefresh,
+                      2 * total * steady_notifies_);
     }
 
     obs.tracker.Finish(cfg_.horizon);

@@ -7,6 +7,13 @@
 
 namespace dynvote {
 
+namespace {
+
+/// A usable event delay: finite and non-negative (false for NaN).
+bool IsDuration(double value) { return value >= 0.0 && std::isfinite(value); }
+
+}  // namespace
+
 Status SamplePath::Validate(const ExperimentSpec& spec,
                             SiteSet arrival_sites) {
   if (spec.topology == nullptr) {
@@ -24,17 +31,49 @@ Status SamplePath::Validate(const ExperimentSpec& spec,
       spec.topology->num_repeaters()) {
     return Status::InvalidArgument("need one RepeaterProfile per repeater");
   }
+  // Every duration below becomes an event delay: a negative or
+  // non-finite one would schedule into the past or never, which the
+  // calendar refuses with an abort, so it is refused here with a Status.
+  // The comparisons are written so that NaN fails them.
   for (const SiteProfile& p : spec.profiles) {
-    if (p.mttf_days <= 0.0) {
+    if (!(p.mttf_days > 0.0)) {
       return Status::InvalidArgument("site MTTF must be > 0");
     }
-    if (p.hardware_fraction < 0.0 || p.hardware_fraction > 1.0) {
+    if (!std::isfinite(p.mttf_days)) {
+      return Status::InvalidArgument("site MTTF must be finite");
+    }
+    if (!(p.hardware_fraction >= 0.0 && p.hardware_fraction <= 1.0)) {
       return Status::InvalidArgument("hardware fraction outside [0, 1]");
+    }
+    if (!IsDuration(p.restart_minutes) ||
+        !IsDuration(p.hw_repair_const_hours) ||
+        !IsDuration(p.hw_repair_exp_hours)) {
+      return Status::InvalidArgument(
+          "site restart and repair times must be finite and >= 0");
+    }
+    if (!IsDuration(p.maintenance_interval_days) ||
+        !IsDuration(p.maintenance_hours)) {
+      return Status::InvalidArgument(
+          "maintenance interval and hours must be finite and >= 0");
+    }
+    // Compared in the units the calendar schedules in, so an accepted
+    // window leaves a next-start delay of at least 0.
+    if (p.maintenance_interval_days > 0.0 &&
+        Hours(p.maintenance_hours) > Days(p.maintenance_interval_days)) {
+      return Status::InvalidArgument(
+          "maintenance window longer than its interval");
     }
   }
   for (const RepeaterProfile& p : spec.repeater_profiles) {
-    if (p.mttf_days <= 0.0) {
+    if (!(p.mttf_days > 0.0)) {
       return Status::InvalidArgument("repeater MTTF must be > 0");
+    }
+    if (!std::isfinite(p.mttf_days)) {
+      return Status::InvalidArgument("repeater MTTF must be finite");
+    }
+    if (!IsDuration(p.repair_const_hours) || !IsDuration(p.repair_exp_hours)) {
+      return Status::InvalidArgument(
+          "repeater repair times must be finite and >= 0");
     }
   }
   if (o.serving.enabled) {
@@ -54,10 +93,10 @@ Status SamplePath::Validate(const ExperimentSpec& spec,
     }
     return Status::OK();
   }
-  if (o.access.enabled && o.access.rate_per_day <= 0.0) {
+  if (o.access.enabled && !(o.access.rate_per_day > 0.0)) {
     return Status::InvalidArgument("access rate must be > 0");
   }
-  if (o.access.write_fraction < 0.0 || o.access.write_fraction > 1.0) {
+  if (!(o.access.write_fraction >= 0.0 && o.access.write_fraction <= 1.0)) {
     return Status::InvalidArgument("write fraction outside [0, 1]");
   }
   return Status::OK();
@@ -113,10 +152,17 @@ SamplePath::SamplePath(const ExperimentSpec& spec, SiteSet arrival_sites,
   }
 }
 
-void SamplePath::ScheduleIn(SimTime delay, std::uint64_t payload) {
+SimTime SamplePath::TimeIn(SimTime delay) const {
   DYNVOTE_CHECK_MSG(delay >= 0.0 && std::isfinite(delay),
                     "event delay must be finite and non-negative");
-  queue_.Schedule(now_ + delay, payload);
+  const SimTime when = now_ + delay;
+  DYNVOTE_CHECK_MSG(std::isfinite(when),
+                    "calendar event time must be finite and >= 0");
+  return when;
+}
+
+void SamplePath::ScheduleIn(SimTime delay, std::uint64_t payload) {
+  queue_.Schedule(TimeIn(delay), payload);
 }
 
 void SamplePath::ScheduleAt(SimTime when, std::uint64_t payload) {
@@ -259,7 +305,9 @@ void SamplePath::ScheduleAccess() {
       access_.deterministic
           ? 1.0 / access_.rate_per_day
           : access_rng_.NextExponential(1.0 / access_.rate_per_day);
-  ScheduleIn(gap, Pack(EventKind::kAccess, 0));
+  // The slot takes the seq Schedule would have assigned, so the access
+  // keeps its place among equal-time calendar events.
+  next_access_ = CalendarEvent{TimeIn(gap), queue_.ReserveSeq(), 0};
 }
 
 AccessType SamplePath::OnAccess() {

@@ -33,6 +33,18 @@
 //     then the access or arrival streams. Events pop in (time,
 //     schedule-seq) order (sim/calendar_queue.h), so equal timestamps
 //     fire in schedule order.
+//   - the closed-loop access stream has one pending access at a time,
+//     kept in a slot beside the calendar rather than in it. Scheduling
+//     it reserves the calendar's next schedule-seq (ReserveSeq), and
+//     Advance() takes the access before the calendar's top exactly when
+//     its (time, seq) is the smaller, so the event order is the one a
+//     heap holding the access would give. Each access draws its type,
+//     then the gap to the next.
+//   - DrainAccesses() consumes, in that same order and with the same
+//     draws, every access due before the next calendar event: a caller
+//     that knows nothing changes between two accesses (the batched
+//     engine, after the first access since a network change) handles
+//     the run in one loop instead of one Advance()/Apply() per access.
 //   - cancellation: maintenance start stops the site's failure clock by
 //     bumping a generation counter carried in the pending failure's
 //     payload; Advance() drops a failure whose generation is stale
@@ -41,6 +53,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/protocol.h"
@@ -92,10 +105,13 @@ struct PathEvent {
 class SamplePath {
  public:
   /// The one validation of everything the processes read: the topology,
-  /// the measurement window, one finite-MTTF profile per site and per
-  /// repeater with a hardware fraction in [0, 1], and the workload — the
-  /// access options, or, when spec.options.serving is enabled, the
-  /// serving options and a non-empty `arrival_sites`.
+  /// the measurement window, one profile per site and per repeater (a
+  /// finite MTTF > 0, a hardware fraction in [0, 1], finite non-negative
+  /// restart, repair and maintenance durations, and a maintenance window
+  /// no longer than its interval), and the workload — the access
+  /// options, or, when spec.options.serving is enabled, the serving
+  /// options and a non-empty `arrival_sites`. Whatever passes schedules
+  /// no event into the past.
   static Status Validate(const ExperimentSpec& spec, SiteSet arrival_sites);
 
   /// Builds the processes for a spec that passed Validate() and
@@ -113,20 +129,41 @@ class SamplePath {
   /// to it, dropping cancelled failures on the way. False when none is
   /// left; events after `horizon` stay pending.
   bool Advance(SimTime horizon) {
-    while (!queue_.Empty() && queue_.PeekTime() <= horizon) {
-      const CalendarEvent event = queue_.PopNext();
-      if (IsCancelled(event.payload)) continue;
-      now_ = event.when;
-      current_ = event.payload;
+    DropCancelled();
+    const CalendarEvent& next = NextCalendarEvent();
+    if (FiresBefore(next_access_, next)) {
+      if (next_access_.when > horizon) return false;
+      now_ = next_access_.when;
+      current_ = Pack(EventKind::kAccess, 0);
       return true;
     }
-    return false;
+    if (queue_.Empty() || next.when > horizon) return false;
+    const CalendarEvent event = queue_.PopNext();
+    now_ = event.when;
+    current_ = event.payload;
+    return true;
   }
 
   /// Applies the event Advance() popped: updates the NetworkState, draws
   /// and schedules the follow-up events, and returns what the engine must
   /// react to. Call exactly once per successful Advance().
   PathEvent Apply();
+
+  /// Consumes every closed-loop access due at or before `horizon` and
+  /// before the next live calendar event, in order: the clock moves to
+  /// each, its type and the next gap are drawn as Apply() would draw
+  /// them, and `per_access(time, type)` runs. Call it between events
+  /// (after an Apply()), never between Advance() and Apply(). A no-op
+  /// without a closed-loop stream.
+  template <typename PerAccess>
+  void DrainAccesses(SimTime horizon, PerAccess&& per_access) {
+    DropCancelled();
+    const CalendarEvent next = NextCalendarEvent();
+    while (next_access_.when <= horizon && FiresBefore(next_access_, next)) {
+      now_ = next_access_.when;
+      per_access(now_, OnAccess());
+    }
+  }
 
   /// Time of the event being applied (0 before the first).
   SimTime now() const { return now_; }
@@ -193,8 +230,29 @@ class SamplePath {
                    .failure_generation;
   }
 
-  /// Schedules `payload` `delay` days from now; `delay` must be finite
-  /// and non-negative.
+  /// Pops cancelled failures off the top of the calendar, so Peek() is
+  /// the next live event. They carry no effect, so when they go is moot.
+  void DropCancelled() {
+    while (!queue_.Empty() && IsCancelled(queue_.Peek().payload)) {
+      queue_.PopNext();
+    }
+  }
+
+  /// Stands for "no event": every event fires before it, and it fires
+  /// before none.
+  static constexpr CalendarEvent kNoEvent{
+      std::numeric_limits<SimTime>::infinity(),
+      std::numeric_limits<std::uint64_t>::max(), 0};
+
+  /// The calendar's next event, kNoEvent when it is empty.
+  const CalendarEvent& NextCalendarEvent() const {
+    return queue_.Empty() ? kNoEvent : queue_.Peek();
+  }
+
+  /// The time `delay` days from now; `delay` must be finite and
+  /// non-negative, and so must the sum.
+  SimTime TimeIn(SimTime delay) const;
+  /// Schedules `payload` `delay` days from now (see TimeIn).
   void ScheduleIn(SimTime delay, std::uint64_t payload);
   /// Schedules `payload` at absolute time `when`, which must be finite
   /// and not in the past.
@@ -221,6 +279,10 @@ class SamplePath {
   CalendarQueue queue_;
   SimTime now_ = 0.0;
   std::uint64_t current_ = 0;  // payload of the event being applied
+  /// The pending closed-loop access: its time and reserved seq (the
+  /// payload is unused). kNoEvent while there is none: with serving
+  /// enabled or the workload disabled, it never leaves that value.
+  CalendarEvent next_access_ = kNoEvent;
   NetworkState net_;
 
   std::vector<SiteSlot> sites_;

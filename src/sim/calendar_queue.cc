@@ -14,7 +14,7 @@ namespace {
 /// A closure type rather than a function pointer, so the heap
 /// algorithms inline the comparison.
 constexpr auto kAfter = [](const CalendarEvent& a, const CalendarEvent& b) {
-  return a.when > b.when || (a.when == b.when && a.seq > b.seq);
+  return FiresBefore(b, a);
 };
 
 }  // namespace

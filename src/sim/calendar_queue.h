@@ -14,6 +14,13 @@
 // Two events with equal timestamps therefore fire in the order they were
 // scheduled — the same tie-break as EventQueue.
 //
+// A caller may keep an event outside the heap and still order it exactly
+// where Schedule would have: ReserveSeq() takes the seq Schedule would
+// have assigned, and FiresBefore() compares that (when, seq) against
+// Peek(). SamplePath keeps its closed-loop access stream in such a slot,
+// so the batched engine can consume a run of accesses without a heap
+// push and pop per access.
+//
 // There is deliberately no Cancel: the one cancellation in the system
 // (a pending site failure cancelled at maintenance start) is expressed
 // by the caller as a generation counter carried in the payload and
@@ -27,6 +34,7 @@
 #include <vector>
 
 #include "sim/time.h"
+#include "util/logging.h"
 
 namespace dynvote {
 
@@ -37,6 +45,12 @@ struct CalendarEvent {
   std::uint64_t payload = 0;
 };
 
+/// The queue's pop order: true iff `a` fires before `b`, i.e. (a.when,
+/// a.seq) < (b.when, b.seq).
+constexpr bool FiresBefore(const CalendarEvent& a, const CalendarEvent& b) {
+  return a.when < b.when || (a.when == b.when && a.seq < b.seq);
+}
+
 /// Binary-heap priority queue over CalendarEvent, deterministic pop
 /// order by (when, seq). Not thread-safe; timestamps must be >= 0.
 class CalendarQueue {
@@ -44,11 +58,22 @@ class CalendarQueue {
   /// Enqueues an event; assigns the next sequence number.
   void Schedule(SimTime when, std::uint64_t payload);
 
+  /// Takes the next sequence number without enqueueing anything, for an
+  /// event the caller holds outside the heap (see the header comment).
+  std::uint64_t ReserveSeq() { return next_seq_++; }
+
   bool Empty() const { return heap_.empty(); }
   std::size_t Size() const { return heap_.size(); }
 
   /// Timestamp of the next event. Queue must be non-empty.
   SimTime PeekTime() const;
+
+  /// The (when, seq)-least event, left in place. Queue must be
+  /// non-empty.
+  const CalendarEvent& Peek() const {
+    DYNVOTE_DCHECK_MSG(!heap_.empty(), "Peek on an empty calendar queue");
+    return heap_.front();
+  }
 
   /// Removes and returns the (when, seq)-least event. Queue must be
   /// non-empty.

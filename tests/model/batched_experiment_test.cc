@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -122,6 +123,68 @@ TEST(BatchedExperimentTest, EveryObjectMatchesItsSoloRunBitForBit) {
       ExpectBitIdentical((*batched)[k][p], (*solo)[p]);
     }
   }
+}
+
+TEST(BatchedExperimentTest, RepeatedAccessesMatchSoloOnThePaperGrid) {
+  // At 24 accesses a day most accesses repeat the one before them, and
+  // the batched engine charges such runs in one step. Every
+  // configuration A-H against the solo engine, which steps each access:
+  // the runs must cover repeats during outages (denied accesses), inside
+  // partitions (divergent replicas, visible as file copies) and under
+  // TDV's dual majorities (configuration D over a longer run), and still
+  // match bit for bit.
+  auto network = MakePaperNetwork();
+  ASSERT_TRUE(network.ok()) << network.status();
+  ExperimentSpec spec;
+  spec.topology = network->topology;
+  spec.profiles = network->profiles;
+  spec.options.warmup = Days(30);
+  spec.options.batch_length = Years(1);
+  spec.options.access.rate_per_day = 24.0;
+  const std::vector<std::string>& names = PaperProtocolNames();
+
+  std::uint64_t denied = 0;
+  std::uint64_t file_copies = 0;
+  std::uint64_t dual_majorities = 0;
+  const auto expect_solo_match = [&](SiteSet placement) {
+    const std::vector<std::uint64_t> seeds{3, 20260704};
+    auto batched = RunBatchedAvailabilityExperiment(
+        spec, BatchedProtocolSpec{names, placement}, seeds);
+    ASSERT_TRUE(batched.ok()) << batched.status();
+    for (std::size_t k = 0; k < seeds.size(); ++k) {
+      ExperimentSpec solo_spec = spec;
+      solo_spec.options.seed = seeds[k];
+      auto solo = RunSoloAvailabilityExperiment(
+          solo_spec, MakeProtocols(spec, names, placement));
+      ASSERT_TRUE(solo.ok()) << solo.status();
+      ASSERT_EQ((*batched)[k].size(), solo->size());
+      for (std::size_t p = 0; p < solo->size(); ++p) {
+        const PolicyResult& r = (*solo)[p];
+        SCOPED_TRACE("seed " + std::to_string(seeds[k]) + " " + r.name);
+        ExpectBitIdentical((*batched)[k][p], r);
+        denied += r.accesses_attempted - r.accesses_granted;
+        file_copies += r.messages.count(MessageKind::kFileCopy);
+        dual_majorities += r.dual_majority_instants;
+      }
+    }
+  };
+  for (bool deterministic : {false, true}) {
+    spec.options.access.deterministic = deterministic;
+    for (const PaperConfiguration& config : PaperConfigurations()) {
+      SCOPED_TRACE(std::string("config ") + config.label +
+                   (deterministic ? " deterministic" : " poisson"));
+      spec.options.num_batches = 2;
+      expect_solo_match(config.placement);
+    }
+  }
+  EXPECT_GT(denied, 1000u);
+  EXPECT_GT(file_copies, 0u);
+
+  SCOPED_TRACE("config D, 20 years");
+  spec.options.access.deterministic = false;
+  spec.options.num_batches = 20;
+  expect_solo_match(SiteSet{5, 6, 7});
+  EXPECT_GT(dual_majorities, 0u);
 }
 
 TEST(BatchedExperimentTest, QuorumCacheOffStillMatchesSolo) {
@@ -311,6 +374,42 @@ TEST(BatchedExperimentTest, BothEnginesRejectInvalidSpecsWithTheSameStatus) {
       {"one profile extra",
        [](ExperimentSpec* s) { s->profiles.push_back(s->profiles.front()); },
        Status::InvalidArgument("need one SiteProfile per site")},
+      {"infinite MTTF",
+       [](ExperimentSpec* s) {
+         s->profiles[3].mttf_days = std::numeric_limits<double>::infinity();
+       },
+       Status::InvalidArgument("site MTTF must be finite")},
+      {"negative restart",
+       [](ExperimentSpec* s) { s->profiles[0].restart_minutes = -20.0; },
+       Status::InvalidArgument(
+           "site restart and repair times must be finite and >= 0")},
+      {"negative constant repair",
+       [](ExperimentSpec* s) { s->profiles[5].hw_repair_const_hours = -1.0; },
+       Status::InvalidArgument(
+           "site restart and repair times must be finite and >= 0")},
+      {"NaN exponential repair",
+       [](ExperimentSpec* s) {
+         s->profiles[6].hw_repair_exp_hours =
+             std::numeric_limits<double>::quiet_NaN();
+       },
+       Status::InvalidArgument(
+           "site restart and repair times must be finite and >= 0")},
+      {"negative maintenance interval",
+       [](ExperimentSpec* s) {
+         s->profiles[2].maintenance_interval_days = -90.0;
+       },
+       Status::InvalidArgument(
+           "maintenance interval and hours must be finite and >= 0")},
+      {"negative maintenance hours",
+       [](ExperimentSpec* s) { s->profiles[2].maintenance_hours = -3.0; },
+       Status::InvalidArgument(
+           "maintenance interval and hours must be finite and >= 0")},
+      {"maintenance window longer than its interval",
+       [](ExperimentSpec* s) {
+         s->profiles[4].maintenance_interval_days = 1.0;
+         s->profiles[4].maintenance_hours = 25.0;
+       },
+       Status::InvalidArgument("maintenance window longer than its interval")},
   };
   const std::vector<std::string>& names = PaperProtocolNames();
   for (const Case& c : cases) {

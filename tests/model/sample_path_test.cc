@@ -15,6 +15,7 @@
 
 #include "core/test_topologies.h"
 #include "model/experiment.h"
+#include "model/site_profile.h"
 
 namespace dynvote {
 namespace {
@@ -144,6 +145,86 @@ TEST(SamplePathTest, ValidateRejectsBadProfiles) {
   // No topology at all.
   EXPECT_EQ(SamplePath::Validate(ExperimentSpec{}, sites),
             Status::InvalidArgument("experiment needs a topology"));
+
+  // Every restart, repair and maintenance duration becomes an event
+  // delay, so a negative, infinite or NaN one is refused with a Status
+  // instead of reaching the calendar's abort.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto site_status = [&](void (*spoil)(SiteProfile*, double), double v) {
+    SiteProfile bad = good;
+    spoil(&bad, v);
+    return SamplePath::Validate(FailureSpec(topo, {good, bad}), sites);
+  };
+  const Status bad_repair = Status::InvalidArgument(
+      "site restart and repair times must be finite and >= 0");
+  const Status bad_maintenance = Status::InvalidArgument(
+      "maintenance interval and hours must be finite and >= 0");
+  for (double v : {-20.0, -1e-9, inf, nan}) {
+    SCOPED_TRACE(v);
+    EXPECT_EQ(site_status([](SiteProfile* p, double x) {
+                p->restart_minutes = x;
+              }, v), bad_repair);
+    EXPECT_EQ(site_status([](SiteProfile* p, double x) {
+                p->hw_repair_const_hours = x;
+              }, v), bad_repair);
+    EXPECT_EQ(site_status([](SiteProfile* p, double x) {
+                p->hw_repair_exp_hours = x;
+              }, v), bad_repair);
+    EXPECT_EQ(site_status([](SiteProfile* p, double x) {
+                p->maintenance_interval_days = x;
+                p->maintenance_hours = 3.0;
+              }, v), bad_maintenance);
+    EXPECT_EQ(site_status([](SiteProfile* p, double x) {
+                p->maintenance_interval_days = 90.0;
+                p->maintenance_hours = x;
+              }, v), bad_maintenance);
+  }
+  const Status bad_fraction =
+      Status::InvalidArgument("hardware fraction outside [0, 1]");
+  for (double v : {inf, nan}) {
+    EXPECT_FALSE(site_status([](SiteProfile* p, double x) {
+                   p->mttf_days = x;
+                 }, v).ok());
+    EXPECT_EQ(site_status([](SiteProfile* p, double x) {
+                p->hardware_fraction = x;
+              }, v), bad_fraction);
+  }
+  // A window longer than its interval would start the next one before
+  // this one ends; a window of exactly the interval is allowed, as is a
+  // window length without an interval (no maintenance at all).
+  EXPECT_EQ(site_status([](SiteProfile* p, double) {
+              p->maintenance_interval_days = 1.0;
+              p->maintenance_hours = 48.0;
+            }, 0), Status::InvalidArgument(
+                       "maintenance window longer than its interval"));
+  EXPECT_TRUE(site_status([](SiteProfile* p, double) {
+                p->maintenance_interval_days = 1.0;
+                p->maintenance_hours = 24.0;
+              }, 0).ok());
+  EXPECT_TRUE(site_status([](SiteProfile* p, double) {
+                p->maintenance_interval_days = 0.0;
+                p->maintenance_hours = 48.0;
+              }, 0).ok());
+
+  // Repeaters: finite MTTF, finite non-negative repair times.
+  auto repeater_status = [&](RepeaterProfile r) {
+    return SamplePath::Validate(FailureSpec(pair, four, {r}), SiteSet{0});
+  };
+  EXPECT_TRUE(repeater_status(RepeaterProfile{"r", 30.0, 4.0, 2.0}).ok());
+  EXPECT_EQ(repeater_status(RepeaterProfile{"r", inf, 4.0, 2.0}),
+            Status::InvalidArgument("repeater MTTF must be finite"));
+  EXPECT_EQ(repeater_status(RepeaterProfile{"r", nan, 4.0, 2.0}),
+            Status::InvalidArgument("repeater MTTF must be > 0"));
+  const Status bad_repeater_repair = Status::InvalidArgument(
+      "repeater repair times must be finite and >= 0");
+  for (double v : {-1.0, inf, nan}) {
+    SCOPED_TRACE(v);
+    EXPECT_EQ(repeater_status(RepeaterProfile{"r", 30.0, v, 2.0}),
+              bad_repeater_repair);
+    EXPECT_EQ(repeater_status(RepeaterProfile{"r", 30.0, 4.0, v}),
+              bad_repeater_repair);
+  }
 }
 
 TEST(SamplePathTest, ValidateRejectsBadWindow) {
@@ -467,6 +548,83 @@ TEST(SamplePathTest, AllReadsOrAllWrites) {
       EXPECT_EQ(s.type == AccessType::kWrite, fraction == 1.0);
     }
   }
+}
+
+/// Drive(), but after every applied event the accesses due before the
+/// next calendar event are consumed with DrainAccesses(), the way the
+/// batched engine consumes repeated accesses.
+std::vector<Seen> DriveDraining(SamplePath& path, SimTime horizon) {
+  std::vector<Seen> seen;
+  const auto record = [&](SimTime t, AccessType type) {
+    EXPECT_EQ(path.now(), t);
+    seen.push_back(Seen{t, PathEvent::Kind::kAccess, type, -1,
+                        path.net().LiveSites()});
+  };
+  path.DrainAccesses(horizon, record);  // nothing has happened yet
+  while (path.Advance(horizon)) {
+    const PathEvent event = path.Apply();
+    seen.push_back(Seen{path.now(), event.kind, event.type, event.origin,
+                        path.net().LiveSites()});
+    path.DrainAccesses(horizon, record);
+  }
+  return seen;
+}
+
+TEST(SamplePathTest, DrainingYieldsTheSteppedSequence) {
+  // The paper network with its maintenance calendar (so cancelled
+  // failures sit in the calendar) at 24 accesses a day: a path drained
+  // after every event must see the same accesses, with the same times
+  // and types, and the same network events as one stepped event by
+  // event — in two horizon chunks, so a drain also stops at a horizon.
+  auto network = MakePaperNetwork();
+  ASSERT_TRUE(network.ok()) << network.status();
+  ExperimentSpec spec = FailureSpec(network->topology, network->profiles);
+  spec.options.access.enabled = true;
+  spec.options.access.rate_per_day = 24.0;
+  const SiteSet placement{0, 1, 3, 5, 7};
+  for (bool deterministic : {false, true}) {
+    spec.options.access.deterministic = deterministic;
+    for (std::uint64_t seed : {1ull, 7ull, 4242ull, 20260704ull}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (deterministic ? " deterministic" : " poisson"));
+      SamplePath stepped(spec, placement, seed);
+      std::vector<Seen> expected = Drive(stepped, Days(200.25));
+      const std::vector<Seen> tail = Drive(stepped, Years(2));
+      expected.insert(expected.end(), tail.begin(), tail.end());
+
+      SamplePath drained(spec, placement, seed);
+      std::vector<Seen> seen = DriveDraining(drained, Days(200.25));
+      const std::vector<Seen> rest = DriveDraining(drained, Years(2));
+      seen.insert(seen.end(), rest.begin(), rest.end());
+
+      std::size_t network_events = 0;
+      for (const Seen& e : expected) {
+        network_events += e.kind == PathEvent::Kind::kNetwork ? 1 : 0;
+      }
+      EXPECT_GT(network_events, 100u);
+      EXPECT_GT(expected.size(), 17000u);
+      ASSERT_EQ(seen.size(), expected.size());
+      for (std::size_t i = 0; i < seen.size(); ++i) {
+        ASSERT_EQ(seen[i], expected[i]) << "first difference at event " << i;
+      }
+      EXPECT_EQ(drained.now(), stepped.now());
+    }
+  }
+}
+
+TEST(SamplePathTest, DrainingWithoutAClosedLoopStreamDoesNothing) {
+  AccessOptions options;
+  options.enabled = false;
+  SamplePath idle(AccessSpec(options), SiteSet{0}, 3);
+  int calls = 0;
+  idle.DrainAccesses(Days(100), [&](SimTime, AccessType) { ++calls; });
+  ExperimentSpec serving = AccessSpec(AccessOptions{});
+  serving.options.serving = TestServing();
+  SamplePath open_loop(serving, SiteSet{0}, 3);
+  open_loop.DrainAccesses(Days(100), [&](SimTime, AccessType) { ++calls; });
+  EXPECT_EQ(calls, 0);
+  EXPECT_TRUE(open_loop.Advance(Days(100)));
+  EXPECT_EQ(open_loop.Apply().kind, PathEvent::Kind::kArrival);
 }
 
 TEST(SamplePathTest, DisabledAccessGeneratesNothing) {

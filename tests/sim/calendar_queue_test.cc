@@ -77,6 +77,56 @@ TEST(CalendarQueueTest, PeekDoesNotPop) {
   EXPECT_EQ(q.PopNext().payload, 7u);
 }
 
+TEST(CalendarQueueTest, ReservedSeqOrdersAnEqualTimeEventInScheduleOrder) {
+  // An event held outside the heap with a reserved seq fires exactly
+  // where Schedule would have put it: after the equal-time events
+  // scheduled before the reservation, before those scheduled after.
+  CalendarQueue q;
+  q.Schedule(1.0, 10);
+  q.Schedule(0.5, 5);
+  const CalendarEvent held{1.0, q.ReserveSeq(), 99};
+  q.Schedule(1.0, 11);
+  q.Schedule(2.0, 20);
+  EXPECT_EQ(q.Size(), 4u);  // a reservation enqueues nothing
+
+  std::vector<std::uint64_t> order;
+  bool held_fired = false;
+  while (!q.Empty()) {
+    if (!held_fired && FiresBefore(held, q.Peek())) {
+      order.push_back(held.payload);
+      held_fired = true;
+      continue;
+    }
+    order.push_back(q.PopNext().payload);
+  }
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{5, 10, 99, 11, 20}));
+
+  // The same schedule with the held event scheduled for real.
+  CalendarQueue all;
+  all.Schedule(1.0, 10);
+  all.Schedule(0.5, 5);
+  all.Schedule(1.0, 99);
+  all.Schedule(1.0, 11);
+  all.Schedule(2.0, 20);
+  std::vector<std::uint64_t> heap_order;
+  for (const CalendarEvent& e : Drain(all)) heap_order.push_back(e.payload);
+  EXPECT_EQ(heap_order, order);
+}
+
+TEST(CalendarQueueTest, PeekIsTheNextPop) {
+  CalendarQueue q;
+  q.Schedule(3.0, 3);
+  q.Schedule(1.0, 1);
+  q.Schedule(1.0, 2);
+  while (!q.Empty()) {
+    const CalendarEvent top = q.Peek();
+    const CalendarEvent popped = q.PopNext();
+    EXPECT_EQ(top.when, popped.when);
+    EXPECT_EQ(top.seq, popped.seq);
+    EXPECT_EQ(top.payload, popped.payload);
+  }
+}
+
 TEST(CalendarQueueTest, InterleavedScheduleAndPop) {
   // Schedules racing ahead of pops, including events inserted *before*
   // the cached minimum, which must invalidate it.

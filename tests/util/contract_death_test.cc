@@ -47,13 +47,14 @@ ExperimentSpec OneSiteSpec(const SiteProfile& profile) {
 }
 
 TEST(ContractDeathTest, SamplePathNegativeDelayAborts) {
-  // A negative restart time passes validation (only MTTF and the
-  // hardware fraction are checked) and schedules the repair in the past.
+  // A negative restart time would schedule the repair in the past.
+  // Validate refuses it; a path built from the unvalidated spec anyway
+  // must still abort rather than run time backwards.
   SiteProfile profile;
   profile.mttf_days = 1.0;
   profile.restart_minutes = -5.0;
   const ExperimentSpec spec = OneSiteSpec(profile);
-  ASSERT_TRUE(SamplePath::Validate(spec, SiteSet{0}).ok());
+  ASSERT_FALSE(SamplePath::Validate(spec, SiteSet{0}).ok());
   EXPECT_DEATH(
       {
         SamplePath path(spec, SiteSet{0}, 1);
@@ -64,13 +65,14 @@ TEST(ContractDeathTest, SamplePathNegativeDelayAborts) {
 
 TEST(ContractDeathTest, SamplePathNonFiniteTimeAborts) {
   // An infinite maintenance interval puts the first window's staggered
-  // start at an infinite absolute time.
+  // start at an infinite absolute time. Validate refuses it; the path's
+  // own check is the backstop for an unvalidated spec.
   SiteProfile profile;
   profile.mttf_days = 1.0;
   profile.maintenance_interval_days = std::numeric_limits<double>::infinity();
   profile.maintenance_hours = 3.0;
   const ExperimentSpec spec = OneSiteSpec(profile);
-  ASSERT_TRUE(SamplePath::Validate(spec, SiteSet{0}).ok());
+  ASSERT_FALSE(SamplePath::Validate(spec, SiteSet{0}).ok());
   EXPECT_DEATH({ SamplePath path(spec, SiteSet{0}, 1); }, "not in the past");
 }
 

@@ -28,6 +28,7 @@
 #include "model/experiment.h"
 #include "model/export.h"
 #include "model/replicated_experiment.h"
+#include "model/sample_path.h"
 #include "model/site_profile.h"
 #include "net/partition_analysis.h"
 #include "obs/async_writer.h"
@@ -565,6 +566,7 @@ int WriteMetrics(const Options& opt, const MetricsShard& metrics) {
 struct Experiment {
   NetworkConfig network;
   ExperimentSpec spec;
+  SiteSet placement;
   ProtocolSetFactory protocols;
 };
 
@@ -578,6 +580,7 @@ Result<Experiment> SetUpExperiment(const Options& opt) {
   e.spec.repeater_profiles = e.network.repeater_profiles;
   e.spec.options = FlagExperimentOptions(
       opt, opt.years > 0.0 ? opt.years : 100.0, /*force_serving=*/false);
+  e.placement = placement;
   e.protocols = [topology = e.network.topology, placement,
                  policies = SplitCsv(opt.policies)]()
       -> Result<std::vector<std::unique_ptr<ConsistencyProtocol>>> {
@@ -593,12 +596,25 @@ Result<Experiment> SetUpExperiment(const Options& opt) {
   return e;
 }
 
+/// Refuses an experiment the sample path cannot run, such as a network
+/// file whose profile has a negative repair time or a maintenance window
+/// longer than its interval. Like a bad flag value it is a usage error
+/// (exit 2), reported before a trace file is opened or a run starts.
+/// Returns 0 for a runnable experiment.
+int RejectUnrunnable(const Experiment& e) {
+  const Status st = SamplePath::Validate(e.spec, e.placement);
+  if (st.ok()) return 0;
+  std::cerr << st << "\n";
+  return kExitUsage;
+}
+
 int Simulate(const Options& opt) {
   auto experiment = SetUpExperiment(opt);
   if (!experiment.ok()) {
     std::cerr << experiment.status() << "\n";
     return 1;
   }
+  if (int rc = RejectUnrunnable(*experiment); rc != 0) return rc;
   ExperimentSpec& spec = experiment->spec;
 
   // Observability is opt-in per flag; with neither flag spec.obs stays
@@ -675,6 +691,7 @@ int Repeat(const Options& opt) {
     std::cerr << experiment.status() << "\n";
     return 1;
   }
+  if (int rc = RejectUnrunnable(*experiment); rc != 0) return rc;
   const NetworkConfig& network = experiment->network;
 
   // Command line wins; the network file's `experiment` declaration
