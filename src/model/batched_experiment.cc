@@ -97,12 +97,6 @@ struct DvSlot {
   SiteSet u_partition;          // == placement while uniform (invariant)
   ReplicaStore store;           // authoritative only while !uniform
 
-  /// Monotonic count of decision-relevant state changes (commits that
-  /// alter the store or the uniform partition set). Absolute op/version
-  /// values never affect a quorum decision, so uniform-to-uniform
-  /// commits deliberately do not bump it.
-  std::uint64_t commit_stamp = 0;
-
   /// Divergent-mode analogue of the uniform invariant: after a commit
   /// with P = participants = all-copies(participants), every member of
   /// `local_set` carries identical (o, v, P = local_set) state. A later
@@ -114,28 +108,7 @@ struct DvSlot {
   SiteSet local_set;
   OpNumber local_op = 0;
   VersionNumber local_version = 0;
-
-  /// True when the authoritative (o, v) of local_set's members live in
-  /// the scalars above and the store rows are stale: a repeat commit of
-  /// the same locally uniform group changes nothing any evaluation can
-  /// observe, so it only bumps the scalars. The rows are rewritten
-  /// (EnsureMaterialized) before any code path reads the store again.
-  bool local_dirty = false;
 };
-
-/// Flushes deferred scalar commits back into the store rows. Must run
-/// before any store read (scan, state lookup, or a real Commit) while
-/// local_dirty is set.
-void EnsureMaterialized(DvSlot& slot) {
-  if (!slot.local_dirty) return;
-  for (SiteId s : slot.local_set) {
-    ReplicaState* state = slot.store.mutable_state(s);
-    state->op_number = slot.local_op;
-    state->version = slot.local_version;
-    state->partition_set = slot.local_set;
-  }
-  slot.local_dirty = false;
-}
 
 /// Availability/traffic accounting of one protocol.
 struct ObservedSlot {
@@ -171,17 +144,6 @@ struct RepeatTally {
   std::uint64_t Total() const { return reads + writes; }
 };
 
-/// One slot of the per-object sample memo: grant decisions for a copies
-/// mask, one validity/decision bit per protocol. The equivalent of the
-/// solo CachedWouldGrant ring, shared by all protocols of the object.
-struct GroupMemoSlot {
-  std::uint64_t mask = 0;
-  std::uint32_t valid = 0;
-  std::uint32_t granted = 0;
-};
-
-constexpr int kGroupMemoSlots = 8;
-
 /// Outcome of one quorum evaluation, either mode. `quorum` and `current`
 /// double as handles to the extremal replica states: every member of Q
 /// carries MaxOp(R) and every member of S carries MaxVersion(R), so a
@@ -195,23 +157,6 @@ struct EvalResult {
   SiteSet prev;       // P_m
   OpNumber max_op = 0;          // MaxOp(R), undefined if R is empty
   VersionNumber max_version = 0;  // MaxVersion(R), undefined if R is empty
-};
-
-/// Per-protocol evaluation memo. A quorum decision is a pure
-/// function of (replica state, reachable-copies mask), and between
-/// commits the same (state, mask) pair is evaluated repeatedly — user
-/// access, the availability sample and the instantaneous refresh all ask
-/// the same question. Two entries cover the common partitioned case of
-/// one group per side. Validity is (mask, commit_stamp) equality, so a
-/// commit or a membership change is an automatic miss.
-struct DvEvalMemo {
-  struct Entry {
-    std::uint64_t mask = 0;
-    std::uint64_t stamp = ~std::uint64_t{0};  // never matches a live slot
-    EvalResult result;
-  };
-  Entry entries[2];
-  int cursor = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -279,6 +224,7 @@ class ObjectRun {
     return observed_[static_cast<std::size_t>(p)];
   }
   DvSlot& dv(int p) { return dv_[static_cast<std::size_t>(p)]; }
+  const DvSlot& dv(int p) const { return dv_[static_cast<std::size_t>(p)]; }
   const ProtocolPlan& plan(int p) const {
     return cfg_.plans[static_cast<std::size_t>(p)];
   }
@@ -293,17 +239,15 @@ class ObjectRun {
   // core/dynamic_voting.cc) ------------------------------------------------
   bool McvGranted(SiteSet copies) const;
   SiteSet McvUserAccess(int p, AccessType type);
-  EvalResult DvEvaluate(int p, SiteSet copies);
+  EvalResult DvEvaluate(int p, SiteSet copies) const;
   void DvCommit(int p, SiteSet participants, OpNumber op,
                 VersionNumber version, SiteSet partition);
   SiteSet DvUserAccess(int p, AccessType type);
-  bool DvRecover(int p, SiteId site);
+  void DvRecover(int p, SiteId site);
   void DvReintegrateGroup(int p, SiteSet group);
   void DvOnNetworkEvent(int p);
 
   // --- sampling ----------------------------------------------------------
-  GroupMemoSlot* MemoSlotFor(std::uint64_t mask);
-  void InvalidateMemo(int p, std::uint64_t touched_mask);
   void Sample();
 
   /// True iff the object is in the all-fast steady state: every dynamic
@@ -338,10 +282,7 @@ class ObjectRun {
   // Per protocol.
   std::vector<ObservedSlot> observed_;
   std::vector<DvSlot> dv_;
-  std::vector<DvEvalMemo> eval_memo_;  // indexed like dv_
 
-  GroupMemoSlot memo_[kGroupMemoSlots] = {};
-  int memo_cursor_ = 0;
   /// The last sample's grant bits: `sampled_once_` has protocol p's bit
   /// if some group granted, `sampled_twice_` if a second one did.
   std::uint32_t sampled_once_ = 0;
@@ -370,7 +311,6 @@ ObjectRun::ObjectRun(const RunConfig& cfg, std::uint64_t seed)
     dv_.emplace_back(cfg.initial_store);
     dv_.back().u_partition = cfg.placement;
   }
-  eval_memo_.resize(static_cast<std::size_t>(cfg.num_protocols));
 }
 
 // --- reactions to the sample path ------------------------------------------
@@ -483,7 +423,8 @@ void ObjectRun::ChargeRepeats(const RepeatTally& tally) {
                       "placement or locally uniform on its group");
     // The n commits in one: each would install P = copies over copies
     // with the op number one higher and, for a write, the version too.
-    // Either mode takes DvCommit's scalar-only path for that.
+    // Only the last one's (o, v) survives, so one commit of it stands for
+    // all n.
     const OpNumber op =
         (slot.uniform ? slot.u_op : slot.local_op) + static_cast<OpNumber>(n);
     const VersionNumber version =
@@ -498,8 +439,8 @@ void ObjectRun::ChargeRepeats(const RepeatTally& tally) {
 bool ObjectRun::McvGranted(SiteSet copies) const {
   // MCV::WouldGrant with uniform weights and default quorums
   // (r = w = total/2 + 1, lexicographic tie-break): the decision is a
-  // pure function of the reachable-copies mask, so it can be memoized
-  // forever — MCV never mutates decision-relevant state.
+  // pure function of the reachable-copies mask — MCV never mutates
+  // decision-relevant state.
   const int total = cfg_.placement.Size();
   const int votes = copies.Size();
   if (votes >= total / 2 + 1) return true;
@@ -528,9 +469,9 @@ SiteSet ObjectRun::McvUserAccess(int p, AccessType type) {
 
 // --- dynamic-voting fast path ---------------------------------------------
 
-EvalResult ObjectRun::DvEvaluate(int p, SiteSet copies) {
+EvalResult ObjectRun::DvEvaluate(int p, SiteSet copies) const {
   const ProtocolPlan& pl = plan(p);
-  DvSlot& slot = dv(p);
+  const DvSlot& slot = dv(p);
   EvalResult r;
   r.reachable = copies;
   if (copies.Empty()) return r;
@@ -538,9 +479,6 @@ EvalResult ObjectRun::DvEvaluate(int p, SiteSet copies) {
   if (slot.uniform) {
     // All copies share one ensemble, so Q = S = R and P_m is the stored
     // partition set (the full placement, by the uniform invariant).
-    // Cheap enough to compute inline; deliberately not memoized — the
-    // memo's stamp does not track the uniform o/v scalars, and a stale
-    // max_op would corrupt the operation-number chain.
     r.quorum = copies;
     r.current = copies;
     r.prev = slot.u_partition;
@@ -584,14 +522,6 @@ EvalResult ObjectRun::DvEvaluate(int p, SiteSet copies) {
     return r;
   }
 
-  DvEvalMemo& memo = eval_memo_[static_cast<std::size_t>(p)];
-  for (const DvEvalMemo::Entry& e : memo.entries) {
-    if (e.mask == copies.mask() && e.stamp == slot.commit_stamp) {
-      return e.result;
-    }
-  }
-
-  EnsureMaterialized(slot);
   QuorumDecision d = EvaluateDynamicQuorum(
       slot.store, copies, pl.tie_break,
       pl.topological ? cfg_.spec.topology.get() : nullptr);
@@ -601,36 +531,21 @@ EvalResult ObjectRun::DvEvaluate(int p, SiteSet copies) {
   r.prev = d.prev_partition;
   r.max_op = slot.store.state(d.quorum_set.RankMax()).op_number;
   r.max_version = slot.store.state(d.current_set.RankMax()).version;
-
-  DvEvalMemo::Entry& victim = memo.entries[memo.cursor];
-  memo.cursor ^= 1;
-  victim.mask = copies.mask();
-  victim.stamp = slot.commit_stamp;
-  victim.result = r;
   return r;
 }
 
 void ObjectRun::DvCommit(int p, SiteSet participants, OpNumber op,
                          VersionNumber version, SiteSet partition) {
   DvSlot& slot = dv(p);
-  DvEvalMemo& memo = eval_memo_[static_cast<std::size_t>(p)];
   const bool covers = cfg_.placement.IsSubsetOf(participants);
   if (slot.uniform) {
     if (covers) {
-      // Uniform stays uniform. The partition set is the placement before
-      // and after (every covering DV commit installs P = participants =
-      // placement), and grant decisions do not depend on the absolute
-      // o/v values — the memo stays valid.
+      // Uniform stays uniform: every copy moves to the new (o, v), and
+      // the partition set is the placement before and after (every
+      // covering DV commit installs P = participants = placement).
       slot.u_op = op;
       slot.u_version = version;
-      if (partition != slot.u_partition) {
-        // Cannot happen for the paper's protocols (covering commits
-        // always install P = placement), but a changed partition set
-        // does change decisions — drop the memos if it ever does.
-        slot.u_partition = partition;
-        ++slot.commit_stamp;
-        InvalidateMemo(p, ~std::uint64_t{0});
-      }
+      slot.u_partition = partition;
       return;
     }
     // Leaving uniform mode: materialize the store the scalars stand for,
@@ -643,27 +558,7 @@ void ObjectRun::DvCommit(int p, SiteSet participants, OpNumber op,
     }
     slot.uniform = false;
     ++divergent_count_;
-  } else if (slot.local_valid && participants == slot.local_set &&
-             partition == participants) {
-    // Repeat commit of the locally uniform group (consecutive accesses
-    // on the majority side of a partition): the group's members move to
-    // the new (o, v) together and P_m stays local_set, so no evaluation
-    // anywhere can observe a difference — every grant decision depends
-    // on relative order and membership only. Bump the scalars and leave
-    // the store rows stale; they are rewritten before the next store
-    // read. Cached maxima for masks overlapping the group DO go stale,
-    // so those memo entries are dropped (disjoint ones — the other side
-    // of the partition — survive, which is the point).
-    slot.local_op = op;
-    slot.local_version = version;
-    slot.local_dirty = true;
-    const std::uint64_t local_mask = slot.local_set.mask();
-    for (DvEvalMemo::Entry& e : memo.entries) {
-      if (e.mask & local_mask) e.stamp = ~std::uint64_t{0};
-    }
-    return;
   }
-  EnsureMaterialized(slot);
   slot.store.Commit(participants, op, version, partition);
   if (covers) {
     // Back to uniform: the covering commit overwrote every copy.
@@ -672,7 +567,6 @@ void ObjectRun::DvCommit(int p, SiteSet participants, OpNumber op,
     slot.u_version = version;
     slot.u_partition = partition;
     slot.local_valid = false;
-    slot.local_dirty = false;
     --divergent_count_;
   } else {
     slot.local_set = slot.store.CopiesAmong(participants);
@@ -680,20 +574,7 @@ void ObjectRun::DvCommit(int p, SiteSet participants, OpNumber op,
         partition == participants && slot.local_set == participants;
     slot.local_op = op;
     slot.local_version = version;
-    slot.local_dirty = false;  // the real Commit above wrote the rows
   }
-
-  // The commit rewrote exactly the participants' states. Memo entries
-  // for disjoint groups (the other side of a partition) survive; their
-  // stamp is refreshed so they remain hits under the new stamp.
-  const std::uint64_t touched = participants.mask();
-  const std::uint64_t old_stamp = slot.commit_stamp++;
-  for (DvEvalMemo::Entry& e : memo.entries) {
-    if (e.stamp == old_stamp && (e.mask & touched) == 0) {
-      e.stamp = slot.commit_stamp;
-    }
-  }
-  InvalidateMemo(p, touched);
 }
 
 SiteSet ObjectRun::DvUserAccess(int p, AccessType type) {
@@ -723,28 +604,26 @@ SiteSet ObjectRun::DvUserAccess(int p, AccessType type) {
   return SiteSet{};  // NoQuorum: no messages
 }
 
-bool ObjectRun::DvRecover(int p, SiteId site) {
+void ObjectRun::DvRecover(int p, SiteId site) {
+  // Runs only from DvReintegrateGroup, inside a group that was just
+  // granted, so the solo Recover's denied branch (abort messages) cannot
+  // happen here.
   ObservedSlot& obs = observed(p);
   SiteSet copies = path_.net().ComponentOf(site).Intersect(cfg_.placement);
   EvalResult d = DvEvaluate(p, copies);
-  if (!d.granted) {
-    obs.counter.Add(MessageKind::kAbort, d.reachable.Size());
-    return false;
-  }
-  DvSlot& slot = dv(p);
+  DYNVOTE_CHECK_MSG(d.granted,
+                    "reintegration inside a granted group must succeed");
+  const DvSlot& slot = dv(p);
   const OpNumber op = d.max_op + 1;
   const VersionNumber version = d.max_version;
-  // While uniform, the site's row logically carries the uniform scalars.
-  // While locally dirty the stale rows are exactly local_set's — whose
-  // members all carry the maximal op and are never the recovery target —
-  // so the direct read is safe either way.
+  // While uniform, the site's row logically carries the uniform scalars;
+  // otherwise the store row is authoritative.
   const VersionNumber site_version =
       slot.uniform ? slot.u_version : slot.store.state(site).version;
   if (site_version < version) obs.counter.Add(MessageKind::kFileCopy, 1);
   SiteSet participants = d.current.Union(SiteSet{site});
   DvCommit(p, participants, op, version, participants);
   obs.counter.Add(MessageKind::kCommit, participants.Size());
-  return true;
 }
 
 void ObjectRun::DvReintegrateGroup(int p, SiteSet group) {
@@ -757,16 +636,13 @@ void ObjectRun::DvReintegrateGroup(int p, SiteSet group) {
   // number (the definition of local_set), so the scan below would find
   // nothing to recover.
   if (slot.local_valid && copies == slot.local_set) return;
-  EnsureMaterialized(slot);
   // MaxOp over the group only moves when a recover commits (it can raise
   // the bar for the rest, exactly as in DynamicVoting); between recovers
   // the cached value is exact.
   OpNumber max_op = slot.store.MaxOp(copies);
   for (SiteId s : copies) {
     if (slot.store.state(s).op_number < max_op) {
-      bool ok = DvRecover(p, s);
-      DYNVOTE_CHECK_MSG(ok,
-                        "reintegration inside a granted group must succeed");
+      DvRecover(p, s);
       if (slot.uniform) return;  // a covering recover re-uniformized
       max_op = slot.store.MaxOp(copies);
     }
@@ -799,28 +675,6 @@ void ObjectRun::DvOnNetworkEvent(int p) {
 
 // --- sampling -------------------------------------------------------------
 
-GroupMemoSlot* ObjectRun::MemoSlotFor(std::uint64_t mask) {
-  for (GroupMemoSlot& slot : memo_) {
-    if (slot.mask == mask) return &slot;
-  }
-  GroupMemoSlot& victim = memo_[memo_cursor_];
-  memo_cursor_ = (memo_cursor_ + 1) % kGroupMemoSlots;
-  victim = GroupMemoSlot{mask, 0, 0};
-  return &victim;
-}
-
-void ObjectRun::InvalidateMemo(int p, std::uint64_t touched_mask) {
-  // A quorum evaluation over group G reads only the states of G's
-  // members, so a commit invalidates exactly the slots whose group
-  // intersects the committed participants. During a partition the
-  // majority side's commits leave the minority side's cached denial
-  // untouched.
-  const std::uint32_t clear = ~(std::uint32_t{1} << p);
-  for (GroupMemoSlot& slot : memo_) {
-    if (slot.mask & touched_mask) slot.valid &= clear;
-  }
-}
-
 void ObjectRun::Sample() {
   // Per-protocol grant tallies as bitmasks: `once` has protocol p's bit
   // if any group granted, `twice` if a second group did (the
@@ -830,23 +684,12 @@ void ObjectRun::Sample() {
   for (const SiteSet& group : path_.net().Components()) {
     SiteSet copies = group.Intersect(cfg_.placement);
     if (copies.Empty()) continue;
-    GroupMemoSlot* slot = MemoSlotFor(copies.mask());
-    std::uint32_t group_granted = slot->granted & slot->valid;
-    std::uint32_t missing = ~slot->valid & cfg_.all_protocols;
-    while (missing != 0) {
-      const int p = std::countr_zero(missing);
-      const std::uint32_t bit = std::uint32_t{1} << p;
-      missing &= missing - 1;
+    std::uint32_t group_granted = 0;
+    for (int p = 0; p < cfg_.num_protocols; ++p) {
       const bool granted = plan(p).kind == BatchedKind::kMcv
                                ? McvGranted(copies)
                                : DvEvaluate(p, copies).granted;
-      slot->valid |= bit;
-      if (granted) {
-        slot->granted |= bit;
-        group_granted |= bit;
-      } else {
-        slot->granted &= ~bit;
-      }
+      if (granted) group_granted |= std::uint32_t{1} << p;
     }
     twice |= once & group_granted;
     once |= group_granted;

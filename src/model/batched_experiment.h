@@ -4,10 +4,11 @@
 // state held as plain data — 64-bit SiteSet masks, vote counters and
 // operation/version scalars — instead of protocol-object heaps. The
 // paper's one-access-per-day workload is the sparse-event regime where
-// per-object fixed costs (virtual protocol calls, memo bookkeeping)
-// dominate; plain-data protocol slots and the uniform-mode fast path
-// below remove them. Each object's state is built fresh from its seed,
-// so objects share nothing but the run's read-only inputs.
+// the protocol objects' per-object fixed costs (virtual calls, memo
+// bookkeeping) dominate; plain-data protocol slots and the uniform-mode
+// fast path below remove them, and no decision is memoized. Each
+// object's state is built fresh from its seed, so objects share nothing
+// but the run's read-only inputs.
 //
 // Bit-identity contract: PolicyResult rows for object k in a batch of N
 // are bit-identical to a RunSoloAvailabilityExperiment with seed

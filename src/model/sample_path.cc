@@ -12,6 +12,12 @@ namespace {
 /// A usable event delay: finite and non-negative (false for NaN).
 bool IsDuration(double value) { return value >= 0.0 && std::isfinite(value); }
 
+/// The longest draw of Rng::NextExponential(mean), computed as the draw
+/// is: infinite when mean × (the largest -log u) overflows.
+double LongestExponential(double mean) {
+  return -mean * std::log(Rng::kMinOpenLow);
+}
+
 }  // namespace
 
 Status SamplePath::Validate(const ExperimentSpec& spec,
@@ -42,6 +48,10 @@ Status SamplePath::Validate(const ExperimentSpec& spec,
     if (!std::isfinite(p.mttf_days)) {
       return Status::InvalidArgument("site MTTF must be finite");
     }
+    if (!IsDuration(LongestExponential(p.mttf_days))) {
+      return Status::InvalidArgument(
+          "site MTTF too large: its longest draw is not finite");
+    }
     if (!(p.hardware_fraction >= 0.0 && p.hardware_fraction <= 1.0)) {
       return Status::InvalidArgument("hardware fraction outside [0, 1]");
     }
@@ -50,6 +60,11 @@ Status SamplePath::Validate(const ExperimentSpec& spec,
         !IsDuration(p.hw_repair_exp_hours)) {
       return Status::InvalidArgument(
           "site restart and repair times must be finite and >= 0");
+    }
+    if (!IsDuration(Hours(p.hw_repair_const_hours) +
+                    Hours(LongestExponential(p.hw_repair_exp_hours)))) {
+      return Status::InvalidArgument(
+          "site repair times too large: the longest repair is not finite");
     }
     if (!IsDuration(p.maintenance_interval_days) ||
         !IsDuration(p.maintenance_hours)) {
@@ -71,9 +86,19 @@ Status SamplePath::Validate(const ExperimentSpec& spec,
     if (!std::isfinite(p.mttf_days)) {
       return Status::InvalidArgument("repeater MTTF must be finite");
     }
+    if (!IsDuration(LongestExponential(p.mttf_days))) {
+      return Status::InvalidArgument(
+          "repeater MTTF too large: its longest draw is not finite");
+    }
     if (!IsDuration(p.repair_const_hours) || !IsDuration(p.repair_exp_hours)) {
       return Status::InvalidArgument(
           "repeater repair times must be finite and >= 0");
+    }
+    if (!IsDuration(Hours(p.repair_const_hours) +
+                    Hours(LongestExponential(p.repair_exp_hours)))) {
+      return Status::InvalidArgument(
+          "repeater repair times too large: the longest repair is not "
+          "finite");
     }
   }
   if (o.serving.enabled) {
@@ -85,6 +110,12 @@ Status SamplePath::Validate(const ExperimentSpec& spec,
     if (o.serving.arrival_rate_per_day <= 0.0) {
       return Status::InvalidArgument("arrival rate must be > 0");
     }
+    const double per_stream_rate = o.serving.arrival_rate_per_day /
+                                   static_cast<double>(arrival_sites.Size());
+    if (!IsDuration(LongestExponential(1.0 / per_stream_rate))) {
+      return Status::InvalidArgument(
+          "arrival rate too small: the longest gap is not finite");
+    }
     if (o.serving.service_time_ms < 0.0 || o.serving.msg_cost_ms < 0.0) {
       return Status::InvalidArgument("service costs must be >= 0");
     }
@@ -95,6 +126,11 @@ Status SamplePath::Validate(const ExperimentSpec& spec,
   }
   if (o.access.enabled && !(o.access.rate_per_day > 0.0)) {
     return Status::InvalidArgument("access rate must be > 0");
+  }
+  if (o.access.enabled &&
+      !IsDuration(LongestExponential(1.0 / o.access.rate_per_day))) {
+    return Status::InvalidArgument(
+        "access rate too small: the longest gap is not finite");
   }
   if (!(o.access.write_fraction >= 0.0 && o.access.write_fraction <= 1.0)) {
     return Status::InvalidArgument("write fraction outside [0, 1]");

@@ -121,6 +121,9 @@ class SamplePath {
   /// favour of `seed`.
   SamplePath(const ExperimentSpec& spec, SiteSet arrival_sites,
              std::uint64_t seed);
+  /// The path keeps references into `spec`, so a temporary is refused.
+  SamplePath(const ExperimentSpec&& spec, SiteSet arrival_sites,
+             std::uint64_t seed) = delete;
 
   SamplePath(const SamplePath&) = delete;
   SamplePath& operator=(const SamplePath&) = delete;

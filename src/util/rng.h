@@ -50,6 +50,10 @@ class Rng {
   /// Uniform double in (0, 1] — safe as input to -log(u).
   double NextDoubleOpenLow();
 
+  /// The smallest value NextDoubleOpenLow returns, so -log of it is the
+  /// longest NextExponential draw in units of its mean.
+  static constexpr double kMinOpenLow = 0x1p-53;
+
   /// Uniform integer in [0, bound) using Lemire's method. bound must be > 0.
   std::uint64_t NextBounded(std::uint64_t bound);
 

@@ -1,7 +1,8 @@
 # Hostile profile values in a network file, run by ctest as
 # cli_hostile_network: every restart, repair or maintenance duration
-# becomes an event delay, so a negative, infinite or NaN one, or a
-# maintenance window longer than its interval, must make `simulate` and
+# becomes an event delay, so a negative, infinite or NaN one, an
+# exponential mean whose longest draw overflows, or a maintenance window
+# longer than its interval, must make `simulate` and
 # `repeat` exit 2 with the validation message — never abort mid-run.
 # The unspoiled network must run (exit 0), so each rejection is the
 # spoiled value's doing.
@@ -71,6 +72,9 @@ set(site_cases
   "repair-exp=nan|${bad_repair}"
   "mttf=inf|site MTTF must be finite"
   "mttf=nan|site MTTF must be > 0"
+  "mttf=1.7e308|site MTTF too large"
+  "mttf=1e308|site MTTF too large"
+  "repair-exp=1.7e308|site repair times too large"
   "hw=nan|hardware fraction outside [0, 1]"
   "maint-interval=-90 maint-hours=3|${bad_maintenance}"
   "maint-interval=inf maint-hours=3|${bad_maintenance}"
@@ -82,7 +86,9 @@ set(repeater_cases
   "repair-const=-1|${bad_repeater_repair}"
   "repair-exp=-4|${bad_repeater_repair}"
   "repair-exp=nan|${bad_repeater_repair}"
-  "mttf=inf|repeater MTTF must be finite")
+  "mttf=inf|repeater MTTF must be finite"
+  "mttf=1.7e308|repeater MTTF too large"
+  "repair-exp=1.7e308|repeater repair times too large")
 
 # Writes the network with `spoil` (key=value tokens) replacing the same
 # keys of site a (`what` site) or of the repeater (`what` repeater), and

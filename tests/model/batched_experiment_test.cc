@@ -101,26 +101,55 @@ TEST(BatchedExperimentTest, EveryObjectMatchesItsSoloRunBitForBit) {
   // RunSoloAvailabilityExperiment with seed seeds[k] exactly. Five
   // objects over three years of the partition-prone placement exercise
   // uniform mode, divergence, reintegration and recovery.
-  ExperimentSpec spec = PaperSpec();
+  //
+  // The stressed input divides every site's MTTF by 20. Three of the
+  // five copies (and the gateway to the second segment) are then down
+  // most of the time, so the divergent path carries most of the run:
+  // the EvaluateDynamicQuorum fallback, recovery, reintegration and the
+  // locally uniform group. Its file copies and denied accesses must pass
+  // thresholds fixed from the profiles alone, before any run: at least
+  // 20 file copies per (object, dynamic protocol) and 6% of all accesses
+  // denied, summed over the objects.
+  const ExperimentSpec paper = PaperSpec();
+  ExperimentSpec stressed = paper;
+  for (SiteProfile& profile : stressed.profiles) profile.mttf_days /= 20.0;
   const std::vector<std::string>& names = PaperProtocolNames();
   BatchedProtocolSpec batched_spec{names, kFiveCopyPlacement};
   std::vector<std::uint64_t> seeds{11, 5150, 77777, 4242424242ull, 90210};
 
-  auto batched = RunBatchedAvailabilityExperiment(spec, batched_spec, seeds);
-  ASSERT_TRUE(batched.ok()) << batched.status();
-  ASSERT_EQ(batched->size(), seeds.size());
+  const ExperimentSpec* const inputs[] = {&paper, &stressed};
+  for (const ExperimentSpec* spec : inputs) {
+    SCOPED_TRACE(spec == &paper ? "paper profiles" : "MTTF / 20");
+    auto batched =
+        RunBatchedAvailabilityExperiment(*spec, batched_spec, seeds);
+    ASSERT_TRUE(batched.ok()) << batched.status();
+    ASSERT_EQ(batched->size(), seeds.size());
 
-  for (std::size_t k = 0; k < seeds.size(); ++k) {
-    ExperimentSpec solo_spec = spec;
-    solo_spec.options.seed = seeds[k];
-    auto solo = RunSoloAvailabilityExperiment(solo_spec,
-                                              MakeProtocols(spec, names));
-    ASSERT_TRUE(solo.ok()) << solo.status();
-    ASSERT_EQ((*batched)[k].size(), solo->size());
-    for (std::size_t p = 0; p < solo->size(); ++p) {
-      SCOPED_TRACE("seed " + std::to_string(seeds[k]) + " policy " +
-                   (*solo)[p].name);
-      ExpectBitIdentical((*batched)[k][p], (*solo)[p]);
+    std::uint64_t attempted = 0;
+    std::uint64_t denied = 0;
+    std::uint64_t file_copies = 0;
+    for (std::size_t k = 0; k < seeds.size(); ++k) {
+      ExperimentSpec solo_spec = *spec;
+      solo_spec.options.seed = seeds[k];
+      auto solo = RunSoloAvailabilityExperiment(solo_spec,
+                                                MakeProtocols(*spec, names));
+      ASSERT_TRUE(solo.ok()) << solo.status();
+      ASSERT_EQ((*batched)[k].size(), solo->size());
+      for (std::size_t p = 0; p < solo->size(); ++p) {
+        SCOPED_TRACE("seed " + std::to_string(seeds[k]) + " policy " +
+                     (*solo)[p].name);
+        const PolicyResult& row = (*batched)[k][p];
+        ExpectBitIdentical(row, (*solo)[p]);
+        attempted += row.accesses_attempted;
+        denied += row.accesses_attempted - row.accesses_granted;
+        file_copies += row.messages.count(MessageKind::kFileCopy);
+      }
+    }
+    if (spec == &stressed) {
+      // Every paper policy but MCV is a dynamic one.
+      const std::uint64_t dynamic_rows = seeds.size() * (names.size() - 1);
+      EXPECT_GE(file_copies, 20 * dynamic_rows);
+      EXPECT_GE(100 * denied, 6 * attempted);
     }
   }
 }

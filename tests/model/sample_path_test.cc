@@ -207,6 +207,27 @@ TEST(SamplePathTest, ValidateRejectsBadProfiles) {
                 p->maintenance_hours = 48.0;
               }, 0).ok());
 
+  // An exponential mean so large that its longest draw overflows would
+  // schedule an event at infinity. The longest draw is about 36.7 means.
+  const Status huge_mttf = Status::InvalidArgument(
+      "site MTTF too large: its longest draw is not finite");
+  const Status huge_repair = Status::InvalidArgument(
+      "site repair times too large: the longest repair is not finite");
+  for (double v : {1.7e308, 1e308, 5e306}) {
+    SCOPED_TRACE(v);
+    EXPECT_EQ(site_status([](SiteProfile* p, double x) {
+                p->mttf_days = x;
+              }, v), huge_mttf);
+    EXPECT_EQ(site_status([](SiteProfile* p, double x) {
+                p->hw_repair_exp_hours = x;
+              }, v), huge_repair);
+  }
+  EXPECT_TRUE(site_status([](SiteProfile* p, double x) {
+                p->mttf_days = x;
+                p->hw_repair_exp_hours = x;
+                p->hw_repair_const_hours = x;
+              }, 4e306).ok());
+
   // Repeaters: finite MTTF, finite non-negative repair times.
   auto repeater_status = [&](RepeaterProfile r) {
     return SamplePath::Validate(FailureSpec(pair, four, {r}), SiteSet{0});
@@ -225,6 +246,17 @@ TEST(SamplePathTest, ValidateRejectsBadProfiles) {
     EXPECT_EQ(repeater_status(RepeaterProfile{"r", 30.0, 4.0, v}),
               bad_repeater_repair);
   }
+  for (double v : {1.7e308, 5e306}) {
+    SCOPED_TRACE(v);
+    EXPECT_EQ(repeater_status(RepeaterProfile{"r", v, 4.0, 2.0}),
+              Status::InvalidArgument(
+                  "repeater MTTF too large: its longest draw is not finite"));
+    EXPECT_EQ(repeater_status(RepeaterProfile{"r", 30.0, 4.0, v}),
+              Status::InvalidArgument("repeater repair times too large: the "
+                                      "longest repair is not finite"));
+  }
+  EXPECT_TRUE(
+      repeater_status(RepeaterProfile{"r", 4e306, 4e306, 4e306}).ok());
 }
 
 TEST(SamplePathTest, ValidateRejectsBadWindow) {
@@ -248,6 +280,14 @@ TEST(SamplePathTest, ValidateRejectsBadAccessOptions) {
   bad_rate.rate_per_day = 0.0;
   EXPECT_EQ(SamplePath::Validate(AccessSpec(bad_rate), SiteSet{0}),
             Status::InvalidArgument("access rate must be > 0"));
+  // A rate so small that the longest exponential gap overflows.
+  AccessOptions tiny_rate;
+  tiny_rate.rate_per_day = 1e-307;
+  EXPECT_EQ(SamplePath::Validate(AccessSpec(tiny_rate), SiteSet{0}),
+            Status::InvalidArgument(
+                "access rate too small: the longest gap is not finite"));
+  tiny_rate.rate_per_day = 1e-306;
+  EXPECT_TRUE(SamplePath::Validate(AccessSpec(tiny_rate), SiteSet{0}).ok());
   AccessOptions bad_write;
   bad_write.write_fraction = 1.5;
   EXPECT_EQ(SamplePath::Validate(AccessSpec(bad_write), SiteSet{0}),
@@ -270,6 +310,17 @@ TEST(SamplePathTest, ValidateRejectsBadServingOptions) {
   bad_rate.options.serving.arrival_rate_per_day = 0.0;
   EXPECT_EQ(SamplePath::Validate(bad_rate, sites),
             Status::InvalidArgument("arrival rate must be > 0"));
+  // Each arrival site's stream gets rate / sites; its longest gap must
+  // stay finite.
+  ExperimentSpec tiny_rate = spec;
+  tiny_rate.options.serving.arrival_rate_per_day = 4e-307;
+  EXPECT_TRUE(SamplePath::Validate(tiny_rate, sites).ok());
+  EXPECT_EQ(SamplePath::Validate(tiny_rate, SiteSet{0, 1, 2}),
+            Status::InvalidArgument(
+                "arrival rate too small: the longest gap is not finite"));
+  tiny_rate.options.serving.arrival_rate_per_day =
+      std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(SamplePath::Validate(tiny_rate, sites).ok());
   ExperimentSpec bad_service = spec;
   bad_service.options.serving.service_time_ms = -1.0;
   EXPECT_EQ(SamplePath::Validate(bad_service, sites),
@@ -293,7 +344,8 @@ TEST(SamplePathTest, ValidateRejectsBadServingOptions) {
 TEST(SamplePathTest, ClockStartsAtZero) {
   AccessOptions daily;
   daily.deterministic = true;
-  SamplePath path(AccessSpec(daily), SiteSet{0}, 1);
+  const ExperimentSpec spec = AccessSpec(daily);
+  SamplePath path(spec, SiteSet{0}, 1);
   EXPECT_EQ(path.now(), 0.0);
   EXPECT_EQ(path.net().LiveSites(), SiteSet{0});
   ASSERT_TRUE(path.Advance(Days(10)));
@@ -316,7 +368,8 @@ TEST(SamplePathTest, EventsAdvanceInTimeOrder) {
 TEST(SamplePathTest, EventsBeyondHorizonStayPending) {
   AccessOptions daily;
   daily.deterministic = true;
-  SamplePath path(AccessSpec(daily), SiteSet{0}, 1);
+  const ExperimentSpec spec = AccessSpec(daily);
+  SamplePath path(spec, SiteSet{0}, 1);
   EXPECT_EQ(Drive(path, 2.5).size(), 2u);
   EXPECT_FALSE(path.Advance(2.5));
   // The access at t = 3 was not lost: a later horizon reaches it.
@@ -327,7 +380,8 @@ TEST(SamplePathTest, EventsBeyondHorizonStayPending) {
 TEST(SamplePathTest, AdvanceRunsOneEvent) {
   AccessOptions daily;
   daily.deterministic = true;
-  SamplePath path(AccessSpec(daily), SiteSet{0}, 1);
+  const ExperimentSpec spec = AccessSpec(daily);
+  SamplePath path(spec, SiteSet{0}, 1);
   ASSERT_TRUE(path.Advance(2.5));
   EXPECT_EQ(path.now(), 1.0);
   EXPECT_EQ(path.Apply().kind, PathEvent::Kind::kAccess);
@@ -341,7 +395,8 @@ TEST(SamplePathTest, AdvanceRunsOneEvent) {
 TEST(SamplePathTest, EventAtExactHorizonRuns) {
   AccessOptions daily;
   daily.deterministic = true;
-  SamplePath path(AccessSpec(daily), SiteSet{0}, 1);
+  const ExperimentSpec spec = AccessSpec(daily);
+  SamplePath path(spec, SiteSet{0}, 1);
   ASSERT_TRUE(path.Advance(1.0));
   EXPECT_EQ(path.now(), 1.0);
 }
@@ -466,9 +521,10 @@ TEST(SamplePathTest, RepeaterFailuresPartition) {
   // down, so every event is a repeater flip and every other one splits
   // the network.
   std::vector<SiteProfile> profiles(4, SimpleProfile(1e9, 1.0));
-  SamplePath path(FailureSpec(testing_util::TwoPairSegments(), profiles,
-                              {RepeaterProfile{"bridge", 5.0, 0.0, 24.0}}),
-                  SiteSet{0, 1, 2, 3}, 11);
+  const ExperimentSpec spec =
+      FailureSpec(testing_util::TwoPairSegments(), profiles,
+                  {RepeaterProfile{"bridge", 5.0, 0.0, 24.0}});
+  SamplePath path(spec, SiteSet{0, 1, 2, 3}, 11);
   int partitions = 0;
   while (path.Advance(Years(2))) {
     path.Apply();
@@ -518,7 +574,8 @@ TEST(SamplePathTest, SelfReschedulingAccessStream) {
   AccessOptions options;
   options.rate_per_day = 1.0;
   options.deterministic = true;
-  SamplePath path(AccessSpec(options), SiteSet{0}, 7);
+  const ExperimentSpec spec = AccessSpec(options);
+  SamplePath path(spec, SiteSet{0}, 7);
   EXPECT_EQ(Drive(path, 10.5).size(), 10u);
   EXPECT_EQ(path.now(), 10.0);
   EXPECT_EQ(Drive(path, 20.5).size(), 10u);
@@ -615,7 +672,8 @@ TEST(SamplePathTest, DrainingYieldsTheSteppedSequence) {
 TEST(SamplePathTest, DrainingWithoutAClosedLoopStreamDoesNothing) {
   AccessOptions options;
   options.enabled = false;
-  SamplePath idle(AccessSpec(options), SiteSet{0}, 3);
+  const ExperimentSpec idle_spec = AccessSpec(options);
+  SamplePath idle(idle_spec, SiteSet{0}, 3);
   int calls = 0;
   idle.DrainAccesses(Days(100), [&](SimTime, AccessType) { ++calls; });
   ExperimentSpec serving = AccessSpec(AccessOptions{});
@@ -631,7 +689,8 @@ TEST(SamplePathTest, DisabledAccessGeneratesNothing) {
   AccessOptions options;
   options.enabled = false;
   options.rate_per_day = -5.0;  // ignored when disabled
-  SamplePath path(AccessSpec(options), SiteSet{0}, 19);
+  const ExperimentSpec spec = AccessSpec(options);
+  SamplePath path(spec, SiteSet{0}, 19);
   EXPECT_FALSE(path.Advance(Days(100)));
 }
 

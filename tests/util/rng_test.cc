@@ -40,9 +40,11 @@ TEST(RngTest, OpenLowIntervalNeverZero) {
   Rng rng(7);
   for (int i = 0; i < 10000; ++i) {
     double u = rng.NextDoubleOpenLow();
-    ASSERT_GT(u, 0.0);
+    ASSERT_GE(u, Rng::kMinOpenLow);
     ASSERT_LE(u, 1.0);
   }
+  // kMinOpenLow is 1 minus the largest NextDouble.
+  EXPECT_EQ(Rng::kMinOpenLow, 1.0 - std::nextafter(1.0, 0.0));
 }
 
 TEST(RngTest, UniformMeanAndVariance) {
