@@ -120,8 +120,10 @@ Status DynamicVoting::Access(const NetworkState& net, SiteId origin,
     return Status::NoQuorum(std::move(message));
   }
 
-  OpNumber op = store_.MaxOp(d.reachable_copies) + 1;
-  VersionNumber version = store_.MaxVersion(d.reachable_copies);
+  // o_m and v_m: m carries the maximal op number, every member of S the
+  // maximal version.
+  OpNumber op = store_.state(d.representative).op_number + 1;
+  VersionNumber version = store_.state(d.current_set.RankMax()).version;
   if (type == AccessType::kWrite) ++version;
   // COMMIT(S, o_m + 1, v_m [+1], S): the set of current sites becomes the
   // new partition set — the new majority block.
@@ -172,8 +174,8 @@ Status DynamicVoting::Recover(const NetworkState& net, SiteId site) {
     return Status::NoQuorum(name_ + ": recovery outside majority partition");
   }
 
-  OpNumber op = store_.MaxOp(d.reachable_copies) + 1;
-  VersionNumber version = store_.MaxVersion(d.reachable_copies);
+  OpNumber op = store_.state(d.representative).op_number + 1;
+  VersionNumber version = store_.state(d.current_set.RankMax()).version;
   bool needs_copy = store_.state(site).version < version &&
                     !options_.witnesses.Contains(site);
   SiteSet data_sources = d.current_set.Minus(options_.witnesses);
@@ -202,12 +204,17 @@ Status DynamicVoting::Recover(const NetworkState& net, SiteId site) {
 void DynamicVoting::ReintegrateGroup(const NetworkState& net,
                                      SiteSet group) {
   SiteSet copies = store_.CopiesAmong(group);
-  if (copies.Empty()) return;
+  // Uniform over the group: every copy already carries the maximal op
+  // number, so there is nothing stale to recover.
+  if (store_.UniformOver(copies)) return;
+  // MaxOp over the group moves only when a recover commits.
+  OpNumber max_op = store_.MaxOp(copies);
   for (SiteId s : copies) {
-    if (store_.state(s).op_number < store_.MaxOp(copies)) {
+    if (store_.state(s).op_number < max_op) {
       Status st = Recover(net, s);
       DYNVOTE_CHECK_MSG(st.ok(),
                         "reintegration inside a granted group must succeed");
+      max_op = store_.MaxOp(copies);
     }
   }
 }
@@ -258,8 +265,8 @@ void DynamicVoting::OnNetworkEvent(const NetworkState& net) {
     if (!membership_current) {
       // A state-update operation: the current sites commit the shrunken
       // (or re-grown) majority block, then stale copies reintegrate.
-      OpNumber op = store_.MaxOp(d.reachable_copies) + 1;
-      VersionNumber version = store_.MaxVersion(d.reachable_copies);
+      OpNumber op = store_.state(d.representative).op_number + 1;
+      VersionNumber version = store_.state(d.current_set.RankMax()).version;
       store_.Commit(d.current_set, op, version, d.current_set);
       counter_.Add(MessageKind::kCommit, d.current_set.Size());
       ReintegrateGroup(net, group);

@@ -39,8 +39,7 @@ int VoteWeights::WeightOf(SiteId site) const {
   return weights_[site];
 }
 
-long long VoteWeights::WeightOf(SiteSet sites) const {
-  if (weights_.empty()) return sites.Size();  // popcount fast path
+long long VoteWeights::TableWeightOf(SiteSet sites) const {
   DYNVOTE_CHECK_MSG(Covers(sites), "some site in " + sites.ToString() +
                                        " has no entry in the vote weight "
                                        "table");
@@ -86,8 +85,30 @@ QuorumDecision EvaluateDynamicQuorum(const ReplicaStore& store,
   d.reachable_copies = store.CopiesAmong(reachable);
   if (d.reachable_copies.Empty()) return d;
 
-  d.quorum_set = store.MaxOpSites(d.reachable_copies);
-  d.current_set = store.MaxVersionSites(d.reachable_copies);
+  if (store.UniformOver(d.reachable_copies)) {
+    // Every copy in R carries the last commit's (o, v): all are maximal.
+    d.quorum_set = d.reachable_copies;
+    d.current_set = d.reachable_copies;
+  } else {
+    // Q and S in one pass over R.
+    OpNumber max_op = 0;
+    VersionNumber max_version = 0;
+    for (SiteId s : d.reachable_copies) {
+      const ReplicaState& st = store.state(s);
+      if (d.quorum_set.Empty() || st.op_number > max_op) {
+        max_op = st.op_number;
+        d.quorum_set = SiteSet{s};
+      } else if (st.op_number == max_op) {
+        d.quorum_set.Add(s);
+      }
+      if (d.current_set.Empty() || st.version > max_version) {
+        max_version = st.version;
+        d.current_set = SiteSet{s};
+      } else if (st.version == max_version) {
+        d.current_set.Add(s);
+      }
+    }
+  }
   d.representative = d.quorum_set.RankMax();
   d.prev_partition = store.state(d.representative).partition_set;
 

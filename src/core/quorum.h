@@ -63,9 +63,12 @@ class VoteWeights {
   int WeightOf(SiteId site) const;
 
   /// Total weight of a set. CHECK-fails unless Covers(sites). Unit
-  /// weights reduce to a popcount; a set covering the whole table returns
-  /// the cached total without iterating.
-  long long WeightOf(SiteSet sites) const;
+  /// weights reduce to an inline popcount; a set covering the whole table
+  /// returns the cached total without iterating.
+  long long WeightOf(SiteSet sites) const {
+    if (weights_.empty()) return sites.Size();
+    return TableWeightOf(sites);
+  }
 
   /// Cached sum over the whole table. Only meaningful for non-uniform
   /// weights (a uniform table is unbounded); CHECK-fails otherwise.
@@ -75,6 +78,7 @@ class VoteWeights {
 
  private:
   explicit VoteWeights(std::vector<int> weights);
+  long long TableWeightOf(SiteSet sites) const;  // non-uniform WeightOf
   std::vector<int> weights_;  // empty = all ones
   SiteSet covered_;           // sites with an explicit entry
   long long total_ = 0;       // cached sum of weights_
@@ -132,6 +136,13 @@ struct QuorumDecision {
 ///
 /// Returns a decision with granted == false when `reachable` holds no
 /// copies.
+///
+/// Cost: when `store.UniformOver(R)` (the last commit left every copy in
+/// R with one ensemble whose P is the committed block), Q = S = R without
+/// reading a copy; otherwise Q and S come from one pass over R. Either
+/// way the decision is the one the rule defines — nothing is memoized
+/// here, and the caller may read o_m from `representative` and v_m from
+/// any member of `current_set` instead of rescanning R.
 QuorumDecision EvaluateDynamicQuorum(const ReplicaStore& store,
                                      SiteSet reachable, TieBreak tie_break,
                                      const Topology* topology = nullptr,

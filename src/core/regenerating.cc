@@ -87,8 +87,8 @@ Status RegeneratingVoting::Access(const NetworkState& net, SiteId origin,
     counter_.Add(MessageKind::kAbort, d.reachable_copies.Size());
     return Status::NoQuorum(name_ + ": " + d.ToString());
   }
-  OpNumber op = store_.MaxOp(d.reachable_copies) + 1;
-  VersionNumber version = store_.MaxVersion(d.reachable_copies);
+  OpNumber op = store_.state(d.representative).op_number + 1;
+  VersionNumber version = store_.state(d.current_set.RankMax()).version;
   if (type == AccessType::kWrite) ++version;
   store_.Commit(d.current_set, op, version, d.current_set);
   counter_.Add(MessageKind::kCommit, d.current_set.Size());
@@ -125,8 +125,8 @@ Status RegeneratingVoting::Recover(const NetworkState& net, SiteId site) {
   if (!d.granted) {
     return Status::NoQuorum(name_ + ": recovery outside majority");
   }
-  OpNumber op = store_.MaxOp(d.reachable_copies) + 1;
-  VersionNumber version = store_.MaxVersion(d.reachable_copies);
+  OpNumber op = store_.state(d.representative).op_number + 1;
+  VersionNumber version = store_.state(d.current_set.RankMax()).version;
   bool needs_copy = store_.state(site).version < version &&
                     data_copies_.Contains(site);
   if (needs_copy) counter_.Add(MessageKind::kFileCopy, 1);
@@ -212,8 +212,8 @@ void RegeneratingVoting::OnNetworkEvent(const NetworkState& net) {
     bool membership_current =
         d.current_set == d.prev_partition && reachable == d.current_set;
     if (!membership_current) {
-      OpNumber op = store_.MaxOp(d.reachable_copies) + 1;
-      VersionNumber version = store_.MaxVersion(d.reachable_copies);
+      OpNumber op = store_.state(d.representative).op_number + 1;
+      VersionNumber version = store_.state(d.current_set.RankMax()).version;
       store_.Commit(d.current_set, op, version, d.current_set);
       counter_.Add(MessageKind::kCommit, d.current_set.Size());
       ReintegrateGroup(net, group);

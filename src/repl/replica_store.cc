@@ -24,6 +24,7 @@ void ReplicaStore::Reset() {
   for (SiteId s : placement_) {
     states_[s] = ReplicaState{1, 1, placement_};
   }
+  uniform_block_ = placement_;
   ++epoch_;
 }
 
@@ -37,8 +38,9 @@ ReplicaState* ReplicaStore::mutable_state(SiteId site) {
   DYNVOTE_CHECK_MSG(placement_.Contains(site),
                     "mutated a site that holds no copy");
   // Conservative: the caller may write through the pointer, so every
-  // handout invalidates memoized decisions.
+  // handout invalidates memoized decisions and the uniform block.
   ++epoch_;
+  uniform_block_ = SiteSet();
   return &states_[site];
 }
 
@@ -56,17 +58,6 @@ VersionNumber ReplicaStore::MaxVersion(SiteSet among) const {
   VersionNumber best = 0;
   for (SiteId s : copies) best = std::max(best, states_[s].version);
   return best;
-}
-
-SiteSet ReplicaStore::MaxOpSites(SiteSet among) const {
-  SiteSet copies = CopiesAmong(among);
-  if (copies.Empty()) return SiteSet();
-  OpNumber best = MaxOp(copies);
-  SiteSet out;
-  for (SiteId s : copies) {
-    if (states_[s].op_number == best) out.Add(s);
-  }
-  return out;
 }
 
 SiteSet ReplicaStore::MaxVersionSites(SiteSet among) const {
@@ -102,9 +93,11 @@ void ReplicaStore::AppendCanonicalSignature(std::string* out) const {
 
 void ReplicaStore::Commit(SiteSet participants, OpNumber op,
                           VersionNumber version, SiteSet new_partition_set) {
-  for (SiteId s : CopiesAmong(participants)) {
+  const SiteSet copies = CopiesAmong(participants);
+  for (SiteId s : copies) {
     states_[s] = ReplicaState{op, version, new_partition_set};
   }
+  uniform_block_ = new_partition_set == copies ? copies : SiteSet();
   ++epoch_;
 }
 

@@ -25,7 +25,8 @@ class ReplicaStore {
   /// paper's initial state: o = v = 1, partition set = placement.
   static Result<ReplicaStore> Make(SiteSet placement);
 
-  /// Returns every copy to the initial state.
+  /// Returns every copy to the initial state, which is uniform over the
+  /// placement.
   void Reset();
 
   SiteSet placement() const { return placement_; }
@@ -39,7 +40,20 @@ class ReplicaStore {
 
   /// State of the copy at `site`; `site` must be in placement().
   const ReplicaState& state(SiteId site) const;
+  /// Also forgets the uniform block: the caller may write anything.
   ReplicaState* mutable_state(SiteId site);
+
+  /// True iff every copy in `copies` (a subset of the placement) carries
+  /// the ensemble the last mutation installed with P equal to the block it
+  /// wrote: Reset (block = placement) or a Commit whose new partition set
+  /// is exactly its participating copies. Over such a group the quorum
+  /// test needs no scan: Q = S = `copies` and P_m is the block. Commits
+  /// that install any other partition set, and mutable_state handouts,
+  /// leave no block, so this is false for any non-empty `copies` until
+  /// the next qualifying mutation. Vacuously true for an empty set.
+  bool UniformOver(SiteSet copies) const {
+    return copies.IsSubsetOf(uniform_block_);
+  }
 
   /// Restricts `sites` to sites actually holding copies.
   SiteSet CopiesAmong(SiteSet sites) const {
@@ -53,16 +67,14 @@ class ReplicaStore {
   /// Maximum version among copies in `among` (∩ placement).
   VersionNumber MaxVersion(SiteSet among) const;
 
-  /// Q of the paper: copies in `among` whose operation number equals the
-  /// maximum over `among`. Empty iff `among` holds no copies.
-  SiteSet MaxOpSites(SiteSet among) const;
-
   /// S of the paper: copies in `among` whose version equals the maximum
   /// over `among`. Empty iff `among` holds no copies.
   SiteSet MaxVersionSites(SiteSet among) const;
 
   /// COMMIT of the paper: installs `op`/`version`/`new_partition_set` at
-  /// every copy in `participants` (∩ placement).
+  /// every copy in `participants` (∩ placement). Algorithm 1's commits
+  /// install P = the participating copies, which leaves the store
+  /// UniformOver them.
   void Commit(SiteSet participants, OpNumber op, VersionNumber version,
               SiteSet new_partition_set);
 
@@ -81,6 +93,7 @@ class ReplicaStore {
   SiteSet placement_;
   std::vector<ReplicaState> states_;  // indexed by SiteId, dense to max id
   std::uint64_t epoch_ = 0;
+  SiteSet uniform_block_;  // see UniformOver()
 };
 
 }  // namespace dynvote

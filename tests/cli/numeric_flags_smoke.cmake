@@ -4,6 +4,8 @@
 #     (exit 2) whose message names the flag — never an uncaught
 #     exception, and never a silently truncated number ("--reps=2abc" is
 #     not 2);
+#   - a rate inside its bound whose longest draw overflows is refused
+#     with exit 2 by simulate, repeat and serve alike;
 #   - a flag the subcommand does not read, and a positional argument the
 #     subcommand does not take, are usage errors naming the subcommand;
 #   - an unknown subcommand exits 3 before any flag is looked at;
@@ -106,6 +108,16 @@ expect_out_of_range(serve --arrival-rate= 0 -1)
 expect_out_of_range(serve --service-time= -0.5)
 expect_out_of_range(serve --msg-cost= -1)
 expect_out_of_range(serve --write-fraction= -0.1 1.5 nan)
+
+# A rate inside its bound whose longest exponential gap still overflows
+# is refused by the sample path's validation: exit 2 from every command
+# that runs one, before any run starts.
+expect_rejected(2 "access rate too small"
+                simulate --sites=1,2,3 --years=1 --rate=1e-307)
+expect_rejected(2 "access rate too small"
+                repeat --sites=1,2,3 --years=1 --reps=1 --rate=1e-307)
+expect_rejected(2 "arrival rate too small"
+                serve --config=A --years=1 --arrival-rate=1e-307)
 
 # Flags a subcommand does not read are rejected, naming both.
 expect_rejected(2 "simulate does not accept --depth"

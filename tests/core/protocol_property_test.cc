@@ -127,7 +127,11 @@ TEST_P(ProtocolPropertyTest, InvariantsUnderRandomHistories) {
       // fork hazard (see topological_unsoundness_test.cc) can produce two
       // lineages at equal operation numbers.
       if (p.partition_safe()) {
-        SiteSet heads = dv->store().MaxOpSites(dv->placement());
+        const OpNumber head_op = dv->store().MaxOp(dv->placement());
+        SiteSet heads;
+        for (SiteId s : dv->placement()) {
+          if (dv->store().state(s).op_number == head_op) heads.Add(s);
+        }
         SiteSet head_p = dv->store().state(heads.RankMax()).partition_set;
         for (SiteId s : heads) {
           ASSERT_EQ(dv->store().state(s).partition_set, head_p)

@@ -53,19 +53,83 @@ TEST(ReplicaStoreTest, MaxQueries) {
 
   EXPECT_EQ(store.MaxOp(SiteSet{0, 1, 2}), 7);
   EXPECT_EQ(store.MaxVersion(SiteSet{0, 1, 2}), 3);
-  EXPECT_EQ(store.MaxOpSites(SiteSet{0, 1, 2}), SiteSet{1});
   EXPECT_EQ(store.MaxVersionSites(SiteSet{0, 1, 2}), SiteSet{0});
 
   // Restricted to a subset, the maxima are over that subset only.
   EXPECT_EQ(store.MaxOp(SiteSet{0, 2}), 5);
-  EXPECT_EQ(store.MaxOpSites(SiteSet{0, 2}), SiteSet{0});
   EXPECT_EQ(store.MaxVersionSites(SiteSet{1, 2}), SiteSet{1});
   EXPECT_EQ(store.MaxVersion(SiteSet{1, 2}), 2);
 }
 
-TEST(ReplicaStoreTest, MaxOpSitesWithTies) {
+// The initial state is one ensemble everywhere: every copy ties on the
+// maximal (o, v), which the uniform block records.
+TEST(ReplicaStoreTest, FreshStoreIsUniformOverThePlacement) {
   ReplicaStore store = MustMake(SiteSet{0, 1, 2});
-  EXPECT_EQ(store.MaxOpSites(SiteSet{0, 1, 2}), (SiteSet{0, 1, 2}));
+  EXPECT_TRUE(store.UniformOver(SiteSet{0, 1, 2}));
+  EXPECT_TRUE(store.UniformOver(SiteSet{1}));
+  for (SiteId s : SiteSet{0, 1, 2}) {
+    EXPECT_EQ(store.state(s).op_number, store.MaxOp(SiteSet{0, 1, 2}));
+  }
+}
+
+TEST(ReplicaStoreTest, UniformOverTheEmptySetIsVacuous) {
+  ReplicaStore store = MustMake(SiteSet{0, 1, 2});
+  (void)store.mutable_state(0);
+  EXPECT_TRUE(store.UniformOver(SiteSet()));
+}
+
+TEST(ReplicaStoreTest, CommitWithPEqualToItsCopiesLeavesThatBlockUniform) {
+  ReplicaStore store = MustMake(SiteSet{0, 1, 2});
+  // Site 5 holds no copy, so the block is {0, 2}: P = X of Algorithm 1.
+  store.Commit(SiteSet{0, 2, 5}, 4, 2, SiteSet{0, 2});
+  EXPECT_TRUE(store.UniformOver(SiteSet{0, 2}));
+  EXPECT_TRUE(store.UniformOver(SiteSet{2}));
+  EXPECT_FALSE(store.UniformOver(SiteSet{0, 1}));
+  EXPECT_FALSE(store.UniformOver(SiteSet{0, 1, 2}));
+}
+
+TEST(ReplicaStoreTest, CommitWithAnyOtherPartitionSetLeavesNoBlock) {
+  ReplicaStore store = MustMake(SiteSet{0, 1, 2});
+  store.Commit(SiteSet{0, 1}, 2, 2, SiteSet{0});
+  EXPECT_FALSE(store.UniformOver(SiteSet{0}));
+  EXPECT_FALSE(store.UniformOver(SiteSet{0, 1}));
+  store.Commit(SiteSet{0, 1}, 3, 3, SiteSet{0, 1});
+  EXPECT_TRUE(store.UniformOver(SiteSet{0, 1}));
+  // P naming a non-copy is not the participating block either.
+  store.Commit(SiteSet{0, 1}, 4, 4, SiteSet{0, 1, 5});
+  EXPECT_FALSE(store.UniformOver(SiteSet{0, 1}));
+}
+
+TEST(ReplicaStoreTest, ResetRestoresTheUniformBlock) {
+  ReplicaStore store = MustMake(SiteSet{0, 1, 2});
+  store.Commit(SiteSet{0, 1}, 2, 2, SiteSet{0});
+  ASSERT_FALSE(store.UniformOver(SiteSet{0, 1, 2}));
+  store.Reset();
+  EXPECT_TRUE(store.UniformOver(SiteSet{0, 1, 2}));
+}
+
+TEST(ReplicaStoreTest, MutableStateHandoutClearsTheBlock) {
+  ReplicaStore store = MustMake(SiteSet{0, 1, 2});
+  // Conservative, like the epoch: a handout counts as a write even when
+  // the caller writes nothing.
+  (void)store.mutable_state(1);
+  EXPECT_FALSE(store.UniformOver(SiteSet{0}));
+  EXPECT_FALSE(store.UniformOver(SiteSet{0, 1, 2}));
+}
+
+TEST(ReplicaStoreTest, CopyAssignCarriesTheBlock) {
+  ReplicaStore a = MustMake(SiteSet{0, 1, 2});
+  a.Commit(SiteSet{0, 1}, 2, 2, SiteSet{0, 1});
+  ReplicaStore b = MustMake(SiteSet{0, 1, 2});
+  b = a;
+  EXPECT_TRUE(b.UniformOver(SiteSet{0, 1}));
+  EXPECT_FALSE(b.UniformOver(SiteSet{0, 1, 2}));
+  // The copies are independent: clearing one leaves the other.
+  (void)b.mutable_state(0);
+  EXPECT_FALSE(b.UniformOver(SiteSet{0, 1}));
+  EXPECT_TRUE(a.UniformOver(SiteSet{0, 1}));
+  a = b;
+  EXPECT_FALSE(a.UniformOver(SiteSet{0, 1}));
 }
 
 TEST(ReplicaStoreTest, CommitInstallsEnsembleAtParticipants) {

@@ -808,6 +808,24 @@ int Serve(const Options& opt) {
   const ExperimentOptions options =
       FlagExperimentOptions(opt, years, /*force_serving=*/true);
 
+  // Serving options the sample path cannot run (an arrival rate whose
+  // longest gap overflows) are refused before any configuration runs, as
+  // in simulate and repeat. An unknown letter is left to the run below.
+  auto paper = MakePaperNetwork();
+  if (!paper.ok()) {
+    std::cerr << paper.status() << "\n";
+    return 1;
+  }
+  Experiment served;
+  served.spec.topology = paper->topology;
+  served.spec.profiles = paper->profiles;
+  served.spec.options = options;
+  for (const PaperConfiguration& c : PaperConfigurations()) {
+    if (opt.config.find(c.label) == std::string::npos) continue;
+    served.placement = c.placement;
+    if (int rc = RejectUnrunnable(served); rc != 0) return rc;
+  }
+
   ReplicationOptions replication;
   replication.replications = opt.reps >= 1 ? opt.reps : 1;
   replication.jobs = opt.jobs >= 0 ? opt.jobs : 1;
