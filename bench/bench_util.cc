@@ -75,6 +75,8 @@ double ParseDoubleFlag(const std::string& flag, const std::string& value) {
   return ValueOrExit(flag, ParseDouble(value));
 }
 
+std::string FormatDouble(double value) { return TextTable::Fixed(value, 3); }
+
 void RejectUnknownFlag(const std::string& arg) {
   FlagError("unknown flag " + arg);
 }

@@ -144,6 +144,10 @@ BenchArgs ParseArgs(int argc, char** argv);
 /// bad value.
 double ParseDoubleFlag(const std::string& flag, const std::string& value);
 
+/// `value` fixed-point with three decimals, the number format of the
+/// hotpath and check records and of the bench console lines.
+std::string FormatDouble(double value);
+
 /// Prints "unknown flag <arg>" and exits 2.
 [[noreturn]] void RejectUnknownFlag(const std::string& arg);
 

@@ -59,6 +59,8 @@
 namespace dynvote {
 namespace {
 
+using bench::FormatDouble;
+
 check::CheckReport MustCheck(const check::CheckOptions& options) {
   auto report = check::RunCheck(options);
   if (!report.ok()) {
@@ -301,13 +303,6 @@ void BenchMemory(std::vector<MemoryEntry>* out) {
 // ---------------------------------------------------------------------
 // Output
 // ---------------------------------------------------------------------
-
-std::string FormatDouble(double value) {
-  std::ostringstream os;
-  os.precision(3);
-  os << std::fixed << value;
-  return os.str();
-}
 
 std::string ToJson(const std::vector<SpeedupEntry>& speedups,
                    const std::vector<PorEntry>& por,

@@ -58,6 +58,8 @@
 namespace dynvote {
 namespace {
 
+using bench::FormatDouble;
+
 // ---------------------------------------------------------------------
 // Harness
 // ---------------------------------------------------------------------
@@ -487,13 +489,6 @@ void BenchTracingOverhead(double min_ms, std::vector<BenchEntry>* out) {
 // ---------------------------------------------------------------------
 // Output
 // ---------------------------------------------------------------------
-
-std::string FormatDouble(double value) {
-  std::ostringstream os;
-  os.precision(3);
-  os << std::fixed << value;
-  return os.str();
-}
 
 std::string ToJson(const std::vector<BenchEntry>& entries) {
   std::ostringstream os;

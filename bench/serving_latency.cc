@@ -10,16 +10,22 @@
 //     "unit": "ms",
 //     "configs": [
 //       {"config": "A", "policies": [
-//         {"name": "MCV", "served": N, "rejected": N,
+//         {"name": "MCV", "served": N, "rejected": N, "granted": N,
+//          "denied": N, "access_messages": N, "refresh_messages": N,
 //          "msgs_per_access": X,
 //          "latency_ms": {"p50": X, "p90": X, "p99": X, "p999": X,
-//                         "max": X}}, ...]},
+//                         "max": X},
+//          "queue_depth_max": X}, ...]},
 //       ...
 //     ],
 //     "overhead": {"name": "serving_metrics_overhead",
-//                  "metrics_on_ns_per_op": N,
-//                  "metrics_off_ns_per_op": N, "ratio": N}
+//                  "metrics_on_ns_per_op": X,
+//                  "metrics_off_ns_per_op": X, "ratio": X}
 //   }
+//
+// The policy rows are `dynvote serve --json`'s (ReadServingRow and
+// AppendServingRowJson in model/open_loop.h), numbers at 17 significant
+// digits.
 //
 // The overhead entry measures a full serving experiment with metrics
 // collection on vs. off in alternating paired rounds (bench_util.h), so
@@ -30,7 +36,6 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -41,6 +46,7 @@
 #include "model/site_profile.h"
 #include "obs/context.h"
 #include "obs/metrics.h"
+#include "util/append.h"
 
 namespace dynvote {
 namespace {
@@ -102,82 +108,38 @@ void RunServing(char config, double measured_days, std::uint64_t seed,
   }
 }
 
-std::uint64_t Counter(const MetricsShard& metrics, const std::string& key) {
-  auto it = metrics.counters().find(key);
-  return it == metrics.counters().end() ? 0 : it->second;
-}
-
-/// Access-phase control messages for one protocol (file copies are data
-/// plane and excluded, matching MessageCounter::ControlTotal).
-std::uint64_t AccessMessages(const MetricsShard& metrics,
-                             const std::string& protocol) {
-  std::uint64_t total = 0;
-  for (int k = 0; k < kNumMessageKinds; ++k) {
-    auto kind = static_cast<MessageKind>(k);
-    if (kind == MessageKind::kFileCopy) continue;
-    total += Counter(metrics,
-                     MetricKey("serving_messages",
-                               "kind=" + MessageKindName(kind) +
-                                   ",phase=access,protocol=" + protocol));
-  }
-  return total;
-}
-
-std::string FormatDouble(double value) {
-  std::ostringstream os;
-  os.precision(3);
-  os << std::fixed << value;
-  return os.str();
-}
-
 /// The A-H serving tables: one deterministic run per placement, decoded
-/// from the metrics shard into JSON rows (and a console table).
+/// into the rows `dynvote serve --json` writes (and a console line per
+/// protocol).
 std::string ConfigsJson() {
-  std::ostringstream os;
-  os << "  \"configs\": [\n";
+  std::string json = "  \"configs\": [";
   const std::string configs = "ABCDEFGH";
-  for (std::size_t c = 0; c < configs.size(); ++c) {
-    const char config = configs[c];
+  for (char config : configs) {
     MetricsShard shard;
     RunServing(config, /*measured_days=*/180.0, /*seed=*/20260704, &shard);
-    os << "    {\"config\": \"" << config << "\", \"policies\": [\n";
+    json.append(config == configs.front() ? "\n    {" : ",\n    {");
+    json.append("\"config\": \"");
+    json.push_back(config);
+    json.append("\", \"policies\": [");
     std::cout << "configuration " << config << ":\n";
-    const std::vector<std::string> names = PaperProtocolNames();
-    for (std::size_t p = 0; p < names.size(); ++p) {
-      const std::string& name = names[p];
-      const std::string label = "protocol=" + name;
-      const std::uint64_t arrivals =
-          Counter(shard, MetricKey("serving_arrivals", label));
-      const std::uint64_t rejected =
-          Counter(shard, MetricKey("serving_rejected", label));
-      const std::uint64_t served = arrivals - rejected;
-      HistogramData latency;
-      auto hist =
-          shard.histograms().find(MetricKey("serving_latency_ms", label));
-      if (hist != shard.histograms().end()) latency = hist->second;
-      const double msgs_per_access =
-          served > 0 ? static_cast<double>(AccessMessages(shard, name)) /
-                           static_cast<double>(served)
-                     : 0.0;
-      const double p50 = latency.Quantile(0.50);
-      const double p99 = latency.Quantile(0.99);
-      std::cout << "  " << name << ": " << FormatDouble(msgs_per_access)
-                << " msgs/access, p50 " << FormatDouble(p50) << " ms, p99 "
-                << FormatDouble(p99) << " ms\n";
-      os << "      {\"name\": \"" << name << "\", \"served\": " << served
-         << ", \"rejected\": " << rejected
-         << ", \"msgs_per_access\": " << FormatDouble(msgs_per_access)
-         << ", \"latency_ms\": {\"p50\": " << FormatDouble(p50)
-         << ", \"p90\": " << FormatDouble(latency.Quantile(0.90))
-         << ", \"p99\": " << FormatDouble(p99)
-         << ", \"p999\": " << FormatDouble(latency.Quantile(0.999))
-         << ", \"max\": " << FormatDouble(latency.max) << "}}"
-         << (p + 1 < names.size() ? "," : "") << "\n";
+    bool first_policy = true;
+    for (const std::string& name : PaperProtocolNames()) {
+      const ServingRow row = ReadServingRow(shard, name);
+      std::cout << "  " << name << ": "
+                << bench::FormatDouble(row.msgs_per_access)
+                << " msgs/access, p50 "
+                << bench::FormatDouble(row.latency_ms.Quantile(0.50))
+                << " ms, p99 "
+                << bench::FormatDouble(row.latency_ms.Quantile(0.99))
+                << " ms\n";
+      json.append(first_policy ? "\n      " : ",\n      ");
+      first_policy = false;
+      AppendServingRowJson(row, &json);
     }
-    os << "    ]}" << (c + 1 < configs.size() ? "," : "") << "\n";
+    json.append("\n    ]}");
   }
-  os << "  ],\n";
-  return os.str();
+  json.append("\n  ],\n");
+  return json;
 }
 
 /// The gated pair: a serving experiment with metrics collection on vs.
@@ -196,15 +158,19 @@ std::string OverheadJson(double min_ms) {
       [&](std::uint64_t n) { run(false, n); });
   const double ratio = on_r.ns_per_op / off_r.ns_per_op;
   std::cout << "serving_metrics_overhead: on "
-            << FormatDouble(on_r.ns_per_op / 1e6) << " ms/run, off "
-            << FormatDouble(off_r.ns_per_op / 1e6) << " ms/run, ratio "
-            << FormatDouble(ratio) << "x\n";
-  std::ostringstream os;
-  os << "  \"overhead\": {\"name\": \"serving_metrics_overhead\", "
-     << "\"metrics_on_ns_per_op\": " << FormatDouble(on_r.ns_per_op)
-     << ", \"metrics_off_ns_per_op\": " << FormatDouble(off_r.ns_per_op)
-     << ", \"ratio\": " << FormatDouble(ratio) << "}\n";
-  return os.str();
+            << bench::FormatDouble(on_r.ns_per_op / 1e6) << " ms/run, off "
+            << bench::FormatDouble(off_r.ns_per_op / 1e6) << " ms/run, ratio "
+            << bench::FormatDouble(ratio) << "x\n";
+  std::string json =
+      "  \"overhead\": {\"name\": \"serving_metrics_overhead\", "
+      "\"metrics_on_ns_per_op\": ";
+  AppendDouble(on_r.ns_per_op, &json);
+  json.append(", \"metrics_off_ns_per_op\": ");
+  AppendDouble(off_r.ns_per_op, &json);
+  json.append(", \"ratio\": ");
+  AppendDouble(ratio, &json);
+  json.append("}\n");
+  return json;
 }
 
 int Main(int argc, char** argv) {

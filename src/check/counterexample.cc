@@ -4,22 +4,11 @@
 
 #include "check/topologies.h"
 #include "obs/trace_reader.h"
+#include "util/append.h"
 #include "util/parse_number.h"
 
 namespace dynvote {
 namespace check {
-namespace {
-
-/// Minimal JSON string escaping for the fields we emit (details carry
-/// quotes from SiteSet::ToString and Status messages).
-void AppendEscaped(const std::string& in, std::string* out) {
-  for (char c : in) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-}
-
-}  // namespace
 
 std::string CounterExampleToJson(const CounterExample& ce) {
   std::string out = "{\n";
@@ -28,9 +17,11 @@ std::string CounterExampleToJson(const CounterExample& ce) {
     out += "  \"";
     out += key;
     out += "\": ";
-    if (quoted) out.push_back('"');
-    AppendEscaped(value, &out);
-    if (quoted) out.push_back('"');
+    if (quoted) {
+      AppendJsonString(value, &out);
+    } else {
+      out += value;
+    }
     out += ",\n";
   };
   field("schema", kCounterExampleSchema, true);

@@ -1,143 +1,162 @@
 #include "model/export.h"
 
 #include <fstream>
-#include <iomanip>
-#include <sstream>
+#include <string_view>
+#include <type_traits>
+
+#include "util/append.h"
 
 namespace dynvote {
 
 namespace {
 
-void AppendFields(std::ostringstream& os, const LabeledResult& row,
-                  const char* sep, bool quote_strings) {
-  auto str = [&](const std::string& s) {
-    return quote_strings ? "\"" + s + "\"" : s;
-  };
-  os << str(row.label) << sep << str(row.result.name) << sep
-     << std::setprecision(9) << row.result.unavailability << sep
-     << row.result.stats.ci95_halfwidth << sep
-     << row.result.mean_unavailable_duration << sep
-     << row.result.num_unavailable_periods << sep
-     << row.result.accesses_attempted << sep
-     << row.result.accesses_granted << sep << row.result.messages.Total()
-     << sep << row.result.messages.ControlTotal() << sep
-     << row.result.messages.count(MessageKind::kFileCopy) << sep
-     << row.result.dual_majority_instants << sep
-     << row.result.measured_time;
+/// Appends `field` as one CSV field, quoted with inner quotes doubled when
+/// it holds a comma, a quote or a line break (RFC 4180), so a multi-site
+/// label such as `1,3,5` stays one column.
+void AppendCsvField(std::string_view field, std::string* out) {
+  if (field.find_first_of(",\"\r\n") == std::string_view::npos) {
+    out->append(field);
+    return;
+  }
+  out->push_back('"');
+  for (char c : field) {
+    if (c == '"') out->push_back('"');
+    out->push_back(c);
+  }
+  out->push_back('"');
+}
+
+/// Appends `, "key": value`, a double at 17 significant digits (round-trip
+/// exact: this is the byte-identical determinism surface).
+template <typename Number>
+void AppendField(std::string_view key, Number value, std::string* out) {
+  out->append(", \"");
+  out->append(key);
+  out->append("\": ");
+  if constexpr (std::is_floating_point_v<Number>) {
+    AppendDouble(value, out);
+  } else {
+    AppendDecimal(value, out);
+  }
+}
+
+/// The fields every replicated row ends with.
+void AppendTrafficFields(std::uint64_t attempted, std::uint64_t granted,
+                         const MessageCounter& messages,
+                         std::uint64_t dual_majorities, double measured_days,
+                         std::string* out) {
+  AppendField("accesses_attempted", attempted, out);
+  AppendField("accesses_granted", granted, out);
+  AppendField("messages_total", messages.Total(), out);
+  AppendField("messages_control", messages.ControlTotal(), out);
+  AppendField("file_copies", messages.count(MessageKind::kFileCopy), out);
+  AppendField("dual_majorities", dual_majorities, out);
+  AppendField("measured_days", measured_days, out);
+  out->push_back('}');
+}
+
+void AppendSummary(std::string_view key, const ReplicationSummary& s,
+                   std::string* out) {
+  out->append(", \"");
+  out->append(key);
+  out->append("\": {\"mean\": ");
+  AppendDouble(s.mean, out);
+  AppendField("stddev", s.stddev, out);
+  AppendField("ci95", s.ci95_halfwidth, out);
+  AppendField("min", s.min, out);
+  AppendField("max", s.max, out);
+  AppendField("samples", s.num_samples, out);
+  AppendField("censored", s.num_censored, out);
+  out->push_back('}');
 }
 
 }  // namespace
 
 std::string ResultsToCsv(const std::vector<LabeledResult>& results) {
-  std::ostringstream os;
-  os << "label,policy,unavailability,ci95,mean_outage_days,num_outages,"
-        "accesses_attempted,accesses_granted,messages_total,"
-        "messages_control,file_copies,dual_majorities,measured_days\n";
+  std::string out =
+      "label,policy,unavailability,ci95,mean_outage_days,num_outages,"
+      "accesses_attempted,accesses_granted,messages_total,"
+      "messages_control,file_copies,dual_majorities,measured_days\n";
   for (const LabeledResult& row : results) {
-    AppendFields(os, row, ",", /*quote_strings=*/false);
-    os << "\n";
+    const PolicyResult& r = row.result;
+    AppendCsvField(row.label, &out);
+    out.push_back(',');
+    AppendCsvField(r.name, &out);
+    // Doubles at nine significant digits, integers in decimal.
+    for (double value : {r.unavailability, r.stats.ci95_halfwidth,
+                         r.mean_unavailable_duration}) {
+      out.push_back(',');
+      AppendDouble(value, &out, 9);
+    }
+    for (std::uint64_t count :
+         {static_cast<std::uint64_t>(r.num_unavailable_periods),
+          r.accesses_attempted, r.accesses_granted, r.messages.Total(),
+          r.messages.ControlTotal(), r.messages.count(MessageKind::kFileCopy),
+          r.dual_majority_instants}) {
+      out.push_back(',');
+      AppendDecimal(count, &out);
+    }
+    out.push_back(',');
+    AppendDouble(r.measured_time, &out, 9);
+    out.push_back('\n');
   }
-  return os.str();
+  return out;
 }
-
-std::string ResultsToJson(const std::vector<LabeledResult>& results) {
-  std::ostringstream os;
-  os << "[\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const LabeledResult& row = results[i];
-    os << "  {\"label\": \"" << row.label << "\", \"policy\": \""
-       << row.result.name << "\", \"unavailability\": "
-       << std::setprecision(9) << row.result.unavailability
-       << ", \"ci95\": " << row.result.stats.ci95_halfwidth
-       << ", \"mean_outage_days\": "
-       << row.result.mean_unavailable_duration
-       << ", \"num_outages\": " << row.result.num_unavailable_periods
-       << ", \"accesses_attempted\": " << row.result.accesses_attempted
-       << ", \"accesses_granted\": " << row.result.accesses_granted
-       << ", \"messages_total\": " << row.result.messages.Total()
-       << ", \"messages_control\": " << row.result.messages.ControlTotal()
-       << ", \"file_copies\": "
-       << row.result.messages.count(MessageKind::kFileCopy)
-       << ", \"dual_majorities\": " << row.result.dual_majority_instants
-       << ", \"measured_days\": " << row.result.measured_time << "}"
-       << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  os << "]\n";
-  return os.str();
-}
-
-namespace {
-
-void AppendSummary(std::ostringstream& os, const char* key,
-                   const ReplicationSummary& s) {
-  os << "\"" << key << "\": {\"mean\": " << s.mean
-     << ", \"stddev\": " << s.stddev
-     << ", \"ci95\": " << s.ci95_halfwidth << ", \"min\": " << s.min
-     << ", \"max\": " << s.max << ", \"samples\": " << s.num_samples
-     << ", \"censored\": " << s.num_censored << "}";
-}
-
-}  // namespace
 
 std::string ReplicatedResultsToJson(const std::string& label,
                                     const ReplicatedResults& results) {
-  std::ostringstream os;
-  os << std::setprecision(17);  // round-trip exact: this is the byte-
-                                // identical determinism surface
-  os << "{\n  \"label\": \"" << label << "\",\n  \"seeds\": [";
+  std::string out;
+  out.reserve(512 + 400 * results.seeds.size() *
+                        (results.aggregate.size() + 1));
+  out.append("{\n  \"label\": ");
+  AppendJsonString(label, &out);
+  out.append(",\n  \"seeds\": [");
   for (std::size_t r = 0; r < results.seeds.size(); ++r) {
-    os << (r > 0 ? ", " : "") << results.seeds[r];
+    if (r > 0) out.append(", ");
+    AppendDecimal(results.seeds[r], &out);
   }
-  os << "],\n  \"replications\": [\n";
+  out.append("],\n  \"replications\": [\n");
   for (std::size_t r = 0; r < results.per_replication.size(); ++r) {
     const std::vector<PolicyResult>& rows = results.per_replication[r];
     for (std::size_t p = 0; p < rows.size(); ++p) {
       const PolicyResult& row = rows[p];
-      os << "    {\"replication\": " << r << ", \"seed\": "
-         << results.seeds[r] << ", \"policy\": \"" << row.name
-         << "\", \"unavailability\": " << row.unavailability
-         << ", \"ci95\": " << row.stats.ci95_halfwidth
-         << ", \"mean_outage_days\": " << row.mean_unavailable_duration
-         << ", \"num_outages\": " << row.num_unavailable_periods
-         << ", \"time_to_first_outage\": " << row.time_to_first_outage
-         << ", \"accesses_attempted\": " << row.accesses_attempted
-         << ", \"accesses_granted\": " << row.accesses_granted
-         << ", \"messages_total\": " << row.messages.Total()
-         << ", \"messages_control\": " << row.messages.ControlTotal()
-         << ", \"file_copies\": "
-         << row.messages.count(MessageKind::kFileCopy)
-         << ", \"dual_majorities\": " << row.dual_majority_instants
-         << ", \"measured_days\": " << row.measured_time << "}";
-      bool last = r + 1 == results.per_replication.size() &&
-                  p + 1 == rows.size();
-      os << (last ? "" : ",") << "\n";
+      out.append("    {\"replication\": ");
+      AppendDecimal(r, &out);
+      AppendField("seed", results.seeds[r], &out);
+      out.append(", \"policy\": ");
+      AppendJsonString(row.name, &out);
+      AppendField("unavailability", row.unavailability, &out);
+      AppendField("ci95", row.stats.ci95_halfwidth, &out);
+      AppendField("mean_outage_days", row.mean_unavailable_duration, &out);
+      AppendField("num_outages", row.num_unavailable_periods, &out);
+      AppendField("time_to_first_outage", row.time_to_first_outage, &out);
+      AppendTrafficFields(row.accesses_attempted, row.accesses_granted,
+                          row.messages, row.dual_majority_instants,
+                          row.measured_time, &out);
+      const bool last = r + 1 == results.per_replication.size() &&
+                        p + 1 == rows.size();
+      out.append(last ? "\n" : ",\n");
     }
   }
-  os << "  ],\n  \"aggregate\": [\n";
+  out.append("  ],\n  \"aggregate\": [\n");
   for (std::size_t p = 0; p < results.aggregate.size(); ++p) {
     const AggregatePolicyResult& agg = results.aggregate[p];
-    os << "    {\"policy\": \"" << agg.name
-       << "\", \"replications\": " << agg.replications << ", ";
-    AppendSummary(os, "unavailability", agg.unavailability);
-    os << ", ";
-    AppendSummary(os, "mean_outage_days", agg.mean_outage_duration);
-    os << ", ";
-    AppendSummary(os, "time_to_first_outage", agg.time_to_first_outage);
-    os << ", \"replications_with_outages\": "
-       << agg.replications_with_outages
-       << ", \"num_outages\": " << agg.num_unavailable_periods
-       << ", \"accesses_attempted\": " << agg.accesses_attempted
-       << ", \"accesses_granted\": " << agg.accesses_granted
-       << ", \"messages_total\": " << agg.messages.Total()
-       << ", \"messages_control\": " << agg.messages.ControlTotal()
-       << ", \"file_copies\": "
-       << agg.messages.count(MessageKind::kFileCopy)
-       << ", \"dual_majorities\": " << agg.dual_majority_instants
-       << ", \"measured_days\": " << agg.measured_days << "}"
-       << (p + 1 < results.aggregate.size() ? "," : "") << "\n";
+    out.append("    {\"policy\": ");
+    AppendJsonString(agg.name, &out);
+    AppendField("replications", agg.replications, &out);
+    AppendSummary("unavailability", agg.unavailability, &out);
+    AppendSummary("mean_outage_days", agg.mean_outage_duration, &out);
+    AppendSummary("time_to_first_outage", agg.time_to_first_outage, &out);
+    AppendField("replications_with_outages", agg.replications_with_outages,
+                &out);
+    AppendField("num_outages", agg.num_unavailable_periods, &out);
+    AppendTrafficFields(agg.accesses_attempted, agg.accesses_granted,
+                        agg.messages, agg.dual_majority_instants,
+                        agg.measured_days, &out);
+    out.append(p + 1 < results.aggregate.size() ? ",\n" : "\n");
   }
-  os << "  ]\n}\n";
-  return os.str();
+  out.append("  ]\n}\n");
+  return out;
 }
 
 Status WriteFile(const std::string& path, const std::string& contents) {

@@ -1,5 +1,6 @@
-// Machine-readable export of experiment results (CSV and a small JSON
-// emitter), so bench output can feed plotting pipelines directly.
+// Machine-readable export of experiment results (CSV for grids, JSON for
+// replicated runs), so bench output can feed plotting pipelines directly.
+// Numbers and strings render through util/append.h.
 
 #pragma once
 
@@ -23,10 +24,9 @@ struct LabeledResult {
 /// label,policy,unavailability,ci95,mean_outage_days,num_outages,
 /// accesses_attempted,accesses_granted,messages_total,messages_control,
 /// file_copies,dual_majorities,measured_days
+/// Doubles carry nine significant digits. A label or policy name holding
+/// a comma, quote or line break is quoted (RFC 4180).
 std::string ResultsToCsv(const std::vector<LabeledResult>& results);
-
-/// JSON array of objects with the same fields.
-std::string ResultsToJson(const std::vector<LabeledResult>& results);
 
 /// JSON object for a replicated run: the per-replication seeds, a
 /// "replications" array of per-replication result rows (each tagged with

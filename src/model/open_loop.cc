@@ -1,8 +1,36 @@
 #include "model/open_loop.h"
 
 #include <algorithm>
+#include <utility>
+
+#include "util/append.h"
 
 namespace dynvote {
+
+namespace {
+
+constexpr const char* kPhaseNames[2] = {"access", "refresh"};
+
+/// The `protocol=P` label every serving_* key carries.
+std::string ProtocolLabel(std::string_view protocol) {
+  std::string label = "protocol=";
+  label.append(protocol);
+  return label;
+}
+
+/// One message-cost cell: serving_messages{kind=K,phase=F,protocol=P},
+/// `phase` indexing ServingStage::Phase.
+std::string MessagesKey(MessageKind kind, int phase,
+                        std::string_view protocol) {
+  std::string labels = "kind=" + MessageKindName(kind);
+  labels += ",phase=";
+  labels += kPhaseNames[phase];
+  labels += ",";
+  labels += ProtocolLabel(protocol);
+  return MetricKey("serving_messages", labels);
+}
+
+}  // namespace
 
 ServingStage::ServingStage(std::string protocol_name,
                            const ServingOptions& options, int num_sites)
@@ -60,7 +88,7 @@ ServingStage::Outcome ServingStage::OnArrival(double now_days, SiteId origin,
 
 void ServingStage::Finish(MetricsShard* metrics) const {
   if (metrics == nullptr) return;
-  const std::string label = "protocol=" + name_;
+  const std::string label = ProtocolLabel(name_);
   metrics->Add(MetricKey("serving_arrivals", label), arrivals_ + rejected_);
   metrics->Add(MetricKey("serving_rejected", label), rejected_);
   metrics->Add(MetricKey("serving_granted", label), granted_);
@@ -72,18 +100,81 @@ void ServingStage::Finish(MetricsShard* metrics) const {
   // Message-cost accounting by kind and phase; zero cells stay absent so
   // the export lists only traffic the protocol actually generated.
   for (int phase = 0; phase < 2; ++phase) {
-    const char* phase_name = phase == 0 ? "access" : "refresh";
     for (int k = 0; k < kNumMessageKinds; ++k) {
       if (phase_msgs_[phase][k] == 0) continue;
-      std::string labels = "kind=" + MessageKindName(static_cast<MessageKind>(k));
-      labels += ",phase=";
-      labels += phase_name;
-      labels += ",";
-      labels += label;
-      metrics->Add(MetricKey("serving_messages", labels),
+      metrics->Add(MessagesKey(static_cast<MessageKind>(k), phase, name_),
                    phase_msgs_[phase][k]);
     }
   }
+}
+
+ServingRow ReadServingRow(const MetricsShard& metrics,
+                          std::string_view protocol) {
+  const std::string label = ProtocolLabel(protocol);
+  auto counter = [&metrics](const std::string& key) -> std::uint64_t {
+    auto it = metrics.counters().find(key);
+    return it == metrics.counters().end() ? 0 : it->second;
+  };
+  ServingRow row;
+  row.name = std::string(protocol);
+  row.rejected = counter(MetricKey("serving_rejected", label));
+  row.served = counter(MetricKey("serving_arrivals", label)) - row.rejected;
+  row.granted = counter(MetricKey("serving_granted", label));
+  std::uint64_t* phase_totals[2] = {&row.access_messages,
+                                    &row.refresh_messages};
+  for (int phase = 0; phase < 2; ++phase) {
+    for (int k = 0; k < kNumMessageKinds; ++k) {
+      const auto kind = static_cast<MessageKind>(k);
+      if (kind == MessageKind::kFileCopy) continue;
+      *phase_totals[phase] += counter(MessagesKey(kind, phase, protocol));
+    }
+  }
+  auto hist = metrics.histograms().find(MetricKey("serving_latency_ms", label));
+  if (hist != metrics.histograms().end()) row.latency_ms = hist->second;
+  auto gauge =
+      metrics.gauges().find(MetricKey("serving_queue_depth_max", label));
+  if (gauge != metrics.gauges().end()) row.queue_depth_max = gauge->second;
+  const double denom =
+      row.served > 0 ? static_cast<double>(row.served) : 1.0;
+  row.msgs_per_access = static_cast<double>(row.access_messages) / denom;
+  row.refresh_per_access = static_cast<double>(row.refresh_messages) / denom;
+  row.grant_pct = 100.0 * static_cast<double>(row.granted) / denom;
+  return row;
+}
+
+void AppendServingRowJson(const ServingRow& row, std::string* out) {
+  auto key = [out](const char* name) {
+    out->append(", \"");
+    out->append(name);
+    out->append("\": ");
+  };
+  out->append("{\"name\": ");
+  AppendJsonString(row.name, out);
+  for (const auto& [name, value] :
+       {std::pair<const char*, std::uint64_t>{"served", row.served},
+        {"rejected", row.rejected},
+        {"granted", row.granted},
+        {"denied", row.served - row.granted},
+        {"access_messages", row.access_messages},
+        {"refresh_messages", row.refresh_messages}}) {
+    key(name);
+    AppendDecimal(value, out);
+  }
+  key("msgs_per_access");
+  AppendDouble(row.msgs_per_access, out);
+  out->append(", \"latency_ms\": {\"p50\": ");
+  AppendDouble(row.latency_ms.Quantile(0.50), out);
+  for (const auto& [name, value] :
+       {std::pair<const char*, double>{"p90", row.latency_ms.Quantile(0.90)},
+        {"p99", row.latency_ms.Quantile(0.99)},
+        {"p999", row.latency_ms.Quantile(0.999)},
+        {"max", row.latency_ms.max}}) {
+    key(name);
+    AppendDouble(value, out);
+  }
+  out->append("}, \"queue_depth_max\": ");
+  AppendDouble(row.queue_depth_max, out);
+  out->push_back('}');
 }
 
 }  // namespace dynvote

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -28,8 +29,10 @@
 namespace dynvote {
 
 /// Serving-report schema identifier: the JSON emitted by `dynvote serve
-/// --json` and bench/serving_latency carries this tag; bump on
-/// incompatible field-set changes.
+/// --json` and bench/serving_latency (BENCH_serving.json) carries this
+/// tag. Both write their per-protocol rows through AppendServingRowJson,
+/// so the two documents share one row shape; bump on incompatible
+/// field-set changes.
 inline constexpr const char kServingSchema[] = "dynvote-serving-v1";
 
 /// Milliseconds per simulated day — the bridge between SimTime (days)
@@ -120,5 +123,35 @@ class ServingStage {
   std::uint64_t granted_ = 0;
   std::uint32_t max_depth_ = 0;
 };
+
+/// One protocol's serving figures, decoded from the serving_* keys
+/// ServingStage::Finish wrote into a (merged) metrics shard.
+struct ServingRow {
+  std::string name;
+  std::uint64_t served = 0;
+  std::uint64_t rejected = 0;
+  std::uint64_t granted = 0;
+  /// Control messages (file copies excluded, as in
+  /// MessageCounter::ControlTotal) by phase.
+  std::uint64_t access_messages = 0;
+  std::uint64_t refresh_messages = 0;
+  HistogramData latency_ms;
+  double queue_depth_max = 0.0;
+
+  /// Per served arrival (grant_pct in percent); a row that served
+  /// nothing divides by one.
+  double msgs_per_access = 0.0;
+  double refresh_per_access = 0.0;
+  double grant_pct = 0.0;
+};
+
+/// Decodes `protocol`'s row from `metrics`. A key that is absent reads
+/// as zero (zero counters are not exported).
+ServingRow ReadServingRow(const MetricsShard& metrics,
+                          std::string_view protocol);
+
+/// Appends `row` as one dynvote-serving-v1 policy object: counts in
+/// decimal, every double at 17 significant digits (util/append.h).
+void AppendServingRowJson(const ServingRow& row, std::string* out);
 
 }  // namespace dynvote

@@ -239,7 +239,7 @@ void BinaryTraceSink::Write(const TraceEvent& event) {
       AppendVarint(string_id, &scratch_);
       AppendVarint(btrace::ZigZag(event.origin), &scratch_);
       // Raw IEEE-754 bits, like the timestamp, so conversion to JSONL
-      // reproduces the direct %.17g rendering exactly.
+      // reproduces the direct 17-digit rendering exactly.
       char bits[8];
       btrace::PutDoubleBits(event.latency_ms, bits);
       scratch_.append(bits, sizeof(bits));

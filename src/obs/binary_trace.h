@@ -5,8 +5,8 @@
 // `trace-convert` via ConvertBinaryTraceToJsonl), and both renderings
 // share the BinaryRecordDecoder below. Events are length-prefixed
 // records with LEB128 varint integers, zigzag-coded signed fields, raw
-// IEEE-754 timestamps (so the JSONL rendering reproduces %.17g output
-// bit for bit) and interned protocol/op strings. A file is
+// IEEE-754 timestamps (so the JSONL rendering reproduces its 17-digit
+// numbers bit for bit) and interned protocol/op strings. A file is
 //
 //   header  = magic(8) | varint len | schema bytes | varint seed
 //   records = varint payload_len | payload ...

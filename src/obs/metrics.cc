@@ -1,8 +1,8 @@
 #include "obs/metrics.h"
 
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
+
+#include "util/append.h"
 
 namespace dynvote {
 namespace {
@@ -17,27 +17,6 @@ int BucketExponent(double value) {
   std::frexp(value, &exponent);
   exponent -= 1;
   return exponent < kMinBucketExponent ? kMinBucketExponent : exponent;
-}
-
-void AppendDouble(double value, std::string* out) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out->append(buf);
-}
-
-void AppendU64(std::uint64_t value, std::string* out) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
-  out->append(buf);
-}
-
-void AppendJsonString(std::string_view value, std::string* out) {
-  out->push_back('"');
-  for (char c : value) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  out->push_back('"');
 }
 
 }  // namespace
@@ -179,7 +158,7 @@ std::string MetricsShard::ToJson() const {
     first = false;
     AppendJsonString(key, &out);
     out.append(": ");
-    AppendU64(value, &out);
+    AppendDecimal(value, &out);
   }
   out.append(first ? "}" : "\n  }");
   out.append(",\n  \"gauges\": {");
@@ -199,7 +178,7 @@ std::string MetricsShard::ToJson() const {
     first = false;
     AppendJsonString(key, &out);
     out.append(": {\"count\": ");
-    AppendU64(hist.count, &out);
+    AppendDecimal(hist.count, &out);
     out.append(", \"sum\": ");
     AppendDouble(hist.sum, &out);
     out.append(", \"min\": ");
@@ -211,10 +190,10 @@ std::string MetricsShard::ToJson() const {
     for (const auto& [exponent, n] : hist.buckets) {
       if (!first_bucket) out.append(", ");
       first_bucket = false;
-      char buf[16];
-      std::snprintf(buf, sizeof(buf), "\"%d\": ", exponent);
-      out.append(buf);
-      AppendU64(n, &out);
+      out.push_back('"');
+      AppendDecimal(exponent, &out);
+      out.append("\": ");
+      AppendDecimal(n, &out);
     }
     out.append("}}");
   }

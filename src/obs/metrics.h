@@ -85,7 +85,8 @@ class MetricsShard {
   }
 
   /// Renders the shard as a dynvote-metrics-v1 JSON document (sorted
-  /// keys, %.17g doubles: byte-stable for identical contents).
+  /// keys, 17-digit doubles from util/append.h: byte-stable for
+  /// identical contents).
   std::string ToJson() const;
 
  private:

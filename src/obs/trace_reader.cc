@@ -255,7 +255,7 @@ TraceSummary SummarizeTrace(std::istream& in) {
       ++proto.serving_events;
       proto.serving_messages +=
           std::strtoull(fields["msgs"].c_str(), nullptr, 10);
-      // strtod round-trips the sink's %.17g rendering exactly, so this
+      // strtod round-trips the sink's 17-digit rendering exactly, so this
       // histogram matches a binary-trace fold (and the run's metrics
       // shard) bit for bit.
       proto.serving_latency_ms.Observe(

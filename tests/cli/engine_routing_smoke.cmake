@@ -3,7 +3,8 @@
 #   - simulate: an untraced run of the paper policies goes to the batched
 #     engine as a batch of one; --no-quorum-cache keeps the unmemoized
 #     solo reference engine and --metrics-out the memoized solo engine.
-#     Table and CSV must be byte-identical across all three.
+#     Table and CSV must be byte-identical across all three, and every
+#     CSV row has the header's 13 fields (the multi-site label is quoted).
 #   - repeat: the JSON must be byte-identical for any --objects x --jobs
 #     grouping, cache on or off, and on the memoized solo engine
 #     (--metrics-out; the JSON leaves metrics out).
@@ -58,6 +59,19 @@ if(NOT routed STREQUAL memo)
 endif()
 expect_same_file(routed.csv solo.csv)
 expect_same_file(routed.csv memo.csv)
+
+# RFC 4180 field count: a quoted field ("1,3,5", inner quotes doubled)
+# is one field whatever it holds.
+file(STRINGS "${WORK_DIR}/routed.csv" csv_rows)
+foreach(row IN LISTS csv_rows)
+  string(REGEX REPLACE "\"[^\"]*\"" "q" unquoted "${row}")
+  string(REGEX MATCHALL "," commas "${unquoted}")
+  list(LENGTH commas num_commas)
+  if(NOT num_commas EQUAL 12)
+    math(EXPR num_fields "${num_commas} + 1")
+    message(FATAL_ERROR "routed.csv row has ${num_fields} fields, want 13: ${row}")
+  endif()
+endforeach()
 
 # Grouping x jobs x cache: the repeat JSON never changes.
 run_cli(ignored repeat --sites=1,3,5,7,8 --years=5 --reps=8 --jobs=1

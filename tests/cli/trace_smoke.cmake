@@ -13,16 +13,19 @@
 #   - repeat JSON, JSONL and btrace traces and metrics are byte-identical
 #     for --jobs=1 and --jobs=4, with and without the serving model;
 #   - serve writes its schema-tagged report;
+#   - a site named with a quote and a backslash reaches repeat's JSON and
+#     metrics as valid JSON, and the label reads back exactly;
 #   - the simulate traces and the jobs=1 serving repeat traces, in JSONL
 #     and btrace, match the SHA-256 digests pinned in
 #     GOLDEN_DIR/traces.sha256 (`sha256sum -c` reads the same file).
 #
 #   cmake -DCLI=path/to/dynvote_cli -DGOLDEN_DIR=tests/cli/golden \
-#         -DWORK_DIR=scratch/dir -P trace_smoke.cmake
+#         -DNETWORK=examples/networks/paper.net -DWORK_DIR=scratch/dir \
+#         -P trace_smoke.cmake
 
-if(NOT CLI OR NOT GOLDEN_DIR OR NOT WORK_DIR)
-  message(FATAL_ERROR
-    "pass -DCLI=<dynvote_cli> -DGOLDEN_DIR=<dir> -DWORK_DIR=<dir>")
+if(NOT CLI OR NOT GOLDEN_DIR OR NOT NETWORK OR NOT WORK_DIR)
+  message(FATAL_ERROR "pass -DCLI=<dynvote_cli> -DGOLDEN_DIR=<dir> "
+    "-DNETWORK=<paper.net> -DWORK_DIR=<dir>")
 endif()
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
@@ -209,6 +212,29 @@ run_cli(ignored 0 serve --config=B --arrival-rate=500 --years=1
         --json=serve.json)
 file(READ "${WORK_DIR}/serve.json" serve)
 expect_contains("serve.json" "${serve}" dynvote-serving-v1)
+
+# --- JSON strings are escaped ------------------------------------------
+# The paper network with csvax renamed cs"vax\x: the placement label
+# repeat writes must stay a JSON string that reads back exactly.
+file(READ "${NETWORK}" paper_net)
+string(REPLACE "\nsite csvax " "\nsite cs\"vax\\x " hostile_net "${paper_net}")
+file(WRITE "${WORK_DIR}/escape.net" "${hostile_net}")
+set(hostile_sites "cs\"vax\\x,beowulf,grendel")
+run_cli(ignored 0 repeat --network=escape.net "--sites=${hostile_sites}"
+        --years=2 --reps=2 --json=escape.json
+        --metrics-out=escape-metrics.json)
+file(READ "${WORK_DIR}/escape.json" escape_json)
+string(JSON escape_label ERROR_VARIABLE err GET "${escape_json}" label)
+if(err OR NOT escape_label STREQUAL hostile_sites)
+  message(FATAL_ERROR "repeat --json label '${escape_label}' is not "
+    "'${hostile_sites}' (${err})")
+endif()
+file(READ "${WORK_DIR}/escape-metrics.json" escape_metrics)
+string(JSON escape_schema ERROR_VARIABLE err GET "${escape_metrics}" schema)
+if(err OR NOT escape_schema STREQUAL "dynvote-metrics-v1")
+  message(FATAL_ERROR "escape-metrics.json does not parse: ${err}")
+endif()
+
 # A light arrival rate over three policies keeps each in-memory trace
 # near 30 MB; six policies at 200 arrivals/day write 2.5 GB per trace,
 # so that heavy variant runs as a separate CI step instead.

@@ -144,15 +144,16 @@ TEST(AnalyticMcvTest, GatewayPartitionAccounted) {
 
 TEST(AnalyticMcvTest, AgreesWithSimulationOnPaperConfigs) {
   // The end-to-end cross-check: analytic MCV availability within the
-  // simulation's confidence interval (a few tolerance multiples) for the
-  // paper's three-copy configurations.
+  // simulation's confidence interval (a few tolerance multiples) for all
+  // eight paper placements, the four-copy tie-rule ones (E-H) included.
+  // The tolerance, max(3 CI, 25%), was fixed before the run.
   auto paper = MakePaperNetwork();
   ASSERT_TRUE(paper.ok());
   ExperimentOptions options;
   options.warmup = Days(360);
   options.num_batches = 10;
   options.batch_length = Years(30);
-  for (char config : {'A', 'B', 'C'}) {
+  for (char config : {'A', 'B', 'C', 'D', 'E', 'F', 'G', 'H'}) {
     const PaperConfiguration* pc = nullptr;
     for (const auto& c : PaperConfigurations()) {
       if (c.label == config) pc = &c;

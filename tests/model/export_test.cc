@@ -1,5 +1,6 @@
 #include "model/export.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -39,15 +40,39 @@ TEST(ExportTest, CsvEmptyInput) {
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 1);  // header only
 }
 
-TEST(ExportTest, JsonWellFormedEnough) {
-  std::string json = ResultsToJson({SampleRow(), SampleRow()});
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_NE(json.find("\"policy\": \"ODV\""), std::string::npos);
-  EXPECT_NE(json.find("\"unavailability\": 0.000808"), std::string::npos);
-  EXPECT_NE(json.find("\"file_copies\": 7"), std::string::npos);
-  // Two objects, comma-separated.
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'), 2);
-  EXPECT_NE(json.find("},"), std::string::npos);
+TEST(ExportTest, CsvQuotesFieldsThatHoldSeparators) {
+  LabeledResult multi = SampleRow();
+  multi.label = "1,3,5";
+  LabeledResult quoted = SampleRow();
+  quoted.label = "cs\"vax";
+  const std::string csv = ResultsToCsv({multi, quoted, SampleRow()});
+  // RFC 4180: a field holding a comma or a quote is quoted, inner quotes
+  // doubled; a plain label keeps its bytes.
+  EXPECT_NE(csv.find("\n\"1,3,5\",ODV,0.000808,"), std::string::npos) << csv;
+  EXPECT_NE(csv.find("\n\"cs\"\"vax\",ODV,"), std::string::npos) << csv;
+  EXPECT_NE(csv.find("\nB,ODV,0.000808,"), std::string::npos) << csv;
+  // Every row has the header's 13 fields once quoted commas are skipped.
+  std::size_t line_start = 0;
+  while (line_start < csv.size()) {
+    const std::size_t line_end = csv.find('\n', line_start);
+    int fields = 1;
+    bool in_quotes = false;
+    for (std::size_t i = line_start; i < line_end; ++i) {
+      if (csv[i] == '"') in_quotes = !in_quotes;
+      if (csv[i] == ',' && !in_quotes) ++fields;
+    }
+    EXPECT_EQ(fields, 13) << csv.substr(line_start, line_end - line_start);
+    line_start = line_end + 1;
+  }
+}
+
+TEST(ExportTest, CsvKeepsNineSignificantDigits) {
+  LabeledResult row = SampleRow();
+  row.result.unavailability = 1.0 / 3.0;
+  row.result.measured_time = 1e-7;
+  const std::string csv = ResultsToCsv({row});
+  EXPECT_NE(csv.find("B,ODV,0.333333333,"), std::string::npos) << csv;
+  EXPECT_NE(csv.find(",1e-07\n"), std::string::npos) << csv;
 }
 
 TEST(ExportTest, WriteFileRoundTrip) {

@@ -27,6 +27,7 @@
 #include "model/config_parser.h"
 #include "model/experiment.h"
 #include "model/export.h"
+#include "model/open_loop.h"
 #include "model/replicated_experiment.h"
 #include "model/sample_path.h"
 #include "model/site_profile.h"
@@ -38,6 +39,7 @@
 #include "obs/trace_reader.h"
 #include "obs/trace_sink.h"
 #include "stats/table.h"
+#include "util/append.h"
 #include "util/parse_number.h"
 #include "version_schemas.h"
 
@@ -760,36 +762,6 @@ int Repeat(const Options& opt) {
   return WriteMetrics(opt, results->metrics);
 }
 
-/// Counter lookup tolerating the absent-when-zero export convention.
-std::uint64_t ServingCounter(const MetricsShard& metrics,
-                             const std::string& key) {
-  auto it = metrics.counters().find(key);
-  return it == metrics.counters().end() ? 0 : it->second;
-}
-
-/// Sums one phase's control messages for a protocol (file copies are
-/// data plane and excluded, matching MessageCounter::ControlTotal).
-std::uint64_t ServingPhaseMessages(const MetricsShard& metrics,
-                                   const std::string& protocol,
-                                   const char* phase) {
-  std::uint64_t total = 0;
-  for (int k = 0; k < kNumMessageKinds; ++k) {
-    auto kind = static_cast<MessageKind>(k);
-    if (kind == MessageKind::kFileCopy) continue;
-    total += ServingCounter(
-        metrics, MetricKey("serving_messages",
-                           "kind=" + MessageKindName(kind) + ",phase=" +
-                               phase + ",protocol=" + protocol));
-  }
-  return total;
-}
-
-void AppendJsonDouble(double value, std::string* out) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out->append(buf);
-}
-
 /// Runs the serving model (docs/serving.md) over the requested paper
 /// placements and prints a per-protocol messages-per-access and latency-
 /// percentile table per configuration. All figures come from the merged
@@ -835,15 +807,15 @@ int Serve(const Options& opt) {
   json.append("{\n  \"schema\": \"");
   json.append(kServingSchema);
   json.append("\",\n  \"arrival_rate_per_day\": ");
-  AppendJsonDouble(options.serving.arrival_rate_per_day, &json);
+  AppendDouble(options.serving.arrival_rate_per_day, &json);
   json.append(",\n  \"service_time_ms\": ");
-  AppendJsonDouble(options.serving.service_time_ms, &json);
+  AppendDouble(options.serving.service_time_ms, &json);
   json.append(",\n  \"msg_cost_ms\": ");
-  AppendJsonDouble(options.serving.msg_cost_ms, &json);
+  AppendDouble(options.serving.msg_cost_ms, &json);
   json.append(",\n  \"write_fraction\": ");
-  AppendJsonDouble(options.serving.write_fraction, &json);
+  AppendDouble(options.serving.write_fraction, &json);
   json.append(",\n  \"years\": ");
-  AppendJsonDouble(years, &json);
+  AppendDouble(years, &json);
   json.append(",\n  \"seed\": " + std::to_string(opt.seed));
   json.append(",\n  \"replications\": " +
               std::to_string(replication.replications));
@@ -875,69 +847,19 @@ int Serve(const Options& opt) {
 
     bool first_policy = true;
     for (const std::string& name : policies) {
-      const std::string label = "protocol=" + name;
-      const std::uint64_t arrivals =
-          ServingCounter(metrics, MetricKey("serving_arrivals", label));
-      const std::uint64_t rejected =
-          ServingCounter(metrics, MetricKey("serving_rejected", label));
-      const std::uint64_t granted =
-          ServingCounter(metrics, MetricKey("serving_granted", label));
-      const std::uint64_t served = arrivals - rejected;
-      const std::uint64_t access_msgs =
-          ServingPhaseMessages(metrics, name, "access");
-      const std::uint64_t refresh_msgs =
-          ServingPhaseMessages(metrics, name, "refresh");
-      HistogramData latency;
-      auto hist = metrics.histograms().find(
-          MetricKey("serving_latency_ms", label));
-      if (hist != metrics.histograms().end()) latency = hist->second;
-      double depth = 0.0;
-      auto gauge = metrics.gauges().find(
-          MetricKey("serving_queue_depth_max", label));
-      if (gauge != metrics.gauges().end()) depth = gauge->second;
-
-      const double denom = served > 0 ? static_cast<double>(served) : 1.0;
-      const double msgs_per_access = static_cast<double>(access_msgs) / denom;
-      const double refresh_per_access =
-          static_cast<double>(refresh_msgs) / denom;
-      const double grant_pct =
-          served > 0 ? 100.0 * static_cast<double>(granted) / denom : 0.0;
-      const double p50 = latency.Quantile(0.50);
-      const double p99 = latency.Quantile(0.99);
-      const double p999 = latency.Quantile(0.999);
-
-      table.AddRow({name, std::to_string(served), std::to_string(rejected),
-                    TextTable::Fixed(grant_pct, 2),
-                    TextTable::Fixed(msgs_per_access, 2),
-                    TextTable::Fixed(refresh_per_access, 2),
-                    TextTable::Fixed(p50, 3), TextTable::Fixed(p99, 3),
-                    TextTable::Fixed(p999, 3),
-                    TextTable::Fixed(depth, 0)});
-
-      json.append(first_policy ? "\n      {" : ",\n      {");
+      const ServingRow row = ReadServingRow(metrics, name);
+      table.AddRow({name, std::to_string(row.served),
+                    std::to_string(row.rejected),
+                    TextTable::Fixed(row.grant_pct, 2),
+                    TextTable::Fixed(row.msgs_per_access, 2),
+                    TextTable::Fixed(row.refresh_per_access, 2),
+                    TextTable::Fixed(row.latency_ms.Quantile(0.50), 3),
+                    TextTable::Fixed(row.latency_ms.Quantile(0.99), 3),
+                    TextTable::Fixed(row.latency_ms.Quantile(0.999), 3),
+                    TextTable::Fixed(row.queue_depth_max, 0)});
+      json.append(first_policy ? "\n      " : ",\n      ");
       first_policy = false;
-      json.append("\"name\": \"" + name + "\"");
-      json.append(", \"served\": " + std::to_string(served));
-      json.append(", \"rejected\": " + std::to_string(rejected));
-      json.append(", \"granted\": " + std::to_string(granted));
-      json.append(", \"denied\": " + std::to_string(served - granted));
-      json.append(", \"access_messages\": " + std::to_string(access_msgs));
-      json.append(", \"refresh_messages\": " + std::to_string(refresh_msgs));
-      json.append(", \"msgs_per_access\": ");
-      AppendJsonDouble(msgs_per_access, &json);
-      json.append(", \"latency_ms\": {\"p50\": ");
-      AppendJsonDouble(p50, &json);
-      json.append(", \"p90\": ");
-      AppendJsonDouble(latency.Quantile(0.90), &json);
-      json.append(", \"p99\": ");
-      AppendJsonDouble(p99, &json);
-      json.append(", \"p999\": ");
-      AppendJsonDouble(p999, &json);
-      json.append(", \"max\": ");
-      AppendJsonDouble(latency.max, &json);
-      json.append("}, \"queue_depth_max\": ");
-      AppendJsonDouble(depth, &json);
-      json.append("}");
+      AppendServingRowJson(row, &json);
     }
     json.append(first_policy ? "]}" : "\n    ]}");
     std::cout << table.ToString();
