@@ -77,43 +77,6 @@ bool PlanFor(const std::string& name, ProtocolPlan* plan) {
 // Per-object state
 // ---------------------------------------------------------------------------
 
-/// Dynamic-voting state of one protocol.
-///
-/// Steady state is "uniform": every copy holds the same (o, v, P)
-/// ensemble, so the whole store collapses to three scalars and the
-/// quorum test to popcount arithmetic. The real ReplicaStore is kept
-/// alongside and re-materialized from the scalars the moment a commit
-/// fails to cover the placement; from then on the exact
-/// EvaluateDynamicQuorum path runs until a covering commit restores
-/// uniformity. Decisions are identical in both modes — uniform mode is
-/// the algebraic special case of the paper's rule when Q = S = R and
-/// P_m is the full placement.
-struct DvSlot {
-  explicit DvSlot(ReplicaStore s) : store(std::move(s)) {}
-
-  bool uniform = true;
-  OpNumber u_op = 1;
-  VersionNumber u_version = 1;
-  SiteSet u_partition;          // == placement while uniform (invariant)
-  ReplicaStore store;           // authoritative only while !uniform
-
-  /// Divergent-mode analogue of the uniform invariant: after a commit
-  /// with P = participants = all-copies(participants), every member of
-  /// `local_set` carries identical (o, v, P = local_set) state. A later
-  /// evaluation over exactly that group is then an unconditional grant
-  /// with Q = S = R = P_m — the steady state of the majority side during
-  /// a long partition — and reintegration over it is a no-op. Any commit
-  /// rewrites these fields, so they can never go stale. The store records
-  /// the same fact (ReplicaStore::UniformOver), and EvaluateDynamicQuorum
-  /// uses it; these fields stay because answering from the slot's scalars
-  /// without a store call is cheaper: routing this test through the store
-  /// cost `paper_grid` about 12%.
-  bool local_valid = false;
-  SiteSet local_set;
-  OpNumber local_op = 0;
-  VersionNumber local_version = 0;
-};
-
 /// Availability/traffic accounting of one protocol.
 struct ObservedSlot {
   explicit ObservedSlot(AvailabilityTracker t) : tracker(std::move(t)) {}
@@ -148,21 +111,6 @@ struct RepeatTally {
   std::uint64_t Total() const { return reads + writes; }
 };
 
-/// Outcome of one quorum evaluation, either mode. `quorum` and `current`
-/// double as handles to the extremal replica states: every member of Q
-/// carries MaxOp(R) and every member of S carries MaxVersion(R), so a
-/// caller reads those maxima with one state lookup instead of a store
-/// scan.
-struct EvalResult {
-  bool granted = false;
-  SiteSet reachable;  // R ∩ placement
-  SiteSet quorum;     // Q: reachable copies with the maximal op number
-  SiteSet current;    // S
-  SiteSet prev;       // P_m
-  OpNumber max_op = 0;          // MaxOp(R), undefined if R is empty
-  VersionNumber max_version = 0;  // MaxVersion(R), undefined if R is empty
-};
-
 // ---------------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------------
@@ -180,7 +128,6 @@ struct RunConfig {
         all_protocols(num_protocols == kMaxBatchedProtocols
                           ? ~std::uint32_t{0}
                           : (std::uint32_t{1} << num_protocols) - 1),
-        num_sites(spec_in.topology->num_sites()),
         horizon(spec_in.options.warmup +
                 spec_in.options.batch_length * spec_in.options.num_batches),
         initial_store(std::move(initial_store_in)) {
@@ -188,11 +135,6 @@ struct RunConfig {
       if (plan.kind == BatchedKind::kDynamic && !plan.optimistic) {
         any_non_optimistic_dv = true;
       }
-    }
-    segment_mask.resize(static_cast<std::size_t>(num_sites));
-    for (SiteId s = 0; s < num_sites; ++s) {
-      segment_mask[static_cast<std::size_t>(s)] =
-          spec.topology->SitesOnSegment(spec.topology->SegmentOf(s)).mask();
     }
   }
 
@@ -202,14 +144,11 @@ struct RunConfig {
   int num_protocols;
   /// One bit per protocol (the width of the engine's protocol masks).
   std::uint32_t all_protocols;
-  int num_sites;
   SimTime horizon;
   /// Some protocol refreshes membership on every network event.
   bool any_non_optimistic_dv = false;
-  /// Per-site topological closure: all sites sharing the site's segment.
-  std::vector<std::uint64_t> segment_mask;
-  /// The paper's initial ensemble over the placement; every dynamic slot
-  /// starts as a copy of it.
+  /// The paper's initial ensemble over the placement; every protocol's
+  /// store starts as a copy of it.
   ReplicaStore initial_store;
 };
 
@@ -227,8 +166,10 @@ class ObjectRun {
   ObservedSlot& observed(int p) {
     return observed_[static_cast<std::size_t>(p)];
   }
-  DvSlot& dv(int p) { return dv_[static_cast<std::size_t>(p)]; }
-  const DvSlot& dv(int p) const { return dv_[static_cast<std::size_t>(p)]; }
+  ReplicaStore& store(int p) { return stores_[static_cast<std::size_t>(p)]; }
+  const ReplicaStore& store(int p) const {
+    return stores_[static_cast<std::size_t>(p)];
+  }
   const ProtocolPlan& plan(int p) const {
     return cfg_.plans[static_cast<std::size_t>(p)];
   }
@@ -239,13 +180,14 @@ class ObjectRun {
   void DrainRepeats(RepeatTally tally);
   void ChargeRepeats(const RepeatTally& tally);
 
-  // --- protocol fast paths (exact ports of core/mcv.cc and
+  // --- protocol reactions (exact ports of core/mcv.cc and
   // core/dynamic_voting.cc) ------------------------------------------------
   bool McvGranted(SiteSet copies) const;
   SiteSet McvUserAccess(int p, AccessType type);
-  EvalResult DvEvaluate(int p, SiteSet copies) const;
+  bool Settled(int p, SiteSet copies) const;
+  QuorumDecision DvEvaluate(int p, SiteSet copies) const;
   void DvCommit(int p, SiteSet participants, OpNumber op,
-                VersionNumber version, SiteSet partition);
+                VersionNumber version);
   SiteSet DvUserAccess(int p, AccessType type);
   void DvRecover(int p, SiteId site);
   void DvReintegrateGroup(int p, SiteSet group);
@@ -254,13 +196,13 @@ class ObjectRun {
   // --- sampling ----------------------------------------------------------
   void Sample();
 
-  /// True iff the object is in the all-fast steady state: every dynamic
-  /// slot uniform and every copy in one communicating group. In that
-  /// state each protocol's response to an access or a network event is a
-  /// fixed pattern and the per-protocol evaluate/commit machinery can be
-  /// skipped wholesale.
+  /// True iff the object is in the all-fast steady state: every store
+  /// uniform over the placement and every copy in one communicating
+  /// group. In that state each protocol's response to an access or a
+  /// network event is a fixed pattern and the per-protocol
+  /// evaluate/commit machinery can be skipped wholesale.
   bool Steady() const {
-    return divergent_count_ == 0 && path_.net().FullyConnected(cfg_.placement);
+    return divergent_ == 0 && path_.net().FullyConnected(cfg_.placement);
   }
 
   /// Brings every tracker to "available". A no-op when the previous
@@ -285,15 +227,17 @@ class ObjectRun {
 
   // Per protocol.
   std::vector<ObservedSlot> observed_;
-  std::vector<DvSlot> dv_;
+  /// Algorithm 1's replica state, the only state decisions read (an MCV
+  /// protocol's store stays initial).
+  std::vector<ReplicaStore> stores_;
 
   /// The last sample's grant bits: `sampled_once_` has protocol p's bit
   /// if some group granted, `sampled_twice_` if a second one did.
   std::uint32_t sampled_once_ = 0;
   std::uint32_t sampled_twice_ = 0;
-  /// Number of dynamic slots currently out of uniform mode; 0 is a
-  /// precondition of the steady-state fast path.
-  int divergent_count_ = 0;
+  /// Protocol p's bit is set while its store is not uniform over the
+  /// placement; 0 is a precondition of the steady-state fast path.
+  std::uint32_t divergent_ = 0;
   /// True while every tracker last reported "available": steady-state
   /// events may then skip the tracker updates entirely.
   bool all_available_ = true;
@@ -305,15 +249,14 @@ class ObjectRun {
 };
 
 ObjectRun::ObjectRun(const RunConfig& cfg, std::uint64_t seed)
-    : cfg_(cfg), path_(cfg.spec, cfg.placement, seed) {
+    : cfg_(cfg),
+      path_(cfg.spec, cfg.placement, seed),
+      stores_(static_cast<std::size_t>(cfg.num_protocols), cfg.initial_store) {
   const ExperimentOptions& o = cfg.spec.options;
   observed_.reserve(static_cast<std::size_t>(cfg.num_protocols));
-  dv_.reserve(static_cast<std::size_t>(cfg.num_protocols));
   for (int p = 0; p < cfg.num_protocols; ++p) {
     observed_.emplace_back(
         AvailabilityTracker(o.warmup, o.batch_length, o.num_batches));
-    dv_.emplace_back(cfg.initial_store);
-    dv_.back().u_partition = cfg.placement;
   }
 }
 
@@ -323,7 +266,7 @@ void ObjectRun::NotifyNetworkEvent() {
   // experiment.cc on_change: every protocol's OnNetworkEvent (a no-op
   // for MCV and the optimistic variants), then one sample.
   if (Steady()) {
-    // All copies in one group, every slot uniform: each instantaneous
+    // All copies in one group, every store uniform: each instantaneous
     // protocol refreshes its (single) group and concludes membership is
     // current; the sample finds exactly one granted group per protocol.
     // The refresh traffic is a fixed pattern tallied for the end of the
@@ -394,8 +337,8 @@ void ObjectRun::ChargeRepeats(const RepeatTally& tally) {
   //   - MCV holds no state;
   //   - a denied protocol committed nothing;
   //   - a granted dynamic protocol committed and reintegrated its whole
-  //     group, so it is uniform over the full placement, or locally
-  //     uniform (local_valid) over exactly the group's copies.
+  //     group, so the group is Settled: one ensemble over its copies,
+  //     with P = those copies.
   // A repeat is then granted in the same group with Q = S = R = P_m and
   // charges the same messages, and the sample after it grants as the
   // last one did. So `tally` repeats cost one step: count × pattern.
@@ -419,22 +362,17 @@ void ObjectRun::ChargeRepeats(const RepeatTally& tally) {
       continue;
     }
     obs.counter.Add(MessageKind::kCommit, k * n);
-    const DvSlot& slot = dv(p);
-    DYNVOTE_CHECK_MSG(slot.uniform ? copies == cfg_.placement
-                                   : slot.local_valid &&
-                                         copies == slot.local_set,
-                      "a repeated access must find its slot uniform on the "
-                      "placement or locally uniform on its group");
+    DYNVOTE_CHECK_MSG(Settled(p, copies),
+                      "a repeated access must find its group settled");
     // The n commits in one: each would install P = copies over copies
     // with the op number one higher and, for a write, the version too.
     // Only the last one's (o, v) survives, so one commit of it stands for
     // all n.
-    const OpNumber op =
-        (slot.uniform ? slot.u_op : slot.local_op) + static_cast<OpNumber>(n);
+    const ReplicaState& last = store(p).state(copies.RankMax());
+    const OpNumber op = last.op_number + static_cast<OpNumber>(n);
     const VersionNumber version =
-        (slot.uniform ? slot.u_version : slot.local_version) +
-        static_cast<VersionNumber>(tally.writes);
-    DvCommit(p, copies, op, version, copies);
+        last.version + static_cast<VersionNumber>(tally.writes);
+    DvCommit(p, copies, op, version);
   }
 }
 
@@ -471,113 +409,34 @@ SiteSet ObjectRun::McvUserAccess(int p, AccessType type) {
   return SiteSet{};  // no quorum anywhere: no messages, like the solo path
 }
 
-// --- dynamic-voting fast path ---------------------------------------------
+// --- dynamic voting, decided from the store -------------------------------
 
-EvalResult ObjectRun::DvEvaluate(int p, SiteSet copies) const {
+bool ObjectRun::Settled(int p, SiteSet copies) const {
+  // The last commit left every copy of the (non-empty) group with one
+  // ensemble whose P is exactly the group's copies: S = R = P_m, so the
+  // group grants and its membership is current.
+  const ReplicaStore& s = store(p);
+  return s.UniformOver(copies) &&
+         s.state(copies.RankMax()).partition_set == copies;
+}
+
+QuorumDecision ObjectRun::DvEvaluate(int p, SiteSet copies) const {
   const ProtocolPlan& pl = plan(p);
-  const DvSlot& slot = dv(p);
-  EvalResult r;
-  r.reachable = copies;
-  if (copies.Empty()) return r;
-
-  if (slot.uniform) {
-    // All copies share one ensemble, so Q = S = R and P_m is the stored
-    // partition set (the full placement, by the uniform invariant).
-    r.quorum = copies;
-    r.current = copies;
-    r.prev = slot.u_partition;
-    r.max_op = slot.u_op;
-    r.max_version = slot.u_version;
-    SiteSet counted = copies;
-    if (pl.topological) {
-      // Topological closure: members of P_m on a segment that also
-      // carries a reachable member of P_m count as present.
-      SiteSet active = slot.u_partition.Intersect(copies);
-      std::uint64_t segments = 0;
-      for (SiteId s : active) {
-        segments |= cfg_.segment_mask[static_cast<std::size_t>(s)];
-      }
-      counted = SiteSet::FromMask(slot.u_partition.mask() & segments);
-    }
-    const int counted_weight = counted.Size();
-    const int block_weight = slot.u_partition.Size();
-    if (2 * counted_weight > block_weight) {
-      r.granted = true;
-    } else if (2 * counted_weight == block_weight) {
-      r.granted = pl.tie_break == TieBreak::kLexicographic &&
-                  !slot.u_partition.Empty() &&
-                  copies.Contains(slot.u_partition.RankMax());
-    }
-    return r;
-  }
-
-  if (slot.local_valid && copies == slot.local_set) {
-    // Locally uniform sub-ensemble: every reachable copy carries the
-    // maximal (o, v) and P_m = local_set = R, so Q = S = R = P_m and the
-    // majority test is 2|P_m| > |P_m| — granted without touching the
-    // store. This is the hot state of the majority side between
-    // consecutive accesses during a partition.
-    r.granted = true;
-    r.quorum = copies;
-    r.current = copies;
-    r.prev = copies;
-    r.max_op = slot.local_op;
-    r.max_version = slot.local_version;
-    return r;
-  }
-
-  QuorumDecision d = EvaluateDynamicQuorum(
-      slot.store, copies, pl.tie_break,
+  return EvaluateDynamicQuorum(
+      store(p), copies, pl.tie_break,
       pl.topological ? cfg_.spec.topology.get() : nullptr);
-  r.granted = d.granted;
-  r.quorum = d.quorum_set;
-  r.current = d.current_set;
-  r.prev = d.prev_partition;
-  r.max_op = slot.store.state(d.quorum_set.RankMax()).op_number;
-  r.max_version = slot.store.state(d.current_set.RankMax()).version;
-  return r;
 }
 
 void ObjectRun::DvCommit(int p, SiteSet participants, OpNumber op,
-                         VersionNumber version, SiteSet partition) {
-  DvSlot& slot = dv(p);
-  const bool covers = cfg_.placement.IsSubsetOf(participants);
-  if (slot.uniform) {
-    if (covers) {
-      // Uniform stays uniform: every copy moves to the new (o, v), and
-      // the partition set is the placement before and after (every
-      // covering DV commit installs P = participants = placement).
-      slot.u_op = op;
-      slot.u_version = version;
-      slot.u_partition = partition;
-      return;
-    }
-    // Leaving uniform mode: materialize the store the scalars stand for,
-    // then apply the divergent commit to it.
-    for (SiteId s : cfg_.placement) {
-      ReplicaState* state = slot.store.mutable_state(s);
-      state->op_number = slot.u_op;
-      state->version = slot.u_version;
-      state->partition_set = slot.u_partition;
-    }
-    slot.uniform = false;
-    ++divergent_count_;
-  }
-  slot.store.Commit(participants, op, version, partition);
-  if (covers) {
-    // Back to uniform: the covering commit overwrote every copy.
-    slot.uniform = true;
-    slot.u_op = op;
-    slot.u_version = version;
-    slot.u_partition = partition;
-    slot.local_valid = false;
-    --divergent_count_;
+                         VersionNumber version) {
+  // Every Algorithm 1 commit installs P = the participating copies.
+  ReplicaStore& s = store(p);
+  s.Commit(participants, op, version, participants);
+  const std::uint32_t bit = std::uint32_t{1} << p;
+  if (s.UniformOver(cfg_.placement)) {
+    divergent_ &= ~bit;
   } else {
-    slot.local_set = slot.store.CopiesAmong(participants);
-    slot.local_valid =
-        partition == participants && slot.local_set == participants;
-    slot.local_op = op;
-    slot.local_version = version;
+    divergent_ |= bit;
   }
 }
 
@@ -589,7 +448,7 @@ SiteSet ObjectRun::DvUserAccess(int p, AccessType type) {
   for (const SiteSet& group : path_.net().Components()) {
     SiteSet copies = group.Intersect(cfg_.placement);
     if (copies.Empty()) continue;
-    EvalResult d = DvEvaluate(p, copies);
+    const QuorumDecision d = DvEvaluate(p, copies);
     if (!d.granted) continue;
 
     obs.counter.Add(MessageKind::kProbe, cfg_.placement.Size());
@@ -597,11 +456,13 @@ SiteSet ObjectRun::DvUserAccess(int p, AccessType type) {
     obs.counter.Add(MessageKind::kStateRequest, copies.Size());
     obs.counter.Add(MessageKind::kStateReply, copies.Size());
 
-    const OpNumber op = d.max_op + 1;
-    const VersionNumber version =
-        d.max_version + (type == AccessType::kWrite ? 1 : 0);
-    DvCommit(p, d.current, op, version, d.current);
-    obs.counter.Add(MessageKind::kCommit, d.current.Size());
+    // o_m from the representative, v_m from any member of S.
+    const ReplicaStore& s = store(p);
+    const OpNumber op = s.state(d.representative).op_number + 1;
+    const VersionNumber version = s.state(d.current_set.RankMax()).version +
+                                  (type == AccessType::kWrite ? 1 : 0);
+    DvCommit(p, d.current_set, op, version);
+    obs.counter.Add(MessageKind::kCommit, d.current_set.Size());
     DvReintegrateGroup(p, copies);
     return copies;
   }
@@ -614,41 +475,32 @@ void ObjectRun::DvRecover(int p, SiteId site) {
   // happen here.
   ObservedSlot& obs = observed(p);
   SiteSet copies = path_.net().ComponentOf(site).Intersect(cfg_.placement);
-  EvalResult d = DvEvaluate(p, copies);
+  const QuorumDecision d = DvEvaluate(p, copies);
   DYNVOTE_CHECK_MSG(d.granted,
                     "reintegration inside a granted group must succeed");
-  const DvSlot& slot = dv(p);
-  const OpNumber op = d.max_op + 1;
-  const VersionNumber version = d.max_version;
-  // While uniform, the site's row logically carries the uniform scalars;
-  // otherwise the store row is authoritative.
-  const VersionNumber site_version =
-      slot.uniform ? slot.u_version : slot.store.state(site).version;
-  if (site_version < version) obs.counter.Add(MessageKind::kFileCopy, 1);
-  SiteSet participants = d.current.Union(SiteSet{site});
-  DvCommit(p, participants, op, version, participants);
+  const ReplicaStore& s = store(p);
+  const OpNumber op = s.state(d.representative).op_number + 1;
+  const VersionNumber version = s.state(d.current_set.RankMax()).version;
+  if (s.state(site).version < version) {
+    obs.counter.Add(MessageKind::kFileCopy, 1);
+  }
+  SiteSet participants = d.current_set.Union(SiteSet{site});
+  DvCommit(p, participants, op, version);
   obs.counter.Add(MessageKind::kCommit, participants.Size());
 }
 
 void ObjectRun::DvReintegrateGroup(int p, SiteSet group) {
-  DvSlot& slot = dv(p);
-  // In uniform mode every copy already carries the maximal operation
-  // number — reintegration is a no-op by definition.
-  if (slot.uniform) return;
-  SiteSet copies = slot.store.CopiesAmong(group);
-  // Locally uniform group: every copy already carries the maximal op
-  // number (the definition of local_set), so the scan below would find
-  // nothing to recover.
-  if (slot.local_valid && copies == slot.local_set) return;
-  // MaxOp over the group only moves when a recover commits (it can raise
-  // the bar for the rest, exactly as in DynamicVoting); between recovers
-  // the cached value is exact.
-  OpNumber max_op = slot.store.MaxOp(copies);
-  for (SiteId s : copies) {
-    if (slot.store.state(s).op_number < max_op) {
-      DvRecover(p, s);
-      if (slot.uniform) return;  // a covering recover re-uniformized
-      max_op = slot.store.MaxOp(copies);
+  const ReplicaStore& s = store(p);
+  SiteSet copies = s.CopiesAmong(group);
+  // Uniform over the group: every copy already carries the maximal op
+  // number, so there is nothing stale to recover.
+  if (s.UniformOver(copies)) return;
+  // MaxOp over the group moves only when a recover commits.
+  OpNumber max_op = s.MaxOp(copies);
+  for (SiteId site : copies) {
+    if (s.state(site).op_number < max_op) {
+      DvRecover(p, site);
+      max_op = s.MaxOp(copies);
     }
   }
 }
@@ -661,18 +513,18 @@ void ObjectRun::DvOnNetworkEvent(int p) {
     SiteSet copies = group.Intersect(cfg_.placement);
     if (copies.Empty()) continue;
     obs.counter.Add(MessageKind::kInstantRefresh, 2 * copies.Size());
-    DvSlot& slot = dv(p);
-    if (slot.uniform && copies == slot.u_partition) {
-      // Membership is necessarily current: S = R = P_m. Skip the
-      // evaluate; the solo path reaches the same no-op conclusion.
-      continue;
-    }
-    EvalResult d = DvEvaluate(p, copies);
+    // S = R = P_m: membership is current without an evaluation, the
+    // solo path's conclusion too.
+    if (Settled(p, copies)) continue;
+    const QuorumDecision d = DvEvaluate(p, copies);
     if (!d.granted) continue;
-    const bool membership_current = d.current == d.prev && copies == d.current;
+    const bool membership_current =
+        d.current_set == d.prev_partition && copies == d.current_set;
     if (membership_current) continue;
-    DvCommit(p, d.current, d.max_op + 1, d.max_version, d.current);
-    obs.counter.Add(MessageKind::kCommit, d.current.Size());
+    const ReplicaStore& s = store(p);
+    DvCommit(p, d.current_set, s.state(d.representative).op_number + 1,
+             s.state(d.current_set.RankMax()).version);
+    obs.counter.Add(MessageKind::kCommit, d.current_set.Size());
     DvReintegrateGroup(p, copies);
   }
 }
@@ -690,9 +542,10 @@ void ObjectRun::Sample() {
     if (copies.Empty()) continue;
     std::uint32_t group_granted = 0;
     for (int p = 0; p < cfg_.num_protocols; ++p) {
-      const bool granted = plan(p).kind == BatchedKind::kMcv
-                               ? McvGranted(copies)
-                               : DvEvaluate(p, copies).granted;
+      const bool granted =
+          plan(p).kind == BatchedKind::kMcv
+              ? McvGranted(copies)
+              : Settled(p, copies) || DvEvaluate(p, copies).granted;
       if (granted) group_granted |= std::uint32_t{1} << p;
     }
     twice |= once & group_granted;

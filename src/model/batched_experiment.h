@@ -1,14 +1,13 @@
 // The batched multi-object simulation engine: N independent replicated
 // files ("objects") run back to back, each from its seed to the horizon
-// on its own SamplePath (model/sample_path.h), with its replica/protocol
-// state held as plain data — 64-bit SiteSet masks, vote counters and
-// operation/version scalars — instead of protocol-object heaps. The
+// on its own SamplePath (model/sample_path.h), with its protocol state
+// held as plain data — one ReplicaStore per protocol, message counters
+// and 32-bit protocol masks — instead of protocol-object heaps. The
 // paper's one-access-per-day workload is the sparse-event regime where
 // the protocol objects' per-object fixed costs (virtual calls, memo
-// bookkeeping) dominate; plain-data protocol slots and the uniform-mode
-// fast path below remove them, and no decision is memoized. Each
-// object's state is built fresh from its seed, so objects share nothing
-// but the run's read-only inputs.
+// bookkeeping) dominate; plain-data protocol slots remove them, and no
+// decision is memoized. Each object's state is built fresh from its
+// seed, so objects share nothing but the run's read-only inputs.
 //
 // Bit-identity contract: PolicyResult rows for object k in a batch of N
 // are bit-identical to a RunSoloAvailabilityExperiment with seed
@@ -16,11 +15,12 @@
 // engine guarantees this by construction:
 //   - both engines drive the same SamplePath, so the event sequence, the
 //     RNG draws and the network states are the solo run's;
-//   - protocol decisions use an integer fast path (all-copies-equal
-//     "uniform" mode: popcount majority tests over SiteSet masks) that
-//     falls back to the real ReplicaStore + EvaluateDynamicQuorum the
-//     moment a commit leaves the copies divergent, so every decision
-//     equals the solo protocol object's decision.
+//   - each dynamic protocol keeps one ReplicaStore and decides with
+//     EvaluateDynamicQuorum over it, as DynamicVoting does, so every
+//     decision equals the solo protocol object's decision. The one
+//     shortcut is a store query: a group whose copies the last commit
+//     left with one ensemble and P = exactly those copies ("settled")
+//     grants with S = R = P_m without an evaluation.
 //
 // The engine is deliberately observability-free: traced, metered and
 // serving runs stay on the instrumented solo engine

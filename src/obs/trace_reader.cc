@@ -1,9 +1,12 @@
 #include "obs/trace_reader.h"
 
+#include <charconv>
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <istream>
+#include <system_error>
 
 #include "obs/binary_trace.h"
 #include "obs/trace_event.h"
@@ -30,7 +33,59 @@ void SkipSpaces(std::string_view line, std::size_t* pos) {
   }
 }
 
-// Parses a quoted string, undoing the escapes our sinks produce.
+// Reads the four hex digits of a \u escape at line[pos, pos + 4).
+bool ParseHex4(std::string_view line, std::size_t pos, std::uint32_t* code) {
+  if (pos + 4 > line.size()) return false;
+  const char* first = line.data() + pos;
+  const char* last = first + 4;
+  const auto [ptr, ec] = std::from_chars(first, last, *code, 16);
+  return ec == std::errc() && ptr == last;
+}
+
+void AppendUtf8(std::uint32_t code, std::string* out) {
+  auto byte = [out](std::uint32_t b) { out->push_back(static_cast<char>(b)); };
+  if (code < 0x80) {
+    byte(code);
+  } else if (code < 0x800) {
+    byte(0xc0 | (code >> 6));
+    byte(0x80 | (code & 0x3f));
+  } else if (code < 0x10000) {
+    byte(0xe0 | (code >> 12));
+    byte(0x80 | ((code >> 6) & 0x3f));
+    byte(0x80 | (code & 0x3f));
+  } else {
+    byte(0xf0 | (code >> 18));
+    byte(0x80 | ((code >> 12) & 0x3f));
+    byte(0x80 | ((code >> 6) & 0x3f));
+    byte(0x80 | (code & 0x3f));
+  }
+}
+
+// Decodes the \u escape whose 'u' is at line[*pos] into UTF-8, joining a
+// surrogate pair; leaves *pos on the escape's last hex digit. A lone
+// surrogate is malformed.
+bool ParseUnicodeEscape(std::string_view line, std::size_t* pos,
+                        std::string* out) {
+  std::uint32_t code = 0;
+  if (!ParseHex4(line, *pos + 1, &code)) return false;
+  *pos += 4;
+  if (code >= 0xdc00 && code <= 0xdfff) return false;
+  if (code >= 0xd800 && code <= 0xdbff) {
+    std::uint32_t low = 0;
+    if (*pos + 2 >= line.size() || line[*pos + 1] != '\\' ||
+        line[*pos + 2] != 'u' || !ParseHex4(line, *pos + 3, &low) ||
+        low < 0xdc00 || low > 0xdfff) {
+      return false;
+    }
+    *pos += 6;
+    code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+  }
+  AppendUtf8(code, out);
+  return true;
+}
+
+// Parses a quoted string, undoing every JSON escape. A malformed escape
+// fails the string.
 bool ParseString(std::string_view line, std::size_t* pos, std::string* out) {
   if (*pos >= line.size() || line[*pos] != '"') return false;
   ++*pos;
@@ -44,18 +99,20 @@ bool ParseString(std::string_view line, std::size_t* pos, std::string* out) {
     if (c == '\\') {
       ++*pos;
       if (*pos >= line.size()) return false;
-      char esc = line[*pos];
-      if (esc == 'u') {
-        // Our sinks only emit \u00XX for control bytes.
-        if (*pos + 4 >= line.size()) return false;
-        unsigned code = 0;
-        if (std::sscanf(line.substr(*pos + 1, 4).data(), "%4x", &code) != 1) {
+      switch (line[*pos]) {
+        case '"': out->push_back('"'); break;
+        case '\\': out->push_back('\\'); break;
+        case '/': out->push_back('/'); break;
+        case 'b': out->push_back('\b'); break;
+        case 'f': out->push_back('\f'); break;
+        case 'n': out->push_back('\n'); break;
+        case 'r': out->push_back('\r'); break;
+        case 't': out->push_back('\t'); break;
+        case 'u':
+          if (!ParseUnicodeEscape(line, pos, out)) return false;
+          break;
+        default:
           return false;
-        }
-        out->push_back(static_cast<char>(code));
-        *pos += 4;
-      } else {
-        out->push_back(esc);
       }
       ++*pos;
     } else {

@@ -2,8 +2,9 @@
 // binary, auto-detected from the first byte — and aggregates it into the
 // per-protocol why-unavailable breakdown the `trace-summary` CLI prints.
 // The JSONL parser handles exactly the flat subset our sinks emit
-// (string, number, bool, and flat-array values) — it is a schema reader,
-// not a general JSON library.
+// (string, number, bool, and flat-array values; strings take every JSON
+// escape, \u decoded to UTF-8) — it is a schema reader, not a general
+// JSON library.
 
 #pragma once
 

@@ -28,12 +28,6 @@ void ReplicaStore::Reset() {
   ++epoch_;
 }
 
-const ReplicaState& ReplicaStore::state(SiteId site) const {
-  DYNVOTE_CHECK_MSG(placement_.Contains(site),
-                    "queried a site that holds no copy");
-  return states_[site];
-}
-
 ReplicaState* ReplicaStore::mutable_state(SiteId site) {
   DYNVOTE_CHECK_MSG(placement_.Contains(site),
                     "mutated a site that holds no copy");

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "repl/replica_state.h"
+#include "util/logging.h"
 #include "util/result.h"
 #include "util/site_set.h"
 
@@ -38,8 +39,13 @@ class ReplicaStore {
   /// keyed on it.
   std::uint64_t epoch() const { return epoch_; }
 
-  /// State of the copy at `site`; `site` must be in placement().
-  const ReplicaState& state(SiteId site) const;
+  /// State of the copy at `site`; `site` must be in placement(). Inline:
+  /// the engines read it on every decision.
+  const ReplicaState& state(SiteId site) const {
+    DYNVOTE_CHECK_MSG(placement_.Contains(site),
+                      "queried a site that holds no copy");
+    return states_[site];
+  }
   /// Also forgets the uniform block: the caller may write anything.
   ReplicaState* mutable_state(SiteId site);
 

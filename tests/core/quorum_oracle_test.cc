@@ -6,7 +6,8 @@
 // taken over a copy of the store whose marker was dropped (a no-op
 // mutable_state handout), and that one's Q and S must equal the store's
 // own scans. Every tie rule, the topological rule and explicit weights
-// are covered, and witnesses through DynamicVoting::Evaluate.
+// are covered, and witnesses through DynamicVoting::Evaluate. The
+// batched engine's settled-group shortcut is checked the same way.
 
 #include <memory>
 #include <string>
@@ -195,6 +196,66 @@ TEST(QuorumOracleTest, UniformBlockShortcutMatchesTheFullScan) {
   // Both paths must actually have been taken.
   EXPECT_GT(shortcut_groups, 1000u);
   EXPECT_GT(scanned_groups, 1000u);
+}
+
+// The batched engine's one shortcut (model/batched_experiment.cc,
+// ObjectRun::Settled): a group R whose copies the last commit left
+// uniform with P = R grants with S = R = P_m, so its membership is
+// current, without an evaluation. Over the same random histories, every
+// settled group must get exactly that answer from the kernel under every
+// rule. The one exception is a block weighing nothing: 0 > 0 fails, so
+// such a group wins only by the lexicographic tie rule. The engine
+// counts unit votes, where no block weighs nothing.
+TEST(QuorumOracleTest, SettledGroupsGrantWithCurrentMembership) {
+  const std::shared_ptr<const Topology> topology = PaperTopology();
+  const SiteSet universe = topology->AllSites();
+  const VoteWeights unit;
+  const VoteWeights explicit_weights = ExplicitWeights();
+  const std::vector<Rule> rules = AllRules();
+  const std::vector<SiteSet> placements = {
+      SiteSet{0, 1, 2, 3, 4}, SiteSet{0, 1, 3, 5, 6, 7},
+      SiteSet{0, 1, 2, 3, 5, 6, 7}, universe};
+
+  std::uint64_t settled_groups = 0;
+  std::uint64_t proper_subsets = 0;
+  for (SiteSet placement : placements) {
+    for (std::uint64_t seed : {21u, 22u}) {
+      auto made = ReplicaStore::Make(placement);
+      ASSERT_TRUE(made.ok());
+      ReplicaStore store = made.MoveValue();
+      Rng rng(seed * 1000 + static_cast<std::uint64_t>(placement.mask()));
+      for (int step = 0; step < 200; ++step) {
+        RandomStep(&rng, universe, &store);
+        for (std::uint64_t mask = 1; mask <= universe.mask(); ++mask) {
+          const SiteSet group = SiteSet::FromMask(mask);
+          const SiteSet r = store.CopiesAmong(group);
+          if (r.Empty() || !store.UniformOver(r) ||
+              store.state(r.RankMax()).partition_set != r) {
+            continue;
+          }
+          ++settled_groups;
+          if (r != placement) ++proper_subsets;
+          for (const Rule& rule : rules) {
+            const VoteWeights& weights =
+                rule.weighted ? explicit_weights : unit;
+            const QuorumDecision d = EvaluateDynamicQuorum(
+                store, group, rule.tie_break,
+                rule.topological ? topology.get() : nullptr, weights);
+            const bool weightless = weights.WeightOf(r) == 0;
+            ASSERT_EQ(d.granted, !weightless ||
+                                     rule.tie_break ==
+                                         TieBreak::kLexicographic)
+                << "placement " << placement << " seed " << seed << " step "
+                << step << " group " << group << ": " << Describe(d);
+            ASSERT_EQ(d.current_set, r) << Describe(d);
+            ASSERT_EQ(d.prev_partition, r) << Describe(d);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(settled_groups, 1000u);
+  EXPECT_GT(proper_subsets, 100u);
 }
 
 // The witness rule runs after the kernel, in DynamicVoting::Evaluate.

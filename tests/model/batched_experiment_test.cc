@@ -100,13 +100,13 @@ TEST(BatchedExperimentTest, EveryObjectMatchesItsSoloRunBitForBit) {
   // The engine's hard constraint: object k in a batch of N reproduces a
   // RunSoloAvailabilityExperiment with seed seeds[k] exactly. Five
   // objects over three years of the partition-prone placement exercise
-  // uniform mode, divergence, reintegration and recovery.
+  // the steady state, divergence, reintegration and recovery.
   //
   // The stressed input divides every site's MTTF by 20. Three of the
   // five copies (and the gateway to the second segment) are then down
   // most of the time, so the divergent path carries most of the run:
-  // the EvaluateDynamicQuorum fallback, recovery, reintegration and the
-  // locally uniform group. Its file copies and denied accesses must pass
+  // evaluations over non-uniform stores, recovery, reintegration and
+  // settled sub-groups. Its file copies and denied accesses must pass
   // thresholds fixed from the profiles alone, before any run: at least
   // 20 file copies per (object, dynamic protocol) and 6% of all accesses
   // denied, summed over the objects.
@@ -279,13 +279,13 @@ TEST(BatchedExperimentTest, BatchSizeNeverChangesResults) {
 
 TEST(BatchedEngineTest, ObjectsRunIndependentlyInAnyOrder) {
   // The engine runs a batch's objects back to back. Nothing one object
-  // leaves behind — sample memo entries, steady-state tallies, the
-  // all-available flag, divergent replica state — may reach the next:
-  // every row must equal the batch-of-one run of its seed, whichever
-  // object ran before it. The partition-prone placement with sites that
-  // fail four times as often ends many objects with their dynamic slots
-  // out of uniform mode and small groups granted in the memos; with no
-  // warm-up, whatever leaked into an object's first days is measured.
+  // leaves behind — steady-state tallies, the all-available flag,
+  // divergent replica state — may reach the next: every row must equal
+  // the batch-of-one run of its seed, whichever object ran before it.
+  // The partition-prone placement with sites that fail four times as
+  // often ends many objects with their stores divergent and small
+  // groups settled; with no warm-up, whatever leaked into an object's
+  // first days is measured.
   ExperimentSpec spec = PaperSpec();
   spec.options.warmup = 0.0;
   for (SiteProfile& profile : spec.profiles) profile.mttf_days /= 4.0;

@@ -10,8 +10,10 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "check/counterexample.h"
 #include "obs/async_writer.h"
 #include "obs/binary_trace.h"
 #include "obs/trace_sink.h"
@@ -35,6 +37,57 @@ TEST(ParseTraceLineTest, UndoesStringEscapes) {
   ASSERT_TRUE(
       ParseTraceLine("{\"name\":\"a\\\"b\\\\c\\u000a\"}", &fields));
   EXPECT_EQ(fields.at("name"), "a\"b\\c\n");
+}
+
+std::string ParsedString(const std::string& json_string) {
+  std::map<std::string, std::string> fields;
+  EXPECT_TRUE(ParseTraceLine("{\"s\":" + json_string + "}", &fields))
+      << json_string;
+  return fields["s"];
+}
+
+bool ParsesAsString(const std::string& json_string) {
+  std::map<std::string, std::string> fields;
+  return ParseTraceLine("{\"s\":" + json_string + "}", &fields);
+}
+
+TEST(ParseTraceLineTest, DecodesEveryJsonEscape) {
+  EXPECT_EQ(ParsedString(R"("\b")"), "\b");
+  EXPECT_EQ(ParsedString(R"("\f")"), "\f");
+  EXPECT_EQ(ParsedString(R"("\n")"), "\n");
+  EXPECT_EQ(ParsedString(R"("\r")"), "\r");
+  EXPECT_EQ(ParsedString(R"("\t")"), "\t");
+  EXPECT_EQ(ParsedString(R"("\/")"), "/");
+  EXPECT_EQ(ParsedString(R"("\"")"), "\"");
+  EXPECT_EQ(ParsedString(R"("\\")"), "\\");
+  EXPECT_EQ(ParsedString(R"("M\tCV")"), "M\tCV");
+}
+
+TEST(ParseTraceLineTest, DecodesUnicodeEscapesToUtf8) {
+  EXPECT_EQ(ParsedString(R"("\u0000")"), std::string(1, '\0'));
+  EXPECT_EQ(ParsedString(R"("\u007f")"), "\x7f");
+  EXPECT_EQ(ParsedString(R"("\u00e9")"), "\xc3\xa9");        // é
+  EXPECT_EQ(ParsedString(R"("\u20AC")"), "\xe2\x82\xac");    // €
+  EXPECT_EQ(ParsedString(R"("\ud83d\ude00")"),                 // U+1F600
+            "\xf0\x9f\x98\x80");
+  EXPECT_EQ(ParsedString(R"("a\u20acb")"), "a\xe2\x82\xac" "b");
+}
+
+TEST(ParseTraceLineTest, MalformedEscapesFailTheLine) {
+  EXPECT_FALSE(ParsesAsString(R"("\q")"));
+  EXPECT_FALSE(ParsesAsString(R"("\u12")"));      // too few digits
+  EXPECT_FALSE(ParsesAsString(R"("\u12g4")"));    // not hex
+  EXPECT_FALSE(ParsesAsString(R"("\u-123")"));    // sign
+  EXPECT_FALSE(ParsesAsString(R"("\u+123")"));
+  EXPECT_FALSE(ParsesAsString(R"("\ud83d")"));    // lone high surrogate
+  EXPECT_FALSE(ParsesAsString(R"("\ud83dx")"));
+  EXPECT_FALSE(ParsesAsString(R"("\ud83d\u0041")"));  // not a low one
+  EXPECT_FALSE(ParsesAsString(R"("\ude00")"));    // lone low surrogate
+  // The hex digits are read from the string itself, never past its end.
+  std::map<std::string, std::string> fields;
+  const std::string line = "{\"s\":\"\\u00";
+  EXPECT_FALSE(ParseTraceLine(std::string_view(line), &fields));
+  EXPECT_FALSE(ParseTraceLine(std::string_view(line).substr(0, 7), &fields));
 }
 
 TEST(ParseTraceLineTest, RejectsNonObjects) {
@@ -223,6 +276,59 @@ TEST(SummarizeTraceTest, ServingEventsFoldIdenticallyFromBothFormats) {
   EXPECT_NE(from_jsonl.ToString().find("serving: events=6"),
             std::string::npos)
       << from_jsonl.ToString();
+}
+
+std::string ReplaceAll(std::string text, const std::string& from,
+                       const std::string& to) {
+  for (std::size_t at = text.find(from); at != std::string::npos;
+       at = text.find(from, at + to.size())) {
+    text.replace(at, from.size(), to);
+  }
+  return text;
+}
+
+TEST(SummarizeTraceTest, ReadsEscapedProtocolNames) {
+  const std::string trace = SyntheticTrace();
+  const std::string edited = ReplaceAll(trace, R"("protocol":"LDV")",
+                                        R"("protocol":"M\tCV")");
+  ASSERT_NE(edited, trace);
+  std::istringstream in(edited);
+  TraceSummary summary = SummarizeTrace(in);
+  EXPECT_EQ(summary.malformed_lines, 0u);
+  EXPECT_EQ(summary.per_protocol.count("MtCV"), 0u);
+  ASSERT_EQ(summary.per_protocol.count("M\tCV"), 1u);
+  EXPECT_EQ(summary.per_protocol.at("M\tCV").accesses, 2u);
+}
+
+TEST(CounterExampleJsonTest, ReadsEscapedStrings) {
+  // tests/check/corpus/tdv_fork_pairs.json with the protocol edited.
+  const std::string json = R"({
+  "schema": "dynvote-counterexample-v1",
+  "protocol": "TDV",
+  "topology": "pairs",
+  "placement": [0,1,2,3],
+  "strict": true,
+  "max_granted_groups": 1,
+  "oracle": "none",
+  "invariant": "mutual_exclusion",
+  "step": 3,
+  "detail": "2 groups granted (threshold 1), e.g. group {2, 3}",
+  "schedule": "toggle_site:0 toggle_site:1 toggle_repeater:0 toggle_site:0"
+}
+)";
+  ASSERT_TRUE(check::ParseCounterExampleJson(json).ok());
+  auto parsed = check::ParseCounterExampleJson(
+      ReplaceAll(json, R"("TDV")", R"("M\tCV")"));
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->protocol, "M\tCV");
+  EXPECT_EQ(parsed->topology, "pairs");
+
+  EXPECT_FALSE(check::ParseCounterExampleJson(
+                   ReplaceAll(json, R"("TDV")", R"("\uDC00")"))
+                   .ok());
+  EXPECT_FALSE(check::ParseCounterExampleJson(
+                   ReplaceAll(json, R"("TDV")", R"("T\DV")"))
+                   .ok());
 }
 
 TEST(SummarizeTraceTest, ToStringNamesEveryProtocolSection) {
