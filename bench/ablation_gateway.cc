@@ -72,10 +72,7 @@ int Run(const BenchArgs& args) {
   int failures = 0;
   std::vector<ShapeCheck> checks;
   for (char label : std::string("AEF")) {
-    const PaperConfiguration* config = nullptr;
-    for (const auto& c : PaperConfigurations()) {
-      if (c.label == label) config = &c;
-    }
+    const PaperConfiguration* config = PaperConfigurationFor(label);
     std::map<std::string, double> gateway_u;
     std::map<std::string, double> repeater_u;
     for (int variant = 0; variant < 2; ++variant) {

@@ -57,10 +57,7 @@ int Run(BenchArgs args) {
 
   int failures = 0;
   for (char label : args.configs) {
-    const PaperConfiguration* config = nullptr;
-    for (const auto& c : PaperConfigurations()) {
-      if (c.label == label) config = &c;
-    }
+    const PaperConfiguration* config = PaperConfigurationFor(label);
     if (config == nullptr) continue;
 
     // Most reliable member: lowest id (csvax/beowulf end of Table 1);

@@ -71,10 +71,7 @@ int RunConfig(const BenchArgs& args, char config) {
   TextTable multi({"Files", "LDV refresh msgs", "ODV refresh msgs",
                    "LDV refresh msgs/file/day"});
   auto network = MakePaperNetwork();
-  const PaperConfiguration* pc = nullptr;
-  for (const auto& c : PaperConfigurations()) {
-    if (c.label == config) pc = &c;
-  }
+  const PaperConfiguration* pc = PaperConfigurationFor(config);
   bool amortisation_linear = true;
   double per_file_per_day_at_1 = 0.0;
   for (int files : {1, 4, 16}) {

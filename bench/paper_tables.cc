@@ -34,10 +34,7 @@ int Table2(const BenchArgs& args, const GridResults& grid) {
   TextTable table({"Config", "Policy", "Measured", "95% CI ±", "Paper",
                    "x Paper"});
   for (const auto& [label, row] : grid.by_config) {
-    const PaperConfiguration* config = nullptr;
-    for (const auto& c : PaperConfigurations()) {
-      if (c.label == label) config = &c;
-    }
+    const PaperConfiguration* config = PaperConfigurationFor(label);
     for (const PolicyResult& r : row) {
       double paper = PaperTable2Value(label, r.name);
       std::string ratio = "-";

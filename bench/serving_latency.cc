@@ -8,6 +8,7 @@
 //   {
 //     "schema": "dynvote-serving-v1",
 //     "unit": "ms",
+//     "cores": N,
 //     "configs": [
 //       {"config": "A", "policies": [
 //         {"name": "MCV", "served": N, "rejected": N, "granted": N,
@@ -25,7 +26,7 @@
 //
 // The policy rows are `dynvote serve --json`'s (ReadServingRow and
 // AppendServingRowJson in model/open_loop.h), numbers at 17 significant
-// digits.
+// digits. "cores" is the hardware thread count of the recording machine.
 //
 // The overhead entry measures a full serving experiment with metrics
 // collection on vs. off in alternating paired rounds (bench_util.h), so
@@ -37,6 +38,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -78,10 +80,7 @@ void RunServing(char config, double measured_days, std::uint64_t seed,
   obs.metrics = shard;
 
   auto network = MakePaperNetwork();
-  const PaperConfiguration* pc = nullptr;
-  for (const auto& c : PaperConfigurations()) {
-    if (c.label == config) pc = &c;
-  }
+  const PaperConfiguration* pc = PaperConfigurationFor(config);
   if (pc == nullptr) {
     std::cerr << "unknown configuration " << config << "\n";
     std::exit(1);
@@ -190,7 +189,9 @@ int Main(int argc, char** argv) {
   std::string json;
   json += "{\n  \"schema\": \"";
   json += kServingSchema;
-  json += "\",\n  \"unit\": \"ms\",\n";
+  json += "\",\n  \"unit\": \"ms\",\n  \"cores\": ";
+  AppendDecimal(std::thread::hardware_concurrency(), &json);
+  json += ",\n";
   json += ConfigsJson();
   json += OverheadJson(min_ms);
   json += "}\n";

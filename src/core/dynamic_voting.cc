@@ -93,6 +93,22 @@ QuorumDecision DynamicVoting::Evaluate(SiteSet group) const {
   return d;
 }
 
+ConsistencyProtocol::MemoState DynamicVoting::SaveMemo() const {
+  MemoState memo = ConsistencyProtocol::SaveMemo();
+  memo.slot_live = eval_cache_.valid && eval_cache_.epoch == store_.epoch();
+  memo.slot_mask = eval_cache_.group_mask;
+  memo.slot = eval_cache_.decision;
+  return memo;
+}
+
+void DynamicVoting::RestoreMemo(const MemoState& memo) {
+  ConsistencyProtocol::RestoreMemo(memo);
+  eval_cache_.valid = memo.slot_live;
+  eval_cache_.group_mask = memo.slot_mask;
+  eval_cache_.epoch = store_.epoch();
+  eval_cache_.decision = memo.slot;
+}
+
 bool DynamicVoting::WouldGrant(const NetworkState& net, SiteId origin,
                                AccessType /*type*/) const {
   if (!net.IsSiteUp(origin)) return false;

@@ -107,11 +107,16 @@ class DynamicVoting final : public ConsistencyProtocol {
   std::uint64_t state_epoch() const override { return store_.epoch(); }
 
   /// For the same reason, the canonical store fingerprint is a complete
-  /// state signature.
+  /// state signature, and a repeated access reads only the store and the
+  /// memos.
   bool AppendStateSignature(std::string* out) const override {
     store_.AppendCanonicalSignature(out);
     return true;
   }
+  ReplicaStore* repeatable_store() override { return &store_; }
+  /// Adds the Evaluate slot to the base memos.
+  MemoState SaveMemo() const override;
+  void RestoreMemo(const MemoState& memo) override;
 
   /// Runs the majority-partition test of Algorithm 1 for the given group
   /// of mutually communicating sites, against current replica state.

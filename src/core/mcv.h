@@ -72,6 +72,9 @@ class MajorityConsensusVoting final : public ConsistencyProtocol {
   /// frozen at construction); the store epoch is conservative but cheap.
   std::uint64_t state_epoch() const override { return store_.epoch(); }
 
+  /// The store and the (static) quorums decide every access.
+  ReplicaStore* repeatable_store() override { return &store_; }
+
   /// Grants are static, but versions steer where commits read from, so
   /// the store fingerprint is the canonical state.
   bool AppendStateSignature(std::string* out) const override {

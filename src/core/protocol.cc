@@ -28,15 +28,88 @@ std::string ProtocolKey(const char* metric, const std::string& protocol) {
 
 }  // namespace
 
-ConsistencyProtocol::MetricCells& ConsistencyProtocol::CellsFor(
-    MetricsShard* shard) const {
+std::string ConsistencyProtocol::MetricCellKey(int cell) const {
+  switch (cell) {
+    case kCacheHitCell:
+      return ProtocolKey("quorum_cache_hits", name());
+    case kAttemptedCell:
+      return ProtocolKey("accesses_attempted", name());
+    case kGrantedCell:
+      return ProtocolKey("accesses_granted", name());
+  }
+  const int reason = cell - AccessReasonCell(QuorumReason::kGrantedMajority);
+  return reason < kNumQuorumReasons
+             ? ReasonKey("access_reason", name(),
+                         static_cast<QuorumReason>(reason))
+             : ReasonKey("quorum_evaluations", name(),
+                         static_cast<QuorumReason>(reason -
+                                                   kNumQuorumReasons));
+}
+
+void ConsistencyProtocol::BumpCell(int cell, std::uint64_t n) const {
+  MetricsShard* shard = obs_->metrics;
   if (metric_cells_.shard != shard ||
       metric_cells_.epoch != shard->cell_epoch()) {
     metric_cells_ = MetricCells{};
     metric_cells_.shard = shard;
     metric_cells_.epoch = shard->cell_epoch();
   }
-  return metric_cells_;
+  std::uint64_t*& value = metric_cells_.cells[cell];
+  if (value == nullptr) value = shard->CounterCell(MetricCellKey(cell));
+  *value += n;
+  if (metric_tally_ != nullptr) {
+    (*metric_tally_)[static_cast<std::size_t>(cell)] += n;
+  }
+}
+
+void ConsistencyProtocol::RepeatMetrics(const MetricTally& delta,
+                                        std::uint64_t times) {
+  for (int cell = 0; cell < kNumMetricCells; ++cell) {
+    const std::uint64_t n = delta[static_cast<std::size_t>(cell)];
+    if (n != 0) BumpCell(cell, n * times);
+  }
+}
+
+bool ConsistencyProtocol::MemoState::operator==(const MemoState& other) const {
+  if (ring.valid != other.ring.valid || slot_live != other.slot_live) {
+    return false;
+  }
+  if (ring.valid) {
+    if (ring.size != other.ring.size || ring.next != other.ring.next) {
+      return false;
+    }
+    for (std::size_t i = 0; i < ring.size; ++i) {
+      const QuorumCacheEntry& a = ring.entries[i];
+      const QuorumCacheEntry& b = other.ring.entries[i];
+      if (a.component_mask != b.component_mask || a.type != b.type ||
+          a.granted != b.granted) {
+        return false;
+      }
+    }
+  }
+  if (!slot_live) return true;
+  const QuorumDecision& a = slot;
+  const QuorumDecision& b = other.slot;
+  return slot_mask == other.slot_mask && a.granted == b.granted &&
+         a.by_tie_break == b.by_tie_break &&
+         a.witness_refused == b.witness_refused &&
+         a.reachable_copies == b.reachable_copies &&
+         a.quorum_set == b.quorum_set && a.current_set == b.current_set &&
+         a.counted_set == b.counted_set &&
+         a.prev_partition == b.prev_partition &&
+         a.representative == b.representative && a.reason == b.reason;
+}
+
+ConsistencyProtocol::MemoState ConsistencyProtocol::SaveMemo() const {
+  MemoState memo;
+  memo.ring = quorum_cache_;
+  memo.ring.valid = quorum_cache_.valid && quorum_cache_.epoch == state_epoch();
+  return memo;
+}
+
+void ConsistencyProtocol::RestoreMemo(const MemoState& memo) {
+  quorum_cache_ = memo.ring;
+  quorum_cache_.epoch = state_epoch();
 }
 
 bool ConsistencyProtocol::CachedWouldGrant(const NetworkState& net,
@@ -129,14 +202,7 @@ void ConsistencyProtocol::EmitCacheHitSlow(std::uint64_t group_mask,
                         QuorumReason::kCacheHit, sets);
     }
   }
-  if (obs_->metrics != nullptr) {
-    MetricCells& cells = CellsFor(obs_->metrics);
-    if (cells.cache_hits == nullptr) {
-      cells.cache_hits =
-          obs_->metrics->CounterCell(ProtocolKey("quorum_cache_hits", name()));
-    }
-    ++*cells.cache_hits;
-  }
+  if (obs_->metrics != nullptr) BumpCell(kCacheHitCell);
 }
 
 void ConsistencyProtocol::EmitQuorumDecisionSlow(
@@ -164,16 +230,7 @@ void ConsistencyProtocol::EmitQuorumDecisionSlow(
                         sets);
     }
   }
-  if (obs_->metrics != nullptr) {
-    MetricCells& cells = CellsFor(obs_->metrics);
-    std::uint64_t*& cell =
-        cells.evaluations[static_cast<int>(decision.reason)];
-    if (cell == nullptr) {
-      cell = obs_->metrics->CounterCell(
-          ReasonKey("quorum_evaluations", name(), decision.reason));
-    }
-    ++*cell;
-  }
+  if (obs_->metrics != nullptr) BumpCell(EvaluationCell(decision.reason));
 }
 
 void ConsistencyProtocol::EmitUserAccessSlow(const NetworkState& net,
@@ -200,25 +257,9 @@ void ConsistencyProtocol::EmitUserAccessAsSlow(AccessType type, bool granted,
     }
   }
   if (obs_->metrics != nullptr) {
-    MetricCells& cells = CellsFor(obs_->metrics);
-    if (cells.attempted == nullptr) {
-      cells.attempted = obs_->metrics->CounterCell(
-          ProtocolKey("accesses_attempted", name()));
-    }
-    ++*cells.attempted;
-    if (granted) {
-      if (cells.granted == nullptr) {
-        cells.granted = obs_->metrics->CounterCell(
-            ProtocolKey("accesses_granted", name()));
-      }
-      ++*cells.granted;
-    }
-    std::uint64_t*& reason_cell = cells.access_reason[static_cast<int>(reason)];
-    if (reason_cell == nullptr) {
-      reason_cell =
-          obs_->metrics->CounterCell(ReasonKey("access_reason", name(), reason));
-    }
-    ++*reason_cell;
+    BumpCell(kAttemptedCell);
+    if (granted) BumpCell(kGrantedCell);
+    BumpCell(AccessReasonCell(reason));
   }
 }
 

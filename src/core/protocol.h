@@ -4,6 +4,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -20,6 +21,8 @@
 #include "util/status.h"
 
 namespace dynvote {
+
+class ReplicaStore;
 
 /// Kind of file access being attempted.
 enum class AccessType { kRead, kWrite };
@@ -177,6 +180,74 @@ class ConsistencyProtocol {
   /// reached states this way instead of replaying their schedules.
   virtual void AssignFrom(const ConsistencyProtocol& other) = 0;
 
+  // --- Repeated accesses ------------------------------------------------
+  //
+  // Algorithm 1 commits (S, o_m + 1, v_m [+1], S), so between two network
+  // events every access after the first finds the same Q = S = P_m and
+  // repeats the same commit one op number higher. For a protocol whose
+  // decisions read nothing but its replica store, the whole reaction to
+  // such an access (grant, commit, messages, metric cells, the memo state
+  // it leaves) is then fixed by its memo state and the access type. The
+  // serving model's arrival drain (model/arrival_drain.h) learns each
+  // reaction from one real access and replays the rest through these
+  // hooks.
+
+  /// The store repeated accesses commit to, or null for a protocol whose
+  /// reaction may read more than its store and memos; such a protocol
+  /// runs every access.
+  virtual ReplicaStore* repeatable_store() { return nullptr; }
+
+  /// One entry of the CachedWouldGrant ring.
+  struct QuorumCacheEntry {
+    std::uint64_t component_mask;
+    AccessType type;
+    bool granted;
+  };
+  /// Small ring of recent decisions: a network has few live components at
+  /// any instant, so the working set is tiny, but masks from superseded
+  /// network states would otherwise accumulate between state mutations —
+  /// the ring evicts them in insertion order and keeps the linear scan
+  /// O(16).
+  static constexpr std::size_t kQuorumCacheSlots = 16;
+  struct QuorumCache {
+    std::uint64_t epoch = 0;
+    bool valid = false;
+    std::size_t size = 0;
+    std::size_t next = 0;  // ring insertion cursor
+    QuorumCacheEntry entries[kQuorumCacheSlots];
+  };
+
+  /// The protocol's memos with the store epoch factored out: the
+  /// CachedWouldGrant ring and, in DynamicVoting, the Evaluate slot, each
+  /// live (it answers for the replica state as it stands) or dead (its
+  /// next lookup starts afresh). Compare two with ==; hand one back to
+  /// RestoreMemo.
+  struct MemoState {
+    QuorumCache ring;  // ring.valid: live; ring.epoch is not kept
+    bool slot_live = false;
+    std::uint64_t slot_mask = 0;
+    QuorumDecision slot;
+
+    bool operator==(const MemoState& other) const;
+  };
+  virtual MemoState SaveMemo() const;
+  /// Installs `memo`, its live parts live against the replica state as it
+  /// stands. Sound only where that state decides every group as the state
+  /// `memo` was saved from did.
+  virtual void RestoreMemo(const MemoState& memo);
+
+  /// This instance's metric cells, in tally order: quorum_cache_hits,
+  /// accesses_attempted, accesses_granted, then access_reason and
+  /// quorum_evaluations by reason.
+  static constexpr int kNumMetricCells = 3 + 2 * kNumQuorumReasons;
+  using MetricTally = std::array<std::uint64_t, kNumMetricCells>;
+  /// While a tally is attached (null detaches; not owned), everything
+  /// this instance adds to its metric cells is added to it too.
+  void set_metric_tally(MetricTally* tally) { metric_tally_ = tally; }
+  /// Adds `times` x `delta` to the metric cells: the emissions of that
+  /// many repeats of a reaction that moved the tally by `delta`.
+  void RepeatMetrics(const MetricTally& delta, std::uint64_t times);
+
   /// Message accounting (see repl/message_bus.h).
   MessageCounter* counter() { return &counter_; }
   const MessageCounter& counter() const { return counter_; }
@@ -261,24 +332,15 @@ class ConsistencyProtocol {
   MessageCounter counter_;
 
  private:
-  struct QuorumCacheEntry {
-    std::uint64_t component_mask;
-    AccessType type;
-    bool granted;
-  };
-  /// Small ring of recent decisions: a network has few live components at
-  /// any instant, so the working set is tiny, but masks from superseded
-  /// network states would otherwise accumulate between state mutations —
-  /// the ring evicts them in insertion order and keeps the linear scan
-  /// O(16).
-  static constexpr std::size_t kQuorumCacheSlots = 16;
-  struct QuorumCache {
-    std::uint64_t epoch = 0;
-    bool valid = false;
-    std::size_t size = 0;
-    std::size_t next = 0;  // ring insertion cursor
-    QuorumCacheEntry entries[kQuorumCacheSlots];
-  };
+  static constexpr int kCacheHitCell = 0;
+  static constexpr int kAttemptedCell = 1;
+  static constexpr int kGrantedCell = 2;
+  static constexpr int AccessReasonCell(QuorumReason reason) {
+    return 3 + static_cast<int>(reason);
+  }
+  static constexpr int EvaluationCell(QuorumReason reason) {
+    return 3 + kNumQuorumReasons + static_cast<int>(reason);
+  }
 
   /// Stable counter-cell pointers for this protocol's metric keys,
   /// resolved at most once per key per (shard, cell_epoch) — the serving
@@ -290,15 +352,14 @@ class ConsistencyProtocol {
   struct MetricCells {
     MetricsShard* shard = nullptr;
     std::uint64_t epoch = 0;
-    std::uint64_t* cache_hits = nullptr;
-    std::uint64_t* attempted = nullptr;
-    std::uint64_t* granted = nullptr;
-    std::uint64_t* access_reason[kNumQuorumReasons] = {};
-    std::uint64_t* evaluations[kNumQuorumReasons] = {};
+    std::uint64_t* cells[kNumMetricCells] = {};
   };
-  /// Returns metric_cells_ rebound to `shard`, dropping stale pointers
-  /// when the shard or its epoch moved.
-  MetricCells& CellsFor(MetricsShard* shard) const;
+  /// Adds `n` to metric cell `cell` of the attached shard (resolving it
+  /// on first use, and again whenever the shard or its epoch moved) and
+  /// to the attached tally. Requires obs_->metrics.
+  void BumpCell(int cell, std::uint64_t n = 1) const;
+  /// The metric key of `cell`.
+  std::string MetricCellKey(int cell) const;
 
   void EmitCacheHitSlow(std::uint64_t group_mask, AccessType type,
                         bool granted) const;
@@ -318,6 +379,7 @@ class ConsistencyProtocol {
   /// interning.
   mutable TraceLabelCache trace_label_;
   mutable MetricCells metric_cells_;
+  MetricTally* metric_tally_ = nullptr;
 };
 
 }  // namespace dynvote

@@ -4,6 +4,7 @@
 
 #include "core/dynamic_voting.h"
 #include "core/registry.h"
+#include "model/arrival_drain.h"
 #include "model/batched_experiment.h"
 #include "model/sample_path.h"
 #include "net/network_state.h"
@@ -24,6 +25,9 @@ struct Observed {
   std::uint64_t dual_majority_instants = 0;
   /// Serving-model bookkeeping; null unless options.serving.enabled.
   std::unique_ptr<ServingStage> serving;
+  /// Replays this protocol's reactions to arrivals (untraced serving
+  /// runs only; see model/arrival_drain.h).
+  ArrivalDrain drain;
 };
 
 /// The observability side of event dispatch. Before each live event is
@@ -113,6 +117,10 @@ Result<std::vector<PolicyResult>> RunSoloAvailabilityExperiment(
   const SimTime horizon =
       start + spec.options.batch_length * spec.options.num_batches;
 
+  // A trace records every decision, so traced runs step every arrival;
+  // they are the reference the drained runs are tested against.
+  const bool drain =
+      serving && (spec.obs == nullptr || spec.obs->sink == nullptr);
   std::vector<Observed> observed;
   observed.reserve(protocols.size());
   for (auto& p : protocols) {
@@ -123,7 +131,7 @@ Result<std::vector<PolicyResult>> RunSoloAvailabilityExperiment(
         AvailabilityTracker(start, spec.options.batch_length,
                             spec.options.num_batches),
         /*attempted=*/0, /*granted=*/0, /*dual_majority_instants=*/0,
-        /*serving=*/nullptr});
+        /*serving=*/nullptr, ArrivalDrain(p.get(), drain)});
     if (spec.obs != nullptr) {
       observed.back().tracker.set_obs(spec.obs, p->name());
     }
@@ -135,53 +143,57 @@ Result<std::vector<PolicyResult>> RunSoloAvailabilityExperiment(
     }
   }
 
-  // Availability sampling shared by both event kinds. Each protocol's
+  // Availability sampling shared by every event kind. Each protocol's
   // grant decision is evaluated per group of communicating sites, which
   // also lets us assert the at-most-one-majority-partition invariant.
-  auto sample = [&]() {
+  // Returns the number of granted groups.
+  auto sample_one = [&](Observed& obs) {
     const std::vector<SiteSet>& groups = net.Components();
-    for (Observed& obs : observed) {
-      int granted_groups = 0;
-      for (const SiteSet& group : groups) {
-        SiteSet copies = group.Intersect(obs.protocol->placement());
-        if (copies.Empty()) continue;
-        if (obs.protocol->CachedWouldGrant(net, copies.RankMax(),
-                                           AccessType::kWrite)) {
-          ++granted_groups;
-        }
+    int granted_groups = 0;
+    for (const SiteSet& group : groups) {
+      SiteSet copies = group.Intersect(obs.protocol->placement());
+      if (copies.Empty()) continue;
+      if (obs.protocol->CachedWouldGrant(net, copies.RankMax(),
+                                         AccessType::kWrite)) {
+        ++granted_groups;
       }
-      if (granted_groups > 1) {
-        // Two disjoint groups are simultaneously granted. For the
-        // partition-safe protocols this is a library bug and fatal; for
-        // the topological variants it is a documented hazard of the
-        // published algorithm (see DynamicVoting::partition_safe) that we
-        // count and report.
-        ++obs.dual_majority_instants;
-        if (spec.options.check_mutual_exclusion &&
-            obs.protocol->partition_safe()) {
-          std::string detail = obs.protocol->name() + " at t=" +
-                               std::to_string(path.now()) + " groups:";
-          for (const SiteSet& group : groups) {
-            detail += " " + group.ToString();
-          }
-          if (auto* dv = dynamic_cast<DynamicVoting*>(obs.protocol)) {
-            for (SiteId s : dv->placement()) {
-              detail += "\n  site " + std::to_string(s) + ": " +
-                        dv->store().state(s).ToString();
-            }
-          }
-          DYNVOTE_CHECK_MSG(granted_groups <= 1,
-                            "two disjoint majority partitions: " + detail);
-        }
-      }
-      obs.tracker.Update(path.now(), granted_groups > 0);
     }
+    if (granted_groups > 1) {
+      // Two disjoint groups are simultaneously granted. For the
+      // partition-safe protocols this is a library bug and fatal; for
+      // the topological variants it is a documented hazard of the
+      // published algorithm (see DynamicVoting::partition_safe) that we
+      // count and report.
+      ++obs.dual_majority_instants;
+      if (spec.options.check_mutual_exclusion &&
+          obs.protocol->partition_safe()) {
+        std::string detail = obs.protocol->name() + " at t=" +
+                             std::to_string(path.now()) + " groups:";
+        for (const SiteSet& group : groups) {
+          detail += " " + group.ToString();
+        }
+        if (auto* dv = dynamic_cast<DynamicVoting*>(obs.protocol)) {
+          for (SiteId s : dv->placement()) {
+            detail += "\n  site " + std::to_string(s) + ": " +
+                      dv->store().state(s).ToString();
+          }
+        }
+        DYNVOTE_CHECK_MSG(granted_groups <= 1,
+                          "two disjoint majority partitions: " + detail);
+      }
+    }
+    obs.tracker.Update(path.now(), granted_groups > 0);
+    return granted_groups;
+  };
+  auto sample = [&]() {
+    for (Observed& obs : observed) sample_one(obs);
   };
 
   // The engine's reactions read the network and drive the protocols;
   // none draws from the path's generators or schedules an event.
   auto on_network_event = [&]() {
     for (Observed& obs : observed) {
+      if (obs.serving != nullptr) obs.drain.EndInterval(*obs.serving);
       obs.protocol->OnNetworkEvent(net);
       if (obs.serving != nullptr) {
         // Connection-vector refresh traffic lands in the refresh phase;
@@ -207,7 +219,32 @@ Result<std::vector<PolicyResult>> RunSoloAvailabilityExperiment(
     sample();
   };
 
-  auto on_arrival = [&](SiteId origin, AccessType type) {
+  // One served arrival's access for one protocol: run it, attribute its
+  // messages, and queue it at the origin replica.
+  struct Served {
+    bool granted;
+    std::uint64_t msgs;
+    ServingStage::Outcome outcome;
+  };
+  auto serve_one = [&](Observed& obs, double now, SiteId origin,
+                       AccessType type) {
+    ++obs.attempted;
+    Status st = obs.protocol->UserAccess(net, type);
+    if (st.ok()) {
+      ++obs.granted;
+    } else {
+      DYNVOTE_CHECK_MSG(st.IsNoQuorum(),
+                        "unexpected access failure: " + st.ToString());
+    }
+    const std::uint64_t msgs = obs.serving->AttributeMessages(
+        *obs.protocol->counter(), ServingStage::Phase::kAccess);
+    return Served{st.ok(), msgs,
+                  obs.serving->OnArrival(now, origin, msgs, st.ok())};
+  };
+
+  // A traced arrival: every protocol runs and records its serving event,
+  // then the sample runs over all of them, in the order the trace keeps.
+  auto on_arrival_traced = [&](SiteId origin, AccessType type) {
     const double now = path.now();
     const bool origin_up = net.IsSiteUp(origin);
     for (Observed& obs : observed) {
@@ -217,35 +254,62 @@ Result<std::vector<PolicyResult>> RunSoloAvailabilityExperiment(
         stage.OnRejected();
         continue;
       }
-      ++obs.attempted;
-      Status st = obs.protocol->UserAccess(net, type);
-      if (st.ok()) {
-        ++obs.granted;
-      } else {
-        DYNVOTE_CHECK_MSG(st.IsNoQuorum(),
-                          "unexpected access failure: " + st.ToString());
-      }
-      const std::uint64_t msgs = stage.AttributeMessages(
-          *obs.protocol->counter(), ServingStage::Phase::kAccess);
-      ServingStage::Outcome outcome =
-          stage.OnArrival(now, origin, msgs, st.ok());
-      if (spec.obs != nullptr && spec.obs->sink != nullptr) {
-        TraceEvent event;
-        event.type = TraceEventType::kServing;
-        event.t = spec.obs->now;
-        event.replication = spec.obs->replication;
-        event.seq = spec.obs->seq;
-        event.protocol = obs.protocol->name();
-        event.write = type == AccessType::kWrite;
-        event.origin = origin;
-        event.granted = st.ok();
-        event.latency_ms = outcome.latency_ms;
-        event.msgs = static_cast<std::uint32_t>(msgs);
-        event.depth = outcome.depth;
-        spec.obs->sink->Write(event);
-      }
+      const Served served = serve_one(obs, now, origin, type);
+      TraceEvent event;
+      event.type = TraceEventType::kServing;
+      event.t = spec.obs->now;
+      event.replication = spec.obs->replication;
+      event.seq = spec.obs->seq;
+      event.protocol = obs.protocol->name();
+      event.write = type == AccessType::kWrite;
+      event.origin = origin;
+      event.granted = served.granted;
+      event.latency_ms = served.outcome.latency_ms;
+      event.msgs = static_cast<std::uint32_t>(served.msgs);
+      event.depth = served.outcome.depth;
+      spec.obs->sink->Write(event);
     }
     sample();
+  };
+
+  // An untraced arrival, drained: each protocol replays the reaction it
+  // learned for this input from its memo state, or runs for real and
+  // learns it. Protocols are independent, so each one's access and
+  // sample run together.
+  auto on_arrival = [&](SiteId origin, AccessType type) {
+    const double now = path.now();
+    const bool origin_up = net.IsSiteUp(origin);
+    const ArrivalInput input = !origin_up ? ArrivalInput::kRejected
+                               : type == AccessType::kWrite
+                                   ? ArrivalInput::kWrite
+                                   : ArrivalInput::kRead;
+    for (Observed& obs : observed) {
+      ServingStage& stage = *obs.serving;
+      if (const ArrivalReaction* r = obs.drain.TryReplay(input)) {
+        if (origin_up) {
+          ++obs.attempted;
+          if (r->step.granted) ++obs.granted;
+          stage.OnArrival(now, origin, r->step.msgs, r->step.granted);
+        } else {
+          stage.OnRejected();
+        }
+        if (r->step.granted_groups > 1) ++obs.dual_majority_instants;
+        obs.tracker.Update(now, r->step.granted_groups > 0);
+        continue;
+      }
+      obs.drain.RunReal(input, stage, [&] {
+        ArrivalStep step;
+        if (origin_up) {
+          const Served served = serve_one(obs, now, origin, type);
+          step.granted = served.granted;
+          step.msgs = served.msgs;
+        } else {
+          stage.OnRejected();
+        }
+        step.granted_groups = sample_one(obs);
+        return step;
+      });
+    }
   };
 
   std::optional<DispatchStamp> stamp;
@@ -261,7 +325,11 @@ Result<std::vector<PolicyResult>> RunSoloAvailabilityExperiment(
         on_access(event.type);
         break;
       case PathEvent::Kind::kArrival:
-        on_arrival(event.origin, event.type);
+        if (drain) {
+          on_arrival(event.origin, event.type);
+        } else {
+          on_arrival_traced(event.origin, event.type);
+        }
         break;
     }
   }
@@ -269,6 +337,7 @@ Result<std::vector<PolicyResult>> RunSoloAvailabilityExperiment(
   std::vector<PolicyResult> results;
   results.reserve(observed.size());
   for (Observed& obs : observed) {
+    if (obs.serving != nullptr) obs.drain.EndInterval(*obs.serving);
     obs.tracker.Finish(horizon);
     PolicyResult r;
     r.name = obs.protocol->name();
@@ -296,10 +365,7 @@ Result<std::vector<PolicyResult>> RunPaperExperiment(
   auto network = MakePaperNetwork();
   if (!network.ok()) return network.status();
 
-  const PaperConfiguration* config = nullptr;
-  for (const PaperConfiguration& c : PaperConfigurations()) {
-    if (c.label == config_label) config = &c;
-  }
+  const PaperConfiguration* config = PaperConfigurationFor(config_label);
   if (config == nullptr) {
     return Status::InvalidArgument(std::string("unknown configuration '") +
                                    config_label + "'");

@@ -261,10 +261,7 @@ Result<ReplicatedResults> RunReplicatedPaperExperiment(
   auto network = MakePaperNetwork();
   if (!network.ok()) return network.status();
 
-  const PaperConfiguration* config = nullptr;
-  for (const PaperConfiguration& c : PaperConfigurations()) {
-    if (c.label == config_label) config = &c;
-  }
+  const PaperConfiguration* config = PaperConfigurationFor(config_label);
   if (config == nullptr) {
     return Status::InvalidArgument(std::string("unknown configuration '") +
                                    config_label + "'");

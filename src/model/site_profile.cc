@@ -64,6 +64,13 @@ const std::vector<PaperConfiguration>& PaperConfigurations() {
   return configs;
 }
 
+const PaperConfiguration* PaperConfigurationFor(char label) {
+  for (const PaperConfiguration& c : PaperConfigurations()) {
+    if (c.label == label) return &c;
+  }
+  return nullptr;
+}
+
 namespace {
 
 struct TableKey {

@@ -77,6 +77,9 @@ struct PaperConfiguration {
 /// The eight configurations A-H of Tables 2 and 3.
 const std::vector<PaperConfiguration>& PaperConfigurations();
 
+/// The configuration labelled `label`, or null for a letter outside A-H.
+const PaperConfiguration* PaperConfigurationFor(char label);
+
 /// Published unavailability (Table 2) for `config` in 'A'..'H' and
 /// `policy` in {MCV, DV, LDV, ODV, TDV, OTDV}. Returns -1 if unknown.
 double PaperTable2Value(char config, const std::string& policy);

@@ -1,11 +1,13 @@
 // Seeded mutational fuzzing of the hostile-input readers: the
 // counterexample parser (`check --replay`), the JSONL line parser and
-// SummarizeTrace over JSONL and btrace (`trace-summary`). Seeds are the
-// checked-in corpus and the trace of a short traced run; each case
-// applies a few byte flips, truncations, span duplications and spliced
-// JSON tokens to one seed. Every call must come back with a Status or a
-// false/malformed count: never a crash, a hang or an out-of-bounds read
-// (the sanitizer build runs this test under ASan/UBSan).
+// SummarizeTrace over JSONL and btrace (`trace-summary`), the `.net`
+// parser (`--network`) and the `.dvs` scenario parser (`scenario`).
+// Seeds are the checked-in corpus, the trace of a short traced run and
+// the shipped examples; each case applies a few byte flips, truncations,
+// span duplications and spliced tokens to one seed. Every call must come
+// back with a Status or a false/malformed count: never a crash, a hang or
+// an out-of-bounds read (the sanitizer build runs this test under
+// ASan/UBSan).
 
 #include <algorithm>
 #include <filesystem>
@@ -20,13 +22,20 @@
 
 #include "check/counterexample.h"
 #include "core/registry.h"
+#include "kv/scenario.h"
+#include "model/config_parser.h"
 #include "model/replicated_experiment.h"
+#include "model/sample_path.h"
+#include "model/site_profile.h"
 #include "obs/binary_trace.h"
 #include "obs/trace_reader.h"
 #include "util/rng.h"
 
 #ifndef DYNVOTE_CHECK_CORPUS_DIR
 #error "build must define DYNVOTE_CHECK_CORPUS_DIR"
+#endif
+#ifndef DYNVOTE_EXAMPLES_DIR
+#error "build must define DYNVOTE_EXAMPLES_DIR"
 #endif
 
 namespace dynvote {
@@ -36,11 +45,12 @@ constexpr int kCasesPerSeedFamily = 3000;
 /// A btrace seed is tens of kilobytes, so fewer cases.
 constexpr int kBinaryCases = 1000;
 
-std::vector<std::string> CorpusTexts() {
+/// The `extension` files of `dir`, in name order.
+std::vector<std::string> FileTexts(const std::filesystem::path& dir,
+                                   const std::string& extension) {
   std::vector<std::filesystem::path> files;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(DYNVOTE_CHECK_CORPUS_DIR)) {
-    if (entry.path().extension() == ".json") files.push_back(entry.path());
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == extension) files.push_back(entry.path());
   }
   std::sort(files.begin(), files.end());
   std::vector<std::string> texts;
@@ -51,6 +61,35 @@ std::vector<std::string> CorpusTexts() {
     texts.push_back(buffer.str());
   }
   return texts;
+}
+
+std::vector<std::string> CorpusTexts() {
+  return FileTexts(DYNVOTE_CHECK_CORPUS_DIR, ".json");
+}
+
+/// examples/scenarios/*.dvs.
+std::vector<std::string> ScenarioTexts() {
+  return FileTexts(std::filesystem::path(DYNVOTE_EXAMPLES_DIR) / "scenarios",
+                   ".dvs");
+}
+
+/// examples/networks/paper.net.
+std::string PaperNetText() {
+  return FileTexts(std::filesystem::path(DYNVOTE_EXAMPLES_DIR) / "networks",
+                   ".net")
+      .front();
+}
+
+/// The topologies the shipped scenarios name: three sites A, B, C on one
+/// segment, and the paper's network.
+std::vector<std::shared_ptr<const Topology>> ScenarioTopologies() {
+  auto builder = Topology::Builder();
+  const SegmentId lan = builder.AddSegment("lan");
+  for (const char* name : {"A", "B", "C"}) builder.AddSite(name, lan);
+  auto three = builder.Build();
+  auto paper = MakePaperNetwork();
+  EXPECT_TRUE(three.ok() && paper.ok());
+  return {three.MoveValue(), paper->topology};
 }
 
 /// The btrace of one short traced replication of configuration B.
@@ -133,6 +172,18 @@ TEST(ParserFuzzTest, SeedsParse) {
   for (const std::string& text : CorpusTexts()) {
     EXPECT_TRUE(check::ParseCounterExampleJson(text).ok()) << text;
   }
+  EXPECT_TRUE(ParseNetworkConfig(PaperNetText()).ok());
+  const std::vector<std::string> scenarios = ScenarioTexts();
+  ASSERT_EQ(scenarios.size(), 2u);
+  const auto topologies = ScenarioTopologies();
+  for (const std::string& text : scenarios) {
+    // Each shipped scenario names the sites of one of the topologies.
+    int parsed = 0;
+    for (const auto& topology : topologies) {
+      parsed += Scenario::Parse(topology, text).ok() ? 1 : 0;
+    }
+    EXPECT_EQ(parsed, 1) << text;
+  }
   const std::string btrace = TracedRunBtrace();
   std::istringstream in(btrace);
   std::ostringstream jsonl;
@@ -182,6 +233,42 @@ TEST(ParserFuzzTest, MutatedBinaryTracesSummarize) {
   for (int i = 0; i < kBinaryCases; ++i) {
     SummarizeNeverCrashes(Mutate(&rng, seed));
   }
+}
+
+TEST(ParserFuzzTest, MutatedNetworkConfigsReturnAStatus) {
+  const std::string seed = PaperNetText();
+  Rng rng(0x4E7C0F16);
+  int accepted = 0;
+  for (int i = 0; i < kCasesPerSeedFamily; ++i) {
+    auto parsed = ParseNetworkConfig(Mutate(&rng, seed));
+    if (!parsed.ok()) continue;
+    ++accepted;
+    // What parses reaches the sample path's validation, as in simulate.
+    ExperimentSpec spec;
+    spec.topology = parsed->topology;
+    spec.profiles = parsed->profiles;
+    spec.repeater_profiles = parsed->repeater_profiles;
+    (void)SamplePath::Validate(spec, SiteSet{0});
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kCasesPerSeedFamily);
+}
+
+TEST(ParserFuzzTest, MutatedScenariosReturnAStatus) {
+  const std::vector<std::string> seeds = ScenarioTexts();
+  ASSERT_FALSE(seeds.empty());
+  const auto topologies = ScenarioTopologies();
+  Rng rng(0x5CE4A210);
+  int accepted = 0;
+  for (int i = 0; i < kCasesPerSeedFamily; ++i) {
+    const std::string text =
+        Mutate(&rng, seeds[rng.NextBounded(seeds.size())]);
+    for (const auto& topology : topologies) {
+      if (Scenario::Parse(topology, text).ok()) ++accepted;
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kCasesPerSeedFamily);
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 #     exception, and never a silently truncated number ("--reps=2abc" is
 #     not 2);
 #   - a rate inside its bound whose longest draw overflows is refused
-#     with exit 2 by simulate, repeat and serve alike;
+#     with exit 2 by simulate, repeat and serve alike, and so is a serve
+#     --config letter outside A-H;
 #   - a flag the subcommand does not read, and a positional argument the
 #     subcommand does not take, are usage errors naming the subcommand;
 #   - an unknown subcommand exits 3 before any flag is looked at;
@@ -118,6 +119,10 @@ expect_rejected(2 "access rate too small"
                 repeat --sites=1,2,3 --years=1 --reps=1 --rate=1e-307)
 expect_rejected(2 "arrival rate too small"
                 serve --config=A --years=1 --arrival-rate=1e-307)
+# A --config letter outside A-H is refused before any configuration runs,
+# so AZ does not first run A.
+expect_rejected(2 "--config: unknown configuration 'Z'"
+                serve --config=AZ --years=0.01)
 
 # Flags a subcommand does not read are rejected, naming both.
 expect_rejected(2 "simulate does not accept --depth"

@@ -154,10 +154,7 @@ TEST(AnalyticMcvTest, AgreesWithSimulationOnPaperConfigs) {
   options.num_batches = 10;
   options.batch_length = Years(30);
   for (char config : {'A', 'B', 'C', 'D', 'E', 'F', 'G', 'H'}) {
-    const PaperConfiguration* pc = nullptr;
-    for (const auto& c : PaperConfigurations()) {
-      if (c.label == config) pc = &c;
-    }
+    const PaperConfiguration* pc = PaperConfigurationFor(config);
     ASSERT_NE(pc, nullptr);
     auto analytic = AnalyticMcvAvailability(paper->topology,
                                             paper->profiles, pc->placement);

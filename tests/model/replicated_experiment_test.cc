@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "core/registry.h"
 #include "model/export.h"
+#include "model/site_profile.h"
+#include "obs/context.h"
 #include "util/rng.h"
 
 namespace dynvote {
@@ -157,6 +163,117 @@ TEST(ReplicatedExperimentTest, NullFactoryIsRejected) {
   ExperimentSpec spec;
   EXPECT_TRUE(RunReplicatedExperiment(spec, ProtocolSetFactory(),
                                       Reps(1, 1))
+                  .status()
+                  .IsInvalidArgument());
+}
+
+// ---------------------------------------------------------------------
+// --objects grouping (the batched engine behind the replicated harness)
+// ---------------------------------------------------------------------
+
+TEST(ReplicatedObjectsTest, ObjectsGroupingIsByteInvisible) {
+  // The integration contract: --objects only changes wall-clock time.
+  // The serialized JSON (the CLI's --json output) must be byte-identical
+  // across objects ∈ {1, 3, N} and jobs ∈ {1, 4}, including a group size
+  // that does not divide the replication count.
+  ExperimentOptions options;
+  options.warmup = Days(90);
+  options.num_batches = 3;
+  options.batch_length = Years(1);
+  options.seed = 20260808;
+
+  auto run = [&](int objects, int jobs, bool collect_metrics = false) {
+    ReplicationOptions replication;
+    replication.replications = 7;
+    replication.jobs = jobs;
+    replication.objects = objects;
+    replication.collect_metrics = collect_metrics;
+    auto results = RunReplicatedPaperExperiment('B', PaperProtocolNames(),
+                                                options, replication);
+    EXPECT_TRUE(results.ok()) << results.status();
+    return ReplicatedResultsToJson("B", *results);
+  };
+
+  // objects = 1 still routes each replication to the batched engine as a
+  // batch of one; collecting metrics keeps every replication on the solo
+  // engine (the JSON leaves metrics out), so this pins the batched bytes
+  // to the reference engine's.
+  const std::string baseline = run(1, 1);
+  EXPECT_EQ(run(1, 1, /*collect_metrics=*/true), baseline);
+  EXPECT_EQ(run(3, 1), baseline);
+  EXPECT_EQ(run(3, 4), baseline);
+  EXPECT_EQ(run(7, 2), baseline);
+  EXPECT_EQ(run(16, 4), baseline);
+}
+
+TEST(ReplicatedObjectsTest, UnsupportedPolicyFallsBackToProtocolObjects) {
+  // AC has no batched fast path; the gate must silently route through
+  // the per-replication engine and still produce identical bytes.
+  ExperimentOptions options;
+  options.warmup = Days(30);
+  options.num_batches = 2;
+  options.batch_length = Years(1);
+  options.seed = 777;
+
+  auto run = [&](int objects) {
+    ReplicationOptions replication;
+    replication.replications = 3;
+    replication.jobs = 2;
+    replication.objects = objects;
+    auto results = RunReplicatedPaperExperiment('B', {"MCV", "AC"}, options,
+                                                replication);
+    EXPECT_TRUE(results.ok()) << results.status();
+    return ReplicatedResultsToJson("B", *results);
+  };
+  EXPECT_EQ(run(4), run(1));
+}
+
+TEST(ReplicatedObjectsTest, CallerObsContextWithoutCollectionStillGroups) {
+  // A caller-supplied spec.obs is dropped for every replication that
+  // collects nothing, so grouping must neither fail on it nor change the
+  // bytes.
+  auto network = MakePaperNetwork();
+  ASSERT_TRUE(network.ok()) << network.status();
+  std::shared_ptr<const Topology> topology = network->topology;
+  using ProtocolSet = std::vector<std::unique_ptr<ConsistencyProtocol>>;
+  ProtocolSetFactory factory = [topology]() -> Result<ProtocolSet> {
+    ProtocolSet protocols;
+    for (const std::string& name : PaperProtocolNames()) {
+      auto p = MakeProtocolByName(name, topology, SiteSet{0, 1, 3, 5, 7});
+      if (!p.ok()) return p.status();
+      protocols.push_back(p.MoveValue());
+    }
+    return protocols;
+  };
+  ExperimentSpec spec;
+  spec.topology = topology;
+  spec.profiles = network->profiles;
+  spec.options.warmup = Days(90);
+  spec.options.num_batches = 3;
+  spec.options.batch_length = Years(1);
+  spec.options.seed = 31337;
+  ObsContext ctx;
+  spec.obs = &ctx;
+
+  auto run = [&](int objects) {
+    ReplicationOptions replication;
+    replication.replications = 5;
+    replication.jobs = 1;
+    replication.objects = objects;
+    auto results = RunReplicatedExperiment(spec, factory, replication);
+    EXPECT_TRUE(results.ok()) << results.status();
+    return results.ok() ? ReplicatedResultsToJson("B", *results) : "";
+  };
+  const std::string grouped = run(3);
+  EXPECT_FALSE(grouped.empty());
+  EXPECT_EQ(grouped, run(1));
+}
+
+TEST(ReplicatedObjectsTest, ValidatesObjects) {
+  ExperimentOptions options;
+  ReplicationOptions replication;
+  replication.objects = 0;
+  EXPECT_TRUE(RunReplicatedPaperExperiment('A', {"MCV"}, options, replication)
                   .status()
                   .IsInvalidArgument());
 }

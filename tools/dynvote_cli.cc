@@ -772,6 +772,14 @@ int Serve(const Options& opt) {
     std::cerr << "--config needs at least one placement letter (A-H)\n";
     return kExitUsage;
   }
+  // Every letter is checked before any configuration runs.
+  for (char letter : opt.config) {
+    if (PaperConfigurationFor(letter) == nullptr) {
+      std::cerr << "--config: unknown configuration '" << letter
+                << "' (the paper's are A-H)\n";
+      return kExitUsage;
+    }
+  }
   std::vector<std::string> policies = SplitCsv(opt.policies);
 
   // The open loop serves ~1000 accesses per simulated day, so a short
@@ -782,7 +790,7 @@ int Serve(const Options& opt) {
 
   // Serving options the sample path cannot run (an arrival rate whose
   // longest gap overflows) are refused before any configuration runs, as
-  // in simulate and repeat. An unknown letter is left to the run below.
+  // in simulate and repeat.
   auto paper = MakePaperNetwork();
   if (!paper.ok()) {
     std::cerr << paper.status() << "\n";
