@@ -164,7 +164,8 @@ std::optional<Violation> CheckHarness::ApplyToArm(HarnessArm* arm,
       break;
     }
     case ActionKind::kWrite: {
-      std::string value = "v" + std::to_string(arm->counter++);
+      std::string value = "v";
+      value += std::to_string(arm->counter++);
       for (SiteId s = 0; s < num_sites; ++s) {
         if (!cluster.net().IsSiteUp(s)) continue;
         Status st = cluster.Put(s, kKey, value);

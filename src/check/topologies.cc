@@ -1,5 +1,8 @@
 #include "check/topologies.h"
 
+#include <string>
+#include <utility>
+
 #include "util/parse_number.h"
 
 namespace dynvote {
@@ -10,7 +13,9 @@ Result<std::shared_ptr<const Topology>> Single(int n) {
   auto builder = Topology::Builder();
   SegmentId seg = builder.AddSegment("lan");
   for (int i = 0; i < n; ++i) {
-    builder.AddSite("s" + std::to_string(i), seg);
+    std::string name = "s";
+    name += std::to_string(i);
+    builder.AddSite(std::move(name), seg);
   }
   auto topo = builder.Build();
   if (!topo.ok()) return topo.status();

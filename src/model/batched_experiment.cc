@@ -322,7 +322,7 @@ void ObjectRun::DrainRepeats(RepeatTally tally) {
   // the outage spans need each access's time — an unavailable tracker is
   // fed span by span, as Sample() would.
   const std::uint32_t unavailable = cfg_.all_protocols & ~sampled_once_;
-  path_.DrainAccesses(cfg_.horizon, [&](SimTime t, AccessType type) {
+  path_.DrainWorkload(cfg_.horizon, [&](SimTime t, AccessType type, SiteId) {
     tally.Add(type);
     for (std::uint32_t bits = unavailable; bits != 0; bits &= bits - 1) {
       observed(std::countr_zero(bits)).tracker.Update(t, false);

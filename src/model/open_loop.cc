@@ -1,6 +1,5 @@
 #include "model/open_loop.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/append.h"
@@ -10,6 +9,10 @@ namespace dynvote {
 namespace {
 
 constexpr const char* kPhaseNames[2] = {"access", "refresh"};
+
+/// A replica's pruned completions are dropped from its buffer once at
+/// least this many, and at least as many as remain, have piled up.
+constexpr std::size_t kCompactAfter = 256;
 
 /// The `protocol=P` label every serving_* key carries.
 std::string ProtocolLabel(std::string_view protocol) {
@@ -36,7 +39,6 @@ ServingStage::ServingStage(std::string protocol_name,
                            const ServingOptions& options, int num_sites)
     : name_(std::move(protocol_name)),
       options_(options),
-      busy_until_(static_cast<std::size_t>(num_sites), 0.0),
       in_flight_(static_cast<std::size_t>(num_sites)) {}
 
 std::uint64_t ServingStage::AttributeMessages(const MessageCounter& counter,
@@ -57,24 +59,36 @@ std::uint64_t ServingStage::AttributeMessages(const MessageCounter& counter,
 ServingStage::Outcome ServingStage::OnArrival(double now_days, SiteId origin,
                                               std::uint64_t msgs,
                                               bool granted) {
-  auto slot = static_cast<std::size_t>(origin);
-  std::deque<double>& pending = in_flight_[slot];
-  // Everything that completed before this arrival has left the replica;
-  // the survivors are the queue this request joins behind.
-  while (!pending.empty() && pending.front() <= now_days) {
-    pending.pop_front();
+  InFlight& pending = in_flight_[static_cast<std::size_t>(origin)];
+  std::vector<double>& completions = pending.completions;
+  // Lindley recursion: service starts when the server frees up, at the
+  // last completion. Everything that completed before this arrival has
+  // left the replica; the survivors are the queue it joins behind.
+  double start = now_days;
+  std::uint32_t depth = 0;
+  if (!completions.empty() && completions.back() > now_days) {
+    start = completions.back();
+    // The last completion is still ahead, so the walk stops before it.
+    while (completions[pending.head] <= now_days) ++pending.head;
+    depth = static_cast<std::uint32_t>(completions.size() - pending.head);
+    if (pending.head >= kCompactAfter && pending.head >= depth) {
+      completions.erase(completions.begin(),
+                        completions.begin() +
+                            static_cast<std::ptrdiff_t>(pending.head));
+      pending.head = 0;
+    }
+  } else {
+    // An idle server: the last completion, and so every one, is past.
+    completions.clear();
+    pending.head = 0;
   }
-  auto depth = static_cast<std::uint32_t>(pending.size());
 
   const double service_days =
       (options_.service_time_ms +
        options_.msg_cost_ms * static_cast<double>(msgs)) /
       kMillisPerDay;
-  // Lindley recursion: service starts when the server frees up.
-  const double start = std::max(now_days, busy_until_[slot]);
   const double completion = start + service_days;
-  busy_until_[slot] = completion;
-  pending.push_back(completion);
+  completions.push_back(completion);
 
   Outcome outcome;
   outcome.latency_ms = (completion - now_days) * kMillisPerDay;

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -110,11 +109,16 @@ class ServingStage {
  private:
   std::string name_;
   ServingOptions options_;
-  /// Lindley recursion state: when each replica's server frees up.
-  std::vector<double> busy_until_;
-  /// Outstanding completion instants per replica, pruned at each
-  /// arrival; the survivors are the queue depth the arrival observed.
-  std::vector<std::deque<double>> in_flight_;
+  /// Outstanding completion instants of one replica, oldest first from
+  /// `head`. Completions are monotone, so an arrival prunes the ones it
+  /// finds done by moving `head`; the survivors are the queue depth it
+  /// observed, and the last one is when the server frees up (the
+  /// Lindley recursion's state).
+  struct InFlight {
+    std::vector<double> completions;
+    std::size_t head = 0;
+  };
+  std::vector<InFlight> in_flight_;
   MessageCounter prev_;
   std::uint64_t phase_msgs_[2][kNumMessageKinds] = {};
   HistogramData latency_ms_;

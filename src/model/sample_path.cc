@@ -176,13 +176,17 @@ SamplePath::SamplePath(const ExperimentSpec& spec, SiteSet arrival_sites,
     // One generator per stream, expanded from the seed in site order: the
     // draws a site sees depend only on the seed and the site set.
     SplitMix64 mix(seed ^ 0x6C8E9CF570932BD5ULL);
+    const double per_stream_rate = serving_.arrival_rate_per_day /
+                                   static_cast<double>(arrival_sites.Size());
+    arrival_mean_gap_ = 1.0 / per_stream_rate;
     streams_.reserve(static_cast<std::size_t>(arrival_sites.Size()));
     for (SiteId site : arrival_sites) {
-      streams_.push_back(ArrivalStream{site, Rng(mix.Next())});
+      const CalendarEvent unscheduled{
+          kNoEvent.when, kNoEvent.seq,
+          Pack(EventKind::kArrival, static_cast<int>(streams_.size()))};
+      streams_.push_back(ArrivalStream{site, Rng(mix.Next()), unscheduled});
     }
-    per_stream_rate_ =
-        serving_.arrival_rate_per_day / static_cast<double>(streams_.size());
-    for (std::size_t i = 0; i < streams_.size(); ++i) ScheduleArrival(i);
+    for (ArrivalStream& stream : streams_) ScheduleArrival(stream);
   } else if (access_.enabled) {
     ScheduleAccess();
   }
@@ -231,13 +235,8 @@ PathEvent SamplePath::Apply() {
     case EventKind::kAccess:
       return PathEvent{PathEvent::Kind::kAccess, OnAccess()};
     case EventKind::kArrival: {
-      // Draw order: access type, then the next gap.
-      ArrivalStream& stream = streams_[static_cast<std::size_t>(entity)];
-      const AccessType type = stream.rng.NextBernoulli(serving_.write_fraction)
-                                  ? AccessType::kWrite
-                                  : AccessType::kRead;
-      ScheduleArrival(static_cast<std::size_t>(entity));
-      return PathEvent{PathEvent::Kind::kArrival, type, stream.site};
+      const SiteId origin = streams_[static_cast<std::size_t>(entity)].site;
+      return PathEvent{PathEvent::Kind::kArrival, OnArrival(entity), origin};
     }
   }
   return PathEvent{};
@@ -332,32 +331,6 @@ void SamplePath::OnRepeaterFailure(int r) {
 void SamplePath::OnRepeaterRepair(int r) {
   net_.SetRepeaterUp(r, true);
   ScheduleRepeaterFailure(r);
-}
-
-// --- workload --------------------------------------------------------------
-
-void SamplePath::ScheduleAccess() {
-  const double gap =
-      access_.deterministic
-          ? 1.0 / access_.rate_per_day
-          : access_rng_.NextExponential(1.0 / access_.rate_per_day);
-  // The slot takes the seq Schedule would have assigned, so the access
-  // keeps its place among equal-time calendar events.
-  next_access_ = CalendarEvent{TimeIn(gap), queue_.ReserveSeq(), 0};
-}
-
-AccessType SamplePath::OnAccess() {
-  // Draw order: access type, then the next gap.
-  const AccessType type = access_rng_.NextBernoulli(access_.write_fraction)
-                              ? AccessType::kWrite
-                              : AccessType::kRead;
-  ScheduleAccess();
-  return type;
-}
-
-void SamplePath::ScheduleArrival(std::size_t stream) {
-  ScheduleIn(streams_[stream].rng.NextExponential(1.0 / per_stream_rate_),
-             Pack(EventKind::kArrival, static_cast<int>(stream)));
 }
 
 }  // namespace dynvote

@@ -33,18 +33,20 @@
 //     then the access or arrival streams. Events pop in (time,
 //     schedule-seq) order (sim/calendar_queue.h), so equal timestamps
 //     fire in schedule order.
-//   - the closed-loop access stream has one pending access at a time,
-//     kept in a slot beside the calendar rather than in it. Scheduling
-//     it reserves the calendar's next schedule-seq (ReserveSeq), and
-//     Advance() takes the access before the calendar's top exactly when
-//     its (time, seq) is the smaller, so the event order is the one a
-//     heap holding the access would give. Each access draws its type,
-//     then the gap to the next.
-//   - DrainAccesses() consumes, in that same order and with the same
-//     draws, every access due before the next calendar event: a caller
-//     that knows nothing changes between two accesses (the batched
-//     engine, after the first access since a network change) handles
-//     the run in one loop instead of one Advance()/Apply() per access.
+//   - the workload (the closed-loop access, or one open-loop arrival
+//     stream per replica) stays off the calendar: each stream keeps its
+//     one pending event in a slot beside it, and the earliest is copied
+//     into one workload slot. Scheduling reserves the calendar's next
+//     schedule-seq (ReserveSeq), and Advance() takes the workload slot
+//     before the calendar's top exactly when its (time, seq) is the
+//     smaller, so the event order is the one a heap holding every stream
+//     would give. Each access or arrival draws its type, then the gap to
+//     that stream's next.
+//   - DrainWorkload() consumes, in that same order and with the same
+//     draws, every access or arrival due before the next calendar event:
+//     a caller that handles them without stepping (the batched engine's
+//     repeated accesses, the solo engine's untraced serving arrivals)
+//     runs them in one loop instead of one Advance()/Apply() each.
 //   - cancellation: maintenance start stops the site's failure clock by
 //     bumping a generation counter carried in the pending failure's
 //     payload; Advance() drops a failure whose generation is stale
@@ -134,10 +136,10 @@ class SamplePath {
   bool Advance(SimTime horizon) {
     DropCancelled();
     const CalendarEvent& next = NextCalendarEvent();
-    if (FiresBefore(next_access_, next)) {
-      if (next_access_.when > horizon) return false;
-      now_ = next_access_.when;
-      current_ = Pack(EventKind::kAccess, 0);
+    if (FiresBefore(next_workload_, next)) {
+      if (next_workload_.when > horizon) return false;
+      now_ = next_workload_.when;
+      current_ = next_workload_.payload;
       return true;
     }
     if (queue_.Empty() || next.when > horizon) return false;
@@ -152,20 +154,34 @@ class SamplePath {
   /// react to. Call exactly once per successful Advance().
   PathEvent Apply();
 
-  /// Consumes every closed-loop access due at or before `horizon` and
+  /// Consumes every access or arrival due at or before `horizon` and
   /// before the next live calendar event, in order: the clock moves to
   /// each, its type and the next gap are drawn as Apply() would draw
-  /// them, and `per_access(time, type)` runs. Call it between events
-  /// (after an Apply()), never between Advance() and Apply(). A no-op
-  /// without a closed-loop stream.
-  template <typename PerAccess>
-  void DrainAccesses(SimTime horizon, PerAccess&& per_access) {
+  /// them, and `per_event(time, type, origin)` runs, `origin` being the
+  /// arrival's replica site (-1 for a closed-loop access). Returns how
+  /// many it consumed. Call it between events (after an Apply()), never
+  /// between Advance() and Apply().
+  template <typename PerEvent>
+  std::uint64_t DrainWorkload(SimTime horizon, PerEvent&& per_event) {
     DropCancelled();
     const CalendarEvent next = NextCalendarEvent();
-    while (next_access_.when <= horizon && FiresBefore(next_access_, next)) {
-      now_ = next_access_.when;
-      per_access(now_, OnAccess());
+    std::uint64_t drained = 0;
+    while (next_workload_.when <= horizon &&
+           FiresBefore(next_workload_, next)) {
+      now_ = next_workload_.when;
+      SiteId origin = -1;
+      AccessType type;
+      if (KindOf(next_workload_.payload) == EventKind::kAccess) {
+        type = OnAccess();
+      } else {
+        const int stream = EntityOf(next_workload_.payload);
+        origin = streams_[static_cast<std::size_t>(stream)].site;
+        type = OnArrival(stream);
+      }
+      per_event(now_, type, origin);
+      ++drained;
     }
+    return drained;
   }
 
   /// Time of the event being applied (0 before the first).
@@ -190,12 +206,15 @@ class SamplePath {
     bool EffectiveUp() const { return !failed && !in_maintenance; }
   };
 
-  /// One replica's open-loop arrival stream: its own generator, so the
-  /// interleaving of sites in the calendar never changes which draw a
-  /// site sees.
+  /// One replica's open-loop arrival stream and its pending arrival. Its
+  /// own generator, so the interleaving of streams never changes which
+  /// draw a site sees.
   struct ArrivalStream {
     SiteId site;
     Rng rng;
+    /// The pending arrival: time, reserved seq, and the payload Apply()
+    /// dispatches on (kind and stream index).
+    CalendarEvent next;
   };
 
   /// Payload layout: kind in bits 0-2, entity (site, repeater or
@@ -272,7 +291,10 @@ class SamplePath {
   void OnRepeaterRepair(int r);
   void ScheduleAccess();
   AccessType OnAccess();
-  void ScheduleArrival(std::size_t stream);
+  /// Draws `stream`'s next gap into its slot and re-picks the earliest
+  /// slot.
+  void ScheduleArrival(ArrivalStream& stream);
+  AccessType OnArrival(int stream);
 
   const std::vector<SiteProfile>& profiles_;
   const std::vector<RepeaterProfile>& repeater_profiles_;
@@ -282,17 +304,60 @@ class SamplePath {
   CalendarQueue queue_;
   SimTime now_ = 0.0;
   std::uint64_t current_ = 0;  // payload of the event being applied
-  /// The pending closed-loop access: its time and reserved seq (the
-  /// payload is unused). kNoEvent while there is none: with serving
-  /// enabled or the workload disabled, it never leaves that value.
-  CalendarEvent next_access_ = kNoEvent;
   NetworkState net_;
 
   std::vector<SiteSlot> sites_;
   std::vector<Rng> repeater_rngs_;
   Rng access_rng_;
   std::vector<ArrivalStream> streams_;
-  double per_stream_rate_ = 0.0;
+  double arrival_mean_gap_ = 0.0;  // days, per stream
+  /// The next access or arrival: the closed-loop access's slot, or a copy
+  /// of the earliest arrival stream's. kNoEvent while there is none (the
+  /// workload disabled).
+  CalendarEvent next_workload_ = kNoEvent;
 };
+
+// The per-access and per-arrival steps, defined here so that
+// DrainWorkload's loop inlines them.
+
+inline void SamplePath::ScheduleAccess() {
+  const double gap =
+      access_.deterministic
+          ? 1.0 / access_.rate_per_day
+          : access_rng_.NextExponential(1.0 / access_.rate_per_day);
+  // The slot takes the seq Schedule would have assigned, so the access
+  // keeps its place among equal-time calendar events.
+  next_workload_ = CalendarEvent{TimeIn(gap), queue_.ReserveSeq(),
+                                 Pack(EventKind::kAccess, 0)};
+}
+
+inline AccessType SamplePath::OnAccess() {
+  // Draw order: access type, then the next gap.
+  const AccessType type = access_rng_.NextBernoulli(access_.write_fraction)
+                              ? AccessType::kWrite
+                              : AccessType::kRead;
+  ScheduleAccess();
+  return type;
+}
+
+inline void SamplePath::ScheduleArrival(ArrivalStream& stream) {
+  stream.next =
+      CalendarEvent{TimeIn(stream.rng.NextExponential(arrival_mean_gap_)),
+                    queue_.ReserveSeq(), stream.next.payload};
+  next_workload_ = stream.next;
+  for (const ArrivalStream& other : streams_) {
+    if (FiresBefore(other.next, next_workload_)) next_workload_ = other.next;
+  }
+}
+
+inline AccessType SamplePath::OnArrival(int stream) {
+  ArrivalStream& arrivals = streams_[static_cast<std::size_t>(stream)];
+  // Draw order: access type, then the next gap.
+  const AccessType type =
+      arrivals.rng.NextBernoulli(serving_.write_fraction) ? AccessType::kWrite
+                                                          : AccessType::kRead;
+  ScheduleArrival(arrivals);
+  return type;
+}
 
 }  // namespace dynvote

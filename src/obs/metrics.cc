@@ -5,33 +5,31 @@
 #include "util/append.h"
 
 namespace dynvote {
-namespace {
 
-constexpr int kMinBucketExponent = -64;
-
-int BucketExponent(double value) {
+int BucketExponentSlow(double value) {
   if (!(value > 0.0)) return kMinBucketExponent;
-  int exponent = 0;
   // frexp gives value = m * 2^e with m in [0.5, 1), so [2^i, 2^(i+1))
   // maps to e = i + 1.
+  int exponent = 0;
   std::frexp(value, &exponent);
   exponent -= 1;
   return exponent < kMinBucketExponent ? kMinBucketExponent : exponent;
 }
 
-}  // namespace
-
-void HistogramData::Observe(double value) {
-  if (count == 0) {
-    min = value;
-    max = value;
-  } else {
-    if (value < min) min = value;
-    if (value > max) max = value;
+void HistogramData::AddToBucket(int exponent, std::uint64_t n) {
+  if (bucket_counts.empty()) {
+    bucket_base = exponent;
+    bucket_counts.push_back(n);
+    return;
   }
-  ++count;
-  sum += value;
-  ++buckets[BucketExponent(value)];
+  if (exponent < bucket_base) {
+    bucket_counts.insert(bucket_counts.begin(),
+                         static_cast<std::size_t>(bucket_base - exponent), 0);
+    bucket_base = exponent;
+  }
+  const auto index = static_cast<std::size_t>(exponent - bucket_base);
+  if (index >= bucket_counts.size()) bucket_counts.resize(index + 1, 0);
+  bucket_counts[index] += n;
 }
 
 void HistogramData::Merge(const HistogramData& other) {
@@ -44,7 +42,20 @@ void HistogramData::Merge(const HistogramData& other) {
   if (other.max > max) max = other.max;
   count += other.count;
   sum += other.sum;
-  for (const auto& [exponent, n] : other.buckets) buckets[exponent] += n;
+  for (std::size_t i = 0; i < other.bucket_counts.size(); ++i) {
+    if (other.bucket_counts[i] == 0) continue;
+    AddToBucket(other.bucket_base + static_cast<int>(i),
+                other.bucket_counts[i]);
+  }
+}
+
+std::map<int, std::uint64_t> HistogramData::Buckets() const {
+  std::map<int, std::uint64_t> occupied;
+  for (std::size_t i = 0; i < bucket_counts.size(); ++i) {
+    if (bucket_counts[i] == 0) continue;
+    occupied.emplace(bucket_base + static_cast<int>(i), bucket_counts[i]);
+  }
+  return occupied;
 }
 
 double HistogramData::Quantile(double q) const {
@@ -59,8 +70,10 @@ double HistogramData::Quantile(double q) const {
   if (rank < 1.0) rank = 1.0;
   std::uint64_t cumulative = 0;
   bool first_occupied = true;
-  for (const auto& [exponent, n] : buckets) {
+  for (std::size_t i = 0; i < bucket_counts.size(); ++i) {
+    const std::uint64_t n = bucket_counts[i];
     if (n == 0) continue;
+    const int exponent = bucket_base + static_cast<int>(i);
     const double before = static_cast<double>(cumulative);
     cumulative += n;
     const bool last_occupied = cumulative == count;
@@ -187,13 +200,14 @@ std::string MetricsShard::ToJson() const {
     AppendDouble(hist.max, &out);
     out.append(", \"buckets\": {");
     bool first_bucket = true;
-    for (const auto& [exponent, n] : hist.buckets) {
+    for (std::size_t i = 0; i < hist.bucket_counts.size(); ++i) {
+      if (hist.bucket_counts[i] == 0) continue;
       if (!first_bucket) out.append(", ");
       first_bucket = false;
       out.push_back('"');
-      AppendDecimal(exponent, &out);
+      AppendDecimal(hist.bucket_base + static_cast<int>(i), &out);
       out.append("\": ");
-      AppendDecimal(n, &out);
+      AppendDecimal(hist.bucket_counts[i], &out);
     }
     out.append("}}");
   }

@@ -8,10 +8,13 @@
 
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/thread_annotations.h"
 
@@ -21,19 +24,66 @@ namespace dynvote {
 /// field-set changes.
 inline constexpr const char kMetricsSchema[] = "dynvote-metrics-v1";
 
-/// Fixed-boundary histogram: count/sum/min/max plus sparse powers-of-two
+/// The smallest bucket exponent: values <= 0, NaN and values below
+/// 2^-64 all land in this bucket.
+inline constexpr int kMinBucketExponent = -64;
+
+/// BucketExponent through frexp, for what is not a positive normal
+/// double (subnormals and infinity).
+int BucketExponentSlow(double value);
+
+/// The exponent e of the histogram bucket [2^e, 2^(e+1)) holding `value`.
+inline int BucketExponent(double value) {
+  if (!(value > 0.0)) return kMinBucketExponent;
+  // A positive normal double is 1.m * 2^(biased - 1023), so it lies in
+  // [2^e, 2^(e+1)) for e = biased - 1023, read straight off the bits.
+  const int biased =
+      static_cast<int>(std::bit_cast<std::uint64_t>(value) >> 52);
+  if (biased == 0 || biased == 0x7FF) return BucketExponentSlow(value);
+  const int exponent = biased - 1023;
+  return exponent < kMinBucketExponent ? kMinBucketExponent : exponent;
+}
+
+/// Fixed-boundary histogram: count/sum/min/max plus powers-of-two
 /// buckets (bucket i counts values in [2^i, 2^(i+1)); negative i covers
-/// sub-unit values; values <= 0 land in the lowest bucket).
+/// sub-unit values; values <= 0 land in the lowest bucket). The buckets
+/// are stored densely over the exponent range observed so far, so an
+/// observation is one index, not a tree walk.
 struct HistogramData {
   std::uint64_t count = 0;
   double sum = 0.0;
   double min = 0.0;
   double max = 0.0;
-  /// bucket exponent -> count of observations in [2^e, 2^(e+1)).
-  std::map<int, std::uint64_t> buckets;
+  /// bucket_counts[i] counts the observations in [2^e, 2^(e+1)) for
+  /// e = bucket_base + i. Cells inside the range may be zero; an
+  /// unoccupied bucket is never exported.
+  int bucket_base = 0;
+  std::vector<std::uint64_t> bucket_counts;
 
-  void Observe(double value);
+  void Observe(double value) {
+    if (count == 0) {
+      min = value;
+      max = value;
+    } else {
+      if (value < min) min = value;
+      if (value > max) max = value;
+    }
+    ++count;
+    sum += value;
+    const int exponent = BucketExponent(value);
+    // Below the range the difference wraps to a huge index.
+    const auto index = static_cast<std::size_t>(
+        static_cast<unsigned>(exponent - bucket_base));
+    if (index < bucket_counts.size()) {
+      ++bucket_counts[index];
+    } else {
+      AddToBucket(exponent, 1);
+    }
+  }
   void Merge(const HistogramData& other);
+
+  /// The occupied buckets, exponent -> count.
+  std::map<int, std::uint64_t> Buckets() const;
 
   /// Estimates the q-quantile (q in [0, 1]) from the bucket counts with
   /// linear interpolation inside the covering bucket. The lowest and
@@ -41,6 +91,10 @@ struct HistogramData {
   /// so Quantile(0) == min and Quantile(1) == max; an empty histogram
   /// returns 0. Error is bounded by the bucket width (a factor of 2).
   double Quantile(double q) const;
+
+ private:
+  /// Adds `n` to the bucket of `exponent`, widening the stored range.
+  void AddToBucket(int exponent, std::uint64_t n);
 };
 
 /// Single-writer bundle of metrics. Not thread-safe by design: one shard

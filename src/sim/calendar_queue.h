@@ -17,9 +17,11 @@
 // A caller may keep an event outside the heap and still order it exactly
 // where Schedule would have: ReserveSeq() takes the seq Schedule would
 // have assigned, and FiresBefore() compares that (when, seq) against
-// Peek(). SamplePath keeps its closed-loop access stream in such a slot,
-// so the batched engine can consume a run of accesses without a heap
-// push and pop per access.
+// Peek(). SamplePath keeps its workload streams in such slots — the
+// closed-loop access, or one open-loop arrival stream per replica — so
+// the heap holds only the failure, repair and maintenance processes, and
+// the batched engine's repeated accesses and the solo engine's untraced
+// serving arrivals are drained without a heap push and pop each.
 //
 // There is deliberately no Cancel: the one cancellation in the system
 // (a pending site failure cancelled at maintenance start) is expressed

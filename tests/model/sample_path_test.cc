@@ -607,24 +607,58 @@ TEST(SamplePathTest, AllReadsOrAllWrites) {
   }
 }
 
-/// Drive(), but after every applied event the accesses due before the
-/// next calendar event are consumed with DrainAccesses(), the way the
-/// batched engine consumes repeated accesses.
+/// Drive(), but after every applied event the accesses or arrivals due
+/// before the next calendar event are consumed with DrainWorkload(), the
+/// way the batched engine consumes repeated accesses and the solo engine
+/// untraced serving arrivals.
 std::vector<Seen> DriveDraining(SamplePath& path, SimTime horizon) {
   std::vector<Seen> seen;
-  const auto record = [&](SimTime t, AccessType type) {
+  std::uint64_t drained = 0;
+  const auto record = [&](SimTime t, AccessType type, SiteId origin) {
     EXPECT_EQ(path.now(), t);
-    seen.push_back(Seen{t, PathEvent::Kind::kAccess, type, -1,
-                        path.net().LiveSites()});
+    const PathEvent::Kind kind =
+        origin < 0 ? PathEvent::Kind::kAccess : PathEvent::Kind::kArrival;
+    seen.push_back(Seen{t, kind, type, origin, path.net().LiveSites()});
+    ++drained;
   };
-  path.DrainAccesses(horizon, record);  // nothing has happened yet
+  const auto drain = [&] {
+    drained = 0;
+    const std::uint64_t reported = path.DrainWorkload(horizon, record);
+    EXPECT_EQ(reported, drained);
+  };
+  drain();  // nothing has happened yet
   while (path.Advance(horizon)) {
     const PathEvent event = path.Apply();
     seen.push_back(Seen{path.now(), event.kind, event.type, event.origin,
                         path.net().LiveSites()});
-    path.DrainAccesses(horizon, record);
+    drain();
   }
   return seen;
+}
+
+/// Steps `spec` event by event and drains a second path of the same
+/// seed, each in two horizon chunks (so a drain also stops at a
+/// horizon), and requires the same sequence of events.
+void ExpectDrainingMatchesStepping(const ExperimentSpec& spec,
+                                   SiteSet placement, std::uint64_t seed,
+                                   SimTime cut, SimTime horizon,
+                                   std::vector<Seen>* expected_out) {
+  SamplePath stepped(spec, placement, seed);
+  std::vector<Seen> expected = Drive(stepped, cut);
+  const std::vector<Seen> tail = Drive(stepped, horizon);
+  expected.insert(expected.end(), tail.begin(), tail.end());
+
+  SamplePath drained(spec, placement, seed);
+  std::vector<Seen> seen = DriveDraining(drained, cut);
+  const std::vector<Seen> rest = DriveDraining(drained, horizon);
+  seen.insert(seen.end(), rest.begin(), rest.end());
+
+  ASSERT_EQ(seen.size(), expected.size());
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    ASSERT_EQ(seen[i], expected[i]) << "first difference at event " << i;
+  }
+  EXPECT_EQ(drained.now(), stepped.now());
+  *expected_out = std::move(expected);
 }
 
 TEST(SamplePathTest, DrainingYieldsTheSteppedSequence) {
@@ -644,45 +678,76 @@ TEST(SamplePathTest, DrainingYieldsTheSteppedSequence) {
     for (std::uint64_t seed : {1ull, 7ull, 4242ull, 20260704ull}) {
       SCOPED_TRACE("seed " + std::to_string(seed) +
                    (deterministic ? " deterministic" : " poisson"));
-      SamplePath stepped(spec, placement, seed);
-      std::vector<Seen> expected = Drive(stepped, Days(200.25));
-      const std::vector<Seen> tail = Drive(stepped, Years(2));
-      expected.insert(expected.end(), tail.begin(), tail.end());
-
-      SamplePath drained(spec, placement, seed);
-      std::vector<Seen> seen = DriveDraining(drained, Days(200.25));
-      const std::vector<Seen> rest = DriveDraining(drained, Years(2));
-      seen.insert(seen.end(), rest.begin(), rest.end());
-
+      std::vector<Seen> expected;
+      ExpectDrainingMatchesStepping(spec, placement, seed, Days(200.25),
+                                    Years(2), &expected);
       std::size_t network_events = 0;
       for (const Seen& e : expected) {
         network_events += e.kind == PathEvent::Kind::kNetwork ? 1 : 0;
       }
       EXPECT_GT(network_events, 100u);
       EXPECT_GT(expected.size(), 17000u);
-      ASSERT_EQ(seen.size(), expected.size());
-      for (std::size_t i = 0; i < seen.size(); ++i) {
-        ASSERT_EQ(seen[i], expected[i]) << "first difference at event " << i;
-      }
-      EXPECT_EQ(drained.now(), stepped.now());
     }
   }
 }
 
-TEST(SamplePathTest, DrainingWithoutAClosedLoopStreamDoesNothing) {
+TEST(SamplePathTest, DrainingArrivalsYieldsTheSteppedSequence) {
+  // The serving model's open-loop streams on the paper network with its
+  // maintenance calendar: one stream per replica, each in its own slot
+  // beside the calendar. A path drained after every event must see the
+  // same arrivals (times, origins, types) and the same network events
+  // between them as one stepped event by event, at every horizon cut.
+  auto network = MakePaperNetwork();
+  ASSERT_TRUE(network.ok()) << network.status();
+  ExperimentSpec spec = FailureSpec(network->topology, network->profiles);
+  spec.options.serving = TestServing();
+  spec.options.serving.arrival_rate_per_day = 300.0;
+  const SiteSet placement{0, 1, 3, 5, 7};
+  for (std::uint64_t seed : {1ull, 7ull, 20260704ull}) {
+    for (SimTime cut : {Days(0.001), Days(37.3), Days(200.25)}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " cut " +
+                   std::to_string(cut));
+      std::vector<Seen> expected;
+      ExpectDrainingMatchesStepping(spec, placement, seed, cut, Years(1),
+                                    &expected);
+      std::size_t network_events = 0;
+      std::uint64_t per_site[8] = {};
+      for (const Seen& e : expected) {
+        if (e.kind == PathEvent::Kind::kNetwork) {
+          ++network_events;
+        } else {
+          ASSERT_EQ(e.kind, PathEvent::Kind::kArrival);
+          ++per_site[e.origin];
+        }
+      }
+      EXPECT_GT(network_events, 40u);
+      EXPECT_GT(expected.size(), 100000u);
+      for (SiteId site : placement) EXPECT_GT(per_site[site], 15000u);
+    }
+  }
+}
+
+TEST(SamplePathTest, DrainingWithoutAWorkloadDoesNothing) {
   AccessOptions options;
   options.enabled = false;
   const ExperimentSpec idle_spec = AccessSpec(options);
   SamplePath idle(idle_spec, SiteSet{0}, 3);
   int calls = 0;
-  idle.DrainAccesses(Days(100), [&](SimTime, AccessType) { ++calls; });
+  const auto count = [&](SimTime, AccessType, SiteId) { ++calls; };
+  EXPECT_EQ(idle.DrainWorkload(Days(100), count), 0u);
+  EXPECT_EQ(calls, 0);
+  EXPECT_FALSE(idle.Advance(Days(100)));
+  // An open-loop path drains its arrivals instead; a horizon before the
+  // first one drains nothing and leaves it to Advance().
   ExperimentSpec serving = AccessSpec(AccessOptions{});
   serving.options.serving = TestServing();
   SamplePath open_loop(serving, SiteSet{0}, 3);
-  open_loop.DrainAccesses(Days(100), [&](SimTime, AccessType) { ++calls; });
+  EXPECT_EQ(open_loop.DrainWorkload(0.0, count), 0u);
   EXPECT_EQ(calls, 0);
   EXPECT_TRUE(open_loop.Advance(Days(100)));
   EXPECT_EQ(open_loop.Apply().kind, PathEvent::Kind::kArrival);
+  EXPECT_GT(open_loop.DrainWorkload(Days(100), count), 8000u);
+  EXPECT_FALSE(open_loop.Advance(Days(100)));
 }
 
 TEST(SamplePathTest, DisabledAccessGeneratesNothing) {

@@ -152,7 +152,7 @@ TEST(ServingDeterminismTest, TraceServingCountsReconcileWithMetrics) {
         << agg.name;
     EXPECT_EQ(proto.serving_latency_ms.min, hist->second.min) << agg.name;
     EXPECT_EQ(proto.serving_latency_ms.max, hist->second.max) << agg.name;
-    EXPECT_EQ(proto.serving_latency_ms.buckets, hist->second.buckets)
+    EXPECT_EQ(proto.serving_latency_ms.Buckets(), hist->second.Buckets())
         << agg.name;
 
     // Per-access control messages: the trace sums the per-event msgs

@@ -90,7 +90,7 @@ void AppendRows(const std::vector<PolicyResult>& rows, std::string* out) {
 /// and then its metrics JSON.
 std::string RunOnce(const PaperNetwork& network,
                     const ExperimentOptions& options, const Factory& make,
-                    bool traced) {
+                    bool traced, MetricsShard* metrics_out = nullptr) {
   CountingSink sink;
   MetricsShard shard;
   ObsContext obs;
@@ -108,6 +108,7 @@ std::string RunOnce(const PaperNetwork& network,
   std::string out;
   AppendRows(*rows, &out);
   out += shard.ToJson();
+  if (metrics_out != nullptr) *metrics_out = shard;
   return out;
 }
 
@@ -156,6 +157,31 @@ TEST_P(ServingDrainTest, DrainedRunsEqualSteppedRuns) {
 INSTANTIATE_TEST_SUITE_P(PaperConfigurations, ServingDrainTest,
                          ::testing::Values('A', 'B', 'C', 'D', 'E', 'F', 'G',
                                            'H'));
+
+TEST(ServingDrainLoadTest, QueueBuildingLoadDrainsLikeSteps) {
+  // Service times near the arrival gap (about 36 minutes per replica at
+  // 200 arrivals a day over five replicas), so queues build: the drained
+  // arrivals must still reach every replica's queue in the stepped order.
+  auto network = MakePaperNetwork();
+  ASSERT_TRUE(network.ok());
+  const Factory make =
+      PaperPolicies(*network, PaperConfigurationFor('A')->placement);
+  for (std::uint64_t seed : {5u, 20260704u}) {
+    ExperimentOptions options = DrainOptions(seed, 0.5, true);
+    options.serving.service_time_ms = 1.2e6;
+    options.serving.msg_cost_ms = 2e4;
+    MetricsShard stepped_metrics;
+    const std::string stepped =
+        RunOnce(*network, options, make, true, &stepped_metrics);
+    const std::string drained = RunOnce(*network, options, make, false);
+    ASSERT_FALSE(stepped.empty());
+    EXPECT_EQ(drained, stepped) << "seed=" << seed;
+    for (const std::string& name : PaperProtocolNames()) {
+      EXPECT_GT(ReadServingRow(stepped_metrics, name).queue_depth_max, 0.0)
+          << name << " seed=" << seed;
+    }
+  }
+}
 
 TEST(ServingDrainFamiliesTest, WeightedWitnessAndSteppedFamilies) {
   auto network = MakePaperNetwork();

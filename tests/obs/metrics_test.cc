@@ -9,10 +9,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "util/append.h"
 #include "util/rng.h"
 
 namespace dynvote {
@@ -50,9 +53,9 @@ TEST(MetricsShardTest, HistogramBucketsArePowersOfTwo) {
   h.Observe(1.5);   // [2^0, 2^1)
   h.Observe(2.0);   // [2^1, 2^2)
   h.Observe(0.25);  // [2^-2, 2^-1)
-  EXPECT_EQ(h.buckets.at(0), 2u);
-  EXPECT_EQ(h.buckets.at(1), 1u);
-  EXPECT_EQ(h.buckets.at(-2), 1u);
+  EXPECT_EQ(h.Buckets().at(0), 2u);
+  EXPECT_EQ(h.Buckets().at(1), 1u);
+  EXPECT_EQ(h.Buckets().at(-2), 1u);
 }
 
 TEST(MetricsShardTest, NonPositiveValuesLandInTheLowestBucket) {
@@ -60,11 +63,11 @@ TEST(MetricsShardTest, NonPositiveValuesLandInTheLowestBucket) {
   h.Observe(0.0);
   h.Observe(-3.0);
   EXPECT_EQ(h.count, 2u);
-  ASSERT_EQ(h.buckets.size(), 1u);
+  ASSERT_EQ(h.Buckets().size(), 1u);
   // Whatever the floor exponent is, both land together below every
   // positive value's bucket.
-  EXPECT_EQ(h.buckets.begin()->second, 2u);
-  EXPECT_LT(h.buckets.begin()->first, std::ilogb(0.25));
+  EXPECT_EQ(h.Buckets().begin()->second, 2u);
+  EXPECT_LT(h.Buckets().begin()->first, std::ilogb(0.25));
 }
 
 TEST(MetricsShardTest, MergeCombinesAllThreeKinds) {
@@ -189,6 +192,204 @@ TEST(MetricsShardTest, MergeHistogramMatchesIndividualObserves) {
   individual.Observe("lat", 6.5);
   individual.Observe("lat", 0.125);
   EXPECT_EQ(batched.ToJson(), individual.ToJson());
+}
+
+/// The histogram as it was first written — sparse std::map buckets,
+/// one tree walk per observation — kept here as the reference for
+/// HistogramData's dense buckets: Observe, Merge, Quantile and the
+/// bucket object of the JSON export.
+struct MapHistogramReference {
+  std::uint64_t count = 0;
+  double sum = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+  std::map<int, std::uint64_t> buckets;
+
+  static int BucketExponent(double value) {
+    if (!(value > 0.0)) return -64;
+    int exponent = 0;
+    std::frexp(value, &exponent);
+    exponent -= 1;
+    return exponent < -64 ? -64 : exponent;
+  }
+
+  void Observe(double value) {
+    if (count == 0) {
+      min = value;
+      max = value;
+    } else {
+      if (value < min) min = value;
+      if (value > max) max = value;
+    }
+    ++count;
+    sum += value;
+    ++buckets[BucketExponent(value)];
+  }
+
+  void Merge(const MapHistogramReference& other) {
+    if (other.count == 0) return;
+    if (count == 0) {
+      *this = other;
+      return;
+    }
+    if (other.min < min) min = other.min;
+    if (other.max > max) max = other.max;
+    count += other.count;
+    sum += other.sum;
+    for (const auto& [exponent, n] : other.buckets) buckets[exponent] += n;
+  }
+
+  double Quantile(double q) const {
+    if (count == 0) return 0.0;
+    if (q <= 0.0) return min;
+    if (q >= 1.0) return max;
+    double rank = q * static_cast<double>(count);
+    if (rank < 1.0) rank = 1.0;
+    std::uint64_t cumulative = 0;
+    bool first_occupied = true;
+    for (const auto& [exponent, n] : buckets) {
+      if (n == 0) continue;
+      const double before = static_cast<double>(cumulative);
+      cumulative += n;
+      const bool last_occupied = cumulative == count;
+      if (static_cast<double>(cumulative) < rank && !last_occupied) {
+        first_occupied = false;
+        continue;
+      }
+      double lo = first_occupied ? min : std::ldexp(1.0, exponent);
+      double hi = last_occupied ? max : std::ldexp(1.0, exponent + 1);
+      if (lo > hi) lo = hi;
+      double value =
+          lo + (hi - lo) * ((rank - before) / static_cast<double>(n));
+      if (value < min) value = min;
+      if (value > max) value = max;
+      return value;
+    }
+    return max;
+  }
+
+  /// The histogram's object in a dynvote-metrics-v1 export.
+  std::string Json() const {
+    std::string out = "{\"count\": ";
+    AppendDecimal(count, &out);
+    out.append(", \"sum\": ");
+    AppendDouble(sum, &out);
+    out.append(", \"min\": ");
+    AppendDouble(min, &out);
+    out.append(", \"max\": ");
+    AppendDouble(max, &out);
+    out.append(", \"buckets\": {");
+    bool first = true;
+    for (const auto& [exponent, n] : buckets) {
+      if (!first) out.append(", ");
+      first = false;
+      out.push_back('"');
+      AppendDecimal(exponent, &out);
+      out.append("\": ");
+      AppendDecimal(n, &out);
+    }
+    out.append("}}");
+    return out;
+  }
+};
+
+/// A value from one of several ranges, edge cases included: <= 0,
+/// subnormals, the smallest normal, tiny, unit-scale and huge values.
+double HostileValue(Rng& rng) {
+  switch (rng.NextBounded(9)) {
+    case 0:
+      return rng.NextBernoulli(0.5) ? 0.0 : -rng.NextExponential(5.0);
+    case 1:
+      return std::numeric_limits<double>::denorm_min() *
+             static_cast<double>(1 + rng.NextBounded(1000));
+    case 2:
+      return std::numeric_limits<double>::min() *
+             (1.0 + rng.NextDouble());
+    case 3:
+      return std::ldexp(1.0 + rng.NextDouble(),
+                        -70 + static_cast<int>(rng.NextBounded(12)));
+    case 4:
+      return 1e300 * (1.0 + rng.NextDouble());
+    case 5:
+      return std::ldexp(1.0, static_cast<int>(rng.NextBounded(40)) - 20);
+    default:
+      return rng.NextExponential(3.0);
+  }
+}
+
+void ExpectSameHistogram(const HistogramData& got,
+                         const MapHistogramReference& want) {
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.sum, want.sum);
+  EXPECT_EQ(got.min, want.min);
+  EXPECT_EQ(got.max, want.max);
+  EXPECT_EQ(got.Buckets(), want.buckets);
+  for (double q : {0.0, 1e-6, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99,
+                   0.999, 0.999999, 1.0}) {
+    EXPECT_EQ(got.Quantile(q), want.Quantile(q)) << "q=" << q;
+  }
+  MetricsShard shard;
+  shard.MergeHistogram("h", got);
+  const std::string json = shard.ToJson();
+  EXPECT_NE(json.find("\"h\": " + want.Json()), std::string::npos) << json;
+}
+
+TEST(MetricsShardTest, DenseBucketsMatchTheMapReference) {
+  Rng rng(20260704);
+  for (int round = 0; round < 40; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    HistogramData got;
+    MapHistogramReference want;
+    const int n = 1 + static_cast<int>(rng.NextBounded(400));
+    for (int i = 0; i < n; ++i) {
+      const double value = HostileValue(rng);
+      got.Observe(value);
+      want.Observe(value);
+    }
+    ExpectSameHistogram(got, want);
+  }
+}
+
+TEST(MetricsShardTest, DenseMergeMatchesTheMapReference) {
+  // Disjoint ranges (below, above, and with a gap between), overlapping
+  // ranges, and merges into and from an empty histogram, in both orders.
+  Rng rng(77);
+  auto fill = [&rng](double lo_exp, double hi_exp, int n, HistogramData* got,
+                     MapHistogramReference* want) {
+    for (int i = 0; i < n; ++i) {
+      const double value =
+          std::ldexp(1.0 + rng.NextDouble(),
+                     static_cast<int>(lo_exp) +
+                         static_cast<int>(rng.NextBounded(
+                             static_cast<std::uint64_t>(hi_exp - lo_exp))));
+      got->Observe(value);
+      want->Observe(value);
+    }
+  };
+  const double ranges[][2] = {{-80, -60}, {-10, 0}, {-3, 5},
+                              {2, 12},    {40, 60}, {900, 1000}};
+  for (const auto& a : ranges) {
+    for (const auto& b : ranges) {
+      HistogramData got_a, got_b;
+      MapHistogramReference want_a, want_b;
+      fill(a[0], a[1], 50, &got_a, &want_a);
+      fill(b[0], b[1], 70, &got_b, &want_b);
+      if (rng.NextBernoulli(0.3)) {
+        got_a.Observe(0.0);
+        want_a.Observe(0.0);
+      }
+      HistogramData got = got_a;
+      MapHistogramReference want = want_a;
+      got.Merge(got_b);
+      want.Merge(want_b);
+      ExpectSameHistogram(got, want);
+      HistogramData empty;
+      empty.Merge(got);
+      ExpectSameHistogram(empty, want);
+      got.Merge(HistogramData{});
+      ExpectSameHistogram(got, want);
+    }
+  }
 }
 
 TEST(MetricsShardTest, CounterCellPointerIsStableAcrossInserts) {

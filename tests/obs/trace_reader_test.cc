@@ -254,7 +254,7 @@ TEST(SummarizeTraceTest, ServingEventsFoldIdenticallyFromBothFormats) {
   EXPECT_EQ(odv.serving_latency_ms.sum, expected_latency.sum);
   EXPECT_EQ(odv.serving_latency_ms.min, expected_latency.min);
   EXPECT_EQ(odv.serving_latency_ms.max, expected_latency.max);
-  EXPECT_EQ(odv.serving_latency_ms.buckets, expected_latency.buckets);
+  EXPECT_EQ(odv.serving_latency_ms.Buckets(), expected_latency.Buckets());
 
   std::ostringstream binary;
   binary << BinaryTraceHeader(11);
@@ -271,7 +271,8 @@ TEST(SummarizeTraceTest, ServingEventsFoldIdenticallyFromBothFormats) {
   EXPECT_EQ(bodv.serving_events, odv.serving_events);
   EXPECT_EQ(bodv.serving_messages, odv.serving_messages);
   EXPECT_EQ(bodv.serving_latency_ms.sum, odv.serving_latency_ms.sum);
-  EXPECT_EQ(bodv.serving_latency_ms.buckets, odv.serving_latency_ms.buckets);
+  EXPECT_EQ(bodv.serving_latency_ms.Buckets(),
+            odv.serving_latency_ms.Buckets());
 
   EXPECT_NE(from_jsonl.ToString().find("serving: events=6"),
             std::string::npos)

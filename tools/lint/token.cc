@@ -125,8 +125,9 @@ std::vector<Token> Tokenize(const std::string& content) {
             tokens.push_back({TokKind::kIdent, text, start_line});
             continue;
           }
-          std::string closer =
-              ")" + content.substr(i + 1, open - i - 1) + "\"";
+          std::string closer = ")";
+          closer.append(content, i + 1, open - i - 1);
+          closer.push_back('"');
           std::size_t close = content.find(closer, open + 1);
           std::size_t lit_end =
               close == std::string::npos ? n : close + closer.size();
