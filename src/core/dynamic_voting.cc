@@ -1,6 +1,6 @@
 #include "core/dynamic_voting.h"
 
-#include "util/logging.h"
+#include "core/dynamic_voting_rules.h"
 
 namespace dynvote {
 
@@ -109,6 +109,21 @@ void DynamicVoting::RestoreMemo(const MemoState& memo) {
   eval_cache_.decision = memo.slot;
 }
 
+struct DynamicVoting::SoloHost {
+  DynamicVoting& dv;
+  ReplicaStore& store = dv.store_;
+  MessageCounter& counter = dv.counter_;
+  const DynamicVotingOptions& options = dv.options_;
+
+  QuorumDecision Evaluate(SiteSet group) const { return dv.Evaluate(group); }
+  /// The access asks again, as a Read or Write would: through the memo,
+  /// so the trace records the decision the access acted on.
+  QuorumDecision Confirm(SiteSet group, const QuorumDecision& /*found*/) const {
+    return dv.Evaluate(group);
+  }
+  void Committed(const CommitInfo& info) { dv.NotifyCommit(info); }
+};
+
 bool DynamicVoting::WouldGrant(const NetworkState& net, SiteId origin,
                                AccessType /*type*/) const {
   if (!net.IsSiteUp(origin)) return false;
@@ -120,42 +135,18 @@ Status DynamicVoting::Access(const NetworkState& net, SiteId origin,
   if (!net.IsSiteUp(origin)) {
     return Status::Unavailable("origin site is down");
   }
-  SiteSet group = net.ComponentOf(origin);
-  SiteSet reachable = store_.CopiesAmong(group);
-  counter_.Add(MessageKind::kProbe, store_.placement().Size());
-  counter_.Add(MessageKind::kProbeReply, reachable.Size());
-  counter_.Add(MessageKind::kStateRequest, reachable.Size());
-  counter_.Add(MessageKind::kStateReply, reachable.Size());
-
-  QuorumDecision d = Evaluate(group);
+  const QuorumDecision d = Evaluate(net.ComponentOf(origin));
   if (!d.granted) {
-    counter_.Add(MessageKind::kAbort, reachable.Size());
+    counter_.AddVoteCollection(store_.placement().Size(),
+                               d.reachable_copies.Size());
+    counter_.Add(MessageKind::kAbort, d.reachable_copies.Size());
     std::string message = name_;
     message.append(": ");
     d.AppendTo(&message);
     return Status::NoQuorum(std::move(message));
   }
-
-  // o_m and v_m: m carries the maximal op number, every member of S the
-  // maximal version.
-  OpNumber op = store_.state(d.representative).op_number + 1;
-  VersionNumber version = store_.state(d.current_set.RankMax()).version;
-  if (type == AccessType::kWrite) ++version;
-  // COMMIT(S, o_m + 1, v_m [+1], S): the set of current sites becomes the
-  // new partition set — the new majority block.
-  store_.Commit(d.current_set, op, version, d.current_set);
-  counter_.Add(MessageKind::kCommit, d.current_set.Size());
-
-  CommitInfo info;
-  info.kind = type == AccessType::kWrite ? CommitInfo::Kind::kWrite
-                                         : CommitInfo::Kind::kRead;
-  info.participants = d.current_set;
-  // Witnesses never supply contents; pick a current data copy as source.
-  info.source = d.current_set.Minus(options_.witnesses).Empty()
-                    ? d.representative
-                    : d.current_set.Minus(options_.witnesses).RankMax();
-  info.version = version;
-  NotifyCommit(info);
+  SoloHost host{*this};
+  dv_rules::Access(host, d, type);
   return Status::OK();
 }
 
@@ -174,8 +165,7 @@ Status DynamicVoting::Recover(const NetworkState& net, SiteId site) {
   if (!net.IsSiteUp(site)) {
     return Status::Unavailable("recovering site is down");
   }
-  SiteSet group = net.ComponentOf(site);
-  QuorumDecision d = Evaluate(group);
+  const QuorumDecision d = Evaluate(net.ComponentOf(site));
   if (!d.granted) {
     counter_.Add(MessageKind::kAbort, d.reachable_copies.Size());
     if (d.witness_refused) {
@@ -189,105 +179,27 @@ Status DynamicVoting::Recover(const NetworkState& net, SiteId site) {
     }
     return Status::NoQuorum(name_ + ": recovery outside majority partition");
   }
-
-  OpNumber op = store_.state(d.representative).op_number + 1;
-  VersionNumber version = store_.state(d.current_set.RankMax()).version;
-  bool needs_copy = store_.state(site).version < version &&
-                    !options_.witnesses.Contains(site);
-  SiteSet data_sources = d.current_set.Minus(options_.witnesses);
-  // "copy the file from site m" — witnesses have no data to copy, so the
-  // transfer is counted exactly when one is delivered below. (A granted
-  // decision implies a data copy in S — Evaluate refuses witness-only
-  // quorums — but the counter must never drift from the delivery.)
-  bool copies_file = needs_copy && !data_sources.Empty();
-  if (copies_file) counter_.Add(MessageKind::kFileCopy, 1);
-  SiteSet participants = d.current_set.Union(SiteSet{site});
-  // COMMIT(S ∪ {l}, o_m + 1, v_m, S ∪ {l}).
-  store_.Commit(participants, op, version, participants);
-  counter_.Add(MessageKind::kCommit, participants.Size());
-
-  if (copies_file) {
-    CommitInfo info;
-    info.kind = CommitInfo::Kind::kRecovery;
-    info.participants = SiteSet{site};
-    info.source = data_sources.RankMax();
-    info.version = version;
-    NotifyCommit(info);
-  }
+  SoloHost host{*this};
+  dv_rules::Recover(host, d, site);
   return Status::OK();
 }
 
-void DynamicVoting::ReintegrateGroup(const NetworkState& net,
-                                     SiteSet group) {
-  SiteSet copies = store_.CopiesAmong(group);
-  // Uniform over the group: every copy already carries the maximal op
-  // number, so there is nothing stale to recover.
-  if (store_.UniformOver(copies)) return;
-  // MaxOp over the group moves only when a recover commits.
-  OpNumber max_op = store_.MaxOp(copies);
-  for (SiteId s : copies) {
-    if (store_.state(s).op_number < max_op) {
-      Status st = Recover(net, s);
-      DYNVOTE_CHECK_MSG(st.ok(),
-                        "reintegration inside a granted group must succeed");
-      max_op = store_.MaxOp(copies);
-    }
-  }
-}
-
 Status DynamicVoting::UserAccess(const NetworkState& net, AccessType type) {
-  // Track the most informative denial across probed groups so a denied
-  // access reports why the *closest* group failed, not the emptiest.
-  QuorumReason denial = QuorumReason::kDeniedNoCopies;
-  for (const SiteSet& group : net.Components()) {
-    SiteSet copies = store_.CopiesAmong(group);
-    if (copies.Empty()) continue;
-    QuorumDecision d = Evaluate(group);
-    if (!d.granted) {
-      if (DenialSeverity(d.reason) > DenialSeverity(denial)) {
-        denial = d.reason;
-      }
-      continue;
-    }
-    Status st = Access(net, copies.RankMax(), type);
-    if (st.ok()) {
-      // Reachable stale copies rejoin now. For the optimistic protocols
-      // the access is the only moment state is exchanged; for the
-      // instantaneous ones OnNetworkEvent has already done this and the
-      // loop finds nothing stale.
-      ReintegrateGroup(net, group);
-    }
-    EmitUserAccessAs(type, st.ok(), copies.RankMax(),
-                     st.ok() ? d.reason : denial);
-    return st;
-  }
-  EmitUserAccessAs(type, false, -1, denial);
+  SoloHost host{*this};
+  const dv_rules::UserAccessOutcome outcome =
+      dv_rules::UserAccess(host, net, type);
+  const bool granted = !outcome.copies.Empty();
+  EmitUserAccessAs(type, granted, granted ? outcome.copies.RankMax() : -1,
+                   outcome.reason);
+  if (granted) return Status::OK();
   return Status::NoQuorum(name_ +
                           ": no group of communicating sites holds a quorum");
 }
 
 void DynamicVoting::OnNetworkEvent(const NetworkState& net) {
   if (options_.optimistic) return;  // out-of-date state is the point
-  for (const SiteSet& group : net.Components()) {
-    SiteSet copies = store_.CopiesAmong(group);
-    if (copies.Empty()) continue;
-    // The connection vector's monitoring traffic: every copy in the group
-    // exchanges state.
-    counter_.Add(MessageKind::kInstantRefresh, 2 * copies.Size());
-    QuorumDecision d = Evaluate(group);
-    if (!d.granted) continue;
-    bool membership_current =
-        d.current_set == d.prev_partition && copies == d.current_set;
-    if (!membership_current) {
-      // A state-update operation: the current sites commit the shrunken
-      // (or re-grown) majority block, then stale copies reintegrate.
-      OpNumber op = store_.state(d.representative).op_number + 1;
-      VersionNumber version = store_.state(d.current_set.RankMax()).version;
-      store_.Commit(d.current_set, op, version, d.current_set);
-      counter_.Add(MessageKind::kCommit, d.current_set.Size());
-      ReintegrateGroup(net, group);
-    }
-  }
+  SoloHost host{*this};
+  dv_rules::Refresh(host, net);
 }
 
 namespace {

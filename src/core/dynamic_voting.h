@@ -140,12 +140,12 @@ class DynamicVoting final : public ConsistencyProtocol {
   DynamicVoting(std::shared_ptr<const Topology> topology, ReplicaStore store,
                 DynamicVotingOptions options);
 
+  /// The host of the shared Algorithm 1 reactions
+  /// (core/dynamic_voting_rules.h) over this protocol's own state.
+  struct SoloHost;
+
   /// Performs a read or write at `origin` per Figures 1-2 / 5-6.
   Status Access(const NetworkState& net, SiteId origin, AccessType type);
-
-  /// Reintegrates every reachable stale copy in `group` (Figure 3 / 7
-  /// RECOVER, run back to back for all of them).
-  void ReintegrateGroup(const NetworkState& net, SiteSet group);
 
   std::shared_ptr<const Topology> topology_;
   ReplicaStore store_;

@@ -126,10 +126,7 @@ Status JajodiaMutchlerVoting::Access(const NetworkState& net, SiteId origin,
   }
   SiteSet group = net.ComponentOf(origin);
   Evaluation eval = Evaluate(group);
-  counter_.Add(MessageKind::kProbe, placement_.Size());
-  counter_.Add(MessageKind::kProbeReply, eval.reachable.Size());
-  counter_.Add(MessageKind::kStateRequest, eval.reachable.Size());
-  counter_.Add(MessageKind::kStateReply, eval.reachable.Size());
+  counter_.AddVoteCollection(placement_.Size(), eval.reachable.Size());
   if (!eval.granted) {
     counter_.Add(MessageKind::kAbort, eval.reachable.Size());
     return Status::NoQuorum(name_ + ": current copies are not a majority "

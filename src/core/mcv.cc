@@ -57,24 +57,7 @@ SiteSet MajorityConsensusVoting::ReachableCopies(const NetworkState& net,
 bool MajorityConsensusVoting::WouldGrant(const NetworkState& net,
                                          SiteId origin,
                                          AccessType type) const {
-  if (!net.IsSiteUp(origin)) return false;
-  SiteSet reachable = ReachableCopies(net, origin);
-  long long votes = weights_.WeightOf(reachable);
-  long long needed =
-      type == AccessType::kWrite ? write_quorum_ : read_quorum_;
-  if (votes >= needed) return true;
-  // Static lexicographic tie resolution: exactly half of the total vote
-  // weight suffices when the group holds the maximum element of the
-  // placement. Only meaningful for the default majority quorums — with
-  // explicit Gifford quorums the caller chose the exact thresholds.
-  if (tie_break_ == TieBreak::kLexicographic && !explicit_quorums_) {
-    long long total = weights_.WeightOf(store_.placement());
-    if (2 * votes == total &&
-        reachable.Contains(store_.placement().RankMax())) {
-      return true;
-    }
-  }
-  return false;
+  return net.IsSiteUp(origin) && Grants(ReachableCopies(net, origin), type);
 }
 
 QuorumReason MajorityConsensusVoting::ClassifyUserAccess(
@@ -108,16 +91,12 @@ Status MajorityConsensusVoting::Access(const NetworkState& net,
     return Status::Unavailable("origin site is down");
   }
   SiteSet reachable = ReachableCopies(net, origin);
-  counter_.Add(MessageKind::kProbe, store_.placement().Size());
-  counter_.Add(MessageKind::kProbeReply, reachable.Size());
-  counter_.Add(MessageKind::kStateRequest, reachable.Size());
-  counter_.Add(MessageKind::kStateReply, reachable.Size());
-
-  bool granted = WouldGrant(net, origin, type);
-  if (!granted) {
+  if (!Grants(reachable, type)) {
+    counter_.AddVoteCollection(store_.placement().Size(), reachable.Size());
     counter_.Add(MessageKind::kAbort, reachable.Size());
     return Status::NoQuorum(name_ + ": fewer votes than the static quorum");
   }
+  ChargeGrantedAccess(&counter_, store_.placement(), reachable, type);
 
   OpNumber op = store_.MaxOp(reachable) + 1;
   VersionNumber version = store_.MaxVersion(reachable);
@@ -129,7 +108,6 @@ Status MajorityConsensusVoting::Access(const NetworkState& net,
     // so the quorum intersection property keeps later reads current.
     ++version;
     store_.Commit(reachable, op, version, store_.placement());
-    counter_.Add(MessageKind::kCommit, reachable.Size());
   }
 
   CommitInfo info;

@@ -82,6 +82,30 @@ class MajorityConsensusVoting final : public ConsistencyProtocol {
     return true;
   }
 
+  /// The static rule over the copies `reachable`: r (reads) or w
+  /// (writes) votes, or, under the default quorums and the lexicographic
+  /// tie rule, exactly half the total weight including the placement's
+  /// highest-ranked copy. Inline: the batched engine samples with it.
+  bool Grants(SiteSet reachable, AccessType type) const {
+    const long long votes = weights_.WeightOf(reachable);
+    if (votes >= (type == AccessType::kWrite ? write_quorum_ : read_quorum_)) {
+      return true;
+    }
+    return tie_break_ == TieBreak::kLexicographic && !explicit_quorums_ &&
+           2 * votes == weights_.WeightOf(store_.placement()) &&
+           reachable.Contains(store_.placement().RankMax());
+  }
+
+  /// The traffic of a granted access over the copies `reachable`: the
+  /// vote collection, and for a write the COMMIT to every reachable copy.
+  static void ChargeGrantedAccess(MessageCounter* counter, SiteSet placement,
+                                  SiteSet reachable, AccessType type) {
+    counter->AddVoteCollection(placement.Size(), reachable.Size());
+    if (type == AccessType::kWrite) {
+      counter->Add(MessageKind::kCommit, reachable.Size());
+    }
+  }
+
   /// Quorums in force (after defaulting).
   long long read_quorum() const { return read_quorum_; }
   long long write_quorum() const { return write_quorum_; }

@@ -24,8 +24,9 @@ namespace dynvote {
 
 class ReplicaStore;
 
-/// Kind of file access being attempted.
-enum class AccessType { kRead, kWrite };
+/// Kind of file access being attempted. One byte, so a PathEvent
+/// (model/sample_path.h) fits in one register.
+enum class AccessType : std::uint8_t { kRead, kWrite };
 
 /// What a committed operation did to the replicated data. Data layers
 /// (e.g. the replicated KV store) subscribe via

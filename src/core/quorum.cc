@@ -169,11 +169,4 @@ QuorumDecision EvaluateDynamicQuorum(const ReplicaStore& store,
   return d;
 }
 
-bool HasStaticMajority(SiteSet reachable, SiteSet placement,
-                       const VoteWeights& weights) {
-  long long have = weights.WeightOf(reachable.Intersect(placement));
-  long long total = weights.WeightOf(placement);
-  return 2 * have > total;
-}
-
 }  // namespace dynvote

@@ -148,11 +148,4 @@ QuorumDecision EvaluateDynamicQuorum(const ReplicaStore& store,
                                      const Topology* topology = nullptr,
                                      const VoteWeights& weights = {});
 
-/// Static majority test used by Majority Consensus Voting: does
-/// `reachable` contain more than half of the total vote weight of
-/// `placement`? No tie-break — MCV cannot resolve ties without dynamic
-/// state.
-bool HasStaticMajority(SiteSet reachable, SiteSet placement,
-                       const VoteWeights& weights = {});
-
 }  // namespace dynvote

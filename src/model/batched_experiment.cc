@@ -1,12 +1,15 @@
 #include "model/batched_experiment.h"
 
+#include <algorithm>
 #include <bit>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "core/dynamic_voting.h"
+#include "core/dynamic_voting_rules.h"
 #include "core/mcv.h"
-#include "core/quorum.h"
+#include "core/registry.h"
 #include "model/sample_path.h"
 #include "net/network_state.h"
 #include "repl/message_bus.h"
@@ -25,53 +28,38 @@ namespace {
 /// The engine's protocol bitmasks are 32 bits wide.
 constexpr int kMaxBatchedProtocols = 32;
 
-enum class BatchedKind { kMcv, kDynamic };
-
-/// A protocol reduced to the handful of flags the batched fast paths
-/// need — the same flags the registry bakes into the real protocol
-/// objects (see core/registry.cc).
-struct ProtocolPlan {
-  std::string name;
-  BatchedKind kind = BatchedKind::kDynamic;
-  TieBreak tie_break = TieBreak::kLexicographic;
-  bool topological = false;
-  bool optimistic = false;
-
-  /// Mirrors ConsistencyProtocol::partition_safe(): the topological
-  /// variants knowingly risk dual majorities, everything else must
-  /// never produce one.
-  bool partition_safe() const {
-    return kind == BatchedKind::kMcv || !topological;
-  }
-};
-
-bool PlanFor(const std::string& name, ProtocolPlan* plan) {
-  plan->name = name;
-  if (name == "MCV") {
-    plan->kind = BatchedKind::kMcv;
-    return true;
-  }
-  plan->kind = BatchedKind::kDynamic;
-  if (name == "DV") {
-    plan->tie_break = TieBreak::kNone;
-    return true;
-  }
-  if (name == "LDV") return true;
-  if (name == "ODV") {
-    plan->optimistic = true;
-    return true;
-  }
-  if (name == "TDV") {
-    plan->topological = true;
-    return true;
-  }
-  if (name == "OTDV") {
-    plan->topological = true;
-    plan->optimistic = true;
-    return true;
-  }
-  return false;
+bool IsPaperPolicy(const std::string& name) {
+  const std::vector<std::string>& paper = PaperProtocolNames();
+  return std::find(paper.begin(), paper.end(), name) != paper.end();
 }
+
+/// A policy as the registry builds it over the run's placement. The
+/// engine never runs this object: it reads its configuration, and runs
+/// its rules over each object's own replica state.
+struct ProtocolPlan {
+  explicit ProtocolPlan(std::unique_ptr<ConsistencyProtocol> made)
+      : stock(std::move(made)),
+        mcv(dynamic_cast<const MajorityConsensusVoting*>(stock.get())),
+        dv(dynamic_cast<const DynamicVoting*>(stock.get())) {
+    if (dv != nullptr && dv->options().topological) {
+      vote_topology = &dv->topology();
+    }
+  }
+
+  /// Refreshes on every network event (DV, LDV, TDV).
+  bool instantaneous() const {
+    return dv != nullptr && !dv->options().optimistic;
+  }
+
+  std::unique_ptr<ConsistencyProtocol> stock;
+  /// Exactly one is set: the static protocol whose rule and access
+  /// charge decide, or the dynamic one whose options the shared
+  /// Algorithm 1 reactions run with.
+  const MajorityConsensusVoting* mcv = nullptr;
+  const DynamicVoting* dv = nullptr;
+  /// The topology the dynamic quorum test counts segments over, or null.
+  const Topology* vote_topology = nullptr;
+};
 
 // ---------------------------------------------------------------------------
 // Per-object state
@@ -132,9 +120,7 @@ struct RunConfig {
                 spec_in.options.batch_length * spec_in.options.num_batches),
         initial_store(std::move(initial_store_in)) {
     for (const ProtocolPlan& plan : plans) {
-      if (plan.kind == BatchedKind::kDynamic && !plan.optimistic) {
-        any_non_optimistic_dv = true;
-      }
+      any_instantaneous = any_instantaneous || plan.instantaneous();
     }
   }
 
@@ -146,7 +132,7 @@ struct RunConfig {
   std::uint32_t all_protocols;
   SimTime horizon;
   /// Some protocol refreshes membership on every network event.
-  bool any_non_optimistic_dv = false;
+  bool any_instantaneous = false;
   /// The paper's initial ensemble over the placement; every protocol's
   /// store starts as a copy of it.
   ReplicaStore initial_store;
@@ -180,18 +166,21 @@ class ObjectRun {
   void DrainRepeats(RepeatTally tally);
   void ChargeRepeats(const RepeatTally& tally);
 
-  // --- protocol reactions (exact ports of core/mcv.cc and
-  // core/dynamic_voting.cc) ------------------------------------------------
-  bool McvGranted(SiteSet copies) const;
+  // --- protocol reactions: MCV's own rule and access charge, and the
+  // shared Algorithm 1 reactions over a plain host -------------------------
   SiteSet McvUserAccess(int p, AccessType type);
-  bool Settled(int p, SiteSet copies) const;
-  QuorumDecision DvEvaluate(int p, SiteSet copies) const;
-  void DvCommit(int p, SiteSet participants, OpNumber op,
-                VersionNumber version);
-  SiteSet DvUserAccess(int p, AccessType type);
-  void DvRecover(int p, SiteId site);
-  void DvReintegrateGroup(int p, SiteSet group);
-  void DvOnNetworkEvent(int p);
+  dv_rules::PlainHost Host(int p) {
+    const ProtocolPlan& pl = plan(p);
+    return {store(p), observed(p).counter, pl.dv->options(),
+            pl.vote_topology};
+  }
+  /// Re-derives protocol p's divergent_ bit once its store may have
+  /// moved.
+  void NoteStore(int p) {
+    const std::uint32_t bit = std::uint32_t{1} << p;
+    divergent_ = store(p).UniformOver(cfg_.placement) ? divergent_ & ~bit
+                                                      : divergent_ | bit;
+  }
 
   // --- sampling ----------------------------------------------------------
   void Sample();
@@ -276,11 +265,12 @@ void ObjectRun::NotifyNetworkEvent() {
     MarkAllAvailable();
     return;
   }
-  if (cfg_.any_non_optimistic_dv) {
+  if (cfg_.any_instantaneous) {
     for (int p = 0; p < cfg_.num_protocols; ++p) {
-      if (plan(p).kind == BatchedKind::kDynamic && !plan(p).optimistic) {
-        DvOnNetworkEvent(p);
-      }
+      if (!plan(p).instantaneous()) continue;
+      dv_rules::PlainHost host = Host(p);
+      dv_rules::Refresh(host, path_.net());
+      NoteStore(p);
     }
   }
   Sample();
@@ -304,9 +294,14 @@ void ObjectRun::OnAccess(AccessType type) {
     for (int p = 0; p < cfg_.num_protocols; ++p) {
       ObservedSlot& obs = observed(p);
       ++obs.attempted;
-      const SiteSet copies = plan(p).kind == BatchedKind::kMcv
-                                 ? McvUserAccess(p, type)
-                                 : DvUserAccess(p, type);
+      SiteSet copies;
+      if (plan(p).mcv != nullptr) {
+        copies = McvUserAccess(p, type);
+      } else {
+        dv_rules::PlainHost host = Host(p);
+        copies = dv_rules::UserAccess(host, path_.net(), type).copies;
+        NoteStore(p);
+      }
       if (!copies.Empty()) ++obs.granted;
       obs.repeat_copies = copies.mask();
     }
@@ -353,16 +348,13 @@ void ObjectRun::ChargeRepeats(const RepeatTally& tally) {
     const SiteSet copies = SiteSet::FromMask(obs.repeat_copies);
     const std::uint64_t k = static_cast<std::uint64_t>(copies.Size());
     obs.granted += n;
-    obs.counter.Add(MessageKind::kProbe, total * n);
-    obs.counter.Add(MessageKind::kProbeReply, k * n);
-    obs.counter.Add(MessageKind::kStateRequest, k * n);
-    obs.counter.Add(MessageKind::kStateReply, k * n);
-    if (plan(p).kind == BatchedKind::kMcv) {
+    obs.counter.AddVoteCollection(total * n, k * n);
+    if (plan(p).mcv != nullptr) {
       obs.counter.Add(MessageKind::kCommit, k * tally.writes);
       continue;
     }
     obs.counter.Add(MessageKind::kCommit, k * n);
-    DYNVOTE_CHECK_MSG(Settled(p, copies),
+    DYNVOTE_CHECK_MSG(dv_rules::Settled(store(p), copies),
                       "a repeated access must find its group settled");
     // The n commits in one: each would install P = copies over copies
     // with the op number one higher and, for a write, the version too.
@@ -372,161 +364,26 @@ void ObjectRun::ChargeRepeats(const RepeatTally& tally) {
     const OpNumber op = last.op_number + static_cast<OpNumber>(n);
     const VersionNumber version =
         last.version + static_cast<VersionNumber>(tally.writes);
-    DvCommit(p, copies, op, version);
+    store(p).Commit(copies, op, version, copies);
+    NoteStore(p);
   }
 }
 
-// --- MCV fast path --------------------------------------------------------
-
-bool ObjectRun::McvGranted(SiteSet copies) const {
-  // MCV::WouldGrant with uniform weights and default quorums
-  // (r = w = total/2 + 1, lexicographic tie-break): the decision is a
-  // pure function of the reachable-copies mask — MCV never mutates
-  // decision-relevant state.
-  const int total = cfg_.placement.Size();
-  const int votes = copies.Size();
-  if (votes >= total / 2 + 1) return true;
-  return 2 * votes == total && copies.Contains(cfg_.placement.RankMax());
-}
+// --- MCV -----------------------------------------------------------------
 
 SiteSet ObjectRun::McvUserAccess(int p, AccessType type) {
-  ObservedSlot& obs = observed(p);
+  // ConsistencyProtocol::UserAccess over MCV: the first group whose
+  // copies hold the static quorum runs the access. Returns its copies,
+  // empty when no group does (then no message is sent).
+  const MajorityConsensusVoting& mcv = *plan(p).mcv;
   for (const SiteSet& group : path_.net().Components()) {
-    SiteSet copies = group.Intersect(cfg_.placement);
-    if (copies.Empty()) continue;
-    if (!McvGranted(copies)) continue;
-    // MCV::Access: probe the whole replication set, then exchange state
-    // with the reachable copies; writes additionally commit.
-    obs.counter.Add(MessageKind::kProbe, cfg_.placement.Size());
-    obs.counter.Add(MessageKind::kProbeReply, copies.Size());
-    obs.counter.Add(MessageKind::kStateRequest, copies.Size());
-    obs.counter.Add(MessageKind::kStateReply, copies.Size());
-    if (type == AccessType::kWrite) {
-      obs.counter.Add(MessageKind::kCommit, copies.Size());
-    }
+    const SiteSet copies = group.Intersect(cfg_.placement);
+    if (copies.Empty() || !mcv.Grants(copies, type)) continue;
+    MajorityConsensusVoting::ChargeGrantedAccess(&observed(p).counter,
+                                                 cfg_.placement, copies, type);
     return copies;
   }
-  return SiteSet{};  // no quorum anywhere: no messages, like the solo path
-}
-
-// --- dynamic voting, decided from the store -------------------------------
-
-bool ObjectRun::Settled(int p, SiteSet copies) const {
-  // The last commit left every copy of the (non-empty) group with one
-  // ensemble whose P is exactly the group's copies: S = R = P_m, so the
-  // group grants and its membership is current.
-  const ReplicaStore& s = store(p);
-  return s.UniformOver(copies) &&
-         s.state(copies.RankMax()).partition_set == copies;
-}
-
-QuorumDecision ObjectRun::DvEvaluate(int p, SiteSet copies) const {
-  const ProtocolPlan& pl = plan(p);
-  return EvaluateDynamicQuorum(
-      store(p), copies, pl.tie_break,
-      pl.topological ? cfg_.spec.topology.get() : nullptr);
-}
-
-void ObjectRun::DvCommit(int p, SiteSet participants, OpNumber op,
-                         VersionNumber version) {
-  // Every Algorithm 1 commit installs P = the participating copies.
-  ReplicaStore& s = store(p);
-  s.Commit(participants, op, version, participants);
-  const std::uint32_t bit = std::uint32_t{1} << p;
-  if (s.UniformOver(cfg_.placement)) {
-    divergent_ &= ~bit;
-  } else {
-    divergent_ |= bit;
-  }
-}
-
-SiteSet ObjectRun::DvUserAccess(int p, AccessType type) {
-  // DynamicVoting::UserAccess + Access, fused: find the first granted
-  // group, charge the Access message pattern, commit, reintegrate.
-  // Returns the granted group's copies, empty when denied.
-  ObservedSlot& obs = observed(p);
-  for (const SiteSet& group : path_.net().Components()) {
-    SiteSet copies = group.Intersect(cfg_.placement);
-    if (copies.Empty()) continue;
-    const QuorumDecision d = DvEvaluate(p, copies);
-    if (!d.granted) continue;
-
-    obs.counter.Add(MessageKind::kProbe, cfg_.placement.Size());
-    obs.counter.Add(MessageKind::kProbeReply, copies.Size());
-    obs.counter.Add(MessageKind::kStateRequest, copies.Size());
-    obs.counter.Add(MessageKind::kStateReply, copies.Size());
-
-    // o_m from the representative, v_m from any member of S.
-    const ReplicaStore& s = store(p);
-    const OpNumber op = s.state(d.representative).op_number + 1;
-    const VersionNumber version = s.state(d.current_set.RankMax()).version +
-                                  (type == AccessType::kWrite ? 1 : 0);
-    DvCommit(p, d.current_set, op, version);
-    obs.counter.Add(MessageKind::kCommit, d.current_set.Size());
-    DvReintegrateGroup(p, copies);
-    return copies;
-  }
-  return SiteSet{};  // NoQuorum: no messages
-}
-
-void ObjectRun::DvRecover(int p, SiteId site) {
-  // Runs only from DvReintegrateGroup, inside a group that was just
-  // granted, so the solo Recover's denied branch (abort messages) cannot
-  // happen here.
-  ObservedSlot& obs = observed(p);
-  SiteSet copies = path_.net().ComponentOf(site).Intersect(cfg_.placement);
-  const QuorumDecision d = DvEvaluate(p, copies);
-  DYNVOTE_CHECK_MSG(d.granted,
-                    "reintegration inside a granted group must succeed");
-  const ReplicaStore& s = store(p);
-  const OpNumber op = s.state(d.representative).op_number + 1;
-  const VersionNumber version = s.state(d.current_set.RankMax()).version;
-  if (s.state(site).version < version) {
-    obs.counter.Add(MessageKind::kFileCopy, 1);
-  }
-  SiteSet participants = d.current_set.Union(SiteSet{site});
-  DvCommit(p, participants, op, version);
-  obs.counter.Add(MessageKind::kCommit, participants.Size());
-}
-
-void ObjectRun::DvReintegrateGroup(int p, SiteSet group) {
-  const ReplicaStore& s = store(p);
-  SiteSet copies = s.CopiesAmong(group);
-  // Uniform over the group: every copy already carries the maximal op
-  // number, so there is nothing stale to recover.
-  if (s.UniformOver(copies)) return;
-  // MaxOp over the group moves only when a recover commits.
-  OpNumber max_op = s.MaxOp(copies);
-  for (SiteId site : copies) {
-    if (s.state(site).op_number < max_op) {
-      DvRecover(p, site);
-      max_op = s.MaxOp(copies);
-    }
-  }
-}
-
-void ObjectRun::DvOnNetworkEvent(int p) {
-  // The instantaneous variants refresh state in every group on every
-  // network event (the paper's "connection vector" cost).
-  ObservedSlot& obs = observed(p);
-  for (const SiteSet& group : path_.net().Components()) {
-    SiteSet copies = group.Intersect(cfg_.placement);
-    if (copies.Empty()) continue;
-    obs.counter.Add(MessageKind::kInstantRefresh, 2 * copies.Size());
-    // S = R = P_m: membership is current without an evaluation, the
-    // solo path's conclusion too.
-    if (Settled(p, copies)) continue;
-    const QuorumDecision d = DvEvaluate(p, copies);
-    if (!d.granted) continue;
-    const bool membership_current =
-        d.current_set == d.prev_partition && copies == d.current_set;
-    if (membership_current) continue;
-    const ReplicaStore& s = store(p);
-    DvCommit(p, d.current_set, s.state(d.representative).op_number + 1,
-             s.state(d.current_set.RankMax()).version);
-    obs.counter.Add(MessageKind::kCommit, d.current_set.Size());
-    DvReintegrateGroup(p, copies);
-  }
+  return SiteSet{};
 }
 
 // --- sampling -------------------------------------------------------------
@@ -542,10 +399,10 @@ void ObjectRun::Sample() {
     if (copies.Empty()) continue;
     std::uint32_t group_granted = 0;
     for (int p = 0; p < cfg_.num_protocols; ++p) {
-      const bool granted =
-          plan(p).kind == BatchedKind::kMcv
-              ? McvGranted(copies)
-              : Settled(p, copies) || DvEvaluate(p, copies).granted;
+      const ProtocolPlan& pl = plan(p);
+      const bool granted = pl.mcv != nullptr
+                               ? pl.mcv->Grants(copies, AccessType::kWrite)
+                               : Host(p).Evaluate(group).granted;
       if (granted) group_granted |= std::uint32_t{1} << p;
     }
     twice |= once & group_granted;
@@ -557,11 +414,13 @@ void ObjectRun::Sample() {
     const std::uint32_t bit = std::uint32_t{1} << p;
     if (twice & bit) {
       ++obs.dual_majority_instants;
-      if (cfg_.spec.options.check_mutual_exclusion && plan(p).partition_safe()) {
+      if (cfg_.spec.options.check_mutual_exclusion &&
+          plan(p).stock->partition_safe()) {
         DYNVOTE_CHECK_MSG(
             (twice & bit) == 0,
             "two disjoint majority partitions (batched engine): " +
-                plan(p).name + " at t=" + std::to_string(path_.now()));
+                plan(p).stock->name() + " at t=" +
+                std::to_string(path_.now()));
       }
     }
     const bool available = (once & bit) != 0;
@@ -602,14 +461,14 @@ std::vector<PolicyResult> ObjectRun::Run() {
   for (int p = 0; p < cfg_.num_protocols; ++p) {
     ObservedSlot& obs = observed(p);
     const ProtocolPlan& pl = plan(p);
-    if (pl.kind == BatchedKind::kDynamic && !pl.optimistic) {
+    if (pl.instantaneous()) {
       obs.counter.Add(MessageKind::kInstantRefresh,
                       2 * total * steady_notifies_);
     }
 
     obs.tracker.Finish(cfg_.horizon);
     PolicyResult r;
-    r.name = pl.name;
+    r.name = pl.stock->name();
     r.unavailability = obs.tracker.Unavailability();
     r.stats = obs.tracker.Stats();
     r.mean_unavailable_duration = obs.tracker.MeanUnavailableDuration();
@@ -640,38 +499,31 @@ bool StoreIsInitial(const ReplicaStore& store) {
   return true;
 }
 
-/// The registry name of the batched plan that reproduces `p` exactly, or
-/// "" when `p` carries anything the plans do not model. Every option the
-/// plans hard-wire (see PlanFor and the fast paths above) is checked here.
-std::string StockPolicyName(const ConsistencyProtocol& p,
-                            const Topology* topology) {
+/// True iff `p` decides exactly as the registry's protocol of its name
+/// (the plan the batched engine runs for that name) does over
+/// `topology`: a paper policy of the same type and options, with the
+/// stock uniform weights and no witnesses.
+bool IsStock(const ConsistencyProtocol& p,
+             const std::shared_ptr<const Topology>& topology) {
+  if (!IsPaperPolicy(p.name())) return false;
+  auto made = MakeProtocolByName(p.name(), topology, p.placement());
+  if (!made.ok()) return false;
+  const ConsistencyProtocol& stock = **made;
+  if (typeid(p) != typeid(stock)) return false;
   if (const auto* mcv = dynamic_cast<const MajorityConsensusVoting*>(&p)) {
-    // McvGranted assumes unit votes, r = w = majority and the
-    // lexicographic tie rule.
-    const bool stock = mcv->weights().IsUniform() &&
-                       mcv->tie_break() == TieBreak::kLexicographic &&
-                       !mcv->explicit_quorums() &&
-                       StoreIsInitial(mcv->store());
-    return stock && mcv->name() == "MCV" ? "MCV" : "";
+    const auto& s = static_cast<const MajorityConsensusVoting&>(stock);
+    return mcv->weights().IsUniform() && mcv->tie_break() == s.tie_break() &&
+           mcv->explicit_quorums() == s.explicit_quorums() &&
+           StoreIsInitial(mcv->store());
   }
-  const auto* dv = dynamic_cast<const DynamicVoting*>(&p);
-  if (dv == nullptr) return "";
-  const DynamicVotingOptions& o = dv->options();
-  if (!o.weights.IsUniform() || !o.witnesses.Empty() ||
-      &dv->topology() != topology || !StoreIsInitial(dv->store())) {
-    return "";
-  }
-  // The five flag combinations PlanFor knows; DV alone fails ties.
-  std::string name;
-  if (o.tie_break == TieBreak::kNone) {
-    if (o.topological || o.optimistic) return "";
-    name = "DV";
-  } else if (o.topological) {
-    name = o.optimistic ? "OTDV" : "TDV";
-  } else {
-    name = o.optimistic ? "ODV" : "LDV";
-  }
-  return dv->name() == name ? name : "";
+  const auto& dv = static_cast<const DynamicVoting&>(p);
+  const DynamicVotingOptions& o = dv.options();
+  const DynamicVotingOptions& s =
+      static_cast<const DynamicVoting&>(stock).options();
+  return o.tie_break == s.tie_break && o.topological == s.topological &&
+         o.optimistic == s.optimistic && o.weights.IsUniform() &&
+         o.witnesses.Empty() && &dv.topology() == topology.get() &&
+         StoreIsInitial(dv.store());
 }
 
 }  // namespace
@@ -681,11 +533,7 @@ bool BatchedEngineSupports(const std::vector<std::string>& policies) {
       policies.size() > static_cast<std::size_t>(kMaxBatchedProtocols)) {
     return false;
   }
-  ProtocolPlan plan;
-  for (const std::string& name : policies) {
-    if (!PlanFor(name, &plan)) return false;
-  }
-  return true;
+  return std::all_of(policies.begin(), policies.end(), IsPaperPolicy);
 }
 
 std::optional<BatchedProtocolSpec> BatchedPlanFor(
@@ -707,9 +555,8 @@ std::optional<BatchedProtocolSpec> BatchedPlanFor(
         p->obs() != nullptr || p->counter()->Total() != 0) {
       return std::nullopt;
     }
-    std::string name = StockPolicyName(*p, spec.topology.get());
-    if (name.empty()) return std::nullopt;
-    plan.policies.push_back(std::move(name));
+    if (!IsStock(*p, spec.topology)) return std::nullopt;
+    plan.policies.push_back(p->name());
   }
   if (!BatchedEngineSupports(plan.policies)) return std::nullopt;
   return plan;
@@ -748,11 +595,12 @@ RunBatchedAvailabilityExperiment(const ExperimentSpec& spec,
     return Status::InvalidArgument("batched run needs at least one seed");
   }
 
-  std::vector<ProtocolPlan> plans(protocols.policies.size());
-  for (std::size_t i = 0; i < protocols.policies.size(); ++i) {
-    if (!PlanFor(protocols.policies[i], &plans[i])) {
-      return Status::InvalidArgument("policy set not supported");
-    }
+  std::vector<ProtocolPlan> plans;
+  plans.reserve(protocols.policies.size());
+  for (const std::string& name : protocols.policies) {
+    auto made = MakeProtocolByName(name, spec.topology, protocols.placement);
+    if (!made.ok()) return made.status();
+    plans.emplace_back(made.MoveValue());
   }
 
   auto initial_store = ReplicaStore::Make(protocols.placement);

@@ -1,13 +1,13 @@
 // The batched multi-object simulation engine: N independent replicated
 // files ("objects") run back to back, each from its seed to the horizon
-// on its own SamplePath (model/sample_path.h), with its protocol state
-// held as plain data — one ReplicaStore per protocol, message counters
-// and 32-bit protocol masks — instead of protocol-object heaps. The
+// on its own SamplePath (model/sample_path.h), with one ReplicaStore and
+// one MessageCounter per protocol instead of protocol objects. The
 // paper's one-access-per-day workload is the sparse-event regime where
 // the protocol objects' per-object fixed costs (virtual calls, memo
-// bookkeeping) dominate; plain-data protocol slots remove them, and no
-// decision is memoized. Each object's state is built fresh from its
-// seed, so objects share nothing but the run's read-only inputs.
+// bookkeeping) dominate; the engine runs the protocols' own reaction code
+// without them, and no decision is memoized. Each object's state is built
+// fresh from its seed, so objects share nothing but the run's read-only
+// inputs.
 //
 // Bit-identity contract: PolicyResult rows for object k in a batch of N
 // are bit-identical to a RunSoloAvailabilityExperiment with seed
@@ -15,12 +15,16 @@
 // engine guarantees this by construction:
 //   - both engines drive the same SamplePath, so the event sequence, the
 //     RNG draws and the network states are the solo run's;
-//   - each dynamic protocol keeps one ReplicaStore and decides with
-//     EvaluateDynamicQuorum over it, as DynamicVoting does, so every
-//     decision equals the solo protocol object's decision. The one
+//   - Algorithm 1's reactions are written once (core/dynamic_voting_rules.h)
+//     over a compile-time host: DynamicVoting is the solo host, and
+//     dv_rules::PlainHost, over each object's store and counter, is this
+//     engine's. It decides with the same EvaluateDynamicQuorum; its one
 //     shortcut is a store query: a group whose copies the last commit
 //     left with one ensemble and P = exactly those copies ("settled")
-//     grants with S = R = P_m without an evaluation.
+//     gets the kernel's decision without an evaluation. MCV decides with
+//     MajorityConsensusVoting's own static rule and access charge;
+//   - a policy's plan is the registry's protocol of that name: its
+//     options, name and partition_safe().
 //
 // The engine is deliberately observability-free: traced, metered and
 // serving runs stay on the instrumented solo engine
@@ -60,11 +64,10 @@ bool BatchedEngineSupports(const std::vector<std::string>& policies);
 /// engine. A plan exists iff
 ///   - spec.obs is null, serving is off and spec.options.quorum_cache is
 ///     on (--no-quorum-cache keeps meaning "unmemoized reference path");
-///   - every protocol is a stock paper policy: MCV with uniform weights,
-///     lexicographic tie-break, no explicit quorums and the name "MCV",
-///     or a DynamicVoting whose flags are exactly DV/LDV/ODV/TDV/OTDV
-///     with uniform weights, no witnesses, the derived name, built on
-///     spec.topology;
+///   - every protocol is a stock paper policy: it carries a paper
+///     policy's name, and the type and options the registry builds under
+///     that name (uniform weights, no witnesses, no explicit quorums),
+///     on spec.topology;
 ///   - every protocol is untouched: replica store in its initial state,
 ///     zero message counts, no commit hook or obs context;
 ///   - all protocols share one placement inside the topology.

@@ -101,6 +101,8 @@ struct PathEvent {
   AccessType type = AccessType::kRead;
   SiteId origin = -1;
 };
+// Apply() returns it in one register.
+static_assert(sizeof(PathEvent) == 8);
 
 /// The failure, repair, maintenance and workload processes of one object
 /// on one event calendar. Single-threaded; one per object per run.

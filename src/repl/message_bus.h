@@ -46,6 +46,16 @@ class MessageCounter {
     counts_[static_cast<int>(kind)] += n;
   }
 
+  /// The vote collection that opens a quorum access: a probe to each of
+  /// `copies` copies, then a probe reply, a state request and a state
+  /// reply for each of the `reachable` ones.
+  void AddVoteCollection(std::uint64_t copies, std::uint64_t reachable) {
+    Add(MessageKind::kProbe, copies);
+    Add(MessageKind::kProbeReply, reachable);
+    Add(MessageKind::kStateRequest, reachable);
+    Add(MessageKind::kStateReply, reachable);
+  }
+
   std::uint64_t count(MessageKind kind) const {
     return counts_[static_cast<int>(kind)];
   }

@@ -20,6 +20,7 @@
 #include "check/harness.h"
 #include "check/topologies.h"
 #include "util/rng.h"
+#include "test_text.h"
 
 namespace dynvote {
 namespace check {
@@ -141,7 +142,8 @@ TEST(HarnessCloneTest, CloneAtEveryPrefixEqualsAFullReplay) {
           clone->AssignFrom(*source);
           ExpectSameOutcome(
               Finish(clone.get(), schedule, prefix), reference,
-              label + " cloned after " + std::to_string(prefix) + " actions");
+              testing_util::Cat({label, " cloned after ",
+                                 std::to_string(prefix), " actions"}));
           ++compared;
         }
       }
@@ -274,7 +276,8 @@ TEST(HarnessCloneTest, AssignIntoADivergedTargetEqualsAFullReplay) {
         target->AssignFrom(*source);
         ExpectSameOutcome(
             Finish(target.get(), schedule, prefix), reference,
-            label + " assigned after " + std::to_string(prefix) + " actions");
+            testing_util::Cat({label, " assigned after ",
+                               std::to_string(prefix), " actions"}));
         ++compared;
       }
     }

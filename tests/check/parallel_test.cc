@@ -11,6 +11,7 @@
 
 #include "check/checker.h"
 #include "check/counterexample.h"
+#include "test_text.h"
 
 namespace dynvote {
 namespace check {
@@ -51,7 +52,8 @@ CheckReport ExpectJobsInvariant(CheckOptions options,
     EXPECT_TRUE(parallel.ok()) << label << ": " << parallel.status();
     if (solo.ok() && parallel.ok()) {
       ExpectReportsIdentical(*solo, *parallel,
-                             label + " jobs=" + std::to_string(jobs));
+                             testing_util::Cat(
+                                 {label, " jobs=", std::to_string(jobs)}));
     }
   }
   return solo.ok() ? *solo : CheckReport{};

@@ -15,6 +15,7 @@
 
 #include "check/visited_set.h"
 #include "util/thread_pool.h"
+#include "test_text.h"
 
 namespace dynvote {
 namespace check {
@@ -41,7 +42,7 @@ TEST(ShardedVisitedSetTest, CellsSurviveLaterInserts) {
   ShardedVisitedSet set;
   const std::uint64_t* first = set.InsertMin("first", 5);
   for (int i = 0; i < 5000; ++i) {
-    set.InsertMin("filler-" + std::to_string(i),
+    set.InsertMin(testing_util::Cat({"filler-", std::to_string(i)}),
                   static_cast<std::uint64_t>(100 + i));
   }
   EXPECT_EQ(*first, 5u);
@@ -76,7 +77,9 @@ TEST(ShardedVisitedSetTest, ConcurrentCollidingInsertsResolveToGlobalMin) {
   // build of the same set.
   constexpr int kWorkers = 8;
   constexpr int kSignatures = 200;
-  auto signature = [](int i) { return "state-" + std::to_string(i); };
+  auto signature = [](int i) {
+    return testing_util::Cat({"state-", std::to_string(i)});
+  };
   auto token = [](int worker, int i) {
     // Distinct across (worker, i); minimum over workers is worker 0's.
     return static_cast<std::uint64_t>(i) * kWorkers +
@@ -126,7 +129,7 @@ TEST(ShardedVisitedSetTest, DigestIsInterleavingIndependent) {
     for (int w = 0; w < workers; ++w) {
       pool.Submit([&set, w, workers] {
         for (int i = w; i < 500; i += workers) {
-          set.InsertMin("sig" + std::to_string(i % 97),
+          set.InsertMin(testing_util::Cat({"sig", std::to_string(i % 97)}),
                         static_cast<std::uint64_t>(i));
         }
       });
@@ -143,7 +146,8 @@ TEST(ShardedVisitedSetTest, DigestIsInterleavingIndependent) {
 
 // A distinct signature about as long as the checker's (~48 bytes).
 std::string LongSignature(int i) {
-  std::string s = "section3/replicas=ab|ac|bc/history=" + std::to_string(i);
+  std::string s = testing_util::Cat(
+      {"section3/replicas=ab|ac|bc/history=", std::to_string(i)});
   s.resize(48, '.');
   return s;
 }
@@ -211,7 +215,8 @@ TEST(ShardedVisitedSetTest, SameShardAndHomeSlotSignaturesBothResolve) {
   std::vector<std::string> colliding;
   int shard = -1;
   for (int i = 0; colliding.size() < 3; ++i) {
-    const std::string signature = "collide-" + std::to_string(i);
+    const std::string signature =
+        testing_util::Cat({"collide-", std::to_string(i)});
     const std::uint64_t hash = ShardedVisitedSet::HashSignature(signature);
     if (ShardedVisitedSet::HomeSlot(
             hash, ShardedVisitedSet::kInitialSlots) != last) {

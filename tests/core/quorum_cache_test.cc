@@ -15,6 +15,7 @@
 #include "net/network_state.h"
 #include "repl/replica_store.h"
 #include "util/rng.h"
+#include "test_text.h"
 
 namespace dynvote {
 namespace {
@@ -23,7 +24,7 @@ std::shared_ptr<const Topology> SingleSegmentTopology(int num_sites) {
   auto builder = Topology::Builder();
   SegmentId seg = builder.AddSegment("lan");
   for (int i = 0; i < num_sites; ++i) {
-    builder.AddSite("s" + std::to_string(i), seg);
+    builder.AddSite(testing_util::Cat({"s", std::to_string(i)}), seg);
   }
   auto topo = builder.Build();
   EXPECT_TRUE(topo.ok());

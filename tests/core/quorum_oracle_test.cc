@@ -7,7 +7,7 @@
 // mutable_state handout), and that one's Q and S must equal the store's
 // own scans. Every tie rule, the topological rule and explicit weights
 // are covered, and witnesses through DynamicVoting::Evaluate. The
-// batched engine's settled-group shortcut is checked the same way.
+// batched engine's settled-group decision is checked the same way.
 
 #include <memory>
 #include <string>
@@ -16,11 +16,13 @@
 #include <gtest/gtest.h>
 
 #include "core/dynamic_voting.h"
+#include "core/dynamic_voting_rules.h"
 #include "core/quorum.h"
 #include "model/site_profile.h"
 #include "net/network_state.h"
 #include "repl/replica_store.h"
 #include "util/rng.h"
+#include "test_text.h"
 
 namespace dynvote {
 namespace {
@@ -48,8 +50,9 @@ bool SameDecision(const QuorumDecision& a, const QuorumDecision& b) {
 }
 
 std::string Describe(const QuorumDecision& d) {
-  return d.ToString() + " m=" + std::to_string(d.representative) + " " +
-         QuorumReasonName(d.reason);
+  return testing_util::Cat({d.ToString(), " m=",
+                            std::to_string(d.representative), " ",
+                            QuorumReasonName(d.reason)});
 }
 
 /// `store` with the uniform block forgotten and nothing else changed.
@@ -198,14 +201,16 @@ TEST(QuorumOracleTest, UniformBlockShortcutMatchesTheFullScan) {
   EXPECT_GT(scanned_groups, 1000u);
 }
 
-// The batched engine's one shortcut (model/batched_experiment.cc,
-// ObjectRun::Settled): a group R whose copies the last commit left
-// uniform with P = R grants with S = R = P_m, so its membership is
-// current, without an evaluation. Over the same random histories, every
-// settled group must get exactly that answer from the kernel under every
-// rule. The one exception is a block weighing nothing: 0 > 0 fails, so
-// such a group wins only by the lexicographic tie rule. The engine
-// counts unit votes, where no block weighs nothing.
+// The batched engine's one shortcut (dv_rules::PlainHost, in
+// core/dynamic_voting_rules.h): a group R whose copies the last commit
+// left uniform with P = R is Settled, and its decision is built without
+// an evaluation — granted, with R = Q = S = T = P_m and m = R's
+// highest-ranked copy. Over the same random histories, every settled
+// group must get exactly that decision from the kernel under every rule,
+// including each field the shared reactions read. The one exception is a
+// block weighing nothing: 0 > 0 fails, so such a group wins only by the
+// lexicographic tie rule. The engine counts unit votes, where no block
+// weighs nothing.
 TEST(QuorumOracleTest, SettledGroupsGrantWithCurrentMembership) {
   const std::shared_ptr<const Topology> topology = PaperTopology();
   const SiteSet universe = topology->AllSites();
@@ -229,10 +234,8 @@ TEST(QuorumOracleTest, SettledGroupsGrantWithCurrentMembership) {
         for (std::uint64_t mask = 1; mask <= universe.mask(); ++mask) {
           const SiteSet group = SiteSet::FromMask(mask);
           const SiteSet r = store.CopiesAmong(group);
-          if (r.Empty() || !store.UniformOver(r) ||
-              store.state(r.RankMax()).partition_set != r) {
-            continue;
-          }
+          if (r.Empty() || !dv_rules::Settled(store, r)) continue;
+          const QuorumDecision settled = dv_rules::SettledDecision(r);
           ++settled_groups;
           if (r != placement) ++proper_subsets;
           for (const Rule& rule : rules) {
@@ -247,8 +250,15 @@ TEST(QuorumOracleTest, SettledGroupsGrantWithCurrentMembership) {
                                          TieBreak::kLexicographic)
                 << "placement " << placement << " seed " << seed << " step "
                 << step << " group " << group << ": " << Describe(d);
+            ASSERT_EQ(d.representative, r.RankMax()) << Describe(d);
+            ASSERT_EQ(d.reachable_copies, r) << Describe(d);
             ASSERT_EQ(d.current_set, r) << Describe(d);
             ASSERT_EQ(d.prev_partition, r) << Describe(d);
+            if (!weightless) {
+              ASSERT_TRUE(SameDecision(d, settled))
+                  << "kernel:  " << Describe(d)
+                  << "\n  settled: " << Describe(settled);
+            }
           }
         }
       }

@@ -1,7 +1,10 @@
 #include "core/quorum.h"
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
+#include "core/mcv.h"
 #include "core/test_topologies.h"
 
 namespace dynvote {
@@ -318,20 +321,31 @@ TEST(QuorumTest, TopologicalStaleCarrierIsGrantedLiterally) {
   EXPECT_FALSE(dc.granted);
 }
 
+// MCV's static rule under strict majorities (ties fail).
+bool StrictMajority(SiteSet reachable, SiteSet placement,
+                    VoteWeights weights = {}) {
+  McvOptions options;
+  options.weights = std::move(weights);
+  options.tie_break = TieBreak::kNone;
+  auto mcv = MajorityConsensusVoting::Make(placement, std::move(options));
+  EXPECT_TRUE(mcv.ok()) << mcv.status();
+  return (*mcv)->Grants(reachable, AccessType::kWrite);
+}
+
 TEST(StaticMajorityTest, Basics) {
   SiteSet placement{0, 1, 2, 3};
-  EXPECT_TRUE(HasStaticMajority(SiteSet{0, 1, 2}, placement));
-  EXPECT_FALSE(HasStaticMajority(SiteSet{0, 1}, placement));  // exact half
-  EXPECT_FALSE(HasStaticMajority(SiteSet{3}, placement));
-  EXPECT_TRUE(HasStaticMajority(SiteSet{0, 1, 2, 3, 9}, placement));
+  EXPECT_TRUE(StrictMajority(SiteSet{0, 1, 2}, placement));
+  EXPECT_FALSE(StrictMajority(SiteSet{0, 1}, placement));  // exact half
+  EXPECT_FALSE(StrictMajority(SiteSet{3}, placement));
+  EXPECT_TRUE(StrictMajority(SiteSet{0, 1, 2, 3}, placement));
 }
 
 TEST(StaticMajorityTest, Weighted) {
   auto w = VoteWeights::Make({3, 1, 1, 1});
   ASSERT_TRUE(w.ok());
   SiteSet placement{0, 1, 2, 3};
-  EXPECT_TRUE(HasStaticMajority(SiteSet{0, 1}, placement, *w));  // 4 of 6
-  EXPECT_FALSE(HasStaticMajority(SiteSet{1, 2, 3}, placement, *w));
+  EXPECT_TRUE(StrictMajority(SiteSet{0, 1}, placement, *w));  // 4 of 6
+  EXPECT_FALSE(StrictMajority(SiteSet{1, 2, 3}, placement, *w));
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "net/topology.h"
+#include "test_text.h"
 
 namespace dynvote {
 namespace testing_util {
@@ -16,7 +17,7 @@ inline std::shared_ptr<const Topology> SingleSegment(int n) {
   auto builder = Topology::Builder();
   SegmentId seg = builder.AddSegment("lan");
   for (int i = 0; i < n; ++i) {
-    builder.AddSite("s" + std::to_string(i), seg);
+    builder.AddSite(Cat({"s", std::to_string(i)}), seg);
   }
   auto topo = builder.Build();
   EXPECT_TRUE(topo.ok()) << topo.status();

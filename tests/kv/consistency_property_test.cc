@@ -19,6 +19,7 @@
 #include "core/test_topologies.h"
 #include "kv/cluster.h"
 #include "util/rng.h"
+#include "test_text.h"
 
 namespace dynvote {
 namespace {
@@ -82,8 +83,9 @@ TEST_P(KvConsistencyTest, LastWriteWinsUnderFaults) {
     } else if (kind < 6) {  // put
       SiteId origin =
           static_cast<SiteId>(rng.NextBounded(topo->num_sites()));
-      std::string key = "k" + std::to_string(rng.NextBounded(4));
-      std::string value = "v" + std::to_string(counter++);
+      std::string key =
+          testing_util::Cat({"k", std::to_string(rng.NextBounded(4))});
+      std::string value = testing_util::Cat({"v", std::to_string(counter++)});
       Status st = cluster.Put(origin, key, value);
       ASSERT_TRUE(st.ok() || st.IsNoQuorum() || st.IsUnavailable()) << st;
       if (st.ok()) {
@@ -93,7 +95,8 @@ TEST_P(KvConsistencyTest, LastWriteWinsUnderFaults) {
     } else {  // get
       SiteId origin =
           static_cast<SiteId>(rng.NextBounded(topo->num_sites()));
-      std::string key = "k" + std::to_string(rng.NextBounded(4));
+      std::string key =
+          testing_util::Cat({"k", std::to_string(rng.NextBounded(4))});
       auto got = cluster.Get(origin, key);
       if (got.ok() || got.status().IsNotFound()) {
         ++successful_gets;

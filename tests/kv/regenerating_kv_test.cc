@@ -8,6 +8,7 @@
 #include "core/test_topologies.h"
 #include "kv/kv_store.h"
 #include "util/rng.h"
+#include "test_text.h"
 
 namespace dynvote {
 namespace {
@@ -76,7 +77,7 @@ TEST(RegeneratingKvTest, LastWriteWinsUnderChurnWithRegeneration) {
     protocol->OnNetworkEvent(net);
 
     if (rng.NextBernoulli(0.4)) {
-      std::string value = "v" + std::to_string(counter++);
+      std::string value = testing_util::Cat({"v", std::to_string(counter++)});
       for (SiteId origin = 0; origin < 5; ++origin) {
         if (!net.IsSiteUp(origin)) continue;
         Status st = store->Put(net, origin, "k", value);

@@ -10,6 +10,7 @@
 #include "model/analytic.h"
 #include "model/experiment.h"
 #include "util/rng.h"
+#include "test_text.h"
 
 namespace dynvote {
 namespace {
@@ -26,7 +27,8 @@ RandomCase MakeCase(Rng* rng) {
   int num_segments = 1 + static_cast<int>(rng->NextBounded(3));
   std::vector<SegmentId> segments;
   for (int i = 0; i < num_segments; ++i) {
-    segments.push_back(builder.AddSegment("seg" + std::to_string(i)));
+    segments.push_back(
+        builder.AddSegment(testing_util::Cat({"seg", std::to_string(i)})));
   }
   int num_sites = 3 + static_cast<int>(rng->NextBounded(4));
   std::vector<SegmentId> home;
@@ -34,11 +36,11 @@ RandomCase MakeCase(Rng* rng) {
     // Keep segment 0 populated; spread the rest.
     SegmentId seg = i == 0 ? segments[0]
                            : segments[rng->NextBounded(segments.size())];
-    builder.AddSite("s" + std::to_string(i), seg);
+    builder.AddSite(testing_util::Cat({"s", std::to_string(i)}), seg);
     home.push_back(seg);
 
     SiteProfile p;
-    p.name = "s" + std::to_string(i);
+    p.name = testing_util::Cat({"s", std::to_string(i)});
     p.mttf_days = 5.0 + rng->NextDouble() * 60.0;
     p.hardware_fraction = rng->NextDouble();
     p.restart_minutes = 10.0 + rng->NextDouble() * 30.0;

@@ -10,7 +10,7 @@ namespace {
 
 SiteProfile Simple(double mttf_days, double repair_days) {
   SiteProfile p;
-  p.name = "s";
+  p.name = std::string("s");
   p.mttf_days = mttf_days;
   p.hardware_fraction = 1.0;
   p.hw_repair_exp_hours = repair_days * 24.0;

@@ -17,6 +17,7 @@
 #include "model/site_profile.h"
 #include "net/topology.h"
 #include "obs/context.h"
+#include "test_text.h"
 
 namespace dynvote {
 namespace {
@@ -136,8 +137,8 @@ TEST(BatchedExperimentTest, EveryObjectMatchesItsSoloRunBitForBit) {
       ASSERT_TRUE(solo.ok()) << solo.status();
       ASSERT_EQ((*batched)[k].size(), solo->size());
       for (std::size_t p = 0; p < solo->size(); ++p) {
-        SCOPED_TRACE("seed " + std::to_string(seeds[k]) + " policy " +
-                     (*solo)[p].name);
+        SCOPED_TRACE(testing_util::Cat(
+            {"seed ", std::to_string(seeds[k]), " policy ", (*solo)[p].name}));
         const PolicyResult& row = (*batched)[k][p];
         ExpectBitIdentical(row, (*solo)[p]);
         attempted += row.accesses_attempted;
@@ -189,7 +190,8 @@ TEST(BatchedExperimentTest, RepeatedAccessesMatchSoloOnThePaperGrid) {
       ASSERT_EQ((*batched)[k].size(), solo->size());
       for (std::size_t p = 0; p < solo->size(); ++p) {
         const PolicyResult& r = (*solo)[p];
-        SCOPED_TRACE("seed " + std::to_string(seeds[k]) + " " + r.name);
+        SCOPED_TRACE(testing_util::Cat(
+            {"seed ", std::to_string(seeds[k]), " ", r.name}));
         ExpectBitIdentical((*batched)[k][p], r);
         denied += r.accesses_attempted - r.accesses_granted;
         file_copies += r.messages.count(MessageKind::kFileCopy);
@@ -233,8 +235,8 @@ TEST(BatchedExperimentTest, QuorumCacheOffStillMatchesSolo) {
                                               MakeProtocols(spec, names));
     ASSERT_TRUE(solo.ok()) << solo.status();
     for (std::size_t p = 0; p < solo->size(); ++p) {
-      SCOPED_TRACE("seed " + std::to_string(seeds[k]) + " policy " +
-                   (*solo)[p].name);
+      SCOPED_TRACE(testing_util::Cat(
+          {"seed ", std::to_string(seeds[k]), " policy ", (*solo)[p].name}));
       ExpectBitIdentical((*batched)[k][p], (*solo)[p]);
     }
   }
@@ -312,8 +314,8 @@ TEST(BatchedEngineTest, ObjectsRunIndependentlyInAnyOrder) {
     ASSERT_EQ(in_order.size(), reference.size());
     ASSERT_EQ(in_reverse.size(), reference.size());
     for (std::size_t p = 0; p < reference.size(); ++p) {
-      SCOPED_TRACE("seed " + std::to_string(seeds[k]) + " policy " +
-                   reference[p].name);
+      SCOPED_TRACE(testing_util::Cat(
+          {"seed ", std::to_string(seeds[k]), " policy ", reference[p].name}));
       ExpectBitIdentical(in_order[p], reference[p]);
       ExpectBitIdentical(in_reverse[p], reference[p]);
     }
@@ -538,7 +540,8 @@ TEST(BatchedPlanForTest, OptionsTheBatchedPlansDoNotModelStayOnSolo) {
   int index = 0;
   for (const McvOptions& o :
        {weighted_mcv, untied_mcv, quorum_mcv, custom_mcv}) {
-    SCOPED_TRACE("MCV option set " + std::to_string(index++));
+    SCOPED_TRACE(
+        testing_util::Cat({"MCV option set ", std::to_string(index++)}));
     auto mcv = Unwrap(MajorityConsensusVoting::Make(kFiveCopyPlacement, o));
     EXPECT_FALSE(BatchedPlanFor(spec, StockSetWith(spec, std::move(mcv)))
                      .has_value());

@@ -11,7 +11,7 @@ namespace {
 
 LabeledResult SampleRow() {
   LabeledResult row;
-  row.label = "B";
+  row.label = std::string("B");
   row.result.name = "ODV";
   row.result.unavailability = 0.000808;
   row.result.stats.ci95_halfwidth = 0.000133;

@@ -16,6 +16,7 @@
 #include "core/test_topologies.h"
 #include "model/experiment.h"
 #include "model/site_profile.h"
+#include "test_text.h"
 
 namespace dynvote {
 namespace {
@@ -676,8 +677,9 @@ TEST(SamplePathTest, DrainingYieldsTheSteppedSequence) {
   for (bool deterministic : {false, true}) {
     spec.options.access.deterministic = deterministic;
     for (std::uint64_t seed : {1ull, 7ull, 4242ull, 20260704ull}) {
-      SCOPED_TRACE("seed " + std::to_string(seed) +
-                   (deterministic ? " deterministic" : " poisson"));
+      SCOPED_TRACE(testing_util::Cat(
+          {"seed ", std::to_string(seed),
+           deterministic ? " deterministic" : " poisson"}));
       std::vector<Seen> expected;
       ExpectDrainingMatchesStepping(spec, placement, seed, Days(200.25),
                                     Years(2), &expected);
@@ -705,8 +707,8 @@ TEST(SamplePathTest, DrainingArrivalsYieldsTheSteppedSequence) {
   const SiteSet placement{0, 1, 3, 5, 7};
   for (std::uint64_t seed : {1ull, 7ull, 20260704ull}) {
     for (SimTime cut : {Days(0.001), Days(37.3), Days(200.25)}) {
-      SCOPED_TRACE("seed " + std::to_string(seed) + " cut " +
-                   std::to_string(cut));
+      SCOPED_TRACE(testing_util::Cat(
+          {"seed ", std::to_string(seed), " cut ", std::to_string(cut)}));
       std::vector<Seen> expected;
       ExpectDrainingMatchesStepping(spec, placement, seed, cut, Years(1),
                                     &expected);

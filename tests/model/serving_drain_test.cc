@@ -21,6 +21,7 @@
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
 #include "util/append.h"
+#include "test_text.h"
 
 namespace dynvote {
 namespace {
@@ -82,7 +83,9 @@ void AppendRows(const std::vector<PolicyResult>& rows, std::string* out) {
       out->push_back(' ');
       AppendDecimal(value, out);
     }
-    out->append(" " + r.messages.ToString() + "\n");
+    out->push_back(' ');
+    out->append(r.messages.ToString());
+    out->push_back('\n');
   }
 }
 
@@ -146,9 +149,10 @@ TEST_P(ServingDrainTest, DrainedRunsEqualSteppedRuns) {
       for (bool quorum_cache : {true, false}) {
         ExpectDrainedEqualsStepped(
             *network, DrainOptions(seed, write_fraction, quorum_cache), make,
-            std::string(1, GetParam()) + " seed=" + std::to_string(seed) +
-                " writes=" + std::to_string(write_fraction) +
-                " cache=" + std::to_string(quorum_cache));
+            testing_util::Cat({std::string(1, GetParam()), " seed=",
+                               std::to_string(seed), " writes=",
+                               std::to_string(write_fraction), " cache=",
+                               std::to_string(quorum_cache)}));
       }
     }
   }
@@ -219,9 +223,9 @@ TEST(ServingDrainFamiliesTest, WeightedWitnessAndSteppedFamilies) {
       for (bool quorum_cache : {true, false}) {
         ExpectDrainedEqualsStepped(
             net, DrainOptions(seed, write_fraction, quorum_cache), make,
-            "seed=" + std::to_string(seed) +
-                " writes=" + std::to_string(write_fraction) +
-                " cache=" + std::to_string(quorum_cache));
+            testing_util::Cat({"seed=", std::to_string(seed), " writes=",
+                               std::to_string(write_fraction), " cache=",
+                               std::to_string(quorum_cache)}));
       }
     }
   }

@@ -13,6 +13,7 @@
 
 #include "net/network_state.h"
 #include "util/rng.h"
+#include "test_text.h"
 
 namespace dynvote {
 namespace {
@@ -22,14 +23,16 @@ std::shared_ptr<const Topology> MakeRandomTopology(Rng* rng) {
   int num_segments = 1 + static_cast<int>(rng->NextBounded(5));
   std::vector<SegmentId> segments;
   for (int i = 0; i < num_segments; ++i) {
-    segments.push_back(builder.AddSegment("seg" + std::to_string(i)));
+    segments.push_back(
+        builder.AddSegment(testing_util::Cat({"seg", std::to_string(i)})));
   }
   int num_sites = 2 + static_cast<int>(rng->NextBounded(9));
   std::vector<SiteId> sites;
   std::vector<SegmentId> home;
   for (int i = 0; i < num_sites; ++i) {
     SegmentId seg = segments[rng->NextBounded(segments.size())];
-    sites.push_back(builder.AddSite("s" + std::to_string(i), seg));
+    sites.push_back(
+        builder.AddSite(testing_util::Cat({"s", std::to_string(i)}), seg));
     home.push_back(seg);
   }
   int num_bridges = static_cast<int>(rng->NextBounded(6));
@@ -46,7 +49,7 @@ std::shared_ptr<const Topology> MakeRandomTopology(Rng* rng) {
     if (host >= 0) {
       builder.AddGateway(host, b);
     } else {
-      builder.AddRepeater("r" + std::to_string(i), a, b);
+      builder.AddRepeater(testing_util::Cat({"r", std::to_string(i)}), a, b);
     }
   }
   auto topo = builder.Build();

@@ -5,6 +5,7 @@
 // TSan by the thread-sanitize CI job (AsyncTraceSink* filter).
 
 #include "obs/async_writer.h"
+#include "test_text.h"
 
 #include <gtest/gtest.h>
 
@@ -87,14 +88,15 @@ TEST(AsyncTraceSinkTest, DeliversPagesInOrder) {
   RecordingPageSink inner;
   AsyncTraceSink sink(&inner);
   for (int i = 0; i < 50; ++i) {
-    std::string page = Page("page-" + std::to_string(i));
+    std::string page = Page(testing_util::Cat({"page-", std::to_string(i)}));
     sink.WritePage(&page);
     EXPECT_TRUE(page.empty());  // consumed (or recycled-empty) buffer back
   }
   sink.Flush();
   ASSERT_EQ(inner.pages().size(), 50u);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(inner.pages()[i], "page-" + std::to_string(i));
+    EXPECT_EQ(inner.pages()[i],
+              testing_util::Cat({"page-", std::to_string(i)}));
   }
   EXPECT_EQ(inner.flushes(), 1);
   EXPECT_EQ(sink.pages_accepted(), 50u);

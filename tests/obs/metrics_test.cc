@@ -17,6 +17,7 @@
 
 #include "util/append.h"
 #include "util/rng.h"
+#include "test_text.h"
 
 namespace dynvote {
 namespace {
@@ -337,7 +338,7 @@ void ExpectSameHistogram(const HistogramData& got,
 TEST(MetricsShardTest, DenseBucketsMatchTheMapReference) {
   Rng rng(20260704);
   for (int round = 0; round < 40; ++round) {
-    SCOPED_TRACE("round " + std::to_string(round));
+    SCOPED_TRACE(testing_util::Cat({"round ", std::to_string(round)}));
     HistogramData got;
     MapHistogramReference want;
     const int n = 1 + static_cast<int>(rng.NextBounded(400));
@@ -398,7 +399,7 @@ TEST(MetricsShardTest, CounterCellPointerIsStableAcrossInserts) {
   *cell += 5;
   // Map growth must not move the node the pointer refers to.
   for (int i = 0; i < 100; ++i) {
-    shard.CounterCell("k" + std::to_string(i));
+    shard.CounterCell(testing_util::Cat({"k", std::to_string(i)}));
   }
   *cell += 1;
   EXPECT_EQ(shard.CounterCell("hot"), cell);
