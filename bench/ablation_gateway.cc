@@ -86,13 +86,10 @@ int Run(const BenchArgs& args) {
         spec.repeater_profiles = repeater_profiles;
       }
       spec.options = MakeOptions(args);
-      std::vector<std::unique_ptr<ConsistencyProtocol>> protocols;
-      for (const char* name : {"MCV", "LDV", "ODV"}) {
-        protocols.push_back(
-            MakeProtocolByName(name, spec.topology, config->placement)
-                .MoveValue());
-      }
-      auto results = RunAvailabilityExperiment(spec, std::move(protocols));
+      auto results = RunAvailabilityExperiment(
+          spec, MakeProtocolSet({"MCV", "LDV", "ODV"}, spec.topology,
+                                config->placement)
+                    .MoveValue());
       if (!results.ok()) {
         std::cerr << results.status() << "\n";
         return 1;

@@ -70,12 +70,9 @@ int Run(BenchArgs args) {
     spec.profiles = network->profiles;
     spec.options = MakeOptions(args);
 
-    std::vector<std::unique_ptr<ConsistencyProtocol>> protocols;
-    for (const std::string& name : {std::string("DV"), std::string("LDV")}) {
-      protocols.push_back(
-          MakeProtocolByName(name, network->topology, config->placement)
-              .MoveValue());
-    }
+    std::vector<std::unique_ptr<ConsistencyProtocol>> protocols =
+        MakeProtocolSet({"DV", "LDV"}, network->topology, config->placement)
+            .MoveValue();
     auto pref_best = MakePreferring(network->topology, config->placement,
                                     best, "LDV-pref-reliable");
     auto pref_worst = MakePreferring(network->topology, config->placement,

@@ -9,6 +9,7 @@
 #include "model/site_profile.h"
 #include "stats/table.h"
 #include "util/parse_number.h"
+#include "util/thread_pool.h"
 
 namespace dynvote {
 namespace bench {
@@ -58,9 +59,8 @@ BenchArgs ParseArgs(int argc, char** argv) {
       }
     } else if (flag == "--jobs") {
       args.jobs = ValueOrExit(flag, ParseInt(value));
-      if (args.jobs < 0) {
-        FlagError("--jobs: must be >= 0 (0 = all cores), got '" + value +
-                  "'");
+      if (Status st = ValidateWorkerCount(args.jobs); !st.ok()) {
+        FlagError("--jobs: " + st.message() + ", got '" + value + "'");
       }
     } else if (flag == "--runs") {
       args.runs = ValueOrExit(flag, ParseInt(value));

@@ -109,16 +109,12 @@ constexpr SiteSet kFiveCopyPlacement{0, 1, 3, 5, 7};
 
 std::vector<std::unique_ptr<ConsistencyProtocol>> MakePaperProtocols(
     std::shared_ptr<const Topology> topology, SiteSet placement) {
-  std::vector<std::unique_ptr<ConsistencyProtocol>> protocols;
-  for (const std::string& name : PaperProtocolNames()) {
-    auto p = MakeProtocolByName(name, topology, placement);
-    if (!p.ok()) {
-      std::cerr << "protocol " << name << ": " << p.status() << "\n";
-      std::exit(1);
-    }
-    protocols.push_back(p.MoveValue());
+  auto protocols = MakeProtocolSet(PaperProtocolNames(), topology, placement);
+  if (!protocols.ok()) {
+    std::cerr << protocols.status() << "\n";
+    std::exit(1);
   }
-  return protocols;
+  return protocols.MoveValue();
 }
 
 /// One pass of experiment.cc's availability sample over every protocol

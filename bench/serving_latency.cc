@@ -91,16 +91,13 @@ void RunServing(char config, double measured_days, std::uint64_t seed,
   spec.options = options;
   if (shard != nullptr) spec.obs = &obs;
 
-  std::vector<std::unique_ptr<ConsistencyProtocol>> protocols;
-  for (const std::string& name : PaperProtocolNames()) {
-    auto p = MakeProtocolByName(name, network->topology, pc->placement);
-    if (!p.ok()) {
-      std::cerr << p.status() << "\n";
-      std::exit(1);
-    }
-    protocols.push_back(p.MoveValue());
+  auto protocols =
+      MakeProtocolSet(PaperProtocolNames(), network->topology, pc->placement);
+  if (!protocols.ok()) {
+    std::cerr << protocols.status() << "\n";
+    std::exit(1);
   }
-  auto results = RunAvailabilityExperiment(spec, std::move(protocols));
+  auto results = RunAvailabilityExperiment(spec, protocols.MoveValue());
   if (!results.ok()) {
     std::cerr << results.status() << "\n";
     std::exit(1);

@@ -48,16 +48,8 @@ int Run(const BenchArgs& args) {
     spec.profiles = network->profiles;
     spec.options = MakeOptions(args);
     SiteSet p_now = placement;
-    ProtocolSetFactory factory =
-        [&network, p_now]()
-        -> Result<std::vector<std::unique_ptr<ConsistencyProtocol>>> {
-      std::vector<std::unique_ptr<ConsistencyProtocol>> protocols;
-      for (const std::string& name : PaperProtocolNames()) {
-        auto p = MakeProtocolByName(name, network->topology, p_now);
-        if (!p.ok()) return p.status();
-        protocols.push_back(p.MoveValue());
-      }
-      return protocols;
+    ProtocolSetFactory factory = [&network, p_now] {
+      return MakeProtocolSet(PaperProtocolNames(), network->topology, p_now);
     };
     ReplicationOptions replication;
     replication.replications = args.reps;

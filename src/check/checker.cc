@@ -1,7 +1,6 @@
 #include "check/checker.h"
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -109,30 +108,6 @@ std::uint64_t UnprunedSequences(std::size_t alphabet, int depth) {
     total += layer;
   }
   return total;
-}
-
-/// Runs body(begin, end) over contiguous ranges that cover [0, n): the
-/// whole range inline without a pool, otherwise a few chunks per worker.
-/// Bodies must be independent and write only their own pre-assigned
-/// slots — determinism never depends on completion order or chunking.
-void ParallelFor(
-    ThreadPool* pool, std::size_t n,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  if (n == 0) return;
-  if (pool == nullptr || n == 1) {
-    body(0, n);
-    return;
-  }
-  // A few chunks per worker so a slow chunk (deep rebuilds) does not
-  // leave the rest of the pool idle at the level barrier.
-  const std::size_t target =
-      static_cast<std::size_t>(pool->num_threads()) * 4;
-  const std::size_t chunk = std::max<std::size_t>(1, (n + target - 1) / target);
-  for (std::size_t begin = 0; begin < n; begin += chunk) {
-    const std::size_t end = std::min(n, begin + chunk);
-    pool->Submit([&body, begin, end] { body(begin, end); });
-  }
-  pool->Wait();
 }
 
 /// One distinct reached state in the BFS tree. levels[d][i] is the i-th
@@ -520,9 +495,7 @@ Result<CheckReport> RunCheck(const CheckOptions& options) {
     return Status::InvalidArgument(
         "swarm schedules and swarm depth must be at least 1");
   }
-  if (options.jobs < 0) {
-    return Status::InvalidArgument("jobs must be >= 0 (0 = all cores)");
-  }
+  DYNVOTE_RETURN_NOT_OK(ValidateWorkerCount(options.jobs));
 
   // Surface configuration errors (unknown protocol, oracle mismatch)
   // before exploring — and ask the probe whether toggles commute, which

@@ -48,4 +48,17 @@ Result<std::unique_ptr<ConsistencyProtocol>> MakeProtocolByName(
   return Status::InvalidArgument("unknown protocol name '" + name + "'");
 }
 
+Result<std::vector<std::unique_ptr<ConsistencyProtocol>>> MakeProtocolSet(
+    const std::vector<std::string>& names,
+    const std::shared_ptr<const Topology>& topology, SiteSet placement) {
+  std::vector<std::unique_ptr<ConsistencyProtocol>> protocols;
+  protocols.reserve(names.size());
+  for (const std::string& name : names) {
+    auto p = MakeProtocolByName(name, topology, placement);
+    if (!p.ok()) return p.status();
+    protocols.push_back(p.MoveValue());
+  }
+  return protocols;
+}
+
 }  // namespace dynvote

@@ -26,4 +26,12 @@ Result<std::unique_ptr<ConsistencyProtocol>> MakeProtocolByName(
     const std::string& name, std::shared_ptr<const Topology> topology,
     SiteSet placement);
 
+/// Builds the named protocols, in `names` order, all for copies at
+/// `placement` on `topology`; the first unknown name's error otherwise.
+/// The one names-to-protocols loop: factories, benches and the batched
+/// engine's plans all build their sets here.
+Result<std::vector<std::unique_ptr<ConsistencyProtocol>>> MakeProtocolSet(
+    const std::vector<std::string>& names,
+    const std::shared_ptr<const Topology>& topology, SiteSet placement);
+
 }  // namespace dynvote

@@ -595,13 +595,12 @@ RunBatchedAvailabilityExperiment(const ExperimentSpec& spec,
     return Status::InvalidArgument("batched run needs at least one seed");
   }
 
+  auto made =
+      MakeProtocolSet(protocols.policies, spec.topology, protocols.placement);
+  if (!made.ok()) return made.status();
   std::vector<ProtocolPlan> plans;
-  plans.reserve(protocols.policies.size());
-  for (const std::string& name : protocols.policies) {
-    auto made = MakeProtocolByName(name, spec.topology, protocols.placement);
-    if (!made.ok()) return made.status();
-    plans.emplace_back(made.MoveValue());
-  }
+  plans.reserve(made->size());
+  for (auto& p : *made) plans.emplace_back(std::move(p));
 
   auto initial_store = ReplicaStore::Make(protocols.placement);
   if (!initial_store.ok()) return initial_store.status();

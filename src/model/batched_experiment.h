@@ -29,7 +29,8 @@
 // The engine is deliberately observability-free: traced, metered and
 // serving runs stay on the instrumented solo engine
 // (RunSoloAvailabilityExperiment), which produces identical statistics.
-// RunAvailabilityExperiment picks the engine per run with BatchedPlanFor.
+// BatchedPlanFor picks the engine: RunAvailabilityExperiment asks it per
+// run, RunReplicatedExperiment once per replicated run.
 
 #pragma once
 

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "util/parse_number.h"
+#include "util/thread_pool.h"
 
 namespace dynvote {
 
@@ -180,6 +181,9 @@ Result<NetworkConfig> ParseNetworkConfig(const std::string& text) {
       DYNVOTE_RETURN_NOT_OK(CheckEmpty(line_number, *kv));
       if (replications < 1) {
         return LineError(line_number, "replications must be >= 1");
+      }
+      if (Status st = ValidateWorkerCount(jobs); !st.ok()) {
+        return LineError(line_number, st.message());
       }
     } else {
       return LineError(line_number, "unknown declaration '" + kind + "'");

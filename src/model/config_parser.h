@@ -19,7 +19,8 @@
 // repair-exp=HOURS (2).
 //
 // Experiment keys (integers): replications=R (1, >= 1) independent
-// replications to run; jobs=M (1, >= 0, 0 = all cores) worker threads.
+// replications to run; jobs=M (1, 0 = all cores, at most
+// kMaxWorkerThreads of util/thread_pool.h) worker threads.
 // Tools may override both from the command line; jobs never affects
 // results, only wall-clock time.
 //

@@ -3,7 +3,6 @@
 #include <optional>
 
 #include "core/dynamic_voting.h"
-#include "core/registry.h"
 #include "model/arrival_drain.h"
 #include "model/batched_experiment.h"
 #include "model/sample_path.h"
@@ -383,32 +382,6 @@ Result<std::vector<PolicyResult>> RunSoloAvailabilityExperiment(
     results.push_back(std::move(r));
   }
   return results;
-}
-
-Result<std::vector<PolicyResult>> RunPaperExperiment(
-    char config_label, const std::vector<std::string>& policies,
-    const ExperimentOptions& options) {
-  auto network = MakePaperNetwork();
-  if (!network.ok()) return network.status();
-
-  const PaperConfiguration* config = PaperConfigurationFor(config_label);
-  if (config == nullptr) {
-    return Status::InvalidArgument(std::string("unknown configuration '") +
-                                   config_label + "'");
-  }
-
-  std::vector<std::unique_ptr<ConsistencyProtocol>> protocols;
-  for (const std::string& name : policies) {
-    auto p = MakeProtocolByName(name, network->topology, config->placement);
-    if (!p.ok()) return p.status();
-    protocols.push_back(p.MoveValue());
-  }
-
-  ExperimentSpec spec;
-  spec.topology = network->topology;
-  spec.profiles = network->profiles;
-  spec.options = options;
-  return RunAvailabilityExperiment(spec, std::move(protocols));
 }
 
 }  // namespace dynvote

@@ -96,8 +96,9 @@ struct ExperimentSpec {
 };
 
 /// Runs `protocols` through one simulated sample path and reports a
-/// result per protocol (in input order). The single place that picks an
-/// engine: when BatchedPlanFor (model/batched_experiment.h) yields a plan
+/// result per protocol (in input order), picking the engine for this one
+/// run (RunReplicatedExperiment picks once per replicated run): when
+/// BatchedPlanFor (model/batched_experiment.h) yields a plan
 /// — an untraced, unmetered, non-serving, memoized run of untouched stock
 /// paper policies — the run executes as a batch of one in the batched
 /// engine; every other run goes to RunSoloAvailabilityExperiment. Both
@@ -119,7 +120,9 @@ Result<std::vector<PolicyResult>> RunSoloAvailabilityExperiment(
 
 /// Convenience wrapper: builds the paper's network, places copies per
 /// configuration `config_label` ('A'..'H') and runs the named policies
-/// (registry names).
+/// (registry names). It is the one-replication case of
+/// RunReplicatedPaperExperiment (model/replicated_experiment.h, which
+/// defines it): that run's per_replication[0].
 Result<std::vector<PolicyResult>> RunPaperExperiment(
     char config_label, const std::vector<std::string>& policies,
     const ExperimentOptions& options);

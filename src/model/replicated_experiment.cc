@@ -29,11 +29,12 @@ struct ReplicationSlot {
   MetricsShard metrics;  // per-replication shard when collect_metrics
 };
 
-/// Runs one replication of the experiment with the slot's derived seed.
-/// A caller-supplied spec.obs is never shared across workers — when
-/// collection is on, each replication gets a private context (sink into
-/// the slot's buffer, metrics into the slot's shard) and spec.obs is
-/// replaced; when off, spec.obs is cleared.
+/// Runs one replication of the experiment on the solo engine with the
+/// slot's derived seed (the caller has already decided that no batched
+/// plan applies). A caller-supplied spec.obs is never shared across
+/// workers — when collection is on, each replication gets a private
+/// context (sink into the slot's buffer, metrics into the slot's shard)
+/// and spec.obs is replaced; when off, spec.obs is cleared.
 ReplicationSlot RunOneReplication(const ExperimentSpec& base,
                                   const ProtocolSetFactory& factory,
                                   std::uint64_t seed, int replication,
@@ -60,7 +61,7 @@ ReplicationSlot RunOneReplication(const ExperimentSpec& base,
   spec.obs = options.collect_traces || options.collect_metrics ? &ctx
                                                                : nullptr;
 
-  auto rows = RunAvailabilityExperiment(spec, protocols.MoveValue());
+  auto rows = RunSoloAvailabilityExperiment(spec, protocols.MoveValue());
   if (!rows.ok()) {
     slot.status = rows.status();
     return slot;
@@ -96,9 +97,7 @@ Result<ReplicatedResults> RunReplicatedExperiment(
   if (options.replications < 1) {
     return Status::InvalidArgument("replications must be >= 1");
   }
-  if (options.jobs < 0) {
-    return Status::InvalidArgument("jobs must be >= 0 (0 = all cores)");
-  }
+  DYNVOTE_RETURN_NOT_OK(ValidateWorkerCount(options.jobs));
   if (options.objects < 1) {
     return Status::InvalidArgument("objects must be >= 1");
   }
@@ -107,82 +106,68 @@ Result<ReplicatedResults> RunReplicatedExperiment(
   }
 
   const int reps = options.replications;
-  int jobs = options.jobs == 0 ? ThreadPool::DefaultThreads() : options.jobs;
-  jobs = std::min(jobs, reps);
-
   ReplicatedResults out;
   out.seeds.reserve(static_cast<std::size_t>(reps));
   for (int r = 0; r < reps; ++r) {
     out.seeds.push_back(ReplicationSeed(spec.options.seed, r));
   }
 
-  // Grouping: with objects > 1, replications that would each go to the
-  // batched engine anyway (RunAvailabilityExperiment's own BatchedPlanFor
-  // gate, asked with the null spec.obs every uncollected replication
-  // runs with) go to it one group per pool task instead. Collected traces
-  // or metrics give every replication an obs context, which keeps it on
-  // the solo engine. The plan is read off one factory-built set — the
-  // factory builds the same set every call. Each group's rows are
-  // bit-identical to single runs with the same seeds, so grouping only
-  // changes wall-clock time.
+  // The one engine decision of the run. Collected traces or metrics give
+  // every replication an obs context, which keeps it on the solo engine;
+  // otherwise BatchedPlanFor is asked once, with the null spec.obs every
+  // uncollected replication runs with, on one factory-built set (the
+  // factory builds the same set every call).
   ExperimentSpec untraced = spec;
   untraced.obs = nullptr;
-  std::optional<BatchedProtocolSpec> batched;
-  if (options.objects > 1 && !options.collect_traces &&
-      !options.collect_metrics) {
+  std::optional<BatchedProtocolSpec> plan;
+  if (!options.collect_traces && !options.collect_metrics) {
     auto probe = factory();
     if (!probe.ok()) return probe.status();
-    batched = BatchedPlanFor(untraced, *probe);
+    plan = BatchedPlanFor(untraced, *probe);
   }
 
+  // One loop over groups of consecutive replications: `objects` of them
+  // per batched-engine call with a plan, one solo replication without.
+  // Each group writes only its own replications' slots, and the batched
+  // engine's rows are bit-identical to solo runs with the same seeds, so
+  // neither the grouping nor the job count changes a byte.
+  // Written so that no sum can pass INT_MAX (--objects may be INT_MAX).
+  const int group_size = plan.has_value() ? options.objects : 1;
+  const int num_groups = (reps - 1) / group_size + 1;
   std::vector<ReplicationSlot> slots(static_cast<std::size_t>(reps));
-  if (batched.has_value()) {
-    const int group_size = options.objects;
-    const int num_groups = (reps + group_size - 1) / group_size;
-    // One task per group; each group writes only its own replications'
-    // slots, preserving the fixed-slot determinism contract.
-    auto run_group = [&untraced, &batched, &out, &slots, reps,
-                      group_size](int g) {
-      const int lo = g * group_size;
-      const int hi = std::min(reps, lo + group_size);
-      std::vector<std::uint64_t> seeds(out.seeds.begin() + lo,
-                                       out.seeds.begin() + hi);
-      auto rows =
-          RunBatchedAvailabilityExperiment(untraced, *batched, seeds);
-      if (!rows.ok()) {
-        for (int r = lo; r < hi; ++r) slots[r].status = rows.status();
-        return;
-      }
-      std::vector<std::vector<PolicyResult>> group_rows = rows.MoveValue();
+  auto run_group = [&](int g) {
+    const int lo = g * group_size;
+    const int hi = lo + std::min(group_size, reps - lo);
+    if (!plan.has_value()) {
       for (int r = lo; r < hi; ++r) {
-        slots[r].rows = std::move(group_rows[static_cast<std::size_t>(r - lo)]);
+        slots[r] = RunOneReplication(spec, factory, out.seeds[r], r, options);
       }
-    };
-    const int group_jobs = std::min(jobs, num_groups);
-    if (group_jobs <= 1) {
-      for (int g = 0; g < num_groups; ++g) run_group(g);
-    } else {
-      ThreadPool pool(group_jobs);
-      for (int g = 0; g < num_groups; ++g) {
-        pool.Submit([&run_group, g] { run_group(g); });
-      }
-      pool.Wait();
+      return;
     }
-  } else if (jobs <= 1) {
-    for (int r = 0; r < reps; ++r) {
-      slots[r] = RunOneReplication(spec, factory, out.seeds[r], r, options);
+    std::vector<std::uint64_t> seeds(out.seeds.begin() + lo,
+                                     out.seeds.begin() + hi);
+    auto rows = RunBatchedAvailabilityExperiment(untraced, *plan, seeds);
+    if (!rows.ok()) {
+      for (int r = lo; r < hi; ++r) slots[r].status = rows.status();
+      return;
     }
-  } else {
-    ThreadPool pool(jobs);
-    for (int r = 0; r < reps; ++r) {
-      ReplicationSlot* slot = &slots[r];
-      std::uint64_t seed = out.seeds[r];
-      pool.Submit([&spec, &factory, &options, slot, seed, r] {
-        *slot = RunOneReplication(spec, factory, seed, r, options);
-      });
+    std::vector<std::vector<PolicyResult>> group_rows = rows.MoveValue();
+    for (int r = lo; r < hi; ++r) {
+      slots[r].rows = std::move(group_rows[static_cast<std::size_t>(r - lo)]);
     }
-    pool.Wait();
-  }
+  };
+  const int threads = std::min(
+      options.jobs == 0 ? ThreadPool::DefaultThreads() : options.jobs,
+      num_groups);
+  std::optional<ThreadPool> pool;
+  if (threads > 1) pool.emplace(threads);
+  ParallelFor(pool.has_value() ? &*pool : nullptr,
+              static_cast<std::size_t>(num_groups),
+              [&run_group](std::size_t first, std::size_t last) {
+                for (std::size_t g = first; g < last; ++g) {
+                  run_group(static_cast<int>(g));
+                }
+              });
 
   // Errors surface lowest-slot-first so the reported failure does not
   // depend on completion order.
@@ -269,19 +254,9 @@ Result<ReplicatedResults> RunReplicatedPaperExperiment(
 
   // The factory reads only immutable data (topology, placement, names),
   // so concurrent invocation from worker threads is safe.
-  std::shared_ptr<const Topology> topology = network->topology;
-  const SiteSet placement = config->placement;
-  ProtocolSetFactory factory =
-      [topology, placement,
-       &policies]() -> Result<std::vector<std::unique_ptr<ConsistencyProtocol>>> {
-    std::vector<std::unique_ptr<ConsistencyProtocol>> protocols;
-    protocols.reserve(policies.size());
-    for (const std::string& name : policies) {
-      auto p = MakeProtocolByName(name, topology, placement);
-      if (!p.ok()) return p.status();
-      protocols.push_back(p.MoveValue());
-    }
-    return protocols;
+  ProtocolSetFactory factory = [topology = network->topology,
+                                placement = config->placement, &policies] {
+    return MakeProtocolSet(policies, topology, placement);
   };
 
   ExperimentSpec spec;
@@ -289,6 +264,15 @@ Result<ReplicatedResults> RunReplicatedPaperExperiment(
   spec.profiles = network->profiles;
   spec.options = options;
   return RunReplicatedExperiment(spec, factory, replication);
+}
+
+Result<std::vector<PolicyResult>> RunPaperExperiment(
+    char config_label, const std::vector<std::string>& policies,
+    const ExperimentOptions& options) {
+  auto results = RunReplicatedPaperExperiment(config_label, policies, options,
+                                              ReplicationOptions());
+  if (!results.ok()) return results.status();
+  return std::move(results->per_replication.front());
 }
 
 std::vector<PolicyResult> MeanPolicyResults(const ReplicatedResults& results) {

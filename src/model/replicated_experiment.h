@@ -13,8 +13,9 @@
 // `replications = 1` reproduces the sequential RunAvailabilityExperiment
 // byte for byte.
 //
-// Threading model: each replication owns a private SamplePath, NetworkState
-// and protocol set, all confined to the worker thread that runs it (the
+// Threading model: each replication (a batched group: each of its objects)
+// owns a private SamplePath, NetworkState and protocol set or replica
+// stores, all confined to the worker thread that runs it (the
 // single-thread confinement documented in core/protocol.h is preserved
 // per-replication). Only the immutable ExperimentSpec is shared.
 
@@ -60,15 +61,15 @@ struct ReplicationOptions {
   /// Collect metrics into per-replication shards, merged in replication
   /// order into ReplicatedResults::metrics at join.
   bool collect_metrics = false;
-  /// Replications per pool task (runs the group's objects back to back;
-  /// never changes results). Which engine a replication runs on is
-  /// decided by BatchedPlanFor alone; this only chooses the grouping.
-  /// When > 1 and the run qualifies for the batched engine (untraced,
-  /// unmetered, stock paper policies), replications are grouped into
-  /// consecutive runs of this size, one batched-engine call per group;
-  /// at 1 each replication is a batch of one. The batched engine's
-  /// bit-identity contract makes every grouping produce the same bytes,
-  /// so only wall-clock time can change.
+  /// Replications per batched-engine call (never changes results). The
+  /// engine is decided once per replicated run, by BatchedPlanFor, and
+  /// not by this value: when the run qualifies for the batched engine
+  /// (untraced, unmetered, stock paper policies), replications go to it
+  /// in consecutive groups of this size, one call per group (at 1, a
+  /// batch of one each); otherwise every replication runs alone on the
+  /// solo engine and this is unused. The batched engine's bit-identity
+  /// contract makes every grouping produce the same bytes, so only
+  /// wall-clock time can change.
   int objects = 1;
 };
 
@@ -124,10 +125,11 @@ struct ReplicatedResults {
 /// seed, the standard seed-expansion scheme of util/rng.h.
 std::uint64_t ReplicationSeed(std::uint64_t master_seed, int replication);
 
-/// Builds one replication's protocol set. Invoked once per replication,
-/// possibly concurrently from worker threads: it must be thread-safe,
-/// which in practice means it only reads shared immutable data (topology,
-/// placement) and allocates fresh protocol instances.
+/// Builds one replication's protocol set, the same set every call.
+/// Invoked once to decide the engine and, on the solo engine, once per
+/// replication, possibly concurrently from worker threads: it must be
+/// thread-safe, which in practice means it only reads shared immutable
+/// data (topology, placement) and allocates fresh protocol instances.
 using ProtocolSetFactory = std::function<
     Result<std::vector<std::unique_ptr<ConsistencyProtocol>>>()>;
 
@@ -136,13 +138,15 @@ using ProtocolSetFactory = std::function<
 /// threads and aggregates. `spec.options.seed` is the master seed; each
 /// replication runs with ReplicationSeed(master, r).
 ///
-/// When `options.objects` > 1, the run collects neither traces nor
-/// metrics, and BatchedPlanFor(spec, factory()) yields a plan,
-/// replications execute in groups of `options.objects`, one batched
-/// engine call per group. The engine's bit-identity contract
-/// guarantees the output is byte-identical either way. The last
-/// parameter is ignored (the plan is derived from the factory's
-/// protocols); it stays so existing four-argument callers compile.
+/// The engine is decided once for the whole run. When it collects
+/// neither traces nor metrics, BatchedPlanFor is asked on one
+/// factory-built set; with a plan, replications run in groups of
+/// `options.objects`, one batched-engine call per group, and the factory
+/// is not called again. Otherwise every replication builds its own set
+/// and runs on the solo engine. The engines' bit-identity contract makes
+/// the output byte-identical either way. The last parameter is ignored
+/// (the plan is derived from the factory's protocols); it stays so
+/// existing four-argument callers compile.
 Result<ReplicatedResults> RunReplicatedExperiment(
     const ExperimentSpec& spec, const ProtocolSetFactory& factory,
     const ReplicationOptions& options,

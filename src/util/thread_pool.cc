@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "util/logging.h"
@@ -64,6 +65,34 @@ void ThreadPool::Shutdown() {
 int ThreadPool::DefaultThreads() {
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
+Status ValidateWorkerCount(int jobs) {
+  if (jobs >= 0 && jobs <= kMaxWorkerThreads) return Status::OK();
+  std::string message = "jobs must be in [0, ";
+  message += std::to_string(kMaxWorkerThreads);
+  message += "] (0 = all cores)";
+  return Status::InvalidArgument(message);
+}
+
+void ParallelFor(ThreadPool* pool, std::size_t n,
+                 const std::function<void(std::size_t, std::size_t)>& body) {
+  if (n == 0) return;
+  if (pool == nullptr || n == 1) {
+    body(0, n);
+    return;
+  }
+  // A few chunks per worker so one slow chunk does not leave the rest of
+  // the pool idle at the join; sizes differ by at most one item, so no
+  // chunk is twice another.
+  const std::size_t chunks =
+      std::min(n, static_cast<std::size_t>(pool->num_threads()) * 4);
+  for (std::size_t k = 0; k < chunks; ++k) {
+    const std::size_t begin = n * k / chunks;
+    const std::size_t end = n * (k + 1) / chunks;
+    pool->Submit([&body, begin, end] { body(begin, end); });
+  }
+  pool->Wait();
 }
 
 void ThreadPool::WorkerLoop() {

@@ -14,9 +14,20 @@
 #include <thread>
 #include <vector>
 
+#include "util/status.h"
 #include "util/thread_annotations.h"
 
 namespace dynvote {
+
+/// The most worker threads any input (a --jobs flag, a network file's
+/// `experiment jobs=`) may ask for. Larger values are rejected where they
+/// are read: past a few thousand threads std::thread's constructor throws
+/// and the process terminates, and no run here gains past the core count.
+inline constexpr int kMaxWorkerThreads = 1024;
+
+/// OK iff `jobs` is a worker count an input may ask for: 0 (one per
+/// hardware thread) through kMaxWorkerThreads.
+Status ValidateWorkerCount(int jobs);
 
 /// A fixed set of worker threads consuming a FIFO task queue.
 ///
@@ -76,5 +87,15 @@ class ThreadPool {
   // dynvote-lint: allow(guarded-by)
   std::vector<std::thread> workers_;
 };
+
+/// Runs body(begin, end) over contiguous ranges that cover [0, n): the
+/// whole range inline on the caller's thread without a pool or for
+/// n == 1, otherwise up to four near-equal chunks per worker, joined
+/// before returning.
+/// Bodies must be independent and write only their own pre-assigned
+/// slots, so results never depend on completion order or chunking. A
+/// body's exception is rethrown here (ThreadPool::Wait).
+void ParallelFor(ThreadPool* pool, std::size_t n,
+                 const std::function<void(std::size_t, std::size_t)>& body);
 
 }  // namespace dynvote

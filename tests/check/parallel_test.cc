@@ -12,6 +12,7 @@
 #include "check/checker.h"
 #include "check/counterexample.h"
 #include "test_text.h"
+#include "util/thread_pool.h"
 
 namespace dynvote {
 namespace check {
@@ -195,6 +196,13 @@ TEST(ParallelCheckTest, NegativeJobsIsAConfigurationError) {
   CheckOptions options;
   options.jobs = -1;
   EXPECT_FALSE(RunCheck(options).ok());
+}
+
+TEST(ParallelCheckTest, JobsAboveTheWorkerCapIsAConfigurationError) {
+  // Refused before the pool is built; never run at the cap itself.
+  CheckOptions options;
+  options.jobs = kMaxWorkerThreads + 1;
+  EXPECT_TRUE(RunCheck(options).status().IsInvalidArgument());
 }
 
 }  // namespace

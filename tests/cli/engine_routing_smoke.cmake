@@ -7,7 +7,9 @@
 #     CSV row has the header's 13 fields (the multi-site label is quoted).
 #   - repeat: the JSON must be byte-identical for any --objects x --jobs
 #     grouping, cache on or off, and on the memoized solo engine
-#     (--metrics-out; the JSON leaves metrics out).
+#     (--metrics-out; the JSON leaves metrics out);
+#   - repeat of a policy set with no batched plan (AC,JM-DV,LDV) runs the
+#     solo path at every --objects x --jobs, with byte-identical JSON.
 #
 #   cmake -DCLI=path/to/dynvote_cli -DWORK_DIR=scratch/dir \
 #         -P engine_routing_smoke.cmake
@@ -85,3 +87,15 @@ run_cli(ignored repeat --sites=1,3,5,7,8 --years=5 --reps=8 --jobs=1
 expect_same_file(obj1.json obj4.json)
 expect_same_file(obj1.json obj8.json)
 expect_same_file(obj1.json memo.json)
+
+# A policy set the batched engine cannot run (AC, JM-DV) takes the solo
+# path for every replication, one replication per group; the decision is
+# made once per run, so --objects and --jobs must not move a byte there.
+foreach(objects 1 3)
+  foreach(jobs 1 4)
+    run_cli(ignored repeat --sites=1,3,5 --years=5 --reps=6
+            --policies=AC,JM-DV,LDV --objects=${objects} --jobs=${jobs}
+            --json=fallback_o${objects}_j${jobs}.json)
+    expect_same_file(fallback_o1_j1.json fallback_o${objects}_j${jobs}.json)
+  endforeach()
+endforeach()

@@ -10,6 +10,8 @@
 #   - a flag the subcommand does not read, and a positional argument the
 #     subcommand does not take, are usage errors naming the subcommand;
 #   - an unknown subcommand exits 3 before any flag is looked at;
+#   - a thread count one past the cap (--jobs, --check-jobs, the benches'
+#     --jobs) is a usage error before any pool is built;
 #   - the bench binaries (BENCH_DIR) hold their flags to the same rules:
 #     a bad number, an out-of-bound --reps/--jobs or an unknown flag
 #     exits 2 with a message naming it, before any simulation runs.
@@ -103,6 +105,19 @@ expect_out_of_range(check --schedules= 0 -5)
 expect_out_of_range(check --swarm-depth= 0 -3)
 expect_out_of_range(repeat --jobs= -1)
 expect_out_of_range(check --check-jobs= -1)
+
+# Thread counts stop at kMaxWorkerThreads (util/thread_pool.h, 1024):
+# one past it is refused before any pool is built. Only the rejection is
+# run. Each flag after the one under test is itself out of range, so a
+# wrongly accepted count still exits 2 at parse time (naming the other
+# flag) instead of starting a pool.
+set(past_cap 1025)
+expect_rejected(2 "--jobs: must be in [0, 1024]"
+                repeat --sites=1,2,3 --jobs=${past_cap} --reps=0)
+expect_rejected(2 "--jobs: must be in [0, 1024]"
+                serve --config=A --jobs=${past_cap} --reps=0)
+expect_rejected(2 "--check-jobs: must be in [0, 1024]"
+                check --check-jobs=${past_cap} --depth=0)
 expect_out_of_range(simulate --years= 0 -1 nan)
 expect_out_of_range(simulate --rate= 0 -2)
 expect_out_of_range(serve --arrival-rate= 0 -1)
@@ -173,6 +188,9 @@ foreach(value 0 -1)
   expect_bench_usage_error("${paper_tables}" --reps= "${value}")
 endforeach()
 expect_bench_usage_error("${paper_tables}" --jobs= -1)
+# One past the thread cap (the short grid runs one replication, so even a
+# wrongly accepted count would start a single worker).
+expect_bench_usage_error("${paper_tables}" --jobs= ${past_cap})
 expect_bench_usage_error("${BENCH_DIR}/reliability_mttf" --runs= x)
 
 # A misspelt flag no longer falls back to the 600-year default.

@@ -12,7 +12,8 @@
 #   - a truncated binary trace is a clean error (exit 1), not a crash;
 #   - repeat JSON, JSONL and btrace traces and metrics are byte-identical
 #     for --jobs=1 and --jobs=4, with and without the serving model;
-#   - serve writes its schema-tagged report;
+#   - serve writes its schema-tagged report, and separates its tables by
+#     position (--config=ABA prints a blank line after the first A);
 #   - a site named with a quote and a backslash reaches repeat's JSON and
 #     metrics as valid JSON, and the label reads back exactly;
 #   - the simulate traces and the jobs=1 serving repeat traces, in JSONL
@@ -212,6 +213,17 @@ run_cli(ignored 0 serve --config=B --arrival-rate=500 --years=1
         --json=serve.json)
 file(READ "${WORK_DIR}/serve.json" serve)
 expect_contains("serve.json" "${serve}" dynvote-serving-v1)
+
+# One blank line between configuration tables, placed by position: a
+# letter given twice (ABA) still gets its separator, and none trails.
+run_cli(serve_aba 0 serve --config=ABA --years=0.01)
+string(REGEX MATCHALL "\n\nconfiguration " separators "${serve_aba}")
+list(LENGTH separators num_separators)
+if(NOT num_separators EQUAL 2 OR serve_aba MATCHES "\n\n$")
+  message(FATAL_ERROR
+    "serve --config=ABA wants 2 blank lines between its 3 tables and "
+    "none after the last, got ${num_separators}:\n${serve_aba}")
+endif()
 
 # --- JSON strings are escaped ------------------------------------------
 # The paper network with csvax renamed cs"vax\x: the placement label

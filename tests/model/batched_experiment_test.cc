@@ -45,13 +45,9 @@ using ProtocolSet = std::vector<std::unique_ptr<ConsistencyProtocol>>;
 ProtocolSet MakeProtocols(const ExperimentSpec& spec,
                           const std::vector<std::string>& names,
                           SiteSet placement = kFiveCopyPlacement) {
-  ProtocolSet protocols;
-  for (const std::string& name : names) {
-    auto p = MakeProtocolByName(name, spec.topology, placement);
-    EXPECT_TRUE(p.ok()) << p.status();
-    protocols.push_back(p.MoveValue());
-  }
-  return protocols;
+  auto protocols = MakeProtocolSet(names, spec.topology, placement);
+  EXPECT_TRUE(protocols.ok()) << protocols.status();
+  return protocols.ok() ? protocols.MoveValue() : ProtocolSet();
 }
 
 /// The bit pattern of a double: the comparisons below are bitwise, so
@@ -341,13 +337,9 @@ TEST(BatchedExperimentTest, MaintenanceCalendarMatchesSoloRounding) {
   const SiteSet placement{0, 1, 3};  // configuration A
   const std::vector<std::string>& names = PaperProtocolNames();
 
-  std::vector<std::unique_ptr<ConsistencyProtocol>> protocols;
-  for (const std::string& name : names) {
-    auto p = MakeProtocolByName(name, spec.topology, placement);
-    ASSERT_TRUE(p.ok()) << p.status();
-    protocols.push_back(p.MoveValue());
-  }
-  auto solo = RunSoloAvailabilityExperiment(spec, std::move(protocols));
+  auto protocols = MakeProtocolSet(names, spec.topology, placement);
+  ASSERT_TRUE(protocols.ok()) << protocols.status();
+  auto solo = RunSoloAvailabilityExperiment(spec, protocols.MoveValue());
   ASSERT_TRUE(solo.ok()) << solo.status();
   auto batched = RunBatchedAvailabilityExperiment(
       spec, BatchedProtocolSpec{names, placement}, {spec.options.seed});

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "test_text.h"
+#include "util/thread_pool.h"
+
 namespace dynvote {
 namespace {
 
@@ -173,6 +178,25 @@ TEST(ConfigParserTest, ExperimentDeclarationValidates) {
   auto duplicate = ParseNetworkConfig(
       "experiment jobs=2\nexperiment jobs=3\n");
   EXPECT_TRUE(duplicate.status().IsInvalidArgument());
+}
+
+TEST(ConfigParserTest, ExperimentJobsAboveTheWorkerCapAreRejected) {
+  // A network file must not ask the OS for more threads than the cap;
+  // only the rejection is run, never a pool of that size.
+  auto at_cap = ParseNetworkConfig(testing_util::Cat(
+      {kSmallConfig, "experiment jobs=", std::to_string(kMaxWorkerThreads),
+       "\n"}));
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status();
+  EXPECT_EQ(at_cap->jobs, kMaxWorkerThreads);
+  auto above = ParseNetworkConfig(testing_util::Cat(
+      {"segment s\nsite a s\nexperiment jobs=",
+       std::to_string(kMaxWorkerThreads + 1), "\n"}));
+  EXPECT_TRUE(above.status().IsInvalidArgument());
+  EXPECT_NE(above.status().message().find("line 3:"), std::string::npos)
+      << above.status();
+  EXPECT_NE(above.status().message().find("jobs must be in [0, "),
+            std::string::npos)
+      << above.status();
 }
 
 }  // namespace

@@ -60,17 +60,14 @@ Result<std::vector<PolicyResult>> RunSoloPaperConfiguration(
   for (const PaperConfiguration& c : PaperConfigurations()) {
     if (c.label == label) placement = c.placement;
   }
-  std::vector<std::unique_ptr<ConsistencyProtocol>> protocols;
-  for (const std::string& name : PaperProtocolNames()) {
-    auto p = MakeProtocolByName(name, network->topology, placement);
-    if (!p.ok()) return p.status();
-    protocols.push_back(p.MoveValue());
-  }
+  auto protocols =
+      MakeProtocolSet(PaperProtocolNames(), network->topology, placement);
+  if (!protocols.ok()) return protocols.status();
   ExperimentSpec spec;
   spec.topology = network->topology;
   spec.profiles = network->profiles;
   spec.options = options;
-  return RunSoloAvailabilityExperiment(spec, std::move(protocols));
+  return RunSoloAvailabilityExperiment(spec, protocols.MoveValue());
 }
 
 TEST(QuorumCacheEquivalenceTest, PaperExperimentBitIdentical) {

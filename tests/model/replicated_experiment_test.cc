@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "model/site_profile.h"
 #include "obs/context.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace dynvote {
 namespace {
@@ -58,13 +61,26 @@ TEST(ReplicatedExperimentTest, ValidatesOptions) {
                                            Reps(1, -1))
                   .status()
                   .IsInvalidArgument());
+  // Refused before any pool is built: past the cap, std::thread throws.
+  EXPECT_TRUE(RunReplicatedPaperExperiment('A', {"MCV"}, ShortOptions(),
+                                           Reps(1, kMaxWorkerThreads + 1))
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(ReplicatedExperimentTest, SingleReplicationMatchesSequentialRun) {
-  // --reps=1 must reproduce today's sequential output exactly: same seed,
-  // same sample path, same counters.
-  auto sequential =
-      RunPaperExperiment('B', PaperProtocolNames(), ShortOptions());
+  // --reps=1 must reproduce the sequential RunAvailabilityExperiment
+  // exactly: same seed, same sample path, same counters.
+  auto network = MakePaperNetwork();
+  ASSERT_TRUE(network.ok()) << network.status();
+  ExperimentSpec spec;
+  spec.topology = network->topology;
+  spec.profiles = network->profiles;
+  spec.options = ShortOptions();
+  auto protocols = MakeProtocolSet(PaperProtocolNames(), network->topology,
+                                   PaperConfigurationFor('B')->placement);
+  ASSERT_TRUE(protocols.ok()) << protocols.status();
+  auto sequential = RunAvailabilityExperiment(spec, protocols.MoveValue());
   ASSERT_TRUE(sequential.ok()) << sequential.status();
 
   auto replicated = RunReplicatedPaperExperiment(
@@ -206,6 +222,28 @@ TEST(ReplicatedObjectsTest, ObjectsGroupingIsByteInvisible) {
   EXPECT_EQ(run(16, 4), baseline);
 }
 
+TEST(ReplicatedObjectsTest, LargestObjectsValueIsOneGroup) {
+  // --objects accepts any int: the group arithmetic must not overflow
+  // (replications + objects once wrapped negative and ran no group).
+  ExperimentOptions options;
+  options.warmup = Days(30);
+  options.num_batches = 2;
+  options.batch_length = Years(1);
+  auto run = [&](int objects) {
+    ReplicationOptions replication;
+    replication.replications = 3;
+    replication.jobs = 2;
+    replication.objects = objects;
+    auto results = RunReplicatedPaperExperiment('B', PaperProtocolNames(),
+                                                options, replication);
+    EXPECT_TRUE(results.ok()) << results.status();
+    return results.ok() ? ReplicatedResultsToJson("B", *results) : "";
+  };
+  const std::string grouped = run(std::numeric_limits<int>::max());
+  EXPECT_NE(grouped.find("\"policy\": \"OTDV\""), std::string::npos);
+  EXPECT_EQ(grouped, run(1));
+}
+
 TEST(ReplicatedObjectsTest, UnsupportedPolicyFallsBackToProtocolObjects) {
   // AC has no batched fast path; the gate must silently route through
   // the per-replication engine and still produce identical bytes.
@@ -235,15 +273,9 @@ TEST(ReplicatedObjectsTest, CallerObsContextWithoutCollectionStillGroups) {
   auto network = MakePaperNetwork();
   ASSERT_TRUE(network.ok()) << network.status();
   std::shared_ptr<const Topology> topology = network->topology;
-  using ProtocolSet = std::vector<std::unique_ptr<ConsistencyProtocol>>;
-  ProtocolSetFactory factory = [topology]() -> Result<ProtocolSet> {
-    ProtocolSet protocols;
-    for (const std::string& name : PaperProtocolNames()) {
-      auto p = MakeProtocolByName(name, topology, SiteSet{0, 1, 3, 5, 7});
-      if (!p.ok()) return p.status();
-      protocols.push_back(p.MoveValue());
-    }
-    return protocols;
+  ProtocolSetFactory factory = [topology] {
+    return MakeProtocolSet(PaperProtocolNames(), topology,
+                           SiteSet{0, 1, 3, 5, 7});
   };
   ExperimentSpec spec;
   spec.topology = topology;
@@ -267,6 +299,51 @@ TEST(ReplicatedObjectsTest, CallerObsContextWithoutCollectionStillGroups) {
   const std::string grouped = run(3);
   EXPECT_FALSE(grouped.empty());
   EXPECT_EQ(grouped, run(1));
+}
+
+TEST(ReplicatedObjectsTest, EngineIsDecidedOnceFromOneFactorySet) {
+  // The factory is asked once for the engine decision. With a batched
+  // plan nothing else builds a protocol set, whatever the grouping; on
+  // the solo engine every replication builds its own set, after the one
+  // probe when nothing is collected and without it otherwise.
+  auto network = MakePaperNetwork();
+  ASSERT_TRUE(network.ok()) << network.status();
+  ExperimentSpec spec;
+  spec.topology = network->topology;
+  spec.profiles = network->profiles;
+  spec.options.warmup = Days(30);
+  spec.options.num_batches = 2;
+  spec.options.batch_length = Years(0.5);
+  const SiteSet placement = PaperConfigurationFor('B')->placement;
+  constexpr int kReps = 5;
+
+  auto calls = [&](const std::vector<std::string>& names, int objects,
+                   int jobs, bool collect_metrics) {
+    std::atomic<int> count{0};
+    ProtocolSetFactory factory = [&] {
+      ++count;
+      return MakeProtocolSet(names, network->topology, placement);
+    };
+    ReplicationOptions replication;
+    replication.replications = kReps;
+    replication.jobs = jobs;
+    replication.objects = objects;
+    replication.collect_metrics = collect_metrics;
+    auto results = RunReplicatedExperiment(spec, factory, replication);
+    EXPECT_TRUE(results.ok()) << results.status();
+    return count.load();
+  };
+
+  for (int objects : {1, 2, 8}) {
+    for (int jobs : {1, 3}) {
+      EXPECT_EQ(calls(PaperProtocolNames(), objects, jobs, false), 1)
+          << "objects " << objects << ", jobs " << jobs;
+      EXPECT_EQ(calls({"AC"}, objects, jobs, false), kReps + 1)
+          << "objects " << objects << ", jobs " << jobs;
+      EXPECT_EQ(calls(PaperProtocolNames(), objects, jobs, true), kReps)
+          << "objects " << objects << ", jobs " << jobs;
+    }
+  }
 }
 
 TEST(ReplicatedObjectsTest, ValidatesObjects) {

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -162,6 +163,77 @@ TEST(ThreadPoolTest, ShutdownSwallowsUncollectedExceptions) {
   ThreadPool pool(2);
   pool.Submit([] { throw std::runtime_error("never collected"); });
   pool.Shutdown();  // must not throw or terminate
+}
+
+TEST(ParallelForTest, EmptyRangeNeverCallsTheBody) {
+  ThreadPool pool(2);
+  int calls = 0;
+  ParallelFor(&pool, 0, [&calls](std::size_t, std::size_t) { ++calls; });
+  ParallelFor(nullptr, 0, [&calls](std::size_t, std::size_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
+}
+
+TEST(ParallelForTest, OneItemOrNoPoolRunsInlineOnTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  ThreadPool pool(4);
+  for (std::size_t n : {std::size_t{1}, std::size_t{7}}) {
+    ThreadPool* maybe_pool = n == 1 ? &pool : nullptr;
+    int calls = 0;
+    ParallelFor(maybe_pool, n,
+                [&](std::size_t begin, std::size_t end) {
+                  ++calls;
+                  EXPECT_EQ(begin, 0u);
+                  EXPECT_EQ(end, n);
+                  EXPECT_EQ(std::this_thread::get_id(), caller);
+                });
+    EXPECT_EQ(calls, 1) << "n = " << n;
+  }
+}
+
+TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
+  for (int threads : {1, 2, 3, 4}) {
+    ThreadPool pool(threads);
+    for (std::size_t n : std::vector<std::size_t>{2, 3, 5, 8, 16, 17, 100,
+                                                  1001}) {
+      std::vector<std::atomic<int>> hits(n);
+      ParallelFor(&pool, n, [&hits, n](std::size_t begin, std::size_t end) {
+        EXPECT_LT(begin, end);
+        EXPECT_LE(end, n);
+        for (std::size_t i = begin; i < end; ++i) ++hits[i];
+      });
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "index " << i << " of " << n << ", " << threads << " threads";
+      }
+    }
+  }
+}
+
+TEST(ParallelForTest, ThrowingBodyIsRethrownAndTheRestStillRuns) {
+  ThreadPool pool(3);
+  std::atomic<std::size_t> covered{0};
+  EXPECT_THROW(ParallelFor(&pool, 50,
+                           [&covered](std::size_t begin, std::size_t end) {
+                             covered += end - begin;
+                             if (begin == 0) {
+                               throw std::runtime_error("first chunk");
+                             }
+                           }),
+               std::runtime_error);
+  EXPECT_EQ(covered.load(), 50u);
+  // The pool's exception slot is clear again.
+  int calls = 0;
+  ParallelFor(&pool, 1, [&calls](std::size_t, std::size_t) { ++calls; });
+  pool.Wait();
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(ValidateWorkerCountTest, AcceptsZeroThroughTheCapOnly) {
+  EXPECT_TRUE(ValidateWorkerCount(0).ok());
+  EXPECT_TRUE(ValidateWorkerCount(1).ok());
+  EXPECT_TRUE(ValidateWorkerCount(kMaxWorkerThreads).ok());
+  EXPECT_TRUE(ValidateWorkerCount(-1).IsInvalidArgument());
+  EXPECT_TRUE(ValidateWorkerCount(kMaxWorkerThreads + 1).IsInvalidArgument());
 }
 
 TEST(ThreadPoolDeathTest, SubmitAfterShutdownDies) {

@@ -41,6 +41,7 @@
 #include "stats/table.h"
 #include "util/append.h"
 #include "util/parse_number.h"
+#include "util/thread_pool.h"
 #include "version_schemas.h"
 
 namespace dynvote {
@@ -74,8 +75,8 @@ struct Options {
   // declaration (default 1).
   int reps = -1;
   int jobs = -1;
-  // repeat: replications per pool task (runs the group's objects back
-  // to back). Never changes results.
+  // repeat: replications per batched-engine call (runs the group's
+  // objects back to back). Never changes results.
   int objects = 1;
   // check:
   std::string topology = "single3";
@@ -119,11 +120,16 @@ enum CommandBit : unsigned {
 /// where it reads the setting. The bound is checked on every run that
 /// passes the flag, also one that never reads it, so `--rate=0` next
 /// to `--arrival-rate` and `check --mode=swarm --depth=0` are rejected.
-enum Bound { kAny, kNonNegative, kPositive, kAtLeastOne, kFraction };
+/// kWorkers is a thread count: 0 (all cores) to kMaxWorkerThreads.
+enum Bound { kAny, kNonNegative, kPositive, kAtLeastOne, kFraction, kWorkers };
 
 /// The bound as text when `value` lies outside it, else null. NaN lies
 /// outside every bound but kAny.
 const char* OutOfBound(Bound bound, double value) {
+  static_assert(kMaxWorkerThreads == 1024, "kWorkers' text names the cap");
+  if (bound == kWorkers && !(value >= 0.0 && value <= kMaxWorkerThreads)) {
+    return "in [0, 1024]";
+  }
   if (bound == kNonNegative && !(value >= 0.0)) return ">= 0";
   if (bound == kPositive && !(value > 0.0)) return "> 0";
   if (bound == kAtLeastOne && !(value >= 1.0)) return ">= 1";
@@ -169,9 +175,9 @@ constexpr Flag kFlags[] = {
     {"reps", kRepeat | kServe, &Options::reps, "N",
      "independent replications", kAtLeastOne},
     {"jobs", kRepeat | kServe, &Options::jobs, "M",
-     "worker threads (0 = all cores; never changes results)", kNonNegative},
+     "worker threads (0 = all cores; never changes results)", kWorkers},
     {"objects", kRepeat, &Options::objects, "N",
-     "replications per pool task (never changes results)", kAtLeastOne},
+     "replications per engine call (never changes results)", kAtLeastOne},
     {"json", kRepeat | kServe, &Options::json_path, "PATH",
      "write the results JSON (serve: the serving report)"},
     {"trace-out", kRun, &Options::trace_out_path, "FILE",
@@ -211,7 +217,7 @@ constexpr Flag kFlags[] = {
     {"no-shrink", kCheck, &Options::no_shrink, nullptr,
      "keep the unshrunk failing schedule"},
     {"check-jobs", kCheck, &Options::check_jobs, "M",
-     "replay fan-out threads (0 = all cores; same results)", kNonNegative},
+     "replay fan-out threads (0 = all cores; same results)", kWorkers},
     {"no-por", kCheck, &Options::no_por, nullptr,
      "disable partial-order reduction (same state set)"},
     {"replay", kCheck, &Options::replay_path, "FILE",
@@ -584,16 +590,8 @@ Result<Experiment> SetUpExperiment(const Options& opt) {
       opt, opt.years > 0.0 ? opt.years : 100.0, /*force_serving=*/false);
   e.placement = placement;
   e.protocols = [topology = e.network.topology, placement,
-                 policies = SplitCsv(opt.policies)]()
-      -> Result<std::vector<std::unique_ptr<ConsistencyProtocol>>> {
-    std::vector<std::unique_ptr<ConsistencyProtocol>> protocols;
-    for (const std::string& policy : policies) {
-      DYNVOTE_ASSIGN_OR_RETURN(
-          std::unique_ptr<ConsistencyProtocol> p,
-          MakeProtocolByName(policy, topology, placement));
-      protocols.push_back(std::move(p));
-    }
-    return protocols;
+                 policies = SplitCsv(opt.policies)] {
+    return MakeProtocolSet(policies, topology, placement);
   };
   return e;
 }
@@ -829,8 +827,8 @@ int Serve(const Options& opt) {
               std::to_string(replication.replications));
   json.append(",\n  \"configs\": [");
 
-  bool first_config = true;
-  for (char config : opt.config) {
+  for (std::size_t c = 0; c < opt.config.size(); ++c) {
+    const char config = opt.config[c];
     auto results =
         RunReplicatedPaperExperiment(config, policies, options, replication);
     if (!results.ok()) {
@@ -847,8 +845,7 @@ int Serve(const Options& opt) {
     TextTable table({"Policy", "Served", "Rejected", "Grant %", "Msg/acc",
                      "Refresh/acc", "p50 ms", "p99 ms", "p999 ms", "MaxQ"});
 
-    json.append(first_config ? "\n    {" : ",\n    {");
-    first_config = false;
+    json.append(c == 0 ? "\n    {" : ",\n    {");
     json.append("\"config\": \"");
     json.push_back(config);
     json.append("\", \"policies\": [");
@@ -871,7 +868,7 @@ int Serve(const Options& opt) {
     }
     json.append(first_policy ? "]}" : "\n    ]}");
     std::cout << table.ToString();
-    if (config != opt.config.back()) std::cout << "\n";
+    if (c + 1 < opt.config.size()) std::cout << "\n";
   }
   json.append("\n  ]\n}\n");
 
