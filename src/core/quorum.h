@@ -63,8 +63,9 @@ class VoteWeights {
   int WeightOf(SiteId site) const;
 
   /// Total weight of a set. CHECK-fails unless Covers(sites). Unit
-  /// weights reduce to an inline popcount; a set covering the whole table
-  /// returns the cached total without iterating.
+  /// weights reduce to SiteSet::Size(), one POPCNT instruction on x86-64
+  /// (the libraries build with -mpopcnt there); a set covering the whole
+  /// table returns the cached total without iterating.
   long long WeightOf(SiteSet sites) const {
     if (weights_.empty()) return sites.Size();
     return TableWeightOf(sites);

@@ -202,13 +202,22 @@ SimTime SamplePath::TimeIn(SimTime delay) const {
 }
 
 void SamplePath::ScheduleIn(SimTime delay, std::uint64_t payload) {
-  queue_.Schedule(TimeIn(delay), payload);
+  Enqueue(TimeIn(delay), payload);
 }
 
 void SamplePath::ScheduleAt(SimTime when, std::uint64_t payload) {
   DYNVOTE_CHECK_MSG(when >= now_ && std::isfinite(when),
                     "event time must be finite and not in the past");
-  queue_.Schedule(when, payload);
+  Enqueue(when, payload);
+}
+
+void SamplePath::Enqueue(SimTime when, std::uint64_t payload) {
+  if (current_on_top_) {
+    queue_.ReplaceTop(when, payload);
+    current_on_top_ = false;
+  } else {
+    queue_.Schedule(when, payload);
+  }
 }
 
 PathEvent SamplePath::Apply() {
@@ -238,6 +247,12 @@ PathEvent SamplePath::Apply() {
       const SiteId origin = streams_[static_cast<std::size_t>(entity)].site;
       return PathEvent{PathEvent::Kind::kArrival, OnArrival(entity), origin};
     }
+  }
+  // A step that scheduled no follow-up (a repair during maintenance)
+  // left the applied event on the top.
+  if (current_on_top_) {
+    queue_.PopNext();
+    current_on_top_ = false;
   }
   return PathEvent{};
 }

@@ -17,11 +17,15 @@
 //     ...                             // react: refresh, sample, access
 //   }
 //
-// Apply() runs the whole process step — publish the new up/down state,
-// then draw and schedule the follow-up events — before the engine
-// reacts. Reactions must not draw from the path's generators or schedule
-// events (they have no way to), so the draw sequence and the schedule
-// order are the path's alone: a run is a pure function of its seed.
+// Advance() leaves a calendar event on the calendar's top, and Apply()
+// runs the whole process step — publish the new up/down state, then draw
+// and schedule the follow-up events — before the engine reacts. The
+// first follow-up replaces the applied event on the top in one sift
+// (CalendarQueue::ReplaceTop); an event with no follow-up is popped at
+// the end of Apply(). Reactions must not draw from the path's generators
+// or schedule events (they have no way to), so the draw sequence and the
+// schedule order are the path's alone: a run is a pure function of its
+// seed.
 //
 // Determinism contract:
 //   - RNG fan-out: one master Rng(seed) split to the sites in id order,
@@ -32,7 +36,9 @@
 //     the maintenance phase draw; then each repeater's first failure;
 //     then the access or arrival streams. Events pop in (time,
 //     schedule-seq) order (sim/calendar_queue.h), so equal timestamps
-//     fire in schedule order.
+//     fire in schedule order. A follow-up that replaces the applied
+//     event on the top takes the seq Schedule would have assigned, so
+//     leaving the event on the top until Apply() changes no order.
 //   - the workload (the closed-loop access, or one open-loop arrival
 //     stream per replica) stays off the calendar: each stream keeps its
 //     one pending event in a slot beside it, and the earliest is copied
@@ -132,9 +138,10 @@ class SamplePath {
   SamplePath(const SamplePath&) = delete;
   SamplePath& operator=(const SamplePath&) = delete;
 
-  /// Pops the next live event at or before `horizon` and moves the clock
-  /// to it, dropping cancelled failures on the way. False when none is
-  /// left; events after `horizon` stay pending.
+  /// Takes the next live event at or before `horizon` and moves the
+  /// clock to it, dropping cancelled failures on the way. False when none
+  /// is left; events after `horizon` stay pending. A calendar event stays
+  /// on the calendar's top until Apply() replaces or pops it.
   bool Advance(SimTime horizon) {
     DropCancelled();
     const CalendarEvent& next = NextCalendarEvent();
@@ -145,13 +152,13 @@ class SamplePath {
       return true;
     }
     if (queue_.Empty() || next.when > horizon) return false;
-    const CalendarEvent event = queue_.PopNext();
-    now_ = event.when;
-    current_ = event.payload;
+    now_ = next.when;
+    current_ = next.payload;
+    current_on_top_ = true;
     return true;
   }
 
-  /// Applies the event Advance() popped: updates the NetworkState, draws
+  /// Applies the event Advance() took: updates the NetworkState, draws
   /// and schedules the follow-up events, and returns what the engine must
   /// react to. Call exactly once per successful Advance().
   PathEvent Apply();
@@ -281,6 +288,9 @@ class SamplePath {
   /// Schedules `payload` at absolute time `when`, which must be finite
   /// and not in the past.
   void ScheduleAt(SimTime when, std::uint64_t payload);
+  /// Puts a checked event on the calendar: in place of the applied event
+  /// while that is still on the top, else as a new one.
+  void Enqueue(SimTime when, std::uint64_t payload);
 
   void ScheduleSiteFailure(SiteId s);
   void PublishSite(SiteId s);
@@ -306,6 +316,9 @@ class SamplePath {
   CalendarQueue queue_;
   SimTime now_ = 0.0;
   std::uint64_t current_ = 0;  // payload of the event being applied
+  /// True from Advance() taking a calendar event until Apply() replaces
+  /// or pops it: the event is still the calendar's top.
+  bool current_on_top_ = false;
   NetworkState net_;
 
   std::vector<SiteSlot> sites_;

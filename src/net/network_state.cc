@@ -9,6 +9,9 @@ namespace dynvote {
 NetworkState::NetworkState(std::shared_ptr<const Topology> topology)
     : topology_(std::move(topology)) {
   DYNVOTE_CHECK_MSG(topology_ != nullptr, "NetworkState needs a topology");
+  for (const BridgeInfo& b : topology_->bridges()) {
+    if (b.gateway_site.has_value()) gateways_.Add(*b.gateway_site);
+  }
   live_sites_ = topology_->AllSites();
   repeater_up_.assign(topology_->num_repeaters(), true);
   segment_root_.assign(topology_->num_segments(), 0);
@@ -26,8 +29,34 @@ void NetworkState::SetSiteUp(SiteId site, bool up) {
     live_sites_.Remove(site);
   }
   ++generation_;
-  dirty_ = true;
+  if (gateways_.Contains(site)) {
+    dirty_ = true;
+  } else {
+    UpdateComponentOf(site, up);
+  }
   if (obs_ != nullptr) EmitFlip(site, /*repeater=*/false, up);
+}
+
+void NetworkState::UpdateComponentOf(SiteId site, bool up) {
+  if (dirty_) return;
+  // The site carries no bridge, so the union-find stands; only its
+  // component's live set changes.
+  const int root = segment_root_[topology_->SegmentOf(site)];
+  const int idx = component_of_root_[root];
+  if (idx >= 0) {
+    SiteSet group = components_[static_cast<std::size_t>(idx)];
+    if (up) {
+      group.Add(site);
+    } else {
+      group.Remove(site);
+    }
+    if (!group.Empty()) {
+      components_[static_cast<std::size_t>(idx)] = group;
+      return;
+    }
+  }
+  // The component appears or vanishes: the list changes shape.
+  dirty_ = true;
 }
 
 void NetworkState::SetRepeaterUp(RepeaterId repeater, bool up) {

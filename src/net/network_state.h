@@ -17,12 +17,22 @@ namespace dynvote {
 
 /// Up/down state of all sites and repeaters, with connectivity queries.
 ///
-/// Connectivity queries are recomputed lazily and allocation-free on the
-/// query path: mutations invalidate a cached union-find over segments
-/// *and* the component list derived from it; both are rebuilt together by
-/// the next query (`Refresh()`), after which every query is a cached
-/// lookup. `Components()` returns the cached list by const reference —
-/// the reference stays valid until the next mutation.
+/// Connectivity queries are answered from a cached union-find over
+/// segments and the component list derived from it, allocation-free on
+/// the query path. A mutation either updates the caches in place or marks
+/// them stale, and the next query rebuilds both together (`Refresh()`),
+/// after which every query is a cached lookup:
+///   - a flip of a site that hosts no gateway, on clean caches, leaves
+///     the union-find as it is and adds the site to, or removes it from,
+///     its component's mask in place — unless that empties or fills the
+///     component's live set, which changes the list's shape;
+///   - every other mutation (a gateway or repeater flip, `AllUp`, a flip
+///     on stale caches, or one that empties or fills a component) marks
+///     the caches stale.
+/// Either way the list is the one a full rebuild gives, in the same
+/// order (ascending root segment). `Components()` returns the cached list
+/// by const reference — the reference stays valid until the next
+/// mutation.
 ///
 /// `generation()` is a monotonic counter bumped only by *effective*
 /// mutations (a SetSiteUp that flips nothing leaves it unchanged), so
@@ -82,17 +92,23 @@ class NetworkState {
   /// so the event carries the post-flip components.
   void EmitFlip(int id, bool repeater, bool up) const;
   /// Rebuilds the segment-level union-find and the component list if
-  /// state changed since the last query.
+  /// they are stale.
   void Refresh() const;
+  /// Moves `site`, which hosts no gateway, into or out of its
+  /// component's mask on clean caches; marks the caches stale when it
+  /// cannot (see the class comment).
+  void UpdateComponentOf(SiteId site, bool up);
   int FindRoot(int segment) const;
 
   std::shared_ptr<const Topology> topology_;
+  SiteSet gateways_;  // sites hosting a gateway bridge
   SiteSet live_sites_;
   std::vector<bool> repeater_up_;
   std::uint64_t generation_ = 0;
   ObsContext* obs_ = nullptr;
 
-  // Lazily maintained caches, rebuilt together by Refresh():
+  // Lazily maintained caches, rebuilt together by Refresh() (a
+  // non-gateway flip updates components_ alone in place):
   //  - union-find over segments (path-halving, flattened after build),
   //  - the component list (one live-site mask per connected component,
   //    ordered by root segment id),

@@ -39,4 +39,25 @@ CalendarEvent CalendarQueue::PopNext() {
   return out;
 }
 
+void CalendarQueue::ReplaceTop(SimTime when, std::uint64_t payload) {
+  DYNVOTE_CHECK_MSG(!heap_.empty(), "ReplaceTop on an empty calendar queue");
+  DYNVOTE_CHECK_MSG(when >= 0.0 && std::isfinite(when),
+                    "calendar event time must be finite and >= 0");
+  const CalendarEvent event{when, next_seq_++, payload};
+  // Move the hole left by the top down, pulling up the earlier child,
+  // until no child fires before `event`: the order the std:: heap
+  // algorithms keep under kAfter.
+  const std::size_t size = heap_.size();
+  std::size_t hole = 0;
+  for (std::size_t child = 1; child < size; child = 2 * hole + 1) {
+    if (child + 1 < size && FiresBefore(heap_[child + 1], heap_[child])) {
+      ++child;
+    }
+    if (!FiresBefore(heap_[child], event)) break;
+    heap_[hole] = heap_[child];
+    hole = child;
+  }
+  heap_[hole] = event;
+}
+
 }  // namespace dynvote

@@ -23,6 +23,13 @@
 // the batched engine's repeated accesses and the solo engine's untraced
 // serving arrivals are drained without a heap push and pop each.
 //
+// A step that pops the top and schedules a follow-up can do both in one
+// sift: ReplaceTop() overwrites the top with the new event (its seq
+// assigned exactly as Schedule would assign it) and sifts it down once,
+// where PopNext() then Schedule() sift twice. Every (when, seq) key is
+// unique, so the pop order is the same either way. SamplePath leaves the
+// event it is applying on the top until its first follow-up replaces it.
+//
 // There is deliberately no Cancel: the one cancellation in the system
 // (a pending site failure cancelled at maintenance start) is expressed
 // by the caller as a generation counter carried in the payload and
@@ -80,6 +87,12 @@ class CalendarQueue {
   /// Removes and returns the (when, seq)-least event. Queue must be
   /// non-empty.
   CalendarEvent PopNext();
+
+  /// Removes the (when, seq)-least event and enqueues one at `when` with
+  /// the next sequence number, in one sift: the same pending events, with
+  /// the same seqs, as PopNext() followed by Schedule(when, payload).
+  /// Queue must be non-empty.
+  void ReplaceTop(SimTime when, std::uint64_t payload);
 
  private:
   std::vector<CalendarEvent> heap_;

@@ -16,7 +16,10 @@
 #include "core/test_topologies.h"
 #include "model/experiment.h"
 #include "model/site_profile.h"
+#include "sim/calendar_queue.h"
+#include "sim/time.h"
 #include "test_text.h"
+#include "util/rng.h"
 
 namespace dynvote {
 namespace {
@@ -515,6 +518,192 @@ TEST(SamplePathTest, MaintenanceStopsTheFailureClock) {
   }
   EXPECT_GT(seen.size(), 1500u);
   EXPECT_LE(no_op_publishes, 2);
+}
+
+/// The site failure, repair and maintenance processes of the
+/// determinism contract (model/sample_path.h), written out again on a
+/// calendar that pops each event as it is taken and schedules every
+/// follow-up with Schedule(): the reference for SamplePath, which leaves
+/// the applied event on the calendar's top for its first follow-up to
+/// replace.
+class PopEachEventPath {
+ public:
+  PopEachEventPath(const std::vector<SiteProfile>& profiles,
+                   std::uint64_t seed)
+      : profiles_(profiles), sites_(profiles.size()) {
+    Rng master(seed);
+    for (Site& site : sites_) site.rng = master.Split();
+    for (SiteId s = 0; s < static_cast<SiteId>(sites_.size()); ++s) {
+      ScheduleFailure(s);
+      const SiteProfile& p = profiles_[static_cast<std::size_t>(s)];
+      if (p.maintenance_interval_days > 0.0 && p.maintenance_hours > 0.0) {
+        const double phase =
+            sites_[static_cast<std::size_t>(s)].rng.NextDouble() *
+            p.maintenance_interval_days;
+        queue_.Schedule(Days(phase), Pack(kMaintenanceStart, s));
+      }
+    }
+  }
+
+  /// Pops the next live event at or before `horizon`.
+  bool Advance(SimTime horizon) {
+    while (!queue_.Empty() && Cancelled(queue_.Peek().payload)) {
+      queue_.PopNext();
+    }
+    if (queue_.Empty() || queue_.PeekTime() > horizon) return false;
+    const CalendarEvent event = queue_.PopNext();
+    now_ = event.when;
+    current_ = event.payload;
+    return true;
+  }
+
+  /// Applies the popped event; returns how many follow-ups it scheduled.
+  int Apply() {
+    const std::size_t before = queue_.Size();
+    const SiteId s = static_cast<SiteId>((current_ >> 3) & 0xFF);
+    Site& site = sites_[static_cast<std::size_t>(s)];
+    const SiteProfile& p = profiles_[static_cast<std::size_t>(s)];
+    switch (current_ & 0x7) {
+      case kFailure: {
+        site.failed = true;
+        SimTime repair;
+        if (site.rng.NextBernoulli(p.hardware_fraction)) {
+          repair = Hours(p.hw_repair_const_hours);
+          if (p.hw_repair_exp_hours > 0.0) {
+            repair += Hours(site.rng.NextExponential(p.hw_repair_exp_hours));
+          }
+        } else {
+          repair = Minutes(p.restart_minutes);
+        }
+        queue_.Schedule(now_ + repair, Pack(kRepair, s));
+        break;
+      }
+      case kRepair:
+        site.failed = false;
+        if (site.Up()) ScheduleFailure(s);
+        break;
+      case kMaintenanceStart:
+        site.in_maintenance = true;
+        ++site.generation;
+        queue_.Schedule(now_ + Hours(p.maintenance_hours),
+                        Pack(kMaintenanceEnd, s));
+        break;
+      case kMaintenanceEnd:
+        site.in_maintenance = false;
+        if (site.Up()) ScheduleFailure(s);
+        queue_.Schedule(now_ + (Days(p.maintenance_interval_days) -
+                                Hours(p.maintenance_hours)),
+                        Pack(kMaintenanceStart, s));
+        break;
+    }
+    return static_cast<int>(queue_.Size() - before);
+  }
+
+  SimTime now() const { return now_; }
+  SiteSet LiveSites() const {
+    SiteSet live;
+    for (SiteId s = 0; s < static_cast<SiteId>(sites_.size()); ++s) {
+      if (sites_[static_cast<std::size_t>(s)].Up()) live.Add(s);
+    }
+    return live;
+  }
+
+ private:
+  enum Kind : std::uint64_t {
+    kFailure = 0,
+    kRepair = 1,
+    kMaintenanceStart = 2,
+    kMaintenanceEnd = 3,
+  };
+  struct Site {
+    Rng rng{0};
+    std::uint32_t generation = 0;
+    bool failed = false;
+    bool in_maintenance = false;
+    bool Up() const { return !failed && !in_maintenance; }
+  };
+
+  static std::uint64_t Pack(Kind kind, SiteId s,
+                            std::uint32_t generation = 0) {
+    return kind | (static_cast<std::uint64_t>(s) << 3) |
+           (static_cast<std::uint64_t>(generation) << 32);
+  }
+  bool Cancelled(std::uint64_t payload) const {
+    return (payload & 0x7) == kFailure &&
+           static_cast<std::uint32_t>(payload >> 32) !=
+               sites_[static_cast<std::size_t>((payload >> 3) & 0xFF)]
+                   .generation;
+  }
+  void ScheduleFailure(SiteId s) {
+    Site& site = sites_[static_cast<std::size_t>(s)];
+    const double ttf = site.rng.NextExponential(
+        profiles_[static_cast<std::size_t>(s)].mttf_days);
+    queue_.Schedule(now_ + ttf, Pack(kFailure, s, ++site.generation));
+  }
+
+  const std::vector<SiteProfile>& profiles_;
+  std::vector<Site> sites_;
+  CalendarQueue queue_;
+  SimTime now_ = 0.0;
+  std::uint64_t current_ = 0;
+};
+
+/// Drives the pop-each-event reference to `horizon`, counting the events
+/// that scheduled `follow_ups` follow-ups.
+std::vector<Seen> DrivePopEachEvent(const std::vector<SiteProfile>& profiles,
+                                    std::uint64_t seed, SimTime horizon,
+                                    int follow_ups, int* with_follow_ups) {
+  PopEachEventPath reference(profiles, seed);
+  std::vector<Seen> seen;
+  *with_follow_ups = 0;
+  while (reference.Advance(horizon)) {
+    if (reference.Apply() == follow_ups) ++*with_follow_ups;
+    seen.push_back(Seen{reference.now(), PathEvent::Kind::kNetwork,
+                        AccessType::kRead, -1, reference.LiveSites()});
+  }
+  return seen;
+}
+
+TEST(SamplePathTest, EventWithNoFollowUpMatchesPoppingInAdvance) {
+  // A repair that lands inside a maintenance window schedules nothing
+  // (the failure clock stays stopped until the window ends), so Apply()
+  // pops the event Advance() left on the calendar's top. Twelve-hour
+  // restarts and a half-day window every two days make that common.
+  SiteProfile p = SimpleProfile(3.0, 1.0);
+  p.hardware_fraction = 0.0;
+  p.restart_minutes = 12.0 * 60.0;
+  p.maintenance_interval_days = 2.0;
+  p.maintenance_hours = 12.0;
+  const std::vector<SiteProfile> profiles(3, p);
+  int no_follow_up = 0;
+  const std::vector<Seen> reference =
+      DrivePopEachEvent(profiles, 23, Years(2), 0, &no_follow_up);
+  EXPECT_GT(no_follow_up, 20);
+  ASSERT_GT(reference.size(), 1000u);
+  EXPECT_EQ(Drive(FailureSpec(testing_util::SingleSegment(3), profiles),
+                  SiteSet{0, 1, 2}, 23, Years(2)),
+            reference);
+}
+
+TEST(SamplePathTest, EventWithTwoFollowUpsMatchesPoppingInAdvance) {
+  // A maintenance end on a live site schedules two follow-ups: the
+  // restarted failure clock replaces the event on the top, and the next
+  // window is a plain Schedule(). Instant restarts also put follow-ups
+  // at the very time of the event they replace.
+  SiteProfile p = SimpleProfile(4.0, 1.0);
+  p.hardware_fraction = 0.5;
+  p.restart_minutes = 0.0;
+  p.maintenance_interval_days = 3.0;
+  p.maintenance_hours = 6.0;
+  const std::vector<SiteProfile> profiles(4, p);
+  int two_follow_ups = 0;
+  const std::vector<Seen> reference =
+      DrivePopEachEvent(profiles, 31, Years(2), 2, &two_follow_ups);
+  EXPECT_GT(two_follow_ups, 500);
+  ASSERT_GT(reference.size(), 2000u);
+  EXPECT_EQ(Drive(FailureSpec(testing_util::SingleSegment(4), profiles),
+                  SiteSet{0, 1, 2, 3}, 31, Years(2)),
+            reference);
 }
 
 TEST(SamplePathTest, RepeaterFailuresPartition) {

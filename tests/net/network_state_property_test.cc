@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "model/site_profile.h"
 #include "net/network_state.h"
 #include "util/rng.h"
 #include "test_text.h"
@@ -112,6 +113,42 @@ TEST(NetworkStatePropertyTest, IncrementalStateMatchesFreshReplay) {
       ExpectSameConnectivity(net, fresh, trial, step);
     }
   }
+}
+
+TEST(NetworkStatePropertyTest, PaperNetworkFlipsQueriedEveryStepMatchReplay) {
+  // The simulation's regime: every flip is followed by a query, so each
+  // flip of a non-gateway site finds clean caches and updates its
+  // component in place, while flips of the gateways (ids 3 and 4, paper
+  // sites 4 and 5) and flips that empty or fill a component rebuild.
+  // Both must leave exactly what a fresh replay of the final state gives.
+  auto paper = MakePaperNetwork();
+  ASSERT_TRUE(paper.ok());
+  const std::shared_ptr<const Topology>& topology = paper->topology;
+  const int n = topology->num_sites();
+  Rng rng(0x9A9E);
+  int in_place_flips = 0;  // non-gateway flips that keep the group count
+  for (int trial = 0; trial < 20; ++trial) {
+    NetworkState net(topology);
+    for (int step = 0; step < 200; ++step) {
+      if (rng.NextBernoulli(0.02)) {
+        net.AllUp();
+      } else {
+        const SiteId s = static_cast<SiteId>(rng.NextBounded(n));
+        const bool gateway = s == 3 || s == 4;
+        const std::size_t groups_before = net.Components().size();
+        const bool up = rng.NextBernoulli(0.6);
+        const bool flips = net.IsSiteUp(s) != up;
+        net.SetSiteUp(s, up);
+        if (flips && !gateway && net.Components().size() == groups_before) {
+          ++in_place_flips;
+        }
+      }
+      (void)net.Components();
+      NetworkState fresh = ReplayFinalState(topology, net);
+      ExpectSameConnectivity(net, fresh, trial, step);
+    }
+  }
+  EXPECT_GT(in_place_flips, 500);
 }
 
 TEST(NetworkStatePropertyTest, GenerationBumpsOnlyOnEffectiveChanges) {

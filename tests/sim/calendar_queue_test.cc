@@ -275,6 +275,64 @@ TEST(CalendarQueueTest, DeterministicAcrossIdenticalRuns) {
   }
 }
 
+void ExpectSameEvent(const CalendarEvent& a, const CalendarEvent& b,
+                     std::size_t step) {
+  EXPECT_EQ(a.when, b.when) << "step " << step;
+  EXPECT_EQ(a.seq, b.seq) << "step " << step;
+  EXPECT_EQ(a.payload, b.payload) << "step " << step;
+}
+
+TEST(CalendarQueueTest, ReplaceTopMatchesPopThenSchedule) {
+  // ReplaceTop is PopNext + Schedule in one sift: a twin queue driven by
+  // the two-step form must hold the same events with the same seqs, so
+  // both pop the identical (when, seq, payload) sequence. Timestamps sit
+  // on a coarse grid, so equal times are everywhere, and a replacement
+  // often lands at the very time it replaces.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Lcg rng(seed);
+    CalendarQueue one_sift;
+    CalendarQueue twin;
+    std::vector<CalendarEvent> one_sift_order;
+    std::vector<CalendarEvent> twin_order;
+    std::uint64_t next_id = 0;
+    double clock = 0.0;
+    for (std::size_t step = 0; step < 4000; ++step) {
+      // Nothing is scheduled before the last event popped, as in a
+      // simulation: a follow-up is never due before the event it follows.
+      const std::uint64_t coin = rng.Next() % 10;
+      const double delay = static_cast<double>(rng.Next() % 7) * 0.5;
+      if (coin < 3 || twin.Empty()) {
+        one_sift.Schedule(clock + delay, next_id);
+        twin.Schedule(clock + delay, next_id);
+        ++next_id;
+      } else if (coin < 5) {
+        one_sift_order.push_back(one_sift.PopNext());
+        twin_order.push_back(twin.PopNext());
+        clock = twin_order.back().when;
+      } else {
+        clock = twin.Peek().when;
+        one_sift_order.push_back(one_sift.Peek());
+        one_sift.ReplaceTop(clock + delay, next_id);
+        twin_order.push_back(twin.PopNext());
+        twin.Schedule(clock + delay, next_id);
+        ++next_id;
+      }
+      ASSERT_EQ(one_sift.Size(), twin.Size()) << "step " << step;
+      if (!twin.Empty()) ExpectSameEvent(one_sift.Peek(), twin.Peek(), step);
+    }
+    while (!twin.Empty()) {
+      one_sift_order.push_back(one_sift.PopNext());
+      twin_order.push_back(twin.PopNext());
+    }
+    EXPECT_TRUE(one_sift.Empty());
+    ASSERT_EQ(one_sift_order.size(), twin_order.size());
+    for (std::size_t i = 0; i < twin_order.size(); ++i) {
+      ExpectSameEvent(one_sift_order[i], twin_order[i], i);
+    }
+    ExpectOrdered(twin_order);
+  }
+}
+
 TEST(CalendarQueueTest, IdenticalTimestampsEverywhere) {
   // Degenerate width: every event at the same instant. The queue must
   // fall back gracefully (width floor) and still honor schedule order.
